@@ -172,8 +172,7 @@ let write_backend_json () =
     in
     let bs = auto.Solver.backends in
     let shard_solves =
-      bs.Solver.chain_free + bs.Solver.lemke + bs.Solver.active_set
-      + bs.Solver.accel + bs.Solver.plain
+      bs.Solver.chain_free + bs.Solver.accel + bs.Solver.plain
     in
     let rate c =
       if shard_solves = 0 then 0.0 else float_of_int c /. float_of_int shard_solves
@@ -187,10 +186,10 @@ let write_backend_json () =
       \      \"auto\": {\n\
       \        \"iterations_total\": %d, \"converged\": %b, \"time_s\": %.4f,\n\
       \        \"shard_solves\": %d, \"fallbacks\": %d,\n\
-      \        \"backends\": { \"chain_free\": %d, \"lemke\": %d, \
-       \"active_set\": %d, \"accel\": %d, \"plain\": %d },\n\
-      \        \"backend_rates\": { \"chain_free\": %.3f, \"lemke\": %.3f, \
-       \"active_set\": %.3f, \"accel\": %.3f, \"plain\": %.3f }\n\
+      \        \"backends\": { \"chain_free\": %d, \"accel\": %d, \
+       \"plain\": %d },\n\
+      \        \"backend_rates\": { \"chain_free\": %.3f, \"accel\": %.3f, \
+       \"plain\": %.3f }\n\
       \      },\n\
       \      \"iteration_speedup\": %.2f,\n\
       \      \"max_position_diff_sites\": %.3e,\n\
@@ -200,10 +199,8 @@ let write_backend_json () =
       (Mclh_circuit.Design.num_cells d)
       plain.Solver.iterations_total plain.Solver.converged t_plain
       auto.Solver.iterations_total auto.Solver.converged t_auto shard_solves
-      bs.Solver.fallbacks bs.Solver.chain_free bs.Solver.lemke
-      bs.Solver.active_set bs.Solver.accel bs.Solver.plain
-      (rate bs.Solver.chain_free) (rate bs.Solver.lemke)
-      (rate bs.Solver.active_set) (rate bs.Solver.accel) (rate bs.Solver.plain)
+      bs.Solver.fallbacks bs.Solver.chain_free bs.Solver.accel bs.Solver.plain
+      (rate bs.Solver.chain_free) (rate bs.Solver.accel) (rate bs.Solver.plain)
       (float_of_int plain.Solver.iterations_total
       /. float_of_int (max 1 auto.Solver.iterations_total))
       (Mclh_linalg.Vec.dist_inf (xs plain) (xs auto))

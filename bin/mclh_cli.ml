@@ -43,10 +43,8 @@ let report_of design (r : Runner.report) =
       f.Flow.solver.Solver.converged;
     let bs = f.Flow.solver.Solver.backends in
     Printf.bprintf b
-      "backends         : chain_free %d, lemke %d, active_set %d, accel %d, \
-       plain %d (fallbacks %d)\n"
-      bs.Solver.chain_free bs.Solver.lemke bs.Solver.active_set bs.Solver.accel
-      bs.Solver.plain bs.Solver.fallbacks;
+      "backends         : chain_free %d, accel %d, plain %d (fallbacks %d)\n"
+      bs.Solver.chain_free bs.Solver.accel bs.Solver.plain bs.Solver.fallbacks;
     Printf.bprintf b "subcell mismatch : %.2e sites\n" f.Flow.solver.Solver.mismatch;
     Printf.bprintf b "illegal pre-fix  : %d\n" (Flow.illegal_after_mmsim f);
     Printf.bprintf b "order preserved  : %.4f\n"
@@ -75,22 +73,6 @@ let report_of design (r : Runner.report) =
 
 (* ---- common arguments ---- *)
 
-let bench_arg =
-  let doc = "Benchmark name (see $(b,mclh list))." in
-  Arg.(value & opt string "fft_2" & info [ "bench"; "b" ] ~docv:"NAME" ~doc)
-
-let scale_arg =
-  let doc = "Scale factor applied to the published cell counts." in
-  Arg.(value & opt float 0.02 & info [ "scale"; "s" ] ~docv:"S" ~doc)
-
-let seed_arg =
-  let doc = "Generator seed." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"K" ~doc)
-
-let single_height_arg =
-  let doc = "Section 5.3 mode: no doubled cells." in
-  Arg.(value & flag & info [ "single-height" ] ~doc)
-
 let alg_arg =
   let alts = String.concat ", " (List.map Runner.name Runner.all) in
   let doc = Printf.sprintf "Legalization algorithm (%s)." alts in
@@ -109,30 +91,6 @@ let svg_arg =
   let doc = "Also render the result to an SVG file." in
   Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc)
 
-let lambda_arg =
-  let doc = "Penalty factor lambda of Problem (13)." in
-  Arg.(value & opt float Config.default.Config.lambda & info [ "lambda" ] ~doc)
-
-let eps_arg =
-  let doc = "MMSIM stopping tolerance (site widths)." in
-  Arg.(value & opt float Config.default.Config.eps & info [ "eps" ] ~doc)
-
-let max_iter_arg =
-  let doc = "MMSIM iteration budget per solve." in
-  Arg.(
-    value
-    & opt int Config.default.Config.max_iter
-    & info [ "max-iter" ] ~docv:"N" ~doc)
-
-let progress_arg =
-  let doc =
-    "Print stage and iteration heartbeat lines to stderr while the flow \
-     runs (model build, shard fan-out, solver iterations) — for watching \
-     long full-scale runs. Never appears in reports or stdout and never \
-     affects results."
-  in
-  Arg.(value & flag & info [ "progress" ] ~doc)
-
 let strict_arg =
   let doc =
     "Exit with status 3 when the solver fails to converge within its \
@@ -141,6 +99,135 @@ let strict_arg =
      non-convergence only prints a warning on stderr."
   in
   Arg.(value & flag & info [ "strict-convergence" ] ~doc)
+
+let refine_arg =
+  let doc =
+    "Run the detailed-placement refinement (global moves, swaps, window \
+     reordering) after legalization."
+  in
+  Arg.(value & flag & info [ "refine" ] ~doc)
+
+(* ---- generator flags: gen, run, place, pipeline, audit ---- *)
+
+type generator = {
+  seed : int;
+  generate : progress:bool -> Design.t;
+      (* builds the instance; an unknown name or a generator failure
+         prints its message on stderr and exits 1 *)
+}
+
+let generator_term =
+  let bench_arg =
+    let doc = "Benchmark name (see $(b,mclh list))." in
+    Arg.(value & opt string "fft_2" & info [ "bench"; "b" ] ~docv:"NAME" ~doc)
+  in
+  let scale_arg =
+    let doc = "Scale factor applied to the published cell counts." in
+    Arg.(value & opt float 0.02 & info [ "scale"; "s" ] ~docv:"S" ~doc)
+  in
+  let seed_arg =
+    let doc = "Generator seed." in
+    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"K" ~doc)
+  in
+  let single_height_arg =
+    let doc = "Section 5.3 mode: no doubled cells." in
+    Arg.(value & flag & info [ "single-height" ] ~doc)
+  in
+  let blockage_arg =
+    let doc = "Fraction of the chip area covered by fixed blockages." in
+    Arg.(value & opt float 0.0 & info [ "blockages" ] ~docv:"FRAC" ~doc)
+  in
+  let tall_arg =
+    let doc =
+      "Fraction of the doubled cells regenerated as 3x/4x-height cells."
+    in
+    Arg.(value & opt float 0.0 & info [ "tall" ] ~docv:"FRAC" ~doc)
+  in
+  let fences_arg =
+    let doc = "Number of exclusive fence regions to generate." in
+    Arg.(value & opt int 0 & info [ "fences" ] ~docv:"K" ~doc)
+  in
+  let scenario_arg =
+    let alts = String.concat ", " Scenario.names in
+    let doc =
+      Printf.sprintf
+        "Generate a hard scenario instead of a Table-1 benchmark (%s). \
+         Overrides $(b,--bench) and the generator knobs."
+        alts
+    in
+    Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME" ~doc)
+  in
+  let make bench scale seed single_height blockages tall fences scenario =
+    let generate ~progress =
+      if progress then
+        Printf.eprintf "[mclh] generating %s at scale %g\n%!"
+          (Option.value scenario ~default:bench)
+          scale;
+      let fail msg =
+        prerr_endline msg;
+        exit 1
+      in
+      let build =
+        match scenario with
+        | Some s -> (
+          match Scenario.of_name s with
+          | Some kind -> fun () -> Scenario.generate ~seed ~scale kind
+          | None ->
+            fail
+              (Printf.sprintf "unknown scenario %S (%s)" s
+                 (String.concat ", " Scenario.names)))
+        | None -> (
+          match Spec.find bench with
+          | exception Not_found ->
+            fail (Printf.sprintf "unknown benchmark %S" bench)
+          | spec ->
+            let options =
+              { Generate.default_options with
+                seed;
+                single_height_only = single_height;
+                blockage_fraction = blockages;
+                tall_cell_fraction = tall;
+                fence_count = fences }
+            in
+            fun () -> Generate.generate ~options (Spec.scaled scale spec))
+      in
+      match build () with
+      | inst -> inst.Generate.design
+      | exception (Failure msg | Invalid_argument msg) -> fail msg
+    in
+    { seed; generate }
+  in
+  Term.(
+    const make $ bench_arg $ scale_arg $ seed_arg $ single_height_arg
+    $ blockage_arg $ tall_arg $ fences_arg $ scenario_arg)
+
+(* the [--in] design when given, else a generated instance *)
+let read_or_generate input gen =
+  match input with
+  | Some path -> Io.read_design ~path
+  | None -> gen.generate ~progress:false
+
+(* ---- solver configuration ---- *)
+
+(* the solver flags every legalizing command shares *)
+let solver_term =
+  let lambda_arg =
+    let doc = "Penalty factor lambda of Problem (13)." in
+    Arg.(value & opt float Config.default.Config.lambda & info [ "lambda" ] ~doc)
+  in
+  let eps_arg =
+    let doc = "MMSIM stopping tolerance (site widths)." in
+    Arg.(value & opt float Config.default.Config.eps & info [ "eps" ] ~doc)
+  in
+  let max_iter_arg =
+    let doc = "MMSIM iteration budget per solve." in
+    Arg.(
+      value
+      & opt int Config.default.Config.max_iter
+      & info [ "max-iter" ] ~docv:"N" ~doc)
+  in
+  let make lambda eps max_iter = { Config.default with lambda; eps; max_iter } in
+  Term.(const make $ lambda_arg $ eps_arg $ max_iter_arg)
 
 let metrics_out_arg =
   let doc =
@@ -154,13 +241,47 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let config_of ?(metrics_out = None) ?(progress = false) lambda eps max_iter =
-  { Config.default with
-    lambda;
-    eps;
-    max_iter;
-    progress;
-    metrics = Config.default.Config.metrics || metrics_out <> None }
+let with_metrics (config : Config.t) metrics_out =
+  { config with metrics = config.metrics || metrics_out <> None }
+
+(* the solver flags plus [--metrics-out] and [--progress]; yields the
+   config and the metrics path *)
+let config_term =
+  let progress_arg =
+    let doc =
+      "Print stage and iteration heartbeat lines to stderr while the flow \
+       runs (model build, shard fan-out, solver iterations) — for watching \
+       long full-scale runs. Never appears in reports or stdout and never \
+       affects results."
+    in
+    Arg.(value & flag & info [ "progress" ] ~doc)
+  in
+  let make config metrics_out progress =
+    ({ (with_metrics config metrics_out) with Config.progress }, metrics_out)
+  in
+  Term.(const make $ solver_term $ metrics_out_arg $ progress_arg)
+
+(* ---- reporting and the exit-code contract ---- *)
+
+(* write [obs] to the [--metrics-out] path as a versioned JSON run report *)
+let write_report metrics_out obs meta =
+  match (metrics_out, obs) with
+  | Some path, Some obs ->
+    Mclh_obs.Run_report.write ~path (Mclh_obs.Run_report.to_json ~meta obs);
+    Printf.printf "metrics          : %s\n" path
+  | _ -> ()
+
+let runner_meta design (r : Runner.report) =
+  let open Mclh_report in
+  [ ("design", Json.String design.Design.name);
+    ("cells", Json.Int (Design.num_cells design));
+    ("algorithm", Json.String (Runner.name r.Runner.algorithm));
+    ("legal", Json.Bool r.Runner.legal);
+    ("runtime_s", Json.Float r.Runner.runtime_s) ]
+  @
+  match Runner.converged r with
+  | Some c -> [ ("converged", Json.Bool c) ]
+  | None -> []
 
 (* a typed placement failure (design beyond capacity, over-subscribed
    fence, ...) surfaces as a clear stderr report + exit 2, never a crash *)
@@ -196,33 +317,27 @@ let warn_nonconvergence ~strict (r : Runner.report) =
     strict
   | Some true | None -> false
 
-let write_metrics design (r : Runner.report) = function
-  | None -> ()
-  | Some path ->
-    (match r.Runner.obs with
-    | None -> ()
-    | Some obs ->
-      let open Mclh_report in
-      let meta =
-        [ ("design", Json.String design.Design.name);
-          ("cells", Json.Int (Design.num_cells design));
-          ("algorithm", Json.String (Runner.name r.Runner.algorithm));
-          ("legal", Json.Bool r.Runner.legal);
-          ("runtime_s", Json.Float r.Runner.runtime_s) ]
-        @
-        match Runner.converged r with
-        | Some c -> [ ("converged", Json.Bool c) ]
-        | None -> []
-      in
-      Mclh_obs.Run_report.write ~path (Mclh_obs.Run_report.to_json ~meta obs);
-      Printf.printf "metrics          : %s\n" path)
-
-let refine_arg =
-  let doc =
-    "Run the detailed-placement refinement (global moves, swaps, window \
-     reordering) after legalization."
-  in
-  Arg.(value & flag & info [ "refine" ] ~doc)
+(* The contract every legalizing command ends with: report unplaced
+   cells and non-convergence on stderr; write the run report, the
+   placement ([-o]) and the SVG; then exit 2 when [legal] is false and 3
+   on non-convergence under [--strict-convergence]. *)
+let conclude ~strict ~metrics_out ~meta ?output ?svg ~legal design placement
+    (r : Runner.report) =
+  report_unplaced r;
+  let strict_fail = warn_nonconvergence ~strict r in
+  write_report metrics_out r.Runner.obs meta;
+  Option.iter
+    (fun path ->
+      Io.write_placement ~path placement;
+      Printf.printf "placement        : %s\n" path)
+    output;
+  Option.iter
+    (fun path ->
+      Svg.write_file ~path design placement;
+      Printf.printf "svg              : %s\n" path)
+    svg;
+  if not legal then exit 2;
+  if strict_fail then exit 3
 
 let maybe_refine design refine (r : Runner.report) =
   if not refine then r
@@ -239,54 +354,6 @@ let maybe_refine design refine (r : Runner.report) =
         Hpwl.delta ~row_height:design.Design.chip.Chip.row_height
           design.Design.nets ~before:design.Design.global refined }
   end
-
-let blockage_arg =
-  let doc = "Fraction of the chip area covered by fixed blockages." in
-  Arg.(value & opt float 0.0 & info [ "blockages" ] ~docv:"FRAC" ~doc)
-
-let tall_arg =
-  let doc = "Fraction of the doubled cells regenerated as 3x/4x-height cells." in
-  Arg.(value & opt float 0.0 & info [ "tall" ] ~docv:"FRAC" ~doc)
-
-let fences_arg =
-  let doc = "Number of exclusive fence regions to generate." in
-  Arg.(value & opt int 0 & info [ "fences" ] ~docv:"K" ~doc)
-
-let scenario_arg =
-  let alts = String.concat ", " Scenario.names in
-  let doc =
-    Printf.sprintf
-      "Generate a hard scenario instead of a Table-1 benchmark (%s). \
-       Overrides $(b,--bench) and the generator knobs."
-      alts
-  in
-  Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME" ~doc)
-
-let generate_instance name scale seed single_height blockages tall fences
-    scenario =
-  match scenario with
-  | Some s -> (
-    match Scenario.of_name s with
-    | Some kind -> Scenario.generate ~seed ~scale kind
-    | None ->
-      Printf.eprintf "unknown scenario %S (%s)\n" s
-        (String.concat ", " Scenario.names);
-      exit 1)
-  | None ->
-    (match Spec.find name with
-    | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S\n" name;
-      exit 1
-    | _ -> ());
-    let options =
-      { Generate.default_options with
-        seed;
-        single_height_only = single_height;
-        blockage_fraction = blockages;
-        tall_cell_fraction = tall;
-        fence_count = fences }
-    in
-    Generate.generate ~options (Spec.scaled scale (Spec.find name))
 
 (* ---- subcommands ---- *)
 
@@ -308,13 +375,9 @@ let gen_cmd =
     let doc = "Output design file." in
     Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
-  let run bench scale seed single_height blockages tall fences scenario out =
-    let inst =
-      generate_instance bench scale seed single_height blockages tall fences
-        scenario
-    in
-    Io.write_design ~path:out inst.Generate.design;
-    let d = inst.Generate.design in
+  let run gen out =
+    let d = gen.generate ~progress:false in
+    Io.write_design ~path:out d;
     Printf.printf "wrote %s: %d cells, %d nets, chip %dx%d, density %.3f\n" out
       (Design.num_cells d)
       (Netlist.num_nets d.Design.nets)
@@ -323,9 +386,7 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a synthetic benchmark instance.")
-    Term.(
-      const run $ bench_arg $ scale_arg $ seed_arg $ single_height_arg
-      $ blockage_arg $ tall_arg $ fences_arg $ scenario_arg $ out_arg)
+    Term.(const run $ generator_term $ out_arg)
 
 let legalize_cmd =
   let in_arg =
@@ -336,76 +397,32 @@ let legalize_cmd =
     let doc = "Output placement file." in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
-  let run input alg output svg lambda eps max_iter strict refine metrics_out
-      progress =
+  let run input alg output svg (config, metrics_out) strict refine =
     let design = Io.read_design ~path:input in
-    let r =
-      Runner.run
-        ~config:(config_of ~metrics_out ~progress lambda eps max_iter)
-        alg design
-    in
-    let r = maybe_refine design refine r in
+    let r = maybe_refine design refine (Runner.run ~config alg design) in
     print_string (report_of design r);
-    report_unplaced r;
-    let strict_fail = warn_nonconvergence ~strict r in
-    write_metrics design r metrics_out;
-    Option.iter
-      (fun path ->
-        Io.write_placement ~path r.Runner.placement;
-        Printf.printf "placement        : %s\n" path)
-      output;
-    Option.iter
-      (fun path ->
-        Svg.write_file ~path design r.Runner.placement;
-        Printf.printf "svg              : %s\n" path)
-      svg;
-    if not r.Runner.legal then exit 2;
-    if strict_fail then exit 3
+    conclude ~strict ~metrics_out ~meta:(runner_meta design r) ?output ?svg
+      ~legal:r.Runner.legal design r.Runner.placement r
   in
   Cmd.v
     (Cmd.info "legalize" ~doc:"Legalize a design file.")
     Term.(
-      const run $ in_arg $ alg_arg $ out_arg $ svg_arg $ lambda_arg $ eps_arg
-      $ max_iter_arg $ strict_arg $ refine_arg $ metrics_out_arg
-      $ progress_arg)
+      const run $ in_arg $ alg_arg $ out_arg $ svg_arg $ config_term
+      $ strict_arg $ refine_arg)
 
 let run_cmd =
-  let run bench scale seed single_height blockages tall fences scenario alg
-      svg lambda eps max_iter strict refine metrics_out progress =
-    if progress then
-      Printf.eprintf "[mclh] generating %s at scale %g\n%!"
-        (Option.value scenario ~default:bench)
-        scale;
-    let inst =
-      generate_instance bench scale seed single_height blockages tall fences
-        scenario
-    in
-    let design = inst.Generate.design in
-    let r =
-      Runner.run
-        ~config:(config_of ~metrics_out ~progress lambda eps max_iter)
-        alg design
-    in
-    let r = maybe_refine design refine r in
+  let run gen alg svg ((config : Config.t), metrics_out) strict refine =
+    let design = gen.generate ~progress:config.progress in
+    let r = maybe_refine design refine (Runner.run ~config alg design) in
     print_string (report_of design r);
-    report_unplaced r;
-    let strict_fail = warn_nonconvergence ~strict r in
-    write_metrics design r metrics_out;
-    Option.iter
-      (fun path ->
-        Svg.write_file ~path design r.Runner.placement;
-        Printf.printf "svg              : %s\n" path)
-      svg;
-    if not r.Runner.legal then exit 2;
-    if strict_fail then exit 3
+    conclude ~strict ~metrics_out ~meta:(runner_meta design r) ?svg
+      ~legal:r.Runner.legal design r.Runner.placement r
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Generate and legalize in one step.")
     Term.(
-      const run $ bench_arg $ scale_arg $ seed_arg $ single_height_arg
-      $ blockage_arg $ tall_arg $ fences_arg $ scenario_arg $ alg_arg
-      $ svg_arg $ lambda_arg $ eps_arg $ max_iter_arg $ strict_arg
-      $ refine_arg $ metrics_out_arg $ progress_arg)
+      const run $ generator_term $ alg_arg $ svg_arg $ config_term
+      $ strict_arg $ refine_arg)
 
 let audit_cmd =
   let module Audit = Mclh_audit.Audit in
@@ -435,44 +452,21 @@ let audit_cmd =
     let doc = "Branch-and-bound node budget per window." in
     Arg.(value & opt int 20_000 & info [ "max-nodes" ] ~docv:"N" ~doc)
   in
-  let run bench scale seed single_height blockages tall fences scenario input
-      placement_path alg windows max_cells max_nodes lambda eps max_iter
-      metrics_out progress =
-    let design, placement =
-      match input with
-      | Some path ->
-        let design = Io.read_design ~path in
-        let placement =
-          match placement_path with
-          | Some p -> Io.read_placement ~path:p
-          | None ->
-            let r =
-              Runner.run
-                ~config:(config_of ~metrics_out ~progress lambda eps max_iter)
-                alg design
-            in
-            report_unplaced r;
-            r.Runner.placement
-        in
-        (design, placement)
-      | None ->
-        let inst =
-          generate_instance bench scale seed single_height blockages tall
-            fences scenario
-        in
-        let design = inst.Generate.design in
-        let r =
-          Runner.run
-            ~config:(config_of ~metrics_out ~progress lambda eps max_iter)
-            alg design
-        in
+  let run gen input placement_path alg windows max_cells max_nodes
+      (config, metrics_out) =
+    let design = read_or_generate input gen in
+    let placement =
+      match (input, placement_path) with
+      | Some _, Some p -> Io.read_placement ~path:p
+      | _ ->
+        let r = Runner.run ~config alg design in
         report_unplaced r;
-        (design, r.Runner.placement)
+        r.Runner.placement
     in
     let obs = Some (Mclh_obs.Obs.create ()) in
     let s =
-      Audit.run ~seed ~count:windows ~max_cells ~max_nodes ?obs design
-        placement
+      Audit.run ~seed:gen.seed ~count:windows ~max_cells ~max_nodes ?obs
+        design placement
     in
     Printf.printf "design           : %s (%d cells)\n" design.Design.name
       (Design.num_cells design);
@@ -501,19 +495,13 @@ let audit_cmd =
           w.Audit.window.Mclh_audit.Window.x1 w.Audit.cells w.Audit.nodes
           status)
       s.Audit.reports;
-    (match (metrics_out, obs) with
-    | Some path, Some obs ->
-      let open Mclh_report in
-      let meta =
-        [ ("design", Json.String design.Design.name);
-          ("cells", Json.Int (Design.num_cells design));
-          ("windows", Json.Int s.Audit.sampled);
-          ("certified", Json.Int s.Audit.certified);
-          ("max_gap", Json.Float s.Audit.max_gap) ]
-      in
-      Mclh_obs.Run_report.write ~path (Mclh_obs.Run_report.to_json ~meta obs);
-      Printf.printf "metrics          : %s\n" path
-    | _ -> ())
+    write_report metrics_out obs
+      Mclh_report.Json.
+        [ ("design", String design.Design.name);
+          ("cells", Int (Design.num_cells design));
+          ("windows", Int s.Audit.sampled);
+          ("certified", Int s.Audit.certified);
+          ("max_gap", Float s.Audit.max_gap) ]
   in
   Cmd.v
     (Cmd.info "audit"
@@ -523,10 +511,8 @@ let audit_cmd =
           report per-window optimality gaps. A zero gap certifies the \
           window is optimally placed given its surroundings.")
     Term.(
-      const run $ bench_arg $ scale_arg $ seed_arg $ single_height_arg
-      $ blockage_arg $ tall_arg $ fences_arg $ scenario_arg $ in_arg
-      $ placement_arg $ alg_arg $ windows_arg $ max_cells_arg $ max_nodes_arg
-      $ lambda_arg $ eps_arg $ max_iter_arg $ metrics_out_arg $ progress_arg)
+      const run $ generator_term $ in_arg $ placement_arg $ alg_arg
+      $ windows_arg $ max_cells_arg $ max_nodes_arg $ config_term)
 
 let check_cmd =
   let design_arg =
@@ -654,15 +640,14 @@ let eco_cmd =
     in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  let run input edits_path output out_design lambda eps max_iter strict verify
-      metrics_out =
+  let run input edits_path output out_design config strict verify metrics_out =
     let design = Io.read_design ~path:input in
     let batches = Mclh_incr.Edit.read_file ~path:edits_path in
     if batches = [] then begin
       Printf.eprintf "no batches in %s\n" edits_path;
       exit 1
     end;
-    let config = config_of ~metrics_out lambda eps max_iter in
+    let config = with_metrics config metrics_out in
     let obs =
       if config.Config.metrics then Some (Mclh_obs.Obs.create ()) else None
     in
@@ -729,19 +714,13 @@ let eco_cmd =
       Printf.printf "cold re-run      : %.3f s (incremental total %.3f s)\n"
         cold_s !total_latency
     end;
-    (match (metrics_out, obs) with
-    | Some path, Some obs ->
-      let open Mclh_report in
-      let meta =
-        [ ("design", Json.String design'.Design.name);
-          ("cells", Json.Int (Design.num_cells design'));
-          ("batches", Json.Int (Mclh_incr.Incr.num_batches session));
-          ("legal", Json.Bool legal);
-          ("converged", Json.Bool all_converged) ]
-      in
-      Mclh_obs.Run_report.write ~path (Mclh_obs.Run_report.to_json ~meta obs);
-      Printf.printf "metrics          : %s\n" path
-    | _ -> ());
+    write_report metrics_out obs
+      Mclh_report.Json.
+        [ ("design", String design'.Design.name);
+          ("cells", Int (Design.num_cells design'));
+          ("batches", Int (Mclh_incr.Incr.num_batches session));
+          ("legal", Bool legal);
+          ("converged", Bool all_converged) ];
     Option.iter
       (fun path ->
         Io.write_placement ~path incr_legal;
@@ -760,73 +739,54 @@ let eco_cmd =
        ~doc:
          "Apply ECO edit batches with the incremental re-legalization engine.")
     Term.(
-      const run $ in_arg $ edits_arg $ out_arg $ out_design_arg $ lambda_arg
-      $ eps_arg $ max_iter_arg $ strict_arg $ verify_arg $ metrics_out_arg)
+      const run $ in_arg $ edits_arg $ out_arg $ out_design_arg $ solver_term
+      $ strict_arg $ verify_arg $ metrics_out_arg)
 
 (* ---- global placement ---- *)
 
-let gp_rounds_arg =
-  let doc = "Maximum global-placement rounds." in
-  Arg.(
-    value
-    & opt int Mclh_gp.Gp.default_options.Mclh_gp.Gp.iterations
-    & info [ "gp-rounds" ] ~docv:"N" ~doc)
-
-let target_density_arg =
-  let doc = "Target utilization per density bin." in
-  Arg.(
-    value
-    & opt float Mclh_gp.Gp.default_options.Mclh_gp.Gp.target_density
-    & info [ "target-density" ] ~docv:"D" ~doc)
-
-let stop_overflow_arg =
-  let doc =
-    "Stop spreading once the density overflow falls to this fraction of \
-     the movable area."
+(* the placer flags [place] and [pipeline] share *)
+let gp_options_term =
+  let gp_rounds_arg =
+    let doc = "Maximum global-placement rounds." in
+    Arg.(
+      value
+      & opt int Mclh_gp.Gp.default_options.Mclh_gp.Gp.iterations
+      & info [ "gp-rounds" ] ~docv:"N" ~doc)
   in
-  Arg.(
-    value
-    & opt float Mclh_gp.Gp.default_options.Mclh_gp.Gp.stop_overflow
-    & info [ "stop-overflow" ] ~docv:"F" ~doc)
-
-let grid_arg =
-  let doc =
-    "Density bins per side (a power of two; default picked from the cell \
-     count)."
+  let target_density_arg =
+    let doc = "Target utilization per density bin." in
+    Arg.(
+      value
+      & opt float Mclh_gp.Gp.default_options.Mclh_gp.Gp.target_density
+      & info [ "target-density" ] ~docv:"D" ~doc)
   in
-  Arg.(value & opt (some int) None & info [ "grid" ] ~docv:"M" ~doc)
-
-let no_density_arg =
-  let doc =
-    "Disable the density force: the legacy lookahead-anchor placer (a \
-     fixed round count, Tetris-legalized anchors)."
+  let stop_overflow_arg =
+    let doc =
+      "Stop spreading once the density overflow falls to this fraction of \
+       the movable area."
+    in
+    Arg.(
+      value
+      & opt float Mclh_gp.Gp.default_options.Mclh_gp.Gp.stop_overflow
+      & info [ "stop-overflow" ] ~docv:"F" ~doc)
   in
-  Arg.(value & flag & info [ "no-density" ] ~doc)
-
-let net_model_arg =
-  let doc = "Quadratic net model: $(b,clique) or $(b,b2b)." in
-  let parse = function
-    | "clique" -> Ok Mclh_gp.Gp.Clique
-    | "b2b" -> Ok Mclh_gp.Gp.B2b
-    | s -> Error (`Msg (Printf.sprintf "unknown net model %S (clique, b2b)" s))
+  let grid_arg =
+    let doc =
+      "Density bins per side (a power of two; default picked from the cell \
+       count)."
+    in
+    Arg.(value & opt (some int) None & info [ "grid" ] ~docv:"M" ~doc)
   in
-  let print ppf m =
-    Format.pp_print_string ppf
-      (match m with Mclh_gp.Gp.Clique -> "clique" | Mclh_gp.Gp.B2b -> "b2b")
+  let make iterations target_density stop_overflow grid =
+    { Mclh_gp.Gp.default_options with
+      Mclh_gp.Gp.iterations;
+      target_density;
+      stop_overflow;
+      grid }
   in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Mclh_gp.Gp.default_options.Mclh_gp.Gp.net_model
-    & info [ "net-model" ] ~docv:"MODEL" ~doc)
-
-let gp_options_of rounds target stop grid no_density net_model =
-  { Mclh_gp.Gp.default_options with
-    Mclh_gp.Gp.iterations = rounds;
-    target_density = target;
-    stop_overflow = stop;
-    grid;
-    density = not no_density;
-    net_model }
+  Term.(
+    const make $ gp_rounds_arg $ target_density_arg $ stop_overflow_arg
+    $ grid_arg)
 
 let gp_round_table (stats : Mclh_gp.Gp.stats) =
   Printf.printf "%5s %9s %11s %9s %9s %8s %10s\n" "round" "alpha" "HPWL"
@@ -847,15 +807,6 @@ let design_with_global (design : Design.t) pl =
     ~regions:design.Design.regions ~name:design.Design.name
     ~chip:design.Design.chip ~cells:design.Design.cells ~global:pl
     ~nets:design.Design.nets ()
-
-let read_or_generate input bench scale seed single_height blockages tall
-    fences scenario =
-  match input with
-  | Some path -> Io.read_design ~path
-  | None ->
-    (generate_instance bench scale seed single_height blockages tall fences
-       scenario)
-      .Generate.design
 
 let place_cmd =
   let in_arg =
@@ -895,17 +846,9 @@ let place_cmd =
     Arg.(
       value & opt (some string) None & info [ "edits-base" ] ~docv:"FILE" ~doc)
   in
-  let run bench scale seed single_height blockages tall fences scenario input
-      output out_design edits_out edits_base svg metrics_out gp_rounds
-      target_density stop_overflow grid no_density net_model =
-    let design =
-      read_or_generate input bench scale seed single_height blockages tall
-        fences scenario
-    in
-    let options =
-      gp_options_of gp_rounds target_density stop_overflow grid no_density
-        net_model
-    in
+  let run gen input output out_design edits_out edits_base svg metrics_out
+      options =
+    let design = read_or_generate input gen in
     let obs =
       if metrics_out <> None || Mclh_obs.Obs.enabled_from_env () then
         Some (Mclh_obs.Obs.create ())
@@ -934,21 +877,15 @@ let place_cmd =
       (100.0 *. stats.Mclh_gp.Gp.final_overflow);
     Printf.printf "illegal cells    : %d (pre-legalization)\n" illegal_pre;
     Printf.printf "runtime          : %.3f s\n" seconds;
-    (match (metrics_out, obs) with
-    | Some path, Some obs ->
-      let open Mclh_report in
-      let meta =
-        [ ("design", Json.String design.Design.name);
-          ("cells", Json.Int (Design.num_cells design));
-          ("rounds", Json.Int (List.length stats.Mclh_gp.Gp.rounds));
-          ("grid", Json.Int stats.Mclh_gp.Gp.grid);
-          ("final_hpwl", Json.Float stats.Mclh_gp.Gp.final_hpwl);
-          ("final_overflow", Json.Float stats.Mclh_gp.Gp.final_overflow);
-          ("illegal_pre", Json.Int illegal_pre) ]
-      in
-      Mclh_obs.Run_report.write ~path (Mclh_obs.Run_report.to_json ~meta obs);
-      Printf.printf "metrics          : %s\n" path
-    | _ -> ());
+    write_report metrics_out obs
+      Mclh_report.Json.
+        [ ("design", String design.Design.name);
+          ("cells", Int (Design.num_cells design));
+          ("rounds", Int (List.length stats.Mclh_gp.Gp.rounds));
+          ("grid", Int stats.Mclh_gp.Gp.grid);
+          ("final_hpwl", Float stats.Mclh_gp.Gp.final_hpwl);
+          ("final_overflow", Float stats.Mclh_gp.Gp.final_overflow);
+          ("illegal_pre", Int illegal_pre) ];
     Option.iter
       (fun path ->
         Io.write_placement ~path gp;
@@ -987,11 +924,9 @@ let place_cmd =
           output is fractional and overlapping — feed it to $(b,mclh \
           legalize) or use $(b,mclh pipeline).")
     Term.(
-      const run $ bench_arg $ scale_arg $ seed_arg $ single_height_arg
-      $ blockage_arg $ tall_arg $ fences_arg $ scenario_arg $ in_arg
-      $ out_arg $ out_design_arg $ edits_out_arg $ edits_base_arg $ svg_arg
-      $ metrics_out_arg $ gp_rounds_arg $ target_density_arg
-      $ stop_overflow_arg $ grid_arg $ no_density_arg $ net_model_arg)
+      const run $ generator_term $ in_arg $ out_arg $ out_design_arg
+      $ edits_out_arg $ edits_base_arg $ svg_arg $ metrics_out_arg
+      $ gp_options_term)
 
 let pipeline_cmd =
   let in_arg =
@@ -1007,22 +942,12 @@ let pipeline_cmd =
     let doc = "Skip the detailed-placement refinement stage." in
     Arg.(value & flag & info [ "no-refine" ] ~doc)
   in
-  let run bench scale seed single_height blockages tall fences scenario input
-      output svg alg lambda eps max_iter strict metrics_out progress no_refine
-      gp_rounds target_density stop_overflow grid no_density net_model =
-    let design =
-      read_or_generate input bench scale seed single_height blockages tall
-        fences scenario
-    in
+  let run gen input output svg alg ((config : Config.t), metrics_out) strict
+      no_refine options =
+    let design = read_or_generate input gen in
     let rh = design.Design.chip.Chip.row_height in
-    let options =
-      gp_options_of gp_rounds target_density stop_overflow grid no_density
-        net_model
-    in
-    let config = config_of ~metrics_out ~progress lambda eps max_iter in
-    let obs =
-      if config.Config.metrics then Some (Mclh_obs.Obs.create ()) else None
-    in
+    let progress = config.progress in
+    let obs = if config.metrics then Some (Mclh_obs.Obs.create ()) else None in
     if progress then
       Printf.eprintf "[mclh] pipeline: global placement (%d cells)\n%!"
         (Design.num_cells design);
@@ -1048,13 +973,10 @@ let pipeline_cmd =
       Mclh_par.Clock.timed (fun () -> Runner.run ~config ?obs alg placed)
     in
     Mclh_obs.Obs.record_span obs "pipeline/legalize" legalize_s;
-    let hpwl_legal = Hpwl.total ~row_height:rh placed.Design.nets r.Runner.placement in
     Printf.printf "legalize         : %s, legal %b, dHPWL %+.2f%%, %.3f s\n"
       (Runner.name alg) r.Runner.legal
       (100.0 *. r.Runner.delta_hpwl)
       legalize_s;
-    report_unplaced r;
-    let strict_fail = warn_nonconvergence ~strict r in
     (* stage 3: refinement *)
     let final, refine_line =
       if no_refine then (r.Runner.placement, None)
@@ -1079,36 +1001,19 @@ let pipeline_cmd =
     let dhpwl =
       Hpwl.delta ~row_height:rh placed.Design.nets ~before:gp final
     in
-    ignore hpwl_legal;
     Printf.printf "pipeline         : legal %b, dHPWL vs GP %+.2f%%\n" legal
       (100.0 *. dhpwl);
-    (match (metrics_out, obs) with
-    | Some path, Some obs ->
-      let open Mclh_report in
-      let meta =
-        [ ("design", Json.String design.Design.name);
-          ("cells", Json.Int (Design.num_cells design));
-          ("gp_rounds", Json.Int (List.length gp_stats.Mclh_gp.Gp.rounds));
-          ("gp_overflow", Json.Float gp_stats.Mclh_gp.Gp.final_overflow);
-          ("illegal_pre", Json.Int illegal_pre);
-          ("legal", Json.Bool legal);
-          ("delta_hpwl_vs_gp", Json.Float dhpwl) ]
-      in
-      Mclh_obs.Run_report.write ~path (Mclh_obs.Run_report.to_json ~meta obs);
-      Printf.printf "metrics          : %s\n" path
-    | _ -> ());
-    Option.iter
-      (fun path ->
-        Io.write_placement ~path final;
-        Printf.printf "placement        : %s\n" path)
-      output;
-    Option.iter
-      (fun path ->
-        Svg.write_file ~path placed final;
-        Printf.printf "svg              : %s\n" path)
-      svg;
-    if not legal then exit 2;
-    if strict_fail then exit 3
+    let meta =
+      Mclh_report.Json.
+        [ ("design", String design.Design.name);
+          ("cells", Int (Design.num_cells design));
+          ("gp_rounds", Int (List.length gp_stats.Mclh_gp.Gp.rounds));
+          ("gp_overflow", Float gp_stats.Mclh_gp.Gp.final_overflow);
+          ("illegal_pre", Int illegal_pre);
+          ("legal", Bool legal);
+          ("delta_hpwl_vs_gp", Float dhpwl) ]
+    in
+    conclude ~strict ~metrics_out ~meta ?output ?svg ~legal placed final r
   in
   Cmd.v
     (Cmd.info "pipeline"
@@ -1118,12 +1023,8 @@ let pipeline_cmd =
           per-stage spans in the metrics report. Exit 0 iff the final \
           placement is legal.")
     Term.(
-      const run $ bench_arg $ scale_arg $ seed_arg $ single_height_arg
-      $ blockage_arg $ tall_arg $ fences_arg $ scenario_arg $ in_arg
-      $ out_arg $ svg_arg $ alg_arg $ lambda_arg $ eps_arg $ max_iter_arg
-      $ strict_arg $ metrics_out_arg $ progress_arg $ no_refine_arg
-      $ gp_rounds_arg $ target_density_arg $ stop_overflow_arg $ grid_arg
-      $ no_density_arg $ net_model_arg)
+      const run $ generator_term $ in_arg $ out_arg $ svg_arg $ alg_arg
+      $ config_term $ strict_arg $ no_refine_arg $ gp_options_term)
 
 let convert_cmd =
   let in_arg =
@@ -1189,7 +1090,7 @@ let serve_cmd =
                queued renumbering-free runs per session." in
     Arg.(value & flag & info [ "no-coalesce" ] ~doc)
   in
-  let run socket tcp max_sessions max_inflight no_coalesce lambda eps max_iter =
+  let run socket tcp max_sessions max_inflight no_coalesce config =
     let addr =
       match (socket, tcp) with
       | Some _, Some _ ->
@@ -1212,12 +1113,9 @@ let serve_cmd =
           exit 2)
       | None, None -> Serve.Protocol.Unix_sock "/tmp/mclh.sock"
     in
-    let incr_config =
-      { (config_of lambda eps max_iter) with Config.metrics = true }
-    in
     let config =
       { Serve.Server.default_config with
-        Serve.Server.incr_config;
+        Serve.Server.incr_config = { config with Config.metrics = true };
         max_sessions;
         max_inflight;
         coalesce = not no_coalesce }
@@ -1241,7 +1139,7 @@ let serve_cmd =
           Try: echo '{\"op\":\"ping\"}' | socat - UNIX:/tmp/mclh.sock")
     Term.(
       const run $ socket_arg $ tcp_arg $ max_sessions_arg $ max_inflight_arg
-      $ no_coalesce_arg $ lambda_arg $ eps_arg $ max_iter_arg)
+      $ no_coalesce_arg $ solver_term)
 
 let () =
   let info =

@@ -1,6 +1,6 @@
 (* The complete physical-design slice, end to end on one netlist:
 
-     analytical global placement (quadratic + lookahead anchoring)
+     analytical global placement (quadratic wirelength + density spreading)
        -> the paper's MMSIM legalization
          -> detailed-placement refinement
 

@@ -1,4 +1,4 @@
-type backend = Auto | Plain | Accel
+type backend = Auto | Plain
 
 type t = {
   lambda : float;
@@ -8,11 +8,7 @@ type t = {
   eps : float;
   max_iter : int;
   backend : backend;
-  accel_depth : int;
-  direct_max_dim : int;
-  direct_max_iter : int;
   direct_tol : float;
-  use_sherman_morrison : bool;
   verify_bound : bool;
   warm_start : bool;
   num_domains : int;
@@ -35,11 +31,7 @@ let default =
     eps = 3e-3;
     max_iter = 10_000;
     backend = Auto;
-    accel_depth = 8;
-    direct_max_dim = 48;
-    direct_max_iter = 10_000;
     direct_tol = 1e-9;
-    use_sherman_morrison = true;
     verify_bound = false;
     warm_start = true;
     num_domains = Mclh_par.Pool.default_num_domains ();
@@ -54,9 +46,6 @@ let validate t =
   else if t.gamma <= 0.0 then Error "gamma must be positive"
   else if t.eps <= 0.0 then Error "eps must be positive"
   else if t.max_iter <= 0 then Error "max_iter must be positive"
-  else if t.accel_depth < 0 then Error "accel_depth must be >= 0"
-  else if t.direct_max_dim < 0 then Error "direct_max_dim must be >= 0"
-  else if t.direct_max_iter <= 0 then Error "direct_max_iter must be positive"
   else if t.direct_tol <= 0.0 then Error "direct_tol must be positive"
   else if t.num_domains < 1 then Error "num_domains must be >= 1"
   else Ok t

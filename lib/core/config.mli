@@ -5,24 +5,20 @@
 
     This record is the {b single source} for solver tolerances and
     budgets: every backend the per-shard chooser can pick (plain MMSIM,
-    accelerated MMSIM, Lemke, active set, the chain-free direct solve)
-    receives its stopping tolerance and iteration budget from here — the
-    module-local defaults of {!Mclh_lcp.Mmsim.default_options} ([eps =
-    1e-9]), {!Mclh_lcp.Pgs.default_options} ([eps = 1e-10]) and
-    {!Mclh_lcp.Lemke.solve} ([max_iter = 50 n + 200]) are for direct
+    accelerated MMSIM, the chain-free direct solve) receives its stopping
+    tolerance and iteration budget from here — the module-local defaults
+    of {!Mclh_lcp.Mmsim.default_options} ([eps = 1e-9]) and
+    {!Mclh_lcp.Pgs.default_options} ([eps = 1e-10]) are for direct
     library use and tests only, never consulted on the production path,
     so the chooser always compares backends like with like. *)
 
 type backend =
   | Auto
       (** per-shard chooser: chain-free shards solve directly (isotonic
-          projection), tiny shards pivot directly (Lemke, then active
-          set), the rest run accelerated MMSIM; any direct/accelerated
-          failure falls back to plain MMSIM (see {!Solver.solve}) *)
-  | Plain  (** force plain MMSIM everywhere (the pre-chooser behavior) *)
-  | Accel
-      (** force accelerated MMSIM everywhere (no direct backends); plain
-          rescue still applies on divergence *)
+          projection), the rest run Anderson-accelerated MMSIM; a failed
+          direct or accelerated solve falls back to plain MMSIM (see
+          {!Solver.solve}) *)
+  | Plain  (** plain MMSIM everywhere: the paper's Algorithm 1 exactly *)
 
 type t = {
   lambda : float;  (** equality-penalty factor of Problem (13) *)
@@ -32,23 +28,10 @@ type t = {
   eps : float;  (** MMSIM stopping tolerance on iterate change *)
   max_iter : int;
   backend : backend;  (** per-shard solver selection policy *)
-  accel_depth : int;
-      (** Anderson history depth for accelerated MMSIM ([backend = Auto]
-          or [Accel]); [0] degrades Accel to the plain iteration *)
-  direct_max_dim : int;
-      (** shards with [vars + constraints] at most this route to the
-          direct pivoting backends under [Auto]; [0] disables them *)
-  direct_max_iter : int;
-      (** pivot/iteration budget for the direct backends (Lemke pivots,
-          active-set steps) — replaces their module-local defaults *)
   direct_tol : float;
-      (** acceptance tolerance for a direct backend's KKT residual
+      (** acceptance tolerance for the chain-free solve's KKT residual
           (relative to the solution scale); a direct solve that misses it
           "disagrees" and falls back to MMSIM *)
-  use_sherman_morrison : bool;
-      (** use the closed-form inverse for all-double-height designs; the
-          exact per-chain path is used regardless when a cell spans more
-          than two rows *)
   verify_bound : bool;
       (** estimate mu_max and record whether Theorem 2's bound on theta
           holds (costs one power iteration) *)

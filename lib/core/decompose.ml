@@ -234,7 +234,13 @@ let extract (model : Model.t) shard =
     b_rhs = Array.init sub_m (fun i -> model.b_rhs.(shard.cons.(i)));
     p = Array.map (fun v -> model.p.(v)) shard.vars;
     shift = Array.map (fun v -> model.shift.(v)) shard.vars;
-    blocks = Blocks.of_array ~nvars:sub_n shard.chains }
+    blocks = Blocks.of_array ~nvars:sub_n shard.chains;
+    (* the parent's D couples only globally consecutive constraints; a
+       shard must not add a coupling between constraints that merely
+       became neighbours in its local numbering *)
+    d_split =
+      Array.init (max 0 (sub_m - 1)) (fun i ->
+          shard.cons.(i + 1) <> shard.cons.(i) + 1) }
 
 (* Small enough that independent components stop iterating as soon as
    they individually converge (the work saving that pays off even on one

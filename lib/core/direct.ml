@@ -1,20 +1,18 @@
 open Mclh_linalg
 
-(* Direct (non-iterative / pivoting) backends for the per-shard solver
-   chooser. Each returns the same unknowns as the MMSIM path — the primal
-   positions x, the ordering multipliers r, and an MMSIM-compatible
-   modulus vector — so the dispatcher can swap backends per shard without
-   any caller noticing. Every backend also reports its own KKT residual;
-   the dispatcher accepts a direct solve only when that residual clears
-   [Config.direct_tol] relative to the solution scale, and otherwise
-   falls back to MMSIM, so a backend misfire can cost time but never
-   correctness. *)
+(* The direct (non-iterative) backend of the per-shard solver chooser. It
+   returns the same unknowns as the MMSIM path — the primal positions x,
+   the ordering multipliers r, and an MMSIM-compatible modulus vector —
+   so the dispatcher can swap backends per shard without any caller
+   noticing. It also reports its own KKT residual; the dispatcher accepts
+   a direct solve only when that residual clears [Config.direct_tol]
+   relative to the solution scale, and otherwise falls back to MMSIM, so
+   a backend misfire can cost time but never correctness. *)
 
 type outcome = {
   x : Vec.t;
   r : Vec.t;
   modulus : Vec.t;
-  iterations : int;
   residual : float;
 }
 
@@ -37,13 +35,6 @@ let modulus_of (config : Config.t) (qp : Mclh_qp.Qp.t) ~x ~r =
       else
         half_gamma
         *. (r.(i - n) -. (bx.(i - n) -. qp.Mclh_qp.Qp.b_rhs.(i - n))))
-
-let finish config qp ~x ~r ~iterations =
-  { x;
-    r;
-    modulus = modulus_of config qp ~x ~r;
-    iterations;
-    residual = Mclh_qp.Kkt.kkt_residual qp ~x ~r }
 
 (* ------------------------------------------------------------------ *)
 (* chain-free isotonic projection                                      *)
@@ -150,36 +141,11 @@ let chain_free (config : Config.t) (model : Model.t) =
   if !cons_base <> m then None
   else
     let qp = Model.to_qp model ~lambda:config.Config.lambda in
-    Some (finish config qp ~x ~r ~iterations:0)
-
-(* ------------------------------------------------------------------ *)
-(* dense pivoting backends (tiny shards only)                          *)
-
-let lemke (config : Config.t) (model : Model.t) =
-  let qp = Model.to_qp model ~lambda:config.Config.lambda in
-  let p = Mclh_qp.Kkt.to_lcp qp in
-  match
-    Mclh_lcp.Lemke.solve_pivots ~max_iter:config.Config.direct_max_iter p
-  with
-  | Mclh_lcp.Lemke.Solution z, pivots ->
-    let x, r = Mclh_qp.Kkt.split_solution qp z in
-    Some (finish config qp ~x ~r ~iterations:pivots)
-  | (Mclh_lcp.Lemke.Ray_termination | Mclh_lcp.Lemke.Iteration_limit), _ ->
-    None
-
-let active_set (config : Config.t) (model : Model.t) =
-  let qp = Model.to_qp model ~lambda:config.Config.lambda in
-  let x0 = Model.packed_start model in
-  let out =
-    Mclh_qp.Active_set.solve ~max_iter:config.Config.direct_max_iter
-      ~tol:config.Config.direct_tol ~x0 qp
-  in
-  if not out.Mclh_qp.Active_set.converged then None
-  else
     Some
-      (finish config qp ~x:out.Mclh_qp.Active_set.x
-         ~r:out.Mclh_qp.Active_set.multipliers
-         ~iterations:out.Mclh_qp.Active_set.iterations)
+      { x;
+        r;
+        modulus = modulus_of config qp ~x ~r;
+        residual = Mclh_qp.Kkt.kkt_residual qp ~x ~r }
 
 (* scale-relative acceptance: a direct solve "agrees" when its KKT
    residual is small against the solution magnitude *)

@@ -1,7 +1,7 @@
-(** Direct (non-iterative / pivoting) backends for the per-shard solver
-    chooser ({!Solver}).
+(** The direct (non-iterative) backend for the per-shard solver chooser
+    ({!Solver}).
 
-    Each backend solves the same Problem (13) sub-QP a decomposition
+    It solves the same Problem (13) sub-QP a chain-free decomposition
     shard represents and returns the MMSIM-equivalent unknowns: primal
     positions [x], ordering multipliers [r], and a modulus vector [s]
     reconstructed as [(gamma/2)(z - w)] — feeding it back as [?s0] lands
@@ -9,7 +9,7 @@
     incremental solution cache never notices which backend produced an
     entry.
 
-    Safety contract: every outcome carries its own KKT residual
+    Safety contract: the outcome carries its own KKT residual
     ({!Mclh_qp.Kkt.kkt_residual}); the dispatcher accepts a direct solve
     only when {!acceptable} holds and otherwise falls back to MMSIM, so a
     backend misfire can cost time but never correctness. *)
@@ -22,9 +22,6 @@ type outcome = {
   modulus : Vec.t;
       (** MMSIM-compatible modulus vector [(gamma/2)(z - w)], length
           [n + m] *)
-  iterations : int;
-      (** backend-specific work count: 0 for the chain-free projection,
-          pivots for Lemke, active-set steps otherwise *)
   residual : float;  (** KKT residual of (x, r), infinity norm *)
 }
 
@@ -45,18 +42,6 @@ val chain_free : Config.t -> Model.t -> outcome option
     {!acceptable} — degenerate ties can make the recovered multipliers
     inexact even though [x] is the projection. Only meaningful when
     {!chain_free_applicable} holds. *)
-
-val lemke : Config.t -> Model.t -> outcome option
-(** Lemke pivoting on the explicit KKT LCP (dense, O(dim^2) per pivot —
-    tiny shards only; the chooser gates on [Config.direct_max_dim]).
-    [None] on ray termination or when [Config.direct_max_iter] pivots are
-    exhausted. *)
-
-val active_set : Config.t -> Model.t -> outcome option
-(** Dense primal active-set solve started from {!Model.packed_start}
-    (feasible by construction), with tolerance [Config.direct_tol] and
-    budget [Config.direct_max_iter]. [None] when it fails to converge.
-    Tiny shards only, like {!lemke}. *)
 
 val acceptable : Config.t -> outcome -> bool
 (** The dispatcher's acceptance test: the KKT residual is finite and at

@@ -14,6 +14,7 @@ type t = {
   p : Vec.t;
   shift : Vec.t;
   blocks : Blocks.t;
+  d_split : bool array;
 }
 
 let b_mat t = Lazy.force t.b_mat
@@ -261,7 +262,7 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
   done;
   let blocks = Blocks.of_array ~nvars chains in
   { design; assignment; nvars; first_var; var_cell; var_row; row_vars;
-    b_mat; b_rhs; p; shift; blocks }
+    b_mat; b_rhs; p; shift; blocks; d_split = [||] }
 
 (* The historical list-based construction, kept verbatim as the oracle the
    property tests pin the streaming build against (byte-identical model
@@ -372,7 +373,7 @@ let build_reference (design : Design.t) (assignment : Row_assign.t) =
   in
   let blocks = Blocks.make ~nvars chains in
   { design; assignment; nvars; first_var; var_cell; var_row; row_vars;
-    b_mat; b_rhs; p; shift; blocks }
+    b_mat; b_rhs; p; shift; blocks; d_split = [||] }
 
 let lcp_rhs t =
   let n = t.nvars and m = num_constraints t in

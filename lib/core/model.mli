@@ -43,6 +43,14 @@ type t = {
           variable is measured from ([x = u + shift]); all zero without
           blockages *)
   blocks : Blocks.t;  (** subcell-equality chains *)
+  d_split : bool array;
+      (** empty, or length [m - 1]: [d_split.(i)] drops the coupling
+          between constraints [i] and [i + 1] from the Schur tridiagonal
+          [D] ({!Schur.tridiag}). {!Decompose.extract} sets it wherever
+          two consecutive shard constraints are not consecutive in the
+          parent model, so a shard's [D] is the parent's [D] restricted to
+          the shard and the decomposed MMSIM iterates the monolithic map,
+          component by component. Empty on a {!build} model. *)
 }
 
 val build : ?num_domains:int -> Design.t -> Row_assign.t -> t

@@ -69,7 +69,8 @@ let tridiag ?path (model : Model.t) ~lambda =
   for i = 0 to m - 1 do
     let c = column i in
     diag.(i) <- dot_with_row c (b_row_pair model i);
-    if i + 1 < m then off.(i) <- dot_with_row c (b_row_pair model (i + 1))
+    if i + 1 < m && not (Array.length model.d_split > 0 && model.d_split.(i))
+    then off.(i) <- dot_with_row c (b_row_pair model (i + 1))
   done;
   Tridiag.of_symmetric ~diag ~off
 

@@ -20,7 +20,8 @@ open Mclh_linalg
 type path = Sherman_morrison | Exact_chains
 
 val tridiag : ?path:path -> Model.t -> lambda:float -> Tridiag.t
-(** [tridiag model ~lambda] is [D]. Default path: [Sherman_morrison] when
+(** [tridiag model ~lambda] is [D], minus the couplings
+    [model.d_split] drops. Default path: [Sherman_morrison] when
     {!Mclh_linalg.Blocks.all_double} holds, [Exact_chains] otherwise.
     @raise Invalid_argument if [Sherman_morrison] is requested for a design
       with a chain longer than two. *)

@@ -1,26 +1,21 @@
 open Mclh_linalg
 
-type backend_tag = Chain_free | Lemke | Active_set | Accel | Plain
+type backend_tag = Chain_free | Accel | Plain
 
 type backend_stats = {
   chain_free : int;
-  lemke : int;
-  active_set : int;
   accel : int;
   plain : int;
   fallbacks : int;
 }
 
 let no_backend_stats =
-  { chain_free = 0; lemke = 0; active_set = 0; accel = 0; plain = 0;
-    fallbacks = 0 }
+  { chain_free = 0; accel = 0; plain = 0; fallbacks = 0 }
 
 let count_backend stats tag ~fallbacks =
   let stats = { stats with fallbacks = stats.fallbacks + fallbacks } in
   match tag with
   | Chain_free -> { stats with chain_free = stats.chain_free + 1 }
-  | Lemke -> { stats with lemke = stats.lemke + 1 }
-  | Active_set -> { stats with active_set = stats.active_set + 1 }
   | Accel -> { stats with accel = stats.accel + 1 }
   | Plain -> { stats with plain = stats.plain + 1 }
 
@@ -47,14 +42,7 @@ let operators (model : Model.t) (config : Config.t) =
   let n = model.nvars and m = Model.num_constraints model in
   let b = Model.b_mat model in
   let { Config.lambda; beta; theta; _ } = config in
-  let d =
-    Schur.tridiag
-      ~path:
-        (if config.use_sherman_morrison && Blocks.all_double model.blocks
-         then Schur.Sherman_morrison
-         else Schur.Exact_chains)
-      model ~lambda
-  in
+  let d = Schur.tridiag model ~lambda in
   let d_over_theta = Tridiag.scale (1.0 /. theta) d in
   let bottom_solve_mat = Tridiag.add_scaled_identity d_over_theta 1.0 in
   let ete_buf = Vec.zeros n in
@@ -152,14 +140,7 @@ let operators_inplace (model : Model.t) (config : Config.t) =
       Some (Mclh_par.Pool.get ~num_domains:config.num_domains)
     else None
   in
-  let d =
-    Schur.tridiag
-      ~path:
-        (if config.use_sherman_morrison && Blocks.all_double model.blocks
-         then Schur.Sherman_morrison
-         else Schur.Exact_chains)
-      model ~lambda
-  in
+  let d = Schur.tridiag model ~lambda in
   let d_over_theta = Tridiag.scale (1.0 /. theta) d in
   let bottom_factor =
     Tridiag.prefactor (Tridiag.add_scaled_identity d_over_theta 1.0)
@@ -304,6 +285,9 @@ let accel_theta = 0.4
 
 let accel_eps_floor = 1e-10
 
+(* Anderson history depth of the accelerated attempt *)
+let accel_depth = 8
+
 let accel_config (config : Config.t) =
   if
     config.beta = Config.default.Config.beta
@@ -316,17 +300,14 @@ let accel_config (config : Config.t) =
    monolithic path and every decomposition shard. Routes the shard to a
    backend according to [config.backend]:
 
-   - [Plain]: exactly the pre-chooser behavior — one plain MMSIM run, no
+   - [Plain]: the paper's Algorithm 1 exactly — one plain MMSIM run, no
      rescue (the honest baseline the bench compares against);
-   - [Accel]: Anderson-accelerated MMSIM, with the rescue ladder below
-     on failure;
    - [Auto]: chain-free shards solve exactly by isotonic projection,
-     tiny shards pivot directly (Lemke, then active set), everything
-     else runs accelerated MMSIM. A direct solve is accepted only when
-     its KKT residual passes [Direct.acceptable]; any miss falls through
-     to the MMSIM ladder.
+     everything else runs Anderson-accelerated MMSIM. The direct solve
+     is accepted only when its KKT residual passes [Direct.acceptable];
+     a miss falls through to the MMSIM ladder.
 
-   MMSIM rescue ladder (Auto/Accel): if the accelerated run fails, retry
+   MMSIM rescue ladder (Auto): if the accelerated run fails, retry
    plain with a private convergence trace; if that also fails, use the
    trace's contraction estimate to pick a final attempt — still
    contracting means the budget was short (keep acceleration, halve
@@ -381,12 +362,9 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
      out.Mclh_lcp.Mmsim.converged, out.Mclh_lcp.Mmsim.delta_inf, tag, fallbacks)
   in
   let mmsim_ladder ~fallbacks =
-    let depth = config.accel_depth in
-    let first_tag = if depth > 0 then Accel else Plain in
-    let first_cfg = if depth > 0 then accel_config config else config in
-    let first = mmsim ~accel:depth first_cfg in
+    let first = mmsim ~accel:accel_depth (accel_config config) in
     if first.Mclh_lcp.Mmsim.converged then
-      finish_mmsim first ~iters_before:0 ~tag:first_tag ~fallbacks
+      finish_mmsim first ~iters_before:0 ~tag:Accel ~fallbacks
     else begin
       let spent = first.Mclh_lcp.Mmsim.iterations in
       let tr = Trace.create ~capacity:trace_capacity in
@@ -402,7 +380,7 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
           | None -> false
         in
         let cfg = { config with theta = config.theta /. 2.0 } in
-        let accel = if contracting then depth else 0 in
+        let accel = if contracting then accel_depth else 0 in
         let third = mmsim ~accel cfg in
         finish_mmsim third ~iters_before:spent
           ~tag:(if accel > 0 then Accel else Plain)
@@ -410,33 +388,17 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
       end
     end
   in
-  let finish_direct (out : Direct.outcome) tag ~fallbacks =
-    (out.Direct.x, out.Direct.r, out.Direct.modulus, out.Direct.iterations,
-     true, 0.0, tag, fallbacks)
-  in
   match config.backend with
   | Config.Plain ->
     let out = mmsim ~accel:0 config in
     finish_mmsim out ~iters_before:0 ~tag:Plain ~fallbacks:0
-  | Config.Accel -> mmsim_ladder ~fallbacks:0
   | Config.Auto ->
     if Direct.chain_free_applicable model then begin
       match Direct.chain_free config model with
       | Some out when Direct.acceptable config out ->
-        finish_direct out Chain_free ~fallbacks:0
+        (out.Direct.x, out.Direct.r, out.Direct.modulus, 0, true, 0.0,
+         Chain_free, 0)
       | Some _ | None -> mmsim_ladder ~fallbacks:1
-    end
-    else if config.direct_max_dim > 0 && n + m <= config.direct_max_dim
-    then begin
-      match Direct.lemke config model with
-      | Some out when Direct.acceptable config out ->
-        finish_direct out Lemke ~fallbacks:0
-      | Some _ | None -> begin
-        match Direct.active_set config model with
-        | Some out when Direct.acceptable config out ->
-          finish_direct out Active_set ~fallbacks:1
-        | Some _ | None -> mmsim_ladder ~fallbacks:2
-      end
     end
     else mmsim_ladder ~fallbacks:0
 
@@ -635,8 +597,6 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
   Obs.add obs "solver/largest_dim" largest_dim;
   if not converged then Obs.incr obs "solver/nonconverged";
   Obs.add obs "solver/backend/chain_free" backends.chain_free;
-  Obs.add obs "solver/backend/lemke" backends.lemke;
-  Obs.add obs "solver/backend/active_set" backends.active_set;
   Obs.add obs "solver/backend/accel" backends.accel;
   Obs.add obs "solver/backend/plain" backends.plain;
   Obs.add obs "solver/fallbacks" backends.fallbacks;

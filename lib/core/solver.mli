@@ -17,22 +17,18 @@ type backend_tag =
   | Chain_free
       (** exact isotonic-projection solve of a chain-free shard
           ({!Direct.chain_free}) *)
-  | Lemke  (** direct Lemke pivoting on a tiny shard *)
-  | Active_set  (** dense active-set solve on a tiny shard *)
   | Accel  (** Anderson-accelerated MMSIM *)
   | Plain  (** plain MMSIM (Algorithm 1 exactly) *)
 
 type backend_stats = {
   chain_free : int;
-  lemke : int;
-  active_set : int;
   accel : int;
   plain : int;
-      (** shards whose {e final} backend was each tag; the five counts
+      (** shards whose {e final} backend was each tag; the three counts
           sum to the number of per-shard solves (1 on the monolithic
           path) *)
   fallbacks : int;
-      (** abandoned attempts across all shards: direct solves that
+      (** abandoned attempts across all shards: chain-free solves that
           failed the KKT-residual acceptance and MMSIM rescue retries.
           [0] means every shard was solved by its first-choice
           backend. *)
@@ -124,12 +120,10 @@ val solve :
 
     Each per-shard solve is routed by [config.backend]. [Plain] is
     exactly the paper's Algorithm 1 (one plain MMSIM run, no rescue).
-    [Accel] forces Anderson-accelerated MMSIM. [Auto] (the default)
-    chooses per shard: chain-free shards solve exactly by isotonic
-    projection, shards with [dim <= config.direct_max_dim] pivot directly
-    (Lemke, then active set), the rest run accelerated MMSIM. Direct
-    solves are accepted only when their KKT residual passes
-    {!Direct.acceptable}; any miss falls through to MMSIM. A
+    [Auto] (the default) chooses per shard: chain-free shards solve
+    exactly by isotonic projection, the rest run Anderson-accelerated
+    MMSIM. A chain-free solve is accepted only when its KKT residual
+    passes {!Direct.acceptable}; a miss falls through to MMSIM. A
     non-converged accelerated run is rescued: retry plain, then — guided
     by the retry's convergence-trace contraction estimate
     ({!Mclh_obs.Trace.estimate_rate}) — once more with [theta] halved.

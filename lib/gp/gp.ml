@@ -3,15 +3,11 @@ open Mclh_linalg
 open Mclh_circuit
 module Obs = Mclh_obs.Obs
 
-type net_model = Clique | B2b
-
 type options = {
   iterations : int;
   anchor_weight : float;
   anchor_growth : float;
   cg_tol : float;
-  net_model : net_model;
-  density : bool;
   grid : int option;
   target_density : float;
   stop_overflow : float;
@@ -21,7 +17,7 @@ type options = {
 
 let default_options =
   { iterations = 24; anchor_weight = 0.01; anchor_growth = 1.6; cg_tol = 1e-7;
-    net_model = Clique; density = true; grid = None; target_density = 1.0;
+    grid = None; target_density = 1.0;
     stop_overflow = 0.10; step_bins = 1.0; fixed_cells = [] }
 
 type round = {
@@ -87,54 +83,6 @@ let build_clique (design : Design.t) =
       end);
   (Coo.to_csr coo, bx, by)
 
-(* bound-to-bound model for ONE axis at the current positions: each pin
-   connects to the net's min and max pins, weight 2/((k-1) length) (the
-   B2B weights make the quadratic equal HPWL at the linearization point) *)
-let build_b2b (design : Design.t) positions get_offset =
-  let n = Design.num_cells design in
-  let coo = Coo.create ~rows:n ~cols:n in
-  let load = Vec.zeros n in
-  Netlist.iter design.nets (fun _ pins ->
-      let k = Array.length pins in
-      if k >= 2 then begin
-        let pos p = positions.(p.Netlist.cell) +. get_offset p in
-        let lo = ref 0 and hi = ref 0 in
-        Array.iteri
-          (fun idx p ->
-            if pos p < pos pins.(!lo) then lo := idx;
-            if pos p > pos pins.(!hi) then hi := idx)
-          pins;
-        let connect a b =
-          let pa = pins.(a) and pb = pins.(b) in
-          let len = Float.max 1.0 (Float.abs (pos pa -. pos pb)) in
-          let w = 2.0 /. (float_of_int (k - 1) *. len) in
-          add_edge coo load w pa.Netlist.cell pb.Netlist.cell (get_offset pa)
-            (get_offset pb)
-        in
-        connect !lo !hi;
-        Array.iteri
-          (fun idx _ -> if idx <> !lo && idx <> !hi then begin
-               connect idx !lo;
-               connect idx !hi
-             end)
-          pins
-      end);
-  (Coo.to_csr coo, load)
-
-(* lookahead legalization provides the legacy-mode anchors: legalize the
-   current fractional placement with the fast Tetris baseline *)
-let lookahead (design : Design.t) (pl : Placement.t) =
-  let d =
-    Design.make ~blockages:design.blockages ~name:"gp-lookahead"
-      ~chip:design.chip ~cells:design.cells ~global:pl ~nets:design.nets ()
-  in
-  match Mclh_core.Tetris_legal.legalize d with
-  | Ok pl -> pl
-  | Error u ->
-    (* anchors only guide the next iteration; a partial legalization is
-       still a usable anchor set *)
-    u.Mclh_core.Unplaced.partial
-
 let clamp_arrays (design : Design.t) xs ys =
   let chip = design.chip in
   Array.iteri
@@ -169,13 +117,9 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
     in
     Obs.gauge obs "gp/grid" (float_of_int (Dgrid.grid dgrid));
     let ov_trace = Obs.new_trace obs "gp/overflow" ~capacity:256 in
-    let clique_laplacian, clique_bx, clique_by = build_clique design in
-    let diag_of lap =
-      let d = Vec.zeros n in
-      Csr.iter lap (fun i j v -> if i = j then d.(i) <- d.(i) +. v);
-      d
-    in
-    let clique_diag = diag_of clique_laplacian in
+    let laplacian, bx, by = build_clique design in
+    let diag = Vec.zeros n in
+    Csr.iter laplacian (fun i j v -> if i = j then diag.(i) <- diag.(i) +. v);
     (* initial anchors: chip center, with a deterministic sub-site stagger
        so the Laplacian's nullspace (connected components) is broken;
        pinned cells anchor at their given global position *)
@@ -194,7 +138,7 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
     let xs = Vec.copy ax and ys = Vec.copy ay in
     let alphas = Vec.zeros n in
     let fx = Vec.zeros n and fy = Vec.zeros n in
-    let solve_axis ~laplacian ~diag ~anchors ~load current =
+    let solve_axis ~anchors ~load current =
       let apply v =
         let out = Csr.mul_vec laplacian v in
         for i = 0 to n - 1 do
@@ -219,21 +163,8 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
       for i = 0 to n - 1 do
         alphas.(i) <- (if fixed.(i) then pin_weight else !alpha)
       done;
-      let (x', itx), (y', ity) =
-        match options.net_model with
-        | Clique ->
-          ( solve_axis ~laplacian:clique_laplacian ~diag:clique_diag
-              ~anchors:ax ~load:clique_bx xs,
-            solve_axis ~laplacian:clique_laplacian ~diag:clique_diag
-              ~anchors:ay ~load:clique_by ys )
-        | B2b ->
-          let lap_x, load_x = build_b2b design xs (fun p -> p.Netlist.dx) in
-          let lap_y, load_y = build_b2b design ys (fun p -> p.Netlist.dy) in
-          ( solve_axis ~laplacian:lap_x ~diag:(diag_of lap_x) ~anchors:ax
-              ~load:load_x xs,
-            solve_axis ~laplacian:lap_y ~diag:(diag_of lap_y) ~anchors:ay
-              ~load:load_y ys )
-      in
+      let x', itx = solve_axis ~anchors:ax ~load:bx xs in
+      let y', ity = solve_axis ~anchors:ay ~load:by ys in
       Array.blit x' 0 xs 0 n;
       Array.blit y' 0 ys 0 n;
       (* pinned cells sit exactly at their given position (the huge anchor
@@ -252,25 +183,23 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
          field at every movable cell center *)
       let t0 = Mclh_par.Clock.now () in
       Dgrid.accumulate dgrid design pl;
-      if options.density then begin
-        Dgrid.solve dgrid;
-        Array.iteri
-          (fun i (c : Cell.t) ->
-            if fixed.(i) then begin
-              fx.(i) <- 0.0;
-              fy.(i) <- 0.0
-            end
-            else begin
-              let ex, ey =
-                Dgrid.field_at dgrid
-                  ~x:(xs.(i) +. (float_of_int c.Cell.width /. 2.0))
-                  ~y:(ys.(i) +. (float_of_int c.Cell.height /. 2.0))
-              in
-              fx.(i) <- ex;
-              fy.(i) <- ey
-            end)
-          design.cells
-      end;
+      Dgrid.solve dgrid;
+      Array.iteri
+        (fun i (c : Cell.t) ->
+          if fixed.(i) then begin
+            fx.(i) <- 0.0;
+            fy.(i) <- 0.0
+          end
+          else begin
+            let ex, ey =
+              Dgrid.field_at dgrid
+                ~x:(xs.(i) +. (float_of_int c.Cell.width /. 2.0))
+                ~y:(ys.(i) +. (float_of_int c.Cell.height /. 2.0))
+            in
+            fx.(i) <- ex;
+            fy.(i) <- ey
+          end)
+        design.cells;
       let ov = Dgrid.overflow dgrid in
       let max_util = Dgrid.max_utilization dgrid in
       let density_seconds = Mclh_par.Clock.now () -. t0 in
@@ -285,43 +214,30 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
       Obs.record_span obs "gp/density" density_seconds;
       (match ov_trace with Some tr -> Mclh_obs.Trace.record tr ov | None -> ());
       (match on_round with Some f -> f r pl | None -> ());
-      if options.density then begin
-        if ov <= options.stop_overflow then stop := true
-        else begin
-          (* next anchors: each movable cell's position pushed one field
-             step toward sparser bins, normalized so the strongest push
-             moves [step_bins] bin pitches; clamped so no anchor asks a
-             cell to leave the chip *)
-          let mex = ref 0.0 and mey = ref 0.0 in
-          for i = 0 to n - 1 do
-            mex := Float.max !mex (Float.abs fx.(i));
-            mey := Float.max !mey (Float.abs fy.(i))
-          done;
-          let mux =
-            if !mex > 0.0 then step_bins *. Dgrid.bin_w dgrid /. !mex else 0.0
-          and muy =
-            if !mey > 0.0 then step_bins *. Dgrid.bin_h dgrid /. !mey else 0.0
-          in
-          Array.iteri
-            (fun i f ->
-              if not f then begin
-                ax.(i) <- xs.(i) +. (mux *. fx.(i));
-                ay.(i) <- ys.(i) +. (muy *. fy.(i))
-              end)
-            fixed;
-          clamp_arrays design ax ay
-        end
-      end
+      if ov <= options.stop_overflow then stop := true
       else begin
-        (* legacy mode: refresh anchors by lookahead legalization *)
-        let legal = lookahead design pl in
+        (* next anchors: each movable cell's position pushed one field
+           step toward sparser bins, normalized so the strongest push
+           moves [step_bins] bin pitches; clamped so no anchor asks a
+           cell to leave the chip *)
+        let mex = ref 0.0 and mey = ref 0.0 in
+        for i = 0 to n - 1 do
+          mex := Float.max !mex (Float.abs fx.(i));
+          mey := Float.max !mey (Float.abs fy.(i))
+        done;
+        let mux =
+          if !mex > 0.0 then step_bins *. Dgrid.bin_w dgrid /. !mex else 0.0
+        and muy =
+          if !mey > 0.0 then step_bins *. Dgrid.bin_h dgrid /. !mey else 0.0
+        in
         Array.iteri
           (fun i f ->
             if not f then begin
-              ax.(i) <- legal.Placement.xs.(i);
-              ay.(i) <- legal.Placement.ys.(i)
+              ax.(i) <- xs.(i) +. (mux *. fx.(i));
+              ay.(i) <- ys.(i) +. (muy *. fy.(i))
             end)
-          fixed
+          fixed;
+        clamp_arrays design ax ay
       end;
       alpha := !alpha *. options.anchor_growth
     done;

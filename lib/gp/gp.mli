@@ -1,9 +1,9 @@
 (** Density-driven analytical global placement.
 
     The placer alternates a conjugate-gradient solve of the quadratic
-    wirelength model [(L + diag alpha) x = b + alpha a] (clique or
-    bound-to-bound Laplacian [L], pin offsets in [b]) with a density
-    step in the FFTPL style (Lu et al.): the current fractional
+    wirelength model [(L + diag alpha) x = b + alpha a] (clique
+    Laplacian [L] with edge weight [1/(k-1)], pin offsets in [b]) with a
+    density step in the FFTPL style (Lu et al.): the current fractional
     placement is binned on the {!Density} grid, the Poisson potential of
     the density map is solved spectrally, and each movable cell's anchor
     [a] becomes its current position pushed one field step
@@ -20,18 +20,9 @@
     The output is a {e global} placement: overlapping, fractional,
     density-equalized — the honest input the paper's legalization flow
     expects (hundreds of illegal cells, not the feasible-by-construction
-    synthetics). [density = false] recovers the earlier SimPL-style
-    lookahead placer (Tetris-legalized anchors, fixed round count). *)
+    synthetics). *)
 
 open Mclh_circuit
-
-type net_model =
-  | Clique  (** fixed clique edges, weight 1/(k-1) — one Laplacian build *)
-  | B2b
-      (** bound-to-bound (Spindler et al.): every pin connects to the
-          net's current extreme pins with weights 1/((k-1) length), so the
-          quadratic objective tracks HPWL; the Laplacian is rebuilt from
-          the current positions each round *)
 
 type options = {
   iterations : int;
@@ -43,9 +34,6 @@ type options = {
           density weight: it scales how hard cells are pulled toward
           their field-pushed targets *)
   cg_tol : float;  (** conjugate-gradient tolerance (default 1e-7) *)
-  net_model : net_model;  (** default [Clique] *)
-  density : bool;
-      (** default [true]; [false] restores the lookahead-anchor placer *)
   grid : int option;
       (** density bins per side (power of two); default: chosen from the
           cell count by {!Density.create} *)

@@ -5,11 +5,10 @@ type outcome = Solution of Vec.t | Ray_termination | Iteration_limit
 (* Column identifiers of the augmented system  I w - A z - d z0 = q. *)
 type var = W of int | Z of int | Z0
 
-let solve_pivots ?max_iter (p : Lcp.problem) =
+let solve ?max_iter (p : Lcp.problem) =
   let n = Lcp.dim p in
   let max_iter = match max_iter with Some v -> v | None -> (50 * n) + 200 in
-  let pivots = ref 0 in
-  if n = 0 then (Solution [||], 0)
+  if n = 0 then Solution [||]
   else begin
     (* tableau rows: current basis representation.
        columns: 0..n-1 -> w, n..2n-1 -> z, 2n -> z0, 2n+1 -> rhs *)
@@ -36,16 +35,14 @@ let solve_pivots ?max_iter (p : Lcp.problem) =
         basis;
       Solution z
     in
-    let finish outcome = (outcome, !pivots) in
     (* all rhs nonnegative: the trivial solution *)
     let min_row = ref 0 in
     for i = 1 to n - 1 do
       if t.(i).(rhs_col) < t.(!min_row).(rhs_col) then min_row := i
     done;
-    if t.(!min_row).(rhs_col) >= 0.0 then finish (Solution (Vec.zeros n))
+    if t.(!min_row).(rhs_col) >= 0.0 then Solution (Vec.zeros n)
     else begin
       let pivot row col =
-        incr pivots;
         let piv = t.(row).(col) in
         for j = 0 to cols - 1 do
           t.(row).(j) <- t.(row).(j) /. piv
@@ -86,21 +83,19 @@ let solve_pivots ?max_iter (p : Lcp.problem) =
         | Z0 -> Z0
       in
       let rec loop entering k =
-        if k > max_iter then finish Iteration_limit
+        if k > max_iter then Iteration_limit
         else begin
           let col = col_of entering in
           match ratio_test col with
-          | None -> finish Ray_termination
+          | None -> Ray_termination
           | Some row ->
             let leaving = basis.(row) in
             pivot row col;
             basis.(row) <- entering;
-            if leaving = Z0 then finish (extract_solution ())
+            if leaving = Z0 then extract_solution ()
             else loop (complement leaving) (k + 1)
         end
       in
       loop (complement leaving) 0
     end
   end
-
-let solve ?max_iter p = fst (solve_pivots ?max_iter p)

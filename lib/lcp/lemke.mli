@@ -20,12 +20,6 @@ type outcome =
 
 val solve : ?max_iter:int -> Lcp.problem -> outcome
 (** [solve p] runs Lemke's method with the all-ones covering vector.
-    [max_iter] defaults to [50 * n + 200] pivots — a module-local default
-    for direct library use and tests; the production chooser passes
-    [Config.direct_max_iter] explicitly. Ties in the ratio test are
+    [max_iter] defaults to [50 * n + 200] pivots. Ties in the ratio test are
     broken by smallest row index with a tiny anti-cycling perturbation on
     the right-hand side. *)
-
-val solve_pivots : ?max_iter:int -> Lcp.problem -> outcome * int
-(** Like {!solve} but also returns the number of pivots performed — the
-    backend chooser reports it as the direct backend's iteration count. *)

@@ -324,7 +324,11 @@ let test_cli_exit_codes () =
     Alcotest.(check int) "audit runs clean on a feasible design" 0
       (run_cli [ "audit"; "-b"; "fft_2"; "-s"; "0.008"; "--windows"; "4" ]);
     Alcotest.(check int) "unknown scenario exits 1" 1
-      (run_cli [ "run"; "--scenario"; "bogus" ])
+      (run_cli [ "run"; "--scenario"; "bogus" ]);
+    (* fence-cross cannot pack its fences at the default scale: the
+       generator's failure is a clean exit 1, not an escaped exception *)
+    Alcotest.(check int) "generator failure exits 1" 1
+      (run_cli [ "run"; "--scenario"; "fence-cross" ])
   end
 
 let () =

@@ -132,23 +132,6 @@ let test_gp_output_legalizes () =
       Alcotest.(check bool) (name ^ " legalizes") true (Legality.is_legal d legal))
     [ "fft_2"; "pci_bridge32_b" ]
 
-let test_gp_b2b_model () =
-  let d = design_for "fft_a" 0.01 in
-  let options = { Mclh_gp.Gp.default_options with net_model = Mclh_gp.Gp.B2b } in
-  let gp, stats = Mclh_gp.Gp.place ~options d in
-  Alcotest.(check bool) "finite hpwl" true
-    (Float.is_finite stats.Mclh_gp.Gp.final_hpwl);
-  (* B2B output is a usable global placement too *)
-  let d2 =
-    Design.make ~name:"b2b" ~chip:d.Design.chip ~cells:d.Design.cells
-      ~global:gp ~nets:d.Design.nets ()
-  in
-  let legal = Mclh_core.Flow.legalize d2 in
-  Alcotest.(check bool) "legalizes" true (Legality.is_legal d2 legal);
-  (* and it differs from the clique solution (different model) *)
-  let gp_clique, _ = Mclh_gp.Gp.place d in
-  Alcotest.(check bool) "distinct model" false (Placement.equal gp gp_clique)
-
 let test_gp_no_nets () =
   (* without nets, cells start at the staggered center anchors and the
      density field spreads them apart until they fit the target *)
@@ -328,7 +311,6 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_gp_basics;
           Alcotest.test_case "deterministic" `Quick test_gp_deterministic;
           Alcotest.test_case "output legalizes" `Quick test_gp_output_legalizes;
-          Alcotest.test_case "b2b model" `Quick test_gp_b2b_model;
           Alcotest.test_case "no nets" `Quick test_gp_no_nets;
           Alcotest.test_case "overflow decreases" `Quick
             test_gp_overflow_decreases;

@@ -49,12 +49,13 @@ type t = {
   decompose : bool;
       (** split the x-direction LCP into its independent connected
           components ({!Decompose}) and solve them as separate sub-LCPs,
-          fanned out over the domain pool. The placement agrees with the
-          monolithic solve up to the iteration tolerance (each component
+          fanned out over the domain pool. Off, the LCP is solved as one
+          shard covering the whole model. The placement agrees with the
+          one-shard solve up to the iteration tolerance (each component
           converges on its own schedule instead of the global one); a
-          single-component design falls back to the monolithic solve
-          exactly. Results are bit-identical across [num_domains] values
-          either way. *)
+          single-component design is one shard either way and solves
+          exactly the same. Results are bit-identical across
+          [num_domains] values either way. *)
   metrics : bool;
       (** collect the {!Mclh_obs} run metrics (stage spans, convergence
           traces, repair counters) and expose them as a JSON run report

@@ -33,7 +33,7 @@ type t = {
   comp_of_var : int array; (* dense component ids, by first appearance *)
   num_components : int;
   largest_dim : int; (* max over components of vars + constraints *)
-  shards : shard array; (* [||] when the packing degenerates to one shard *)
+  shards : shard array; (* never empty; one whole-model shard at worst *)
 }
 
 (* ---------- union-find ---------- *)
@@ -187,9 +187,21 @@ let plan_shards (model : Model.t) ~shard_of_comp ~num_shards ~comp_of_var =
         groups = Array.of_list (List.rev groups_rev.(s));
         chains = Array.of_list chains_rev.(s) })
 
+(* the one shard covering the whole model, in the model's own numbering:
+   what a single component, or a packing that collapses to one piece,
+   plans *)
+let whole_shard (model : Model.t) =
+  { vars = Array.init model.nvars Fun.id;
+    cons = Array.init (Model.num_constraints model) Fun.id;
+    groups = model.row_vars;
+    chains =
+      Array.init
+        (Blocks.num_chains model.blocks)
+        (Blocks.chain_vars model.blocks) }
+
 (* ---------- sub-model extraction ---------- *)
 
-let extract (model : Model.t) shard =
+let extract_part (model : Model.t) shard =
   let sub_n = Array.length shard.vars in
   let sub_m = Array.length shard.cons in
   (* B restricted to the shard, built directly in CSR form: every
@@ -242,6 +254,12 @@ let extract (model : Model.t) shard =
       Array.init (max 0 (sub_m - 1)) (fun i ->
           shard.cons.(i + 1) <> shard.cons.(i) + 1) }
 
+(* shards partition the variables, so a shard holding all of them is the
+   whole model: its sub-model is the model itself, copied nowhere *)
+let extract (model : Model.t) shard =
+  if Array.length shard.vars = model.nvars then model
+  else extract_part model shard
+
 (* Small enough that independent components stop iterating as soon as
    they individually converge (the work saving that pays off even on one
    core), large enough that per-shard solve setup stays noise. *)
@@ -271,20 +289,27 @@ let analyze ?(min_shard_vars = default_min_shard_vars) (model : Model.t) =
     if dim > !largest_dim then largest_dim := dim
   done;
   let shards =
-    if num_components <= 1 then [||]
+    if num_components <= 1 then [| whole_shard model |]
     else begin
       let shard_of_comp, num_shards =
         pack ~min_shard_vars ~comp_of_var ~num_components n
       in
-      if num_shards <= 1 then [||]
+      if num_shards <= 1 then [| whole_shard model |]
       else plan_shards model ~shard_of_comp ~num_shards ~comp_of_var
     end
   in
   { model; comp_of_var; num_components; largest_dim = !largest_dim; shards }
 
+let whole (model : Model.t) =
+  { model;
+    comp_of_var = Array.make model.nvars 0;
+    num_components = 1;
+    largest_dim = model.nvars + Model.num_constraints model;
+    shards = [| whole_shard model |] }
+
 let num_components t = t.num_components
 let largest_dim t = t.largest_dim
-let num_shards t = if Array.length t.shards = 0 then 1 else Array.length t.shards
+let num_shards t = Array.length t.shards
 
 let shard_dim shard = Array.length shard.vars + Array.length shard.cons
 
@@ -295,17 +320,19 @@ let scatter_vars shard local global =
 let scatter_cons shard local global =
   Array.iteri (fun i c -> global.(c) <- local.(i)) shard.cons
 
-(* the [[||]] fallback means "solve monolithically"; callers that need a
-   shard per solve regardless (the incremental cache, the solver's
-   backend chooser) synthesize the identity shard covering the model *)
-let identity_shard (model : Model.t) =
-  { vars = Array.init model.nvars Fun.id;
-    cons = Array.init (Model.num_constraints model) Fun.id;
-    groups = model.row_vars;
-    chains =
-      Array.init
-        (Blocks.num_chains model.blocks)
-        (Blocks.chain_vars model.blocks) }
+(* the modulus layout: variables first, then constraints from [nvars] on;
+   a shard's local vector is (its vars; its cons) in the same order *)
+let restrict (model : Model.t) shard global =
+  let n = model.nvars and sn = Array.length shard.vars in
+  Vec.init
+    (sn + Array.length shard.cons)
+    (fun i ->
+      if i < sn then global.(shard.vars.(i)) else global.(n + shard.cons.(i - sn)))
+
+let scatter (model : Model.t) shard local global =
+  let n = model.nvars and sn = Array.length shard.vars in
+  Array.iteri (fun i v -> global.(v) <- local.(i)) shard.vars;
+  Array.iteri (fun i c -> global.(n + c) <- local.(sn + i)) shard.cons
 
 (* Two independent 64-bit rolling hashes over the shard's pure LCP
    content: dimensions, local group/chain structure, [p] and [b_rhs].

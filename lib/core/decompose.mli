@@ -44,9 +44,9 @@ type t = {
   largest_dim : int;
       (** variables + constraints of the largest single component *)
   shards : shard array;
-      (** [[||]] when decomposition finds a single component (or the
-          packing collapses to one shard): callers must fall back to the
-          monolithic solve, which is then exact by construction *)
+      (** the independent solves, never empty: a single component (or a
+          packing that collapses to one piece) is one shard covering
+          every variable and constraint in the model's own numbering *)
 }
 
 val default_min_shard_vars : int
@@ -56,11 +56,17 @@ val analyze : ?min_shard_vars:int -> Model.t -> t
     {!default_min_shard_vars}; it must be positive and must not be derived
     from the domain count (see above). *)
 
+val whole : Model.t -> t
+(** The one-shard partition covering the whole model, planned without the
+    union-find pass: [num_components = 1], [largest_dim = n + m]. What a
+    solve with [Config.decompose] off iterates on. *)
+
 val extract : Model.t -> shard -> Model.t
 (** [extract model shard] materializes the shard's self-contained
-    sub-model. Solver-facing: [nvars], [row_vars], [b_mat], [b_rhs], [p],
-    [shift] and [blocks] are fully renumbered; the per-cell tables
-    ([first_var]) are not meaningful on a sub-model, so
+    sub-model; a shard covering the whole model yields [model] itself
+    (nothing is copied). Solver-facing: [nvars], [row_vars], [b_mat],
+    [b_rhs], [p], [shift] and [blocks] are fully renumbered; the per-cell
+    tables ([first_var]) are not meaningful on a sub-model, so
     {!Model.placement_of} and {!Model.cell_positions} must only be called
     on the parent. The sub-model's B is built directly in (sorted) CSR
     form, bit-identical to what [Model.build] would produce for the same
@@ -79,8 +85,7 @@ val num_components : t -> int
 val largest_dim : t -> int
 
 val num_shards : t -> int
-(** Number of independent solves the decomposition produces (1 on the
-    fallback path). *)
+(** Number of independent solves the decomposition produces (at least 1). *)
 
 val shard_dim : shard -> int
 (** Variables + constraints of a shard — the size of the LCP {!extract}
@@ -92,12 +97,18 @@ val scatter_vars : shard -> Mclh_linalg.Vec.t -> Mclh_linalg.Vec.t -> unit
 
 val scatter_cons : shard -> Mclh_linalg.Vec.t -> Mclh_linalg.Vec.t -> unit
 
-val identity_shard : Model.t -> shard
-(** The trivial shard covering the whole model — what the [[||]]
-    (monolithic) fallback of {!analyze} means. Callers that key per-solve
-    state on shards regardless of how the decomposition went (the
-    incremental solution cache, the solver's backend chooser) fingerprint
-    this one. *)
+val restrict : Model.t -> shard -> Mclh_linalg.Vec.t -> Mclh_linalg.Vec.t
+(** [restrict model shard s] is the shard's slice of a global vector in
+    the MMSIM modulus layout (length [n + m]: variables, then constraints
+    from index [n]), in the shard's local layout (its variables, then its
+    constraints). Start vectors and final moduli move between a model and
+    its shards through this and {!scatter}. *)
+
+val scatter : Model.t -> shard -> Mclh_linalg.Vec.t -> Mclh_linalg.Vec.t -> unit
+(** [scatter model shard local global] is the inverse of {!restrict}: it
+    writes the shard's local modulus-layout vector into the global one.
+    Restricting and then scattering over all shards of a decomposition
+    reproduces any global vector exactly. *)
 
 val shard_key : Model.t -> shard -> Int64.t * Int64.t * int * int
 (** A 128-bit fingerprint (two independent rolling hashes, plus the

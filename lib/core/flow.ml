@@ -26,7 +26,7 @@ let timed = Mclh_par.Clock.timed
 
 module Obs = Mclh_obs.Obs
 
-let run ?(config = Config.default) ?obs ?s0 design =
+let run ?(config = Config.default) ?obs design =
   let start = Mclh_par.Clock.now () in
   let heartbeat fmt =
     Format.kasprintf
@@ -54,7 +54,7 @@ let run ?(config = Config.default) ?obs ?s0 design =
   heartbeat "model built: %d vars, %d constraints (%.2fs), solving" model.Model.nvars
     (Model.num_constraints model) model_s;
   let solver, solve_s =
-    timed (fun () -> Solver.solve ~config ?obs ?s0 model)
+    timed (fun () -> Solver.solve ~config ?obs model)
   in
   Obs.record_span obs "flow/solve" solve_s;
   Log.debug (fun m ->

@@ -22,24 +22,14 @@ type result = {
   timings : timings;
 }
 
-val run :
-  ?config:Config.t ->
-  ?obs:Mclh_obs.Obs.t ->
-  ?s0:Mclh_linalg.Vec.t ->
-  Design.t ->
-  result
+val run : ?config:Config.t -> ?obs:Mclh_obs.Obs.t -> Design.t -> result
 (** Executes the full pipeline. The output placement is legal for every
     design whose cells fit the chip (checked by the test suite with
     {!Mclh_circuit.Legality}).
 
     [obs] records the [flow/{assign,model,solve,alloc,total}] stage spans,
     a [flow/nonconverged] counter when MMSIM hits [max_iter], and is
-    threaded into {!Solver.solve} and {!Tetris_alloc.run}.
-
-    [s0] is forwarded to {!Solver.solve} as the explicit MMSIM start
-    vector; it must be sized for the model this flow builds (same design
-    and row assignment), so it is only useful for warm re-runs of an
-    unchanged design — the incremental engine handles the general case. *)
+    threaded into {!Solver.solve} and {!Tetris_alloc.run}. *)
 
 val legalize : ?config:Config.t -> Design.t -> Placement.t
 (** [run] returning only the legal placement. *)

@@ -296,9 +296,8 @@ let accel_config (config : Config.t) =
   then { config with beta = accel_beta; theta = accel_theta }
   else config
 
-(* one solve of [model] as a single LCP; the core shared by the
-   monolithic path and every decomposition shard. Routes the shard to a
-   backend according to [config.backend]:
+(* one solve of [model] as a single LCP, the core of every shard's
+   solve. Routes the shard to a backend according to [config.backend]:
 
    - [Plain]: the paper's Algorithm 1 exactly — one plain MMSIM run, no
      rescue (the honest baseline the bench compares against);
@@ -402,6 +401,120 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
     end
     else mmsim_ladder ~fallbacks:0
 
+type fan_in = {
+  max_iterations : int;
+  total_iterations : int;
+  all_converged : bool;
+  max_delta : float;
+  backend_counts : backend_stats;
+}
+
+(* The one per-shard fan-out. Independent sub-LCPs go over the domain
+   pool; each job materializes its sub-model ([Decompose.extract], the
+   model itself for a whole-model shard) and converges on its own
+   schedule. Shard contents are fixed by the model alone, so any pool
+   size produces the same bits. A lone shard runs on the calling thread,
+   where the in-place operators can still chunk its chains over the pool.
+   Nested entries (Fence territories, bench fan-out, concurrent serve
+   sessions) find the pool busy and fall back to a sequential loop with
+   identical results. *)
+let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~r
+    ~modulus =
+  let ns = Array.length shards in
+  (* dispatch heaviest shards first: chunks are handed out in order, so a
+     size-descending order trims the makespan. The order affects
+     scheduling only, never the per-shard bits. *)
+  let order = Array.init ns Fun.id in
+  Array.sort
+    (fun i j ->
+      let di = Decompose.shard_dim shards.(i)
+      and dj = Decompose.shard_dim shards.(j) in
+      if di <> dj then Int.compare dj di else Int.compare i j)
+    order;
+  (* per-shard outcomes land in slots indexed by shard id; solution
+     slices scatter straight into the caller's global vectors. Every
+     write is disjoint across shards (the vars/cons sets partition), so
+     concurrent jobs never touch the same entry and the fan-in below only
+     folds scalars, in shard-id order. *)
+  let outs = Array.make ns None in
+  let completed = Atomic.make 0 in
+  let progress_step = max 1 (ns / 20) in
+  let heartbeat = config.progress && ns = 1 in
+  let solve_shard i =
+    let shard = shards.(i) in
+    (* each pool job records into its own trace; [on_trace] hands them to
+       the caller after fan-in (recorders are not thread-safe, see
+       {!Mclh_obs.Obs}) *)
+    let tr = Option.map (fun _ -> Trace.create ~capacity:trace_capacity) on_trace in
+    let on_iter =
+      if Option.is_none tr && not heartbeat then None
+      else
+        Some
+          (fun k d ->
+            (match tr with Some tr -> Trace.record tr d | None -> ());
+            if heartbeat && k mod 500 = 0 then
+              Printf.eprintf "[mclh] mmsim: iteration %d (delta %.2e)\n%!" k d)
+    in
+    let sx, sr, ss, it, conv, dinf, tag, fbk =
+      solve_raw ?on_iter
+        ?s0:(Option.map (Decompose.restrict model shard) s0)
+        config
+        (Decompose.extract model shard)
+    in
+    Decompose.scatter_vars shard sx x;
+    Decompose.scatter_cons shard sr r;
+    Decompose.scatter model shard ss modulus;
+    outs.(i) <- Some (it, conv, dinf, tag, fbk, tr);
+    if config.progress then begin
+      let k = Atomic.fetch_and_add completed 1 + 1 in
+      if k mod progress_step = 0 || k = ns then
+        Printf.eprintf "[mclh] solve: %d/%d shards done\n%!" k ns
+    end
+  in
+  let pool =
+    if ns > 1 then Some (Mclh_par.Pool.get ~num_domains:config.num_domains)
+    else None
+  in
+  (match pool with
+  | Some pool when not (Mclh_par.Pool.oversubscribed pool) ->
+    (* shards too light to fill a chunk per domain (an ECO batch's cache
+       misses) go one per job, balanced dynamically, rather than packed
+       onto one domain *)
+    let total = Array.fold_left (fun acc sh -> acc + Decompose.shard_dim sh) 0 shards in
+    let min_chunk_weight =
+      if total < !par_shard_chunk * Mclh_par.Pool.size pool then 1
+      else !par_shard_chunk
+    in
+    Mclh_par.Pool.parallel_iter_weighted ~min_chunk_weight pool
+      ~weight:(fun i -> Decompose.shard_dim shards.(i))
+      ~f:solve_shard order
+  | Some _ | None ->
+    (* on an oversubscribed pool (more domains than cores) fan-out only
+       adds GC-rendezvous stalls; same bits either way *)
+    Array.iter solve_shard order);
+  let fan =
+    ref
+      { max_iterations = 0;
+        total_iterations = 0;
+        all_converged = true;
+        max_delta = 0.0;
+        backend_counts = no_backend_stats }
+  in
+  Array.iteri
+    (fun i out ->
+      let it, conv, dinf, tag, fbk, tr = Option.get out in
+      (match (tr, on_trace) with Some tr, Some f -> f i ~iterations:it tr | _ -> ());
+      let acc = !fan in
+      fan :=
+        { max_iterations = max acc.max_iterations it;
+          total_iterations = acc.total_iterations + it;
+          all_converged = acc.all_converged && conv;
+          (* [Float.max] keeps a nan delta (divergence guard) *)
+          max_delta = Float.max acc.max_delta dinf;
+          backend_counts = count_backend acc.backend_counts tag ~fallbacks:fbk })
+    outs;
+  !fan
+
 let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
   (match Config.validate config with
   | Ok _ -> ()
@@ -413,202 +526,65 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
       (Printf.sprintf "Solver.solve: s0 has dimension %d, expected n + m = %d"
          (Vec.dim s0) (n + m))
   | Some _ | None -> ());
-  let deco = if config.decompose then Some (Decompose.analyze model) else None in
-  if config.progress then begin
-    match deco with
-    | Some d ->
-      Printf.eprintf "[mclh] solve: %d components, %d shards (largest dim %d)\n%!"
-        (Decompose.num_components d) (Decompose.num_shards d)
-        (Decompose.largest_dim d)
-    | None -> Printf.eprintf "[mclh] solve: monolithic (dim %d)\n%!" (n + m)
-  end;
-  let x, r, modulus, iterations, iterations_total, converged, delta_inf, backends
-      =
-    match deco with
-    | Some d when Array.length d.Decompose.shards > 1 ->
-      (* independent sub-LCPs fan out over the domain pool; each job
-         materializes its sub-model ([Decompose.extract]) and converges on
-         its own schedule. Shard contents are fixed by the model alone, so
-         any pool size produces the same bits. Nested entries (Fence
-         territories, bench fan-out) find the pool busy and fall back to a
-         sequential map with identical results. *)
-      let pool = Mclh_par.Pool.get ~num_domains:config.num_domains in
-      let shards = d.Decompose.shards in
-      let ns = Array.length shards in
-      (* dispatch heaviest shards first: chunks are handed out in order,
-         so a size-descending order trims the makespan. The order affects
-         scheduling only, never the per-shard bits. *)
-      let order = Array.init ns Fun.id in
-      Array.sort
-        (fun i j ->
-          let di = Decompose.shard_dim shards.(i)
-          and dj = Decompose.shard_dim shards.(j) in
-          if di <> dj then Int.compare dj di else Int.compare i j)
-        order;
-      let shard_s0 shard =
-        (* restrict a caller-supplied global start vector to the shard's
-           own (vars; cons) numbering *)
-        match s0 with
-        | None -> None
-        | Some s0 ->
-          let sn = Array.length shard.Decompose.vars in
-          let sm = Array.length shard.Decompose.cons in
-          Some
-            (Vec.init (sn + sm) (fun i ->
-                 if i < sn then s0.(shard.Decompose.vars.(i))
-                 else s0.(n + shard.Decompose.cons.(i - sn))))
-      in
-      (* per-shard results land in slots indexed by shard id; solution
-         slices scatter straight into the shared global vectors. Every
-         write is disjoint across shards (the vars/cons sets partition),
-         so concurrent jobs never touch the same entry and the fan-in
-         below only folds scalars, in shard-id order. *)
-      let x = Vec.zeros n and r = Vec.zeros m in
-      let s_final = Vec.zeros (n + m) in
-      let its = Array.make ns 0 in
-      let convs = Array.make ns false in
-      let dinfs = Array.make ns 0.0 in
-      let tags = Array.make ns Plain in
-      let fbks = Array.make ns 0 in
-      let trs = Array.make ns None in
-      let completed = Atomic.make 0 in
-      let progress_step = max 1 (ns / 20) in
-      let solve_shard i =
-        let shard = shards.(i) in
-        (* each pool job records into its own trace; the orchestrating
-           thread attaches them after fan-in (recorders are not
-           thread-safe, see {!Mclh_obs.Obs}) *)
-        let tr, on_iter =
-          match obs with
-          | None -> (None, None)
-          | Some _ ->
-            let tr = Trace.create ~capacity:trace_capacity in
-            (Some tr, Some (fun _k d -> Trace.record tr d))
-        in
-        let sx, sr, ss, it, conv, dinf, tag, fbk =
-          solve_raw ?on_iter ?s0:(shard_s0 shard) config
-            (Decompose.extract model shard)
-        in
-        Decompose.scatter_vars shard sx x;
-        Decompose.scatter_cons shard sr r;
-        (* the shard's final modulus slices scatter to (vars; n + cons) *)
-        let sn = Array.length shard.Decompose.vars in
-        Array.iteri (fun k v -> s_final.(v) <- ss.(k)) shard.Decompose.vars;
-        Array.iteri
-          (fun k c -> s_final.(n + c) <- ss.(sn + k))
-          shard.Decompose.cons;
-        its.(i) <- it;
-        convs.(i) <- conv;
-        dinfs.(i) <- dinf;
-        tags.(i) <- tag;
-        fbks.(i) <- fbk;
-        trs.(i) <- tr;
-        if config.progress then begin
-          let k = Atomic.fetch_and_add completed 1 + 1 in
-          if k mod progress_step = 0 || k = ns then
-            Printf.eprintf "[mclh] solve: %d/%d shards done\n%!" k ns
-        end
-      in
-      (* on an oversubscribed pool (more domains than cores) fan-out
-         only adds GC-rendezvous stalls; same bits either way *)
-      if Mclh_par.Pool.oversubscribed pool then Array.iter solve_shard order
-      else
-        Mclh_par.Pool.parallel_iter_weighted
-          ~min_chunk_weight:!par_shard_chunk pool
-          ~weight:(fun i -> Decompose.shard_dim shards.(i))
-          ~f:solve_shard order;
-      let iterations = ref 0
-      and iterations_total = ref 0
-      and converged = ref true
-      and delta = ref 0.0
-      and stats = ref no_backend_stats in
-      for i = 0 to ns - 1 do
-        (match trs.(i) with
-        | None -> ()
-        | Some tr ->
+  let deco =
+    if config.decompose then Decompose.analyze model else Decompose.whole model
+  in
+  let shards = deco.Decompose.shards in
+  if config.progress then
+    Printf.eprintf "[mclh] solve: %d components, %d shards (largest dim %d)\n%!"
+      (Decompose.num_components deco) (Decompose.num_shards deco)
+      (Decompose.largest_dim deco);
+  (* a one-shard solve keeps the plain trace name; shards get their own *)
+  let on_trace =
+    match obs with
+    | None -> None
+    | Some _ when Array.length shards = 1 ->
+      Some (fun _ ~iterations:_ tr -> Obs.attach_trace obs "solver/delta_inf" tr)
+    | Some _ ->
+      Some
+        (fun i ~iterations tr ->
           let name = Printf.sprintf "solver/comp%03d" i in
           Obs.attach_trace obs (name ^ "/delta_inf") tr;
-          Obs.add obs (name ^ "/iterations") its.(i);
-          Obs.add obs (name ^ "/dim") (Decompose.shard_dim shards.(i)));
-        stats := count_backend !stats tags.(i) ~fallbacks:fbks.(i);
-        if its.(i) > !iterations then iterations := its.(i);
-        iterations_total := !iterations_total + its.(i);
-        if not convs.(i) then converged := false;
-        (* a nan delta (divergence guard) must survive the max *)
-        if Float.is_nan dinfs.(i) then delta := dinfs.(i)
-        else if (not (Float.is_nan !delta)) && dinfs.(i) > !delta then
-          delta := dinfs.(i)
-      done;
-      (x, r, s_final, !iterations, !iterations_total, !converged, !delta, !stats)
-    | Some _ | None ->
-      (* single component (or decomposition off): the monolithic solve is
-         the exact reference path *)
-      let on_iter =
-        match Obs.new_trace obs "solver/delta_inf" ~capacity:trace_capacity with
-        | None -> None
-        | Some tr -> Some (fun _k d -> Trace.record tr d)
-      in
-      let on_iter =
-        if not config.progress then on_iter
-        else
-          Some
-            (fun k d ->
-              (match on_iter with None -> () | Some f -> f k d);
-              if k mod 500 = 0 then
-                Printf.eprintf "[mclh] mmsim: iteration %d (delta %.2e)\n%!" k d)
-      in
-      let x, r, s, it, conv, dinf, tag, fbk =
-        solve_raw ?on_iter ?s0 config model
-      in
-      (x, r, s, it, it, conv, dinf,
-       count_backend no_backend_stats tag ~fallbacks:fbk)
+          Obs.add obs (name ^ "/iterations") iterations;
+          Obs.add obs (name ^ "/dim") (Decompose.shard_dim shards.(i)))
   in
+  let x = Vec.zeros n and r = Vec.zeros m and modulus = Vec.zeros (n + m) in
+  let fan = solve_shards ?on_trace ?s0 config model shards ~x ~r ~modulus in
   let bound =
     if config.verify_bound then begin
-      (* Theorem 2 is checked on the model actually handed to MMSIM: the
-         full model on the monolithic path, the largest (worst-case) shard's
-         sub-model when the solve was decomposed *)
-      let bound_model =
-        match deco with
-        | Some d when Array.length d.Decompose.shards > 1 ->
-          let shards = d.Decompose.shards in
-          let best = ref 0 in
-          Array.iteri
-            (fun i s ->
-              if Decompose.shard_dim s > Decompose.shard_dim shards.(!best)
-              then best := i)
-            shards;
-          Decompose.extract model shards.(!best)
-        | Some _ | None -> model
-      in
-      Some (check_bound bound_model config)
+      (* Theorem 2 is checked on the model MMSIM actually iterated on: the
+         largest (worst-case) shard's sub-model, the model itself when
+         there is one shard *)
+      let largest = ref shards.(0) in
+      Array.iter
+        (fun s -> if Decompose.shard_dim s > Decompose.shard_dim !largest then largest := s)
+        shards;
+      Some (check_bound (Decompose.extract model !largest) config)
     end
     else None
   in
-  let components =
-    match deco with Some d -> Decompose.num_components d | None -> 1
-  and largest_dim =
-    match deco with Some d -> Decompose.largest_dim d | None -> n + m
-  in
+  let components = Decompose.num_components deco
+  and largest_dim = Decompose.largest_dim deco
+  and backends = fan.backend_counts in
   let mismatch = Model.subcell_mismatch model x in
-  Obs.add obs "solver/iterations" iterations;
-  Obs.add obs "solver/iterations_total" iterations_total;
+  Obs.add obs "solver/iterations" fan.max_iterations;
+  Obs.add obs "solver/iterations_total" fan.total_iterations;
   Obs.add obs "solver/components" components;
   Obs.add obs "solver/largest_dim" largest_dim;
-  if not converged then Obs.incr obs "solver/nonconverged";
+  if not fan.all_converged then Obs.incr obs "solver/nonconverged";
   Obs.add obs "solver/backend/chain_free" backends.chain_free;
   Obs.add obs "solver/backend/accel" backends.accel;
   Obs.add obs "solver/backend/plain" backends.plain;
   Obs.add obs "solver/fallbacks" backends.fallbacks;
-  Obs.gauge obs "solver/delta_inf" delta_inf;
+  Obs.gauge obs "solver/delta_inf" fan.max_delta;
   Obs.gauge obs "solver/mismatch" mismatch;
   { x;
     r;
     modulus;
-    iterations;
-    iterations_total;
-    converged;
-    delta_inf;
+    iterations = fan.max_iterations;
+    iterations_total = fan.total_iterations;
+    converged = fan.all_converged;
+    delta_inf = fan.max_delta;
     mismatch;
     bound;
     components;

@@ -25,8 +25,7 @@ type backend_stats = {
   accel : int;
   plain : int;
       (** shards whose {e final} backend was each tag; the three counts
-          sum to the number of per-shard solves (1 on the monolithic
-          path) *)
+          sum to the number of per-shard solves *)
   fallbacks : int;
       (** abandoned attempts across all shards: chain-free solves that
           failed the KKT-residual acceptance and MMSIM rescue retries.
@@ -42,22 +41,22 @@ type result = {
           [n + m]: variables first, then constraints). Feeding it back as
           [?s0] warm-restarts a later solve of the same (or a slightly
           perturbed) model — the incremental engine ({!Mclh_incr}) relies
-          on this. When the solve was decomposed, per-shard final [s]
-          slices are scattered back just like [x] and [r]. *)
-  iterations : int;  (** max over shards when decomposed *)
+          on this. Per-shard final [s] slices are scattered back just
+          like [x] and [r]. *)
+  iterations : int;  (** max over shards *)
   iterations_total : int;
-      (** sum of iterations over all shards (equals [iterations] on the
-          monolithic path); the honest total-work count that incremental
+      (** sum of iterations over all shards (equals [iterations] for a
+          one-shard solve); the honest total-work count that incremental
           re-legalization reports savings against *)
   converged : bool;
   delta_inf : float;  (** final iterate change *)
   mismatch : float;  (** subcell mismatch after the solve *)
   bound : bound_check option;
       (** present when the config asks for it. Refers to the model MMSIM
-          actually iterated on: the full model on the monolithic path;
-          the largest (worst-case) shard's sub-model when the solve was
-          decomposed — smaller shards can be checked individually with
-          {!check_bound} on {!Decompose.extract}ed sub-models. *)
+          actually iterated on: the largest (worst-case) shard's
+          sub-model, which is the full model for a one-shard solve —
+          smaller shards can be checked individually with {!check_bound}
+          on {!Decompose.extract}ed sub-models. *)
   components : int;
       (** independent LCP components found by {!Decompose} (1 when
           [config.decompose] is off) *)
@@ -92,12 +91,13 @@ val par_chain_chunk : int ref
 
 val par_shard_chunk : int ref
 (** Minimum total KKT dimension ([vars + constraints]) a pool job must
-    carry before the decomposed solve fans another shard chunk out; see
-    {!Mclh_par.Pool.parallel_iter_weighted}. Chunking depends only on
-    the (deterministic) heaviest-first shard order and the shard
-    dimensions, so results are bit-identical across values — this only
-    bounds dispatch overhead when a full-scale design splits into tens
-    of thousands of tiny shards. Exposed so tests can force multi-chunk
+    carry before {!solve_shards} fans another shard chunk out (shards
+    lighter in total than one chunk per domain go one per job); see
+    {!Mclh_par.Pool.parallel_iter_weighted}. Chunking only schedules
+    whole shards, each solved on its own, so results are bit-identical
+    across values and pool sizes — this only bounds dispatch overhead
+    when a full-scale design splits into tens of thousands of tiny
+    shards. Exposed so tests can force multi-chunk
     scheduling on small models. *)
 
 val operators_inplace : Model.t -> Config.t -> Mclh_lcp.Mmsim.operators_inplace
@@ -112,11 +112,14 @@ val solve :
   ?config:Config.t -> ?obs:Mclh_obs.Obs.t -> ?s0:Vec.t -> Model.t -> result
 (** Solves the x-direction LCP. When [config.decompose] is set (the
     default) the LCP is first split into its independent connected
-    components ({!Decompose}); multi-shard decompositions solve every
-    sub-LCP on the domain pool and scatter the solutions back, while
-    single-component designs take the monolithic path exactly. Decomposed
-    results agree with the monolithic solve up to the iteration tolerance
-    and are bit-identical across [num_domains] values.
+    components ({!Decompose.analyze}); otherwise it is one shard covering
+    the whole model ({!Decompose.whole}). Every shard then goes through
+    {!solve_shards}: sub-LCPs solve on the domain pool and their
+    solutions scatter back. A single-component design is one shard whose
+    sub-model is the model itself, so it solves exactly as with
+    decomposition off. Decomposed results agree with the one-shard solve
+    up to the iteration tolerance and are bit-identical across
+    [num_domains] values.
 
     Each per-shard solve is routed by [config.backend]. [Plain] is
     exactly the paper's Algorithm 1 (one plain MMSIM run, no rescue).
@@ -135,8 +138,8 @@ val solve :
 
     [s0] is an explicit MMSIM start vector in global numbering (length
     [n + m]); it overrides both the PlaceRow warm start and the paper's
-    plain start. On the decomposed path each shard receives its own
-    restriction of [s0]. The LCP fixed point is unique (Q~ SPD, B full
+    plain start. Each shard receives its own restriction of [s0]
+    ({!Decompose.restrict}). The LCP fixed point is unique (Q~ SPD, B full
     row rank), so any [s0] converges to the same solution within the
     tolerance; a good [s0] — e.g. [result.modulus] from a previous solve
     of a nearby model — just gets there in fewer iterations.
@@ -147,11 +150,46 @@ val solve :
     counters, the per-backend [solver/backend/*] shard counts and
     [solver/fallbacks], the
     [solver/delta_inf] / [solver/mismatch] gauges, and per-iteration
-    convergence traces: [solver/delta_inf] for the monolithic path,
-    [solver/compNNN/{delta_inf,iterations,dim}] per shard when
-    decomposed. Traces are ring buffers keeping the last 512 iterations;
+    convergence traces: [solver/delta_inf] when the solve has one shard,
+    [solver/compNNN/{delta_inf,iterations,dim}] per shard otherwise. Traces are ring buffers keeping the last 512 iterations;
     pool jobs record into job-local traces attached after fan-in, so
     instrumentation never perturbs the bit-identical parallel results. *)
+
+type fan_in = {
+  max_iterations : int;
+  total_iterations : int;
+  all_converged : bool;
+  max_delta : float;  (** nan when any shard's divergence guard fired *)
+  backend_counts : backend_stats;
+}
+(** The per-shard outcomes of {!solve_shards}, folded in shard order. *)
+
+val solve_shards :
+  ?on_trace:(int -> iterations:int -> Mclh_obs.Trace.t -> unit) ->
+  ?s0:Vec.t ->
+  Config.t ->
+  Model.t ->
+  Decompose.shard array ->
+  x:Vec.t ->
+  r:Vec.t ->
+  modulus:Vec.t ->
+  fan_in
+(** [solve_shards config model shards ~x ~r ~modulus] solves each shard's
+    sub-LCP and scatters its positions, multipliers and final modulus
+    into the global [x] (length [n]), [r] (length [m]) and [modulus]
+    (length [n + m]); entries outside [shards] are left as they are. It
+    is the one per-shard path of the solver: {!solve} hands it every
+    shard, the incremental engine only its cache misses. [shards] must be
+    disjoint shards of [model] (from {!Decompose.analyze} or
+    {!Decompose.whole}) and [config] valid.
+
+    Each shard starts from its restriction of [s0] (global numbering,
+    length [n + m]) when given, otherwise from [config]'s start policy,
+    and is routed to a backend as described under {!solve}. Several
+    shards fan out over the domain pool, heaviest first; a lone shard
+    runs on the calling thread. When [on_trace] is given, every shard
+    records a convergence trace, handed over as [on_trace i ~iterations
+    trace] on the calling thread after fan-in, in shard order. *)
 
 val check_bound : Model.t -> Config.t -> bound_check
 (** The Theorem 2 convergence check on its own. *)

@@ -28,7 +28,6 @@ exception Busy
 type t = {
   config : Config.t;
   obs : Obs.t option;
-  min_shard_vars : int;
   cache : (Int64.t * Int64.t * int * int, entry) Hashtbl.t;
   in_apply : bool Atomic.t;  (* overlapping-[apply] guard (see [try_apply]) *)
   mutable design : Design.t;
@@ -40,12 +39,6 @@ type t = {
   mutable solves : int;  (* session-global re-solve counter (trace names) *)
   mutable last : stats option;
 }
-
-(* one shard per component: a session wants the finest exact granularity
-   so edits dirty as little as possible (the cold solver packs small
-   components together instead, to amortize its per-job overhead — here
-   clean shards cost only a fingerprint, so packing would hurt) *)
-let default_min_shard_vars = 1
 
 (* the cache never evicts individual entries (old solutions keep paying
    off when edits are reverted); past this size the whole table is reset
@@ -61,23 +54,17 @@ let max_cache_entries = 8192
    cache is keyed on it directly *)
 let shard_key = Decompose.shard_key
 
-(* the decomposition's [[||]] fallback means "solve monolithically"; the
-   session still needs a shard to fingerprint, so synthesize the identity
-   shard covering the whole model *)
-let effective_shards (model : Model.t) (deco : Decompose.t) =
-  if Array.length deco.Decompose.shards > 0 then deco.Decompose.shards
-  else [| Decompose.identity_shard model |]
+(* a session decomposes one shard per component: it wants the finest
+   exact granularity so edits dirty as little as possible (the cold
+   solver packs small components together instead, to amortize its
+   per-job overhead — here clean shards cost only a fingerprint, so
+   packing would hurt) *)
+let decompose model = Decompose.analyze ~min_shard_vars:1 model
 
 let gather_entry (model : Model.t) ~x ~r ~s (shard : Decompose.shard) =
-  let n = model.Model.nvars in
-  let sn = Array.length shard.Decompose.vars in
-  let sm = Array.length shard.Decompose.cons in
   { ex = Array.map (fun v -> x.(v)) shard.Decompose.vars;
     er = Array.map (fun c -> r.(c)) shard.Decompose.cons;
-    es =
-      Vec.init (sn + sm) (fun i ->
-          if i < sn then s.(shard.Decompose.vars.(i))
-          else s.(n + shard.Decompose.cons.(i - sn))) }
+    es = Decompose.restrict model shard s }
 
 (* ------------------------------------------------------------------ *)
 (* edit application                                                    *)
@@ -275,119 +262,76 @@ type resolve_out = {
 
 let resolve t (model' : Model.t) shards s0 =
   let n' = model'.Model.nvars and m' = Model.num_constraints model' in
-  let nsh = Array.length shards in
   let keys = Array.map (shard_key model') shards in
   let found = Array.map (Hashtbl.find_opt t.cache) keys in
-  let miss_idx =
-    Array.of_list
-      (List.filter
-         (fun i -> found.(i) = None)
-         (List.init nsh Fun.id))
-  in
-  let sub_config =
-    { t.config with Config.decompose = false; verify_bound = false }
-  in
-  let job i =
-    let shard = shards.(i) in
-    let sn = Array.length shard.Decompose.vars in
-    let sm = Array.length shard.Decompose.cons in
-    let s0_loc =
-      Vec.init (sn + sm) (fun k ->
-          if k < sn then s0.(shard.Decompose.vars.(k))
-          else s0.(n' + shard.Decompose.cons.(k - sn)))
-    in
-    (* pool jobs record into job-local recorders; traces are attached to
-       the session recorder after fan-in (recorders are not thread-safe) *)
-    let job_obs = match t.obs with None -> None | Some _ -> Some (Obs.create ()) in
-    let res =
-      Solver.solve ~config:sub_config ?obs:job_obs ~s0:s0_loc
-        (Decompose.extract model' shard)
-    in
-    (i, res, job_obs)
-  in
-  let results =
-    if Array.length miss_idx <= 1 || t.config.Config.num_domains <= 1 then
-      Array.map job miss_idx
-    else begin
-      let pool = Mclh_par.Pool.get ~num_domains:t.config.Config.num_domains in
-      if Mclh_par.Pool.oversubscribed pool then Array.map job miss_idx
-      else Mclh_par.Pool.parallel_map pool job miss_idx
-    end
-  in
-  let entries = Array.map (fun e -> e) found in
-  let iter_sum = ref 0 and iter_max = ref 0 and converged = ref true in
-  Array.iter
-    (fun (i, (res : Solver.result), job_obs) ->
-      (match (t.obs, job_obs) with
-      | Some _, Some jo ->
-        let name = Printf.sprintf "incr/solve%04d" t.solves in
-        (match Obs.find_trace jo "solver/delta_inf" with
-        | Some tr -> Obs.attach_trace t.obs (name ^ "/delta_inf") tr
-        | None -> ());
-        Obs.add t.obs (name ^ "/iterations") res.Solver.iterations;
-        Obs.add t.obs (name ^ "/dim") (Decompose.shard_dim shards.(i))
-      | _ -> ());
-      t.solves <- t.solves + 1;
-      iter_sum := !iter_sum + res.Solver.iterations_total;
-      if res.Solver.iterations > !iter_max then
-        iter_max := res.Solver.iterations;
-      if not res.Solver.converged then converged := false;
-      entries.(i) <-
-        Some
-          { ex = res.Solver.x; er = res.Solver.r; es = res.Solver.modulus })
-    results;
-  (* scatter every shard (hit or fresh) into the global solution *)
+  (* hits scatter from the cache; misses solve through the solver's own
+     fan-out, which scatters them into the same global vectors *)
   let rx = Vec.zeros n' and rr = Vec.zeros m' in
   let rs = Vec.zeros (n' + m') in
+  let misses = ref [] in
   Array.iteri
     (fun i shard ->
-      let e = match entries.(i) with Some e -> e | None -> assert false in
-      Decompose.scatter_vars shard e.ex rx;
-      Decompose.scatter_cons shard e.er rr;
-      let sn = Array.length shard.Decompose.vars in
-      Array.iteri (fun k v -> rs.(v) <- e.es.(k)) shard.Decompose.vars;
-      Array.iteri
-        (fun k c -> rs.(n' + c) <- e.es.(sn + k))
-        shard.Decompose.cons)
+      match found.(i) with
+      | Some e ->
+        Decompose.scatter_vars shard e.ex rx;
+        Decompose.scatter_cons shard e.er rr;
+        Decompose.scatter model' shard e.es rs
+      | None -> misses := shard :: !misses)
     shards;
+  let misses = Array.of_list (List.rev !misses) in
+  let on_trace =
+    match t.obs with
+    | None -> None
+    | Some _ ->
+      Some
+        (fun k ~iterations tr ->
+          let name = Printf.sprintf "incr/solve%04d" (t.solves + k) in
+          Obs.attach_trace t.obs (name ^ "/delta_inf") tr;
+          Obs.add t.obs (name ^ "/iterations") iterations;
+          Obs.add t.obs (name ^ "/dim") (Decompose.shard_dim misses.(k)))
+  in
+  let fan =
+    Solver.solve_shards ?on_trace ~s0 t.config model' misses ~x:rx ~r:rr
+      ~modulus:rs
+  in
+  t.solves <- t.solves + Array.length misses;
   (* refresh the cache with the live generation; reset first if the table
      outgrew its cap *)
   if Hashtbl.length t.cache > max_cache_entries then Hashtbl.reset t.cache;
   Array.iteri
     (fun i key ->
-      match entries.(i) with
-      | Some e -> Hashtbl.replace t.cache key e
-      | None -> ())
+      let e =
+        match found.(i) with
+        | Some e -> e
+        | None -> gather_entry model' ~x:rx ~r:rr ~s:rs shards.(i)
+      in
+      Hashtbl.replace t.cache key e)
     keys;
   { rx;
     rr;
     rs;
-    r_hits = nsh - Array.length miss_idx;
-    r_misses = Array.length miss_idx;
-    r_iter_sum = !iter_sum;
-    r_iter_max = !iter_max;
-    r_converged = !converged }
+    r_hits = Array.length shards - Array.length misses;
+    r_misses = Array.length misses;
+    r_iter_sum = fan.Solver.total_iterations;
+    r_iter_max = fan.Solver.max_iterations;
+    r_converged = fan.Solver.all_converged }
 
 (* ------------------------------------------------------------------ *)
 (* session                                                             *)
 
-let of_flow ?(config = Config.default) ?obs
-    ?(min_shard_vars = default_min_shard_vars) (flow : Flow.result) =
+let create ?(config = Config.default) ?obs design =
   (match Config.validate config with
   | Ok _ -> ()
-  | Error msg -> invalid_arg ("Incr.of_flow: " ^ msg));
-  if min_shard_vars < 1 then
-    invalid_arg "Incr.of_flow: min_shard_vars must be >= 1";
-  let model = flow.Flow.model in
-  let design = model.Model.design in
+  | Error msg -> invalid_arg ("Incr.create: " ^ msg));
   if Array.length design.Design.regions > 0 then
     invalid_arg
-      "Incr: fenced designs are not supported; create one session per \
-       territory";
+      "Incr.create: fenced designs are not supported; create one session \
+       per territory";
+  let flow = Flow.run ~config ?obs design in
+  let model = flow.Flow.model in
   let t =
     { config;
       obs;
-      min_shard_vars;
       cache = Hashtbl.create 256;
       in_apply = Atomic.make false;
       design;
@@ -401,23 +345,13 @@ let of_flow ?(config = Config.default) ?obs
   in
   (* seed the cache with every current shard's slice of the initial
      solution, so the first batch already hits on clean shards *)
-  let deco = Decompose.analyze ~min_shard_vars model in
-  let shards = effective_shards model deco in
   let x = flow.Flow.solver.Solver.x and r = flow.Flow.solver.Solver.r in
   Array.iter
     (fun shard ->
       Hashtbl.replace t.cache (shard_key model shard)
         (gather_entry model ~x ~r ~s:t.s shard))
-    shards;
+    (decompose model).Decompose.shards;
   t
-
-let create ?(config = Config.default) ?obs ?min_shard_vars design =
-  if Array.length design.Design.regions > 0 then
-    invalid_arg
-      "Incr.create: fenced designs are not supported; create one session \
-       per territory";
-  let flow = Flow.run ~config ?obs design in
-  of_flow ~config ?obs ?min_shard_vars flow
 
 let design t = t.design
 let legal t = Placement.copy t.legal
@@ -454,11 +388,8 @@ let apply_locked t edits =
   in
   Obs.record_span obs "incr/assign" assign_s;
   let model', model_s = Clock.timed (fun () -> Model.build design' assignment') in
-  let (deco', shards'), decomp_s =
-    Clock.timed (fun () ->
-        let deco' = Decompose.analyze ~min_shard_vars:t.min_shard_vars model' in
-        (deco', effective_shards model' deco'))
-  in
+  let deco', decomp_s = Clock.timed (fun () -> decompose model') in
+  let shards' = deco'.Decompose.shards in
   Obs.record_span obs "incr/model" (model_s +. decomp_s);
   let touched_cells =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 touched

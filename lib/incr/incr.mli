@@ -28,8 +28,9 @@
     (equivalence is asserted by the test suite and [bench/eco.ml]).
 
     Sessions are single-threaded on the outside (one [apply] at a time);
-    dirty-shard solves fan out over the domain pool internally exactly
-    like the cold solver. The restriction is {e enforced}: overlapping
+    cache misses go through the cold solver's own per-shard fan-out
+    ({!Mclh_core.Solver.solve_shards}), so they solve on the domain pool
+    exactly as a cold solve would. The restriction is {e enforced}: overlapping
     [apply] calls from a threaded host are rejected with {!Busy} /
     [Error `Busy] instead of silently corrupting the session (see
     {!try_apply}). Fence regions are not supported — create a session per
@@ -56,33 +57,16 @@ type stats = {
 
 type t
 
-val default_min_shard_vars : int
-(** Shard granularity of a session's decomposition: [1], i.e. one shard
-    per component. The cold solver packs tiny components together
-    ({!Decompose.default_min_shard_vars}) to amortize fan-out overhead;
-    a session wants the opposite — the finest exact granularity — so the
-    dirty set and the cache keys stay minimal. *)
-
-val create :
-  ?config:Config.t ->
-  ?obs:Mclh_obs.Obs.t ->
-  ?min_shard_vars:int ->
-  Design.t ->
-  t
+val create : ?config:Config.t -> ?obs:Mclh_obs.Obs.t -> Design.t -> t
 (** Runs the full flow once ({!Flow.run}) and wraps the result in a
-    session. The config is fixed for the session's lifetime. [obs] is
-    shared across the initial legalization and every later {!apply}.
+    session, seeding the cache with every shard's slice of the flow's
+    solution. A session decomposes one shard per component — the finest
+    exact granularity, so the dirty set and the cache keys stay minimal
+    (the cold solver packs tiny components together instead, to amortize
+    fan-out overhead). The config is fixed for the session's lifetime.
+    [obs] is shared across the initial legalization and every later
+    {!apply}.
     @raise Invalid_argument on fenced designs or an invalid config. *)
-
-val of_flow :
-  ?config:Config.t ->
-  ?obs:Mclh_obs.Obs.t ->
-  ?min_shard_vars:int ->
-  Flow.result ->
-  t
-(** Wraps an existing flow result (same config that produced it!) without
-    re-running anything; the cache is seeded with every shard's slice of
-    the flow's solution. *)
 
 val design : t -> Design.t
 (** The current design (reflects all applied batches). *)

@@ -217,6 +217,9 @@ let try_reorder st ids =
     in
     let row = int_of_float st.pl.Placement.ys.(first) in
     let span_start = int_of_float st.pl.Placement.xs.(first) in
+    let span_width =
+      List.fold_left (fun acc i -> acc + st.design.Design.cells.(i).Cell.width) 0 ids
+    in
     let original = List.map (fun i -> (i, int_of_float st.pl.Placement.xs.(i))) ids in
     let place order =
       let cursor = ref span_start in
@@ -229,31 +232,37 @@ let try_reorder st ids =
     let restore () =
       List.iter (fun (i, x) -> st.pl.Placement.xs.(i) <- float_of_int x) original
     in
-    let before = nets_hpwl st nets in
-    let best = ref None in
-    List.iter
-      (fun perm ->
-        place perm;
-        let h = nets_hpwl st nets in
-        restore ();
-        match !best with
-        | Some (_, bh) when bh <= h -> ()
-        | Some _ | None -> if h < before -. 1e-9 then best := Some (perm, h))
-      (permutations ids);
-    (match !best with
-    | None -> false
-    | Some (perm, _) ->
-      (* re-occupy: release the window, place the permutation *)
-      List.iter (fun i -> release_cell st i) ids;
-      place perm;
+    (* the window is lifted for the whole trial and laid down again at
+       wherever it ends up. Blockages and frozen cells are not listed among
+       a row's occupants, so a window can straddle one: packing is sound
+       only when its span is free with the window itself lifted. *)
+    List.iter (release_cell st) ids;
+    let reordered =
+      Occupancy.is_free_span st.occ ~row ~height:1 ~x:span_start ~width:span_width
+      &&
+      let before = nets_hpwl st nets in
+      let best = ref None in
       List.iter
-        (fun i ->
-          let c = st.design.Design.cells.(i) in
-          Occupancy.occupy st.occ ~row ~height:c.Cell.height
-            ~x:(int_of_float st.pl.Placement.xs.(i))
-            ~width:c.Cell.width)
-        perm;
-      true)
+        (fun perm ->
+          place perm;
+          let h = nets_hpwl st nets in
+          restore ();
+          match !best with
+          | Some (_, bh) when bh <= h -> ()
+          | Some _ | None -> if h < before -. 1e-9 then best := Some (perm, h))
+        (permutations ids);
+      match !best with
+      | None -> false
+      | Some (perm, _) ->
+        place perm;
+        true
+    in
+    List.iter
+      (fun i ->
+        let c, x, _ = cell_geom st i in
+        Occupancy.occupy st.occ ~row ~height:1 ~x ~width:c.Cell.width)
+      ids;
+    reordered
 
 let run ?(options = default_options) ?obs (design : Design.t)
     (input : Placement.t) =

@@ -328,7 +328,11 @@ let test_cli_exit_codes () =
     (* fence-cross cannot pack its fences at the default scale: the
        generator's failure is a clean exit 1, not an escaped exception *)
     Alcotest.(check int) "generator failure exits 1" 1
-      (run_cli [ "run"; "--scenario"; "fence-cross" ])
+      (run_cli [ "run"; "--scenario"; "fence-cross" ]);
+    (* a refine window straddling a blockage must not be packed onto it *)
+    Alcotest.(check int) "refine next to blockages exits 0" 0
+      (run_cli
+         [ "pipeline"; "-b"; "des_perf_1"; "-s"; "0.02"; "--blockages"; "0.1" ])
   end
 
 let () =

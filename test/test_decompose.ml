@@ -74,7 +74,17 @@ let test_partition_valid () =
   in
   Alcotest.(check int) "chains preserved"
     (Blocks.num_chains model.Model.blocks)
-    total_chains
+    total_chains;
+  (* restricting a global modulus-layout vector to every shard and
+     scattering the slices back reproduces it exactly *)
+  let rng = Random.State.make [| 7 |] in
+  let global = Vec.init (n + m) (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+  let back = Vec.create (n + m) nan in
+  Array.iter
+    (fun shard ->
+      Decompose.scatter model shard (Decompose.restrict model shard global) back)
+    deco.Decompose.shards;
+  Alcotest.(check (array (float 0.0))) "modulus round-trip" global back
 
 let test_component_ids_cover () =
   let _, model = model_of ~scale:0.02 "fft_2" in
@@ -226,28 +236,45 @@ let test_domain_count_bit_identity () =
 
 let test_single_component_fallback () =
   (* des_perf_1's mixed rows are all bridged by double-height cells: one
-     component, so the decomposed path must be the monolithic one exactly *)
+     component, so the decomposed solve is one whole-model shard and must
+     equal the solve with decomposition off exactly *)
   let _, model = model_of ~scale:0.02 "des_perf_1" in
   let deco = Decompose.analyze model in
   Alcotest.(check int) "single component" 1 (Decompose.num_components deco);
   Alcotest.(check int) "single shard" 1 (Decompose.num_shards deco);
+  Alcotest.(check bool) "the shard's sub-model is the model" true
+    (Decompose.extract model deco.Decompose.shards.(0) == model);
   let mono =
     Solver.solve ~config:{ Config.default with decompose = false } model
   in
-  let dec = Solver.solve model in
+  Alcotest.(check (pair int int)) "decompose off: one component of dim n + m"
+    (1, model.Model.nvars + Model.num_constraints model)
+    (mono.Solver.components, mono.Solver.largest_dim);
+  let obs = Mclh_obs.Obs.create () in
+  let dec = Solver.solve ~obs model in
   Alcotest.(check int) "iterations" mono.Solver.iterations dec.Solver.iterations;
   Alcotest.(check (array (float 0.0))) "x bit-identical" mono.Solver.x dec.Solver.x;
-  Alcotest.(check (array (float 0.0))) "r bit-identical" mono.Solver.r dec.Solver.r
+  Alcotest.(check (array (float 0.0))) "r bit-identical" mono.Solver.r dec.Solver.r;
+  (* a one-shard solve keeps the plain trace name *)
+  match Mclh_obs.Obs.find_trace obs "solver/delta_inf" with
+  | None -> Alcotest.fail "solver/delta_inf trace missing"
+  | Some tr ->
+    Alcotest.(check int) "trace records every iteration" dec.Solver.iterations
+      (Mclh_obs.Trace.recorded tr)
 
 let test_packing_collapse_fallback () =
   (* a huge min_shard_vars packs everything into one shard: analyze must
-     report the fallback ([shards] empty, num_shards 1) *)
+     plan one shard covering every variable and constraint *)
   let _, model = model_of ~options:blockage_options ~scale:0.02 "fft_2" in
   let deco = Decompose.analyze ~min_shard_vars:max_int model in
   Alcotest.(check bool) "components found" true
     (Decompose.num_components deco > 1);
   Alcotest.(check int) "one shard" 1 (Decompose.num_shards deco);
-  Alcotest.(check int) "no shard array" 0 (Array.length deco.Decompose.shards)
+  let shard = deco.Decompose.shards.(0) in
+  Alcotest.(check (array int)) "covers every variable"
+    (Array.init model.Model.nvars Fun.id) shard.Decompose.vars;
+  Alcotest.(check (array int)) "covers every constraint"
+    (Array.init (Model.num_constraints model) Fun.id) shard.Decompose.cons
 
 (* ---------- allocation-free steady state ---------- *)
 

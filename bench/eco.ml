@@ -11,8 +11,7 @@
    little; see DESIGN.md).
 
    Reported: per-batch latency, end-state equivalence (must be <= 1e-9),
-   the incremental/full speedup and the iteration savings. A JSON
-   snapshot lands in bench_out/BENCH_pr5.json for CI tracking. *)
+   the incremental/full speedup and the iteration savings. *)
 
 open Mclh_circuit
 open Mclh_core
@@ -54,11 +53,7 @@ let run () =
   and full_total = ref 0.0
   and incr_iters = ref 0
   and full_iters = ref 0
-  and hits = ref 0
-  and dirty = ref 0
-  and shards = ref 0
-  and worst_diff = ref 0.0
-  and all_converged = ref true in
+  and worst_diff = ref 0.0 in
   for b = 1 to num_batches do
     let d = Mclh_incr.Incr.design session in
     let cur_n = Design.num_cells d in
@@ -91,11 +86,7 @@ let run () =
     full_total := !full_total +. cold_s;
     incr_iters := !incr_iters + st.Mclh_incr.Incr.solve_iterations;
     full_iters := !full_iters + cold.Flow.solver.Solver.iterations_total;
-    hits := !hits + st.Mclh_incr.Incr.cache_hits;
-    dirty := !dirty + st.Mclh_incr.Incr.dirty_shards;
-    shards := !shards + st.Mclh_incr.Incr.shards;
     worst_diff := Float.max !worst_diff diff;
-    all_converged := !all_converged && st.Mclh_incr.Incr.converged;
     Printf.printf "%5d %6d/%-5d %5d %6d %11.2f %9.2f %8.1fx %9.1e\n%!" b
       st.Mclh_incr.Incr.dirty_shards st.Mclh_incr.Incr.shards
       st.Mclh_incr.Incr.cache_hits st.Mclh_incr.Incr.solve_iterations
@@ -115,30 +106,4 @@ let run () =
     !incr_total !full_total speedup !incr_iters !full_iters !worst_diff
     tolerance;
   if !worst_diff > tolerance then
-    Printf.printf "WARNING: end-state equivalence violated!\n%!";
-  Util.ensure_out_dir ();
-  let path = Filename.concat Util.out_dir "BENCH_pr5.json" in
-  let open Mclh_report in
-  Json.to_file ~path
-    (Json.Obj
-       [ ("benchmark", Json.String "eco_incremental");
-         ("design", Json.String "fft_2");
-         ("scale", Json.Float Util.scale);
-         ("cells", Json.Int n);
-         ("blockage_fraction", Json.Float options.blockage_fraction);
-         ("batches", Json.Int num_batches);
-         ("edits_per_batch", Json.Int edits_per_batch);
-         ("edit_fraction", Json.Float (float_of_int edits_per_batch /. float_of_int n));
-         ("incr_total_s", Json.Float !incr_total);
-         ("full_total_s", Json.Float !full_total);
-         ("speedup", Json.Float speedup);
-         ("max_position_diff", Json.Float !worst_diff);
-         ("equivalent", Json.Bool (!worst_diff <= tolerance));
-         ("incr_iterations", Json.Int !incr_iters);
-         ("full_iterations", Json.Int !full_iters);
-         ("dirty_shards", Json.Int !dirty);
-         ("total_shards", Json.Int !shards);
-         ("cache_hits", Json.Int !hits);
-         ("cache_entries", Json.Int (Mclh_incr.Incr.cache_entries session));
-         ("converged", Json.Bool !all_converged) ]);
-  Printf.printf "eco snapshot written to %s\n%!" path
+    Printf.printf "WARNING: end-state equivalence violated!\n%!"

@@ -6,9 +6,7 @@
    point of the exercise is Table-1 realism: GP inputs must arrive with
    hundreds of illegal cells (not the feasible-by-construction
    synthetics) and still leave the pipeline legal, with the dHPWL cost
-   of legalization measured against the placer's fractional optimum.
-
-   A JSON snapshot lands in bench_out/BENCH_pr10.json for CI tracking. *)
+   of legalization measured against the placer's fractional optimum. *)
 
 open Mclh_circuit
 open Mclh_core
@@ -23,16 +21,12 @@ type outcome = {
   name : string;
   cells : int;
   grid : int;
-  rounds : Mclh_gp.Gp.round list;
+  rounds : int;
   illegal_pre : int;
   final_overflow : float;
-  gp_hpwl : float;
-  final_hpwl : float;
   dhpwl : float;  (* refined legal vs fractional GP *)
   legal : bool;
-  gp_s : float;
-  legalize_s : float;
-  refine_s : float;
+  seconds : float;  (* GP + legalize + refine *)
 }
 
 let run_one name =
@@ -58,16 +52,12 @@ let run_one name =
   { name;
     cells = Design.num_cells design;
     grid = stats.Mclh_gp.Gp.grid;
-    rounds = stats.Mclh_gp.Gp.rounds;
+    rounds = List.length stats.Mclh_gp.Gp.rounds;
     illegal_pre;
     final_overflow = stats.Mclh_gp.Gp.final_overflow;
-    gp_hpwl = stats.Mclh_gp.Gp.final_hpwl;
-    final_hpwl = Hpwl.total ~row_height:rh design.Design.nets refined;
     dhpwl = Hpwl.delta ~row_height:rh design.Design.nets ~before:gp refined;
     legal = Legality.is_legal design refined;
-    gp_s;
-    legalize_s;
-    refine_s }
+    seconds = gp_s +. legalize_s +. refine_s }
 
 let run () =
   Util.section "Density-driven global placement -> legalize -> refine (lib/gp)";
@@ -77,11 +67,10 @@ let run () =
   List.iter
     (fun o ->
       Printf.printf "%-16s %7d %5d %7d %8d %8.1f%% %+7.2f%% %6b %8.2f\n"
-        o.name o.cells o.grid (List.length o.rounds) o.illegal_pre
+        o.name o.cells o.grid o.rounds o.illegal_pre
         (100.0 *. o.final_overflow)
         (100.0 *. o.dhpwl)
-        o.legal
-        (o.gp_s +. o.legalize_s +. o.refine_s))
+        o.legal o.seconds)
     outcomes;
   let all_legal = List.for_all (fun o -> o.legal) outcomes in
   let max_overflow =
@@ -93,43 +82,3 @@ let run () =
   Printf.printf
     "all legal %b; worst final overflow %.1f%%; min illegal pre %d\n%!"
     all_legal (100.0 *. max_overflow) min_illegal;
-  Util.ensure_out_dir ();
-  let path = Filename.concat Util.out_dir "BENCH_pr10.json" in
-  let open Mclh_report in
-  let design_json o =
-    Json.Obj
-      [ ("design", Json.String o.name);
-        ("cells", Json.Int o.cells);
-        ("grid", Json.Int o.grid);
-        ( "rounds",
-          Json.List
-            (List.map
-               (fun (r : Mclh_gp.Gp.round) ->
-                 Json.Obj
-                   [ ("round", Json.Int r.Mclh_gp.Gp.index);
-                     ("alpha", Json.Float r.Mclh_gp.Gp.alpha);
-                     ("hpwl", Json.Float r.Mclh_gp.Gp.hpwl);
-                     ("overflow", Json.Float r.Mclh_gp.Gp.overflow);
-                     ( "max_utilization",
-                       Json.Float r.Mclh_gp.Gp.max_utilization );
-                     ("cg_iterations", Json.Int r.Mclh_gp.Gp.cg_iterations) ])
-               o.rounds) );
-        ("illegal_pre", Json.Int o.illegal_pre);
-        ("final_overflow", Json.Float o.final_overflow);
-        ("gp_hpwl", Json.Float o.gp_hpwl);
-        ("final_hpwl", Json.Float o.final_hpwl);
-        ("delta_hpwl_vs_gp", Json.Float o.dhpwl);
-        ("legal", Json.Bool o.legal);
-        ("gp_s", Json.Float o.gp_s);
-        ("legalize_s", Json.Float o.legalize_s);
-        ("refine_s", Json.Float o.refine_s) ]
-  in
-  Json.to_file ~path
-    (Json.Obj
-       [ ("benchmark", Json.String "gp_pipeline");
-         ("scale", Json.Float Util.scale);
-         ("designs", Json.List (List.map design_json outcomes));
-         ("all_legal", Json.Bool all_legal);
-         ("max_final_overflow", Json.Float max_overflow);
-         ("min_illegal_pre", Json.Int min_illegal) ]);
-  Printf.printf "gp snapshot written to %s\n%!" path

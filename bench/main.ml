@@ -7,7 +7,8 @@
      MCLH_FAST    if set, run a 5-benchmark subset
      MCLH_ONLY    comma-separated subset of sections:
                   table1,table2,sec53,fig5,ablations,extensions,scaling,eco,
-                  gp,serve,kernels *)
+                  gp,kernels
+   A malformed MCLH_SCALE or an unknown MCLH_ONLY name exits 2. *)
 
 let sections =
   [ ("table1", Table1.run);
@@ -19,14 +20,22 @@ let sections =
     ("scaling", Scaling.run);
     ("eco", Eco.run);
     ("gp", Gp.run);
-    ("serve", Serve.run);
     ("kernels", Kernels.run) ]
 
 let () =
   let only =
     match Sys.getenv_opt "MCLH_ONLY" with
     | None -> None
-    | Some s -> Some (String.split_on_char ',' s |> List.map String.trim)
+    | Some s ->
+      let names = String.split_on_char ',' s |> List.map String.trim in
+      (match List.filter (fun n -> not (List.mem_assoc n sections)) names with
+      | [] -> ()
+      | unknown ->
+        Util.usage_error
+          (Printf.sprintf "MCLH_ONLY: unknown section(s) %s (valid: %s)"
+             (String.concat ", " unknown)
+             (String.concat ", " (List.map fst sections))));
+      Some names
   in
   Printf.printf
     "mclh benchmark harness — scale %g%s\n%!" Util.scale

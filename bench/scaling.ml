@@ -4,7 +4,7 @@
    near-linear behaviour *and* on construction staying linear in memory,
    so this section tracks both time-per-cell and peak-RSS-per-cell.
 
-   Two views, both snapshotted to bench_out/BENCH_pr7.json:
+   Two views:
 
    - a scaling curve on the superblue12 shape, scales 0.04 -> 1.0
      (points above MCLH_SCALE are skipped, so the default 0.04 run stays
@@ -29,7 +29,6 @@ type point = {
   gen_s : float;
   timings : Flow.timings;
   iterations : int;
-  components : int;
   us_per_cell : float;
   us_per_cell_iter : float;
       (* solve time normalized by cells *and* iterations: the iteration
@@ -38,7 +37,6 @@ type point = {
   cells_per_s : float;
   peak_rss_kb : int option;
   legal : bool;
-  converged : bool;
 }
 
 let measure_point scale =
@@ -56,35 +54,13 @@ let measure_point scale =
     gen_s;
     timings = res.Flow.timings;
     iterations = iters;
-    components = res.Flow.solver.Solver.components;
     us_per_cell = 1e6 *. total_s /. float_of_int n;
     us_per_cell_iter =
       1e6 *. res.Flow.timings.Flow.solve_s
       /. float_of_int (n * max 1 iters);
     cells_per_s = (if total_s > 0.0 then float_of_int n /. total_s else 0.0);
     peak_rss_kb = Mclh_obs.Obs.peak_rss_kb ();
-    legal = Legality.is_legal d res.Flow.legal;
-    converged = res.Flow.solver.Solver.converged }
-
-let point_json p =
-  Json.Obj
-    [ ("scale", Json.Float p.scale);
-      ("cells", Json.Int p.cells);
-      ("gen_s", Json.Float p.gen_s);
-      ("assign_s", Json.Float p.timings.Flow.assign_s);
-      ("model_s", Json.Float p.timings.Flow.model_s);
-      ("solve_s", Json.Float p.timings.Flow.solve_s);
-      ("alloc_s", Json.Float p.timings.Flow.alloc_s);
-      ("total_s", Json.Float p.timings.Flow.total_s);
-      ("us_per_cell", Json.Float p.us_per_cell);
-      ("solve_us_per_cell_per_iter", Json.Float p.us_per_cell_iter);
-      ("cells_per_s", Json.Float p.cells_per_s);
-      ( "peak_rss_kb",
-        match p.peak_rss_kb with Some kb -> Json.Int kb | None -> Json.Null );
-      ("iterations", Json.Int p.iterations);
-      ("components", Json.Int p.components);
-      ("legal", Json.Bool p.legal);
-      ("converged", Json.Bool p.converged) ]
+    legal = Legality.is_legal d res.Flow.legal }
 
 let rss_cell p =
   match p.peak_rss_kb with
@@ -163,48 +139,23 @@ let run () =
         { title = "legal"; align = Right };
         { title = "converged"; align = Right } ]
   in
-  let family_rows =
-    List.map
-      (fun name ->
-        let inst = Util.instance name in
-        let d = inst.Generate.design in
-        let res = Flow.run d in
-        let n = Design.num_cells d in
-        let total_s = res.Flow.timings.Flow.total_s in
-        let us = 1e6 *. total_s /. float_of_int n in
-        let legal = Legality.is_legal d res.Flow.legal in
-        let converged = res.Flow.solver.Solver.converged in
-        Table.add_row ftable
-          [ name;
-            string_of_int n;
-            string_of_int res.Flow.solver.Solver.iterations;
-            Table.fmt_float 3 total_s;
-            Table.fmt_float 2 us;
-            string_of_bool legal;
-            string_of_bool converged ];
-        Json.Obj
-          [ ("design", Json.String name);
-            ("cells", Json.Int n);
-            ("iterations", Json.Int res.Flow.solver.Solver.iterations);
-            ("total_s", Json.Float total_s);
-            ("us_per_cell", Json.Float us);
-            ("legal", Json.Bool legal);
-            ("converged", Json.Bool converged) ])
-      family
-  in
-  print_string (Table.render ftable);
-
-  Util.ensure_out_dir ();
-  let path = Filename.concat Util.out_dir "BENCH_pr7.json" in
-  Json.to_file ~path
-    (Json.Obj
-       [ ("benchmark", Json.String "scaling_full_suite");
-         ("version", Json.Int 1);
-         ("design", Json.String "superblue12");
-         ("scale_cap", Json.Float Util.scale);
-         ("num_domains", Json.Int (Mclh_par.Pool.size (Util.pool ())));
-         ("curve", Json.List (List.map point_json points));
-         ("us_per_cell_spread", Json.Float spread);
-         ("solve_us_per_cell_per_iter_spread", Json.Float iter_spread);
-         ("family", Json.List family_rows) ]);
-  Printf.printf "wrote %s\n%!" path
+  List.iter
+    (fun name ->
+      let inst = Util.instance name in
+      let d = inst.Generate.design in
+      let res = Flow.run d in
+      let n = Design.num_cells d in
+      let total_s = res.Flow.timings.Flow.total_s in
+      let us = 1e6 *. total_s /. float_of_int n in
+      let legal = Legality.is_legal d res.Flow.legal in
+      let converged = res.Flow.solver.Solver.converged in
+      Table.add_row ftable
+        [ name;
+          string_of_int n;
+          string_of_int res.Flow.solver.Solver.iterations;
+          Table.fmt_float 3 total_s;
+          Table.fmt_float 2 us;
+          string_of_bool legal;
+          string_of_bool converged ])
+    family;
+  print_string (Table.render ftable)

@@ -3,10 +3,19 @@
 open Mclh_circuit
 open Mclh_benchgen
 
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
 let scale =
   match Sys.getenv_opt "MCLH_SCALE" with
-  | Some s -> (try float_of_string s with _ -> 0.04)
   | None -> 0.04
+  | Some s -> (
+    match float_of_string_opt (String.trim s) with
+    | Some v when Float.is_finite v && v > 0.0 -> v
+    | Some _ | None ->
+      usage_error
+        (Printf.sprintf "MCLH_SCALE: expected a positive number, got %S" s))
 
 let fast_mode = Sys.getenv_opt "MCLH_FAST" <> None
 

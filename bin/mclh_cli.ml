@@ -19,6 +19,34 @@ open Mclh_circuit
 open Mclh_benchgen
 open Mclh_core
 
+(* Bad user input — an unreadable or malformed file, an edit the design
+   rejects, a generator that cannot build the instance — prints its
+   message on stderr and exits 1, never an uncaught exception. *)
+let fail msg =
+  prerr_endline msg;
+  exit 1
+
+let guard f =
+  try f () with Sys_error msg | Failure msg | Invalid_argument msg -> fail msg
+
+let read_design path = guard (fun () -> Io.read_design ~path)
+
+(* stats and convert also read a Bookshelf .aux *)
+let read_any_design path =
+  if Filename.check_suffix path ".aux" then
+    guard (fun () -> Bookshelf.read ~aux:path)
+  else read_design path
+
+(* a placement file must be for [design]: same cell count *)
+let read_placement design path =
+  let p = guard (fun () -> Io.read_placement ~path) in
+  let n = Placement.num_cells p and m = Design.num_cells design in
+  if n <> m then
+    fail
+      (Printf.sprintf "%s: placement has %d cells, design %s has %d" path n
+         design.Design.name m);
+  p
+
 let report_of design (r : Runner.report) =
   let b = Buffer.create 512 in
   let n = Design.num_cells design in
@@ -163,10 +191,6 @@ let generator_term =
         Printf.eprintf "[mclh] generating %s at scale %g\n%!"
           (Option.value scenario ~default:bench)
           scale;
-      let fail msg =
-        prerr_endline msg;
-        exit 1
-      in
       let build =
         match scenario with
         | Some s -> (
@@ -191,9 +215,7 @@ let generator_term =
             in
             fun () -> Generate.generate ~options (Spec.scaled scale spec))
       in
-      match build () with
-      | inst -> inst.Generate.design
-      | exception (Failure msg | Invalid_argument msg) -> fail msg
+      (guard build).Generate.design
     in
     { seed; generate }
   in
@@ -204,7 +226,7 @@ let generator_term =
 (* the [--in] design when given, else a generated instance *)
 let read_or_generate input gen =
   match input with
-  | Some path -> Io.read_design ~path
+  | Some path -> read_design path
   | None -> gen.generate ~progress:false
 
 (* ---- solver configuration ---- *)
@@ -398,7 +420,7 @@ let legalize_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   let run input alg output svg (config, metrics_out) strict refine =
-    let design = Io.read_design ~path:input in
+    let design = read_design input in
     let r = maybe_refine design refine (Runner.run ~config alg design) in
     print_string (report_of design r);
     conclude ~strict ~metrics_out ~meta:(runner_meta design r) ?output ?svg
@@ -457,7 +479,7 @@ let audit_cmd =
     let design = read_or_generate input gen in
     let placement =
       match (input, placement_path) with
-      | Some _, Some p -> Io.read_placement ~path:p
+      | Some _, Some p -> read_placement design p
       | _ ->
         let r = Runner.run ~config alg design in
         report_unplaced r;
@@ -525,8 +547,8 @@ let check_cmd =
       required & opt (some string) None & info [ "p"; "placement" ] ~docv:"FILE" ~doc)
   in
   let run design_path placement_path =
-    let design = Io.read_design ~path:design_path in
-    let placement = Io.read_placement ~path:placement_path in
+    let design = read_design design_path in
+    let placement = read_placement design placement_path in
     let violations = Legality.check design placement in
     let rh = design.Design.chip.Chip.row_height in
     let m = Metrics.displacement ~row_height:rh ~before:design.Design.global placement in
@@ -561,14 +583,10 @@ let stats_cmd =
     Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc)
   in
   let run design_path placement_path svg =
-    let design =
-      if Filename.check_suffix design_path ".aux" then
-        Bookshelf.read ~aux:design_path
-      else Io.read_design ~path:design_path
-    in
+    let design = read_any_design design_path in
     let placement =
       match placement_path with
-      | Some p -> Io.read_placement ~path:p
+      | Some p -> read_placement design p
       | None -> design.Design.global
     in
     let n = Design.num_cells design in
@@ -641,18 +659,15 @@ let eco_cmd =
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
   let run input edits_path output out_design config strict verify metrics_out =
-    let design = Io.read_design ~path:input in
-    let batches = Mclh_incr.Edit.read_file ~path:edits_path in
-    if batches = [] then begin
-      Printf.eprintf "no batches in %s\n" edits_path;
-      exit 1
-    end;
+    let design = read_design input in
+    let batches = guard (fun () -> Mclh_incr.Edit.read_file ~path:edits_path) in
+    if batches = [] then fail (Printf.sprintf "no batches in %s" edits_path);
     let config = with_metrics config metrics_out in
     let obs =
       if config.Config.metrics then Some (Mclh_obs.Obs.create ()) else None
     in
     let t0 = Mclh_par.Clock.now () in
-    let session = Mclh_incr.Incr.create ~config ?obs design in
+    let session = guard (fun () -> Mclh_incr.Incr.create ~config ?obs design) in
     let initial_s = Mclh_par.Clock.now () -. t0 in
     Printf.printf "initial legalize : %d cells in %.3f s\n"
       (Design.num_cells design) initial_s;
@@ -663,7 +678,7 @@ let eco_cmd =
     and nonconverged = ref 0 in
     List.iteri
       (fun i batch ->
-        let st = Mclh_incr.Incr.apply session batch in
+        let st = guard (fun () -> Mclh_incr.Incr.apply session batch) in
         total_iters := !total_iters + st.Mclh_incr.Incr.solve_iterations;
         total_latency := !total_latency +. st.Mclh_incr.Incr.latency_s;
         if not st.Mclh_incr.Incr.converged then incr nonconverged;
@@ -1039,10 +1054,7 @@ let convert_cmd =
     Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   let run input output =
-    let design =
-      if Filename.check_suffix input ".aux" then Bookshelf.read ~aux:input
-      else Io.read_design ~path:input
-    in
+    let design = read_any_design input in
     if Filename.check_suffix output ".mclh" then begin
       Io.write_design ~path:output design;
       Printf.printf "wrote %s (native)\n" output
@@ -1085,12 +1097,7 @@ let serve_cmd =
       & opt int Serve.Server.default_config.Serve.Server.max_inflight
       & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
-  let no_coalesce_arg =
-    let doc = "Apply every edit batch individually instead of merging \
-               queued renumbering-free runs per session." in
-    Arg.(value & flag & info [ "no-coalesce" ] ~doc)
-  in
-  let run socket tcp max_sessions max_inflight no_coalesce config =
+  let run socket tcp max_sessions max_inflight config =
     let addr =
       match (socket, tcp) with
       | Some _, Some _ ->
@@ -1114,11 +1121,9 @@ let serve_cmd =
       | None, None -> Serve.Protocol.Unix_sock "/tmp/mclh.sock"
     in
     let config =
-      { Serve.Server.default_config with
-        Serve.Server.incr_config = { config with Config.metrics = true };
+      { Serve.Server.incr_config = { config with Config.metrics = true };
         max_sessions;
-        max_inflight;
-        coalesce = not no_coalesce }
+        max_inflight }
     in
     let srv = Serve.Server.create ~config () in
     let bound = Serve.Server.start srv addr in
@@ -1139,7 +1144,7 @@ let serve_cmd =
           Try: echo '{\"op\":\"ping\"}' | socat - UNIX:/tmp/mclh.sock")
     Term.(
       const run $ socket_arg $ tcp_arg $ max_sessions_arg $ max_inflight_arg
-      $ no_coalesce_arg $ solver_term)
+      $ solver_term)
 
 let () =
   let info =

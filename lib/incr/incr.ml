@@ -37,7 +37,6 @@ type t = {
   mutable legal : Placement.t;
   mutable batches : int;
   mutable solves : int;  (* session-global re-solve counter (trace names) *)
-  mutable last : stats option;
 }
 
 (* the cache never evicts individual entries (old solutions keep paying
@@ -340,8 +339,7 @@ let create ?(config = Config.default) ?obs design =
       s = flow.Flow.solver.Solver.modulus;
       legal = flow.Flow.legal;
       batches = 0;
-      solves = 0;
-      last = None }
+      solves = 0 }
   in
   (* seed the cache with every current shard's slice of the initial
      solution, so the first batch already hits on clean shards *)
@@ -357,7 +355,6 @@ let design t = t.design
 let legal t = Placement.copy t.legal
 let num_batches t = t.batches
 let cache_entries t = Hashtbl.length t.cache
-let last_stats t = t.last
 
 let busy t = Atomic.get t.in_apply
 
@@ -436,22 +433,18 @@ let apply_locked t edits =
   Obs.add obs "incr/cache_hits" out.r_hits;
   Obs.add obs "incr/solve_iterations" out.r_iter_sum;
   Obs.gauge obs "incr/mismatch" mismatch;
-  let stats =
-    { edits = List.length edits;
-      touched_cells;
-      dirty_components;
-      components = deco'.Decompose.num_components;
-      dirty_shards = out.r_misses;
-      shards = Array.length shards';
-      cache_hits = out.r_hits;
-      solve_iterations = out.r_iter_sum;
-      max_iterations = out.r_iter_max;
-      converged = out.r_converged;
-      mismatch;
-      latency_s }
-  in
-  t.last <- Some stats;
-  stats
+  { edits = List.length edits;
+    touched_cells;
+    dirty_components;
+    components = deco'.Decompose.num_components;
+    dirty_shards = out.r_misses;
+    shards = Array.length shards';
+    cache_hits = out.r_hits;
+    solve_iterations = out.r_iter_sum;
+    max_iterations = out.r_iter_max;
+    converged = out.r_converged;
+    mismatch;
+    latency_s }
 
 (* The session's mutable state (design/model/modulus/cache) is updated in
    place: two overlapping [apply] calls would interleave those writes and

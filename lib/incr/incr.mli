@@ -79,9 +79,6 @@ val num_batches : t -> int
 val cache_entries : t -> int
 (** Live solution-cache entries (the cache is capped; see [incr.ml]). *)
 
-val last_stats : t -> stats option
-(** Stats of the most recent {!apply} ([None] before the first). *)
-
 exception Busy
 (** Raised by {!apply} when another [apply] on the same session is still
     in flight (sessions are single-threaded on the outside; see

@@ -46,10 +46,6 @@ let num_chains t = Array.length t.chains
 let num_constraints t =
   Array.fold_left (fun acc c -> acc + Array.length c - 1) 0 t.chains
 
-let chain_of_var t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Blocks.chain_of_var: out of range";
-  if t.chain_of.(v) = -1 then None else Some t.chain_of.(v)
-
 let chain_vars t c = Array.copy t.chains.(c)
 
 let check_chain_range t ~lo ~hi name =

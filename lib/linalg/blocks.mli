@@ -30,9 +30,6 @@ val num_chains : t -> int
 val num_constraints : t -> int
 (** Total number of rows of [E]: sum over chains of (length - 1). *)
 
-val chain_of_var : t -> int -> int option
-(** Chain id containing the variable, if any. *)
-
 val chain_vars : t -> int -> int array
 (** Variables of chain [c], hub first. *)
 

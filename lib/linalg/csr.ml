@@ -131,17 +131,6 @@ let add_mul_vec t x acc =
     acc.(i) <- acc.(i) +. !s
   done
 
-let add_mul_vec_t t x acc =
-  if Array.length x <> t.nrows || Array.length acc <> t.ncols then
-    invalid_arg "Csr.add_mul_vec_t: dimension mismatch";
-  for i = 0 to t.nrows - 1 do
-    let xi = x.(i) in
-    if xi <> 0.0 then
-      for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-        let j = t.col_idx.(k) in
-        acc.(j) <- acc.(j) +. (t.values.(k) *. xi)
-      done
-  done
 
 let transpose t =
   let counts = Array.make (t.ncols + 1) 0 in

@@ -45,9 +45,6 @@ val mul_vec_t_into : t -> Vec.t -> Vec.t -> unit
 val add_mul_vec : t -> Vec.t -> Vec.t -> unit
 (** [add_mul_vec a x acc] updates [acc <- acc + A x]. *)
 
-val add_mul_vec_t : t -> Vec.t -> Vec.t -> unit
-(** [add_mul_vec_t a x acc] updates [acc <- acc + A^T x]. *)
-
 val transpose : t -> t
 
 val scale : float -> t -> t

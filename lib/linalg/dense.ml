@@ -31,9 +31,6 @@ let cols m = m.ncols
 let get m i j = m.data.((i * m.ncols) + j)
 let set m i j v = m.data.((i * m.ncols) + j) <- v
 
-let to_arrays m =
-  Array.init m.nrows (fun i -> Array.init m.ncols (fun j -> get m i j))
-
 let copy m = { m with data = Array.copy m.data }
 let transpose m = init m.ncols m.nrows (fun i j -> get m j i)
 

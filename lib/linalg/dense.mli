@@ -18,8 +18,6 @@ val of_arrays : float array array -> t
 (** Copies a rectangular array-of-rows. Raises [Invalid_argument] if the rows
     have uneven lengths. *)
 
-val to_arrays : t -> float array array
-
 val rows : t -> int
 val cols : t -> int
 

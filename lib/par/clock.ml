@@ -9,5 +9,3 @@ let timed f =
   let t0 = now () in
   let v = f () in
   (v, now () -. t0)
-
-let time_only f = snd (timed f)

@@ -12,6 +12,3 @@ val now : unit -> float
 val timed : (unit -> 'a) -> 'a * float
 (** [timed f] runs [f ()] and returns its result with the elapsed
     wall-clock seconds. *)
-
-val time_only : (unit -> 'a) -> float
-(** [timed] discarding the result. *)

@@ -15,11 +15,6 @@ let to_lcp (qp : Qp.t) =
   in
   Mclh_lcp.Lcp.make a q
 
-let split_solution (qp : Qp.t) z =
-  let n = Qp.num_vars qp and m = Qp.num_constraints qp in
-  if Vec.dim z <> n + m then invalid_arg "Kkt.split_solution: dimension";
-  (Array.sub z 0 n, Array.sub z n m)
-
 let kkt_residual (qp : Qp.t) ~x ~r =
   let u = Qp.gradient qp x in
   (* u = Qx + p - B^T r *)

@@ -13,10 +13,6 @@ open Mclh_linalg
 val to_lcp : Qp.t -> Mclh_lcp.Lcp.problem
 (** Assembles the explicit sparse KKT system matrix and right-hand side. *)
 
-val split_solution : Qp.t -> Vec.t -> Vec.t * Vec.t
-(** [split_solution qp z] splits an LCP solution [z] back into
-    [(x, r)]. Raises [Invalid_argument] if [z] has the wrong length. *)
-
 val kkt_residual : Qp.t -> x:Vec.t -> r:Vec.t -> float
 (** Infinity norm of the stationarity/complementarity residual of (7):
     the largest violation among [u = Qx + p - B^T r >= 0], [v = Bx - b >= 0],

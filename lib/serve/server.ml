@@ -16,9 +16,6 @@ type config = {
   incr_config : Config.t;
   max_sessions : int;
   max_inflight : int;
-  coalesce : bool;
-  max_coalesce : int;
-  keep_log : bool;
 }
 
 let default_config =
@@ -26,10 +23,10 @@ let default_config =
     incr_config = { Config.default with metrics = true };
     max_sessions = 64;
     max_inflight = 32;
-    coalesce = true;
-    max_coalesce = 64;
-    keep_log = true;
   }
+
+(* largest merged group of queued batches *)
+let max_coalesce = 64
 
 (* One queued edit batch plus the mailbox its requester blocks on. *)
 type pending = {
@@ -315,28 +312,25 @@ let await p =
    and closes the group — it only changes how *later* batches' ids
    resolve, so ids of everything merged still refer to the design at
    group start, which is what Incr.apply's batch semantics require. *)
-let take_group cfg q =
+let take_group q =
   if Queue.is_empty q then []
   else begin
     let first = Queue.pop q in
-    if not cfg.coalesce then [ first ]
-    else begin
-      let group = ref [ first ] in
-      let n = ref 1 in
-      let closed = ref first.renumbers in
-      while (not !closed) && !n < cfg.max_coalesce && not (Queue.is_empty q) do
-        let next = Queue.pop q in
-        group := next :: !group;
-        incr n;
-        if next.renumbers then closed := true
-      done;
-      List.rev !group
-    end
+    let group = ref [ first ] in
+    let n = ref 1 in
+    let closed = ref first.renumbers in
+    while (not !closed) && !n < max_coalesce && not (Queue.is_empty q) do
+      let next = Queue.pop q in
+      group := next :: !group;
+      incr n;
+      if next.renumbers then closed := true
+    done;
+    List.rev !group
   end
 
 let rec drain t s =
   Mutex.lock s.meta;
-  let group = take_group t.config s.pending in
+  let group = take_group s.pending in
   if group = [] then begin
     s.draining <- false;
     Condition.broadcast s.cond;
@@ -366,7 +360,7 @@ let rec drain t s =
       Mutex.lock s.meta;
       s.seq <- s.seq + 1;
       let seq = s.seq in
-      if t.config.keep_log then s.log <- (seq, merged) :: s.log;
+      s.log <- (seq, merged) :: s.log;
       Mutex.unlock s.meta;
       List.iter
         (fun p ->
@@ -436,28 +430,6 @@ let handle_edits t name batches =
 (* ------------------------------------------------------------------ *)
 (* server-level requests                                               *)
 
-let peak_rss_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go () =
-          match input_line ic with
-          | exception End_of_file -> None
-          | line ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-              try
-                Scanf.sscanf
-                  (String.sub line 6 (String.length line - 6))
-                  " %d"
-                  (fun kb -> Some kb)
-              with Scanf.Scan_failure _ | Failure _ -> None
-            else go ()
-        in
-        go ())
-
 let server_stats t =
   Protocol.Server_stats
     {
@@ -469,7 +441,7 @@ let server_stats t =
       coalesced = Atomic.get t.coalesced;
       errors = Atomic.get t.errors;
       uptime_s = Unix.gettimeofday () -. t.started_at;
-      peak_rss_kb = peak_rss_kb ();
+      peak_rss_kb = Obs.peak_rss_kb ();
     }
 
 let request_stop t =

@@ -33,8 +33,8 @@
 
     {2 Coalescing}
 
-    Consecutive queued batches for one session are merged into a single
-    {!Mclh_incr.Incr.apply} while the group so far contains only moves
+    Consecutive queued batches for one session (up to 64) are merged
+    into a single {!Mclh_incr.Incr.apply} while the group so far contains only moves
     and resizes; a batch containing an insert or delete renumbers cells
     (affecting how {e later} batches' ids resolve) so it may ride along
     last but closes its group. Every rider gets the same [seq] and
@@ -53,11 +53,6 @@ type config = {
   max_inflight : int;
       (** global admitted-edit-batch cap; [0] refuses every edit —
           useful for backpressure tests (default 32) *)
-  coalesce : bool;  (** merge queued batch runs (default [true]) *)
-  max_coalesce : int;  (** largest merged group (default 64) *)
-  keep_log : bool;
-      (** record the applied-batch log for the [log] query (default
-          [true]) *)
 }
 
 val default_config : config

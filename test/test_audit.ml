@@ -305,34 +305,125 @@ let test_scenario_names_roundtrip () =
 
 (* ---------- CLI smoke: exit codes, not crashes ---------- *)
 
-let cli =
-  List.find_opt Sys.file_exists
-    [ "../bin/mclh_cli.exe"; "_build/default/bin/mclh_cli.exe" ]
-  |> Option.value ~default:"../bin/mclh_cli.exe"
+(* the fence-dense scenario legalizes, and its 16-window gap report is
+   internally consistent *)
+let check_fence_dense_audit () =
+  let design = Filename.temp_file "mclh_fd" ".mclh" in
+  let placed = Filename.temp_file "mclh_fd" ".pl.mclh" in
+  let report = Filename.temp_file "mclh_fd" ".json" in
+  Alcotest.(check int) "fence-dense gen" 0
+    (Cli.run [ "gen"; "--scenario"; "fence-dense"; "-s"; "0.5"; "-o"; design ]);
+  Alcotest.(check int) "fence-dense legalizes" 0
+    (Cli.run [ "legalize"; "-i"; design; "-o"; placed ]);
+  Alcotest.(check int) "fence-dense audits" 0
+    (Cli.run
+       [ "audit"; "-i"; design; "-p"; placed; "--windows"; "16";
+         "--metrics-out"; report ]);
+  let r = Cli.read_json report in
+  List.iter Sys.remove [ design; placed; report ];
+  (match Mclh_obs.Run_report.validate r with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let counter name = Cli.int_at [ "counters"; "audit/" ^ name ] r in
+  let windows = counter "windows" in
+  Alcotest.(check bool) "windows sampled" true (windows > 0);
+  Alcotest.(check int) "every window has one outcome" windows
+    (counter "certified" + counter "gap" + counter "infeasible"
+   + counter "budget");
+  Alcotest.(check int) "no infeasible window" 0 (counter "infeasible");
+  let sub = Cli.member [ "sub_reports"; "audit/windows" ] r in
+  Alcotest.(check int) "sub-report sample count" windows
+    (Cli.int_at [ "sampled" ] sub);
+  (match Cli.member [ "windows" ] sub with
+  | Mclh_report.Json.List ws ->
+    Alcotest.(check int) "one entry per window" windows (List.length ws);
+    List.iter
+      (fun w ->
+        match Cli.member [ "status" ] w with
+        (* windows without an exact solution carry a null gap *)
+        | Mclh_report.Json.String ("infeasible" | "budget") -> ()
+        | _ ->
+          Alcotest.(check bool) "gap >= 0" true
+            (Cli.float_at [ "gap" ] w >= -1e-6))
+      ws
+  | _ -> Alcotest.fail "windows is not a list");
+  Alcotest.(check bool) "max gap >= 0" true
+    (Cli.float_at [ "gauges"; "audit/max_gap" ] r >= 0.0)
 
-let run_cli args =
-  let cmd = Filename.quote_command cli args in
-  Sys.command (cmd ^ " > /dev/null 2>&1")
+(* unreadable, malformed and mismatched user files, and edits the design
+   rejects, exit 1 with a message — never an uncaught exception (125) *)
+let check_bad_input_exits_1 () =
+  let tmp suffix = Filename.temp_file "mclh_bad" suffix in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let small = tmp ".mclh" and large = tmp ".mclh" and placed = tmp ".pl.mclh" in
+  Alcotest.(check int) "gen small" 0
+    (Cli.run [ "gen"; "-b"; "fft_2"; "-s"; "0.01"; "-o"; small ]);
+  Alcotest.(check int) "gen large" 0
+    (Cli.run [ "gen"; "-b"; "fft_1"; "-s"; "0.02"; "-o"; large ]);
+  Alcotest.(check int) "legalize small" 0
+    (Cli.run [ "legalize"; "-i"; small; "-o"; placed ]);
+  let truncated = tmp ".mclh" in
+  write truncated
+    (String.concat "\n"
+       (List.filteri (fun i _ -> i < 10)
+          (String.split_on_char '\n' (Cli.read_file small))));
+  let edits text =
+    let path = tmp ".edits" in
+    write path ("mclh-edits 1\n" ^ text ^ "\n");
+    path
+  in
+  let bad_number = edits "move 3 abc 2.5" and bad_cell = edits "move 99999 4 2" in
+  let converted = tmp ".mclh" in
+  List.iter
+    (fun (what, args) ->
+      let code, err = Cli.run_stderr args in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      Alcotest.(check bool) (what ^ " explains itself") true
+        (err <> "" && not (Cli.contains err "uncaught exception")))
+    [ ("missing design", [ "legalize"; "-i"; "/nonexistent" ]);
+      ("truncated design", [ "legalize"; "-i"; truncated ]);
+      ("placement of another design", [ "check"; "-i"; large; "-p"; placed ]);
+      ("missing bookshelf", [ "stats"; "-i"; "/nope.aux" ]);
+      ("missing convert input", [ "convert"; "-i"; "/nope.mclh"; "-o"; converted ]);
+      ("missing edits file", [ "eco"; "-i"; small; "-e"; "/nope.edits" ]);
+      ("malformed edit", [ "eco"; "-i"; small; "-e"; bad_number ]);
+      ("out-of-range edit", [ "eco"; "-i"; small; "-e"; bad_cell ]) ];
+  List.iter Sys.remove
+    [ small; large; placed; truncated; bad_number; bad_cell; converted ]
 
 let test_cli_exit_codes () =
-  if not (Sys.file_exists cli) then Alcotest.skip ()
+  if not (Cli.available ()) then Alcotest.skip ()
   else begin
-    Alcotest.(check int) "oversub scenario exits 2 (typed, not a crash)" 2
-      (run_cli [ "run"; "--scenario"; "oversub"; "-s"; "1"; "-a"; "tetris" ]);
+    (* an over-capacity design is a typed report + exit 2 under every
+       algorithm, not a crash *)
+    List.iter
+      (fun alg ->
+        let alg = Runner.name alg in
+        let code, err =
+          Cli.run_stderr [ "run"; "--scenario"; "oversub"; "-s"; "1"; "-a"; alg ]
+        in
+        Alcotest.(check int) ("oversub exits 2 under " ^ alg) 2 code;
+        Alcotest.(check bool) ("oversub reports unplaced cells under " ^ alg) true
+          (Cli.contains err "could not be legally placed"))
+      Runner.all;
     Alcotest.(check int) "fence-oversub exits 2 under mmsim" 2
-      (run_cli [ "run"; "--scenario"; "fence-oversub"; "-s"; "0.25" ]);
+      (Cli.run [ "run"; "--scenario"; "fence-oversub"; "-s"; "0.25" ]);
     Alcotest.(check int) "audit runs clean on a feasible design" 0
-      (run_cli [ "audit"; "-b"; "fft_2"; "-s"; "0.008"; "--windows"; "4" ]);
+      (Cli.run [ "audit"; "-b"; "fft_2"; "-s"; "0.008"; "--windows"; "4" ]);
     Alcotest.(check int) "unknown scenario exits 1" 1
-      (run_cli [ "run"; "--scenario"; "bogus" ]);
+      (Cli.run [ "run"; "--scenario"; "bogus" ]);
     (* fence-cross cannot pack its fences at the default scale: the
        generator's failure is a clean exit 1, not an escaped exception *)
     Alcotest.(check int) "generator failure exits 1" 1
-      (run_cli [ "run"; "--scenario"; "fence-cross" ]);
+      (Cli.run [ "run"; "--scenario"; "fence-cross" ]);
     (* a refine window straddling a blockage must not be packed onto it *)
     Alcotest.(check int) "refine next to blockages exits 0" 0
-      (run_cli
-         [ "pipeline"; "-b"; "des_perf_1"; "-s"; "0.02"; "--blockages"; "0.1" ])
+      (Cli.run
+         [ "pipeline"; "-b"; "des_perf_1"; "-s"; "0.02"; "--blockages"; "0.1" ]);
+    check_fence_dense_audit ();
+    check_bad_input_exits_1 ()
   end
 
 let () =

@@ -1,8 +1,10 @@
 (* Tests for the per-shard backend chooser: both backends (chain-free
    projection, accelerated MMSIM) land on the plain run-to-convergence
-   MMSIM solution; the des_perf_1 non-convergence fix
-   stays fixed; and --strict-convergence turns silent budget exhaustion
-   into a non-zero exit. *)
+   MMSIM solution; the des_perf_1 non-convergence fix stays fixed, and
+   Auto cuts plain MMSIM's iterations at least 3x on des_perf_1 and
+   matrix_mult_1 with the same snapped placement; and
+   --strict-convergence turns silent budget exhaustion into a non-zero
+   exit. *)
 
 open Mclh_core
 open Mclh_linalg
@@ -136,32 +138,55 @@ let test_des_perf_1_converges () =
     true
     (res.Solver.iterations_total * 3 < Config.default.Config.max_iter)
 
+(* plain MMSIM, its budget raised until it converges, against the Auto
+   chooser on the two slowest-contracting benchmarks: Auto cuts the
+   iteration total at least 3x, and after the snapping stage both give
+   the same placement *)
+let test_auto_cuts_plain_iterations () =
+  List.iter
+    (fun name ->
+      let d, model = model_of ~scale:0.04 name in
+      let plain =
+        Solver.solve
+          ~config:
+            { Config.default with backend = Config.Plain; max_iter = 2_000_000 }
+          model
+      in
+      let auto = Solver.solve model in
+      Alcotest.(check bool) (name ^ ": plain converged") true plain.Solver.converged;
+      Alcotest.(check bool) (name ^ ": auto converged") true auto.Solver.converged;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d plain vs %d auto iterations, >= 3x cut" name
+           plain.Solver.iterations_total auto.Solver.iterations_total)
+        true
+        (plain.Solver.iterations_total >= 3 * auto.Solver.iterations_total);
+      let snapped res =
+        (Tetris_alloc.run d (Model.placement_of model res.Solver.x))
+          .Tetris_alloc.placement
+          .Mclh_circuit.Placement.xs
+      in
+      Alcotest.(check bool) (name ^ ": same post-snap placement") true
+        (Vec.dist_inf (snapped plain) (snapped auto) <= 1e-9))
+    [ "des_perf_1"; "matrix_mult_1" ]
+
 (* ---------- CLI --strict-convergence ---------- *)
 
-let cli =
-  (* dune runtest runs from _build/default/test; dune exec from the root *)
-  List.find_opt Sys.file_exists
-    [ "../bin/mclh_cli.exe"; "_build/default/bin/mclh_cli.exe" ]
-  |> Option.value ~default:"../bin/mclh_cli.exe"
-
-let run_cli args =
-  let cmd = Filename.quote_command cli args in
-  Sys.command (cmd ^ " > /dev/null 2>&1")
-
 let test_cli_strict_convergence () =
-  if not (Sys.file_exists cli) then Alcotest.skip ()
-  else begin
-    let starved = [ "run"; "-b"; "fft_2"; "-s"; "0.02"; "--max-iter"; "3" ] in
-    (* a starved budget cannot converge: warn-only without the flag... *)
-    Alcotest.(check int) "non-convergence alone still exits 0" 0
-      (run_cli starved);
-    (* ...and exit 3 (distinct from exit 2 = illegal placement) with it *)
-    Alcotest.(check int) "strict turns it into exit 3" 3
-      (run_cli (starved @ [ "--strict-convergence" ]));
-    Alcotest.(check int) "strict passes on a converging run" 0
-      (run_cli
-         [ "run"; "-b"; "fft_2"; "-s"; "0.02"; "--strict-convergence" ])
-  end
+  if not (Cli.available ()) then Alcotest.skip ()
+  else
+    List.iter
+      (fun (bench, scale) ->
+        let run = [ "run"; "-b"; bench; "-s"; scale ] in
+        let starved = run @ [ "--max-iter"; "3" ] in
+        (* a starved budget cannot converge: warn-only without the flag... *)
+        Alcotest.(check int) (bench ^ ": non-convergence alone still exits 0") 0
+          (Cli.run starved);
+        (* ...and exit 3 (distinct from exit 2 = illegal placement) with it *)
+        Alcotest.(check int) (bench ^ ": strict turns it into exit 3") 3
+          (Cli.run (starved @ [ "--strict-convergence" ]));
+        Alcotest.(check int) (bench ^ ": strict passes on a converging run") 0
+          (Cli.run (run @ [ "--strict-convergence" ])))
+      [ ("fft_2", "0.02"); ("des_perf_1", "0.04") ]
 
 let () =
   Alcotest.run "backend"
@@ -172,7 +197,9 @@ let () =
         [ QCheck_alcotest.to_alcotest qc_chooser_matches_plain_baseline ] );
       ( "regression",
         [ Alcotest.test_case "des_perf_1 converges in budget/3" `Quick
-            test_des_perf_1_converges ] );
+            test_des_perf_1_converges;
+          Alcotest.test_case "auto 3x fewer iterations than plain" `Slow
+            test_auto_cuts_plain_iterations ] );
       ( "cli",
         [ Alcotest.test_case "--strict-convergence" `Quick
             test_cli_strict_convergence ] ) ]

@@ -1,5 +1,5 @@
-(* Tests for the conjugate-gradient solver and the analytical global
-   placer. *)
+(* Tests for the conjugate-gradient solver, the analytical global
+   placer, and the `mclh pipeline` command built on it. *)
 
 open Mclh_linalg
 open Mclh_circuit
@@ -300,6 +300,41 @@ let test_eco_bridge_round_trip () =
       Alcotest.(check int) "batch size" (List.length b1) (List.length b2))
     batches back
 
+(* ---------- CLI: mclh pipeline ---------- *)
+
+let test_cli_pipeline () =
+  if not (Cli.available ()) then Alcotest.skip ()
+  else begin
+    let placed = Filename.temp_file "mclh_pipeline" ".pl.mclh" in
+    let report = Filename.temp_file "mclh_pipeline" ".json" in
+    Alcotest.(check int) "pipeline exits 0" 0
+      (Cli.run
+         [ "pipeline"; "-b"; "fft_2"; "-s"; "0.02"; "--blockages"; "0.15";
+           "--metrics-out"; report; "-o"; placed ]);
+    let r = Cli.read_json report in
+    List.iter Sys.remove [ placed; report ];
+    (match Mclh_obs.Run_report.validate r with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    Alcotest.(check bool) "gp rounds" true
+      (Cli.int_at [ "counters"; "gp/rounds" ] r > 0);
+    Alcotest.(check bool) "gp cg iterations" true
+      (Cli.int_at [ "counters"; "gp/cg_iterations" ] r > 0);
+    let spans = Cli.keys [ "spans_s" ] r in
+    List.iter
+      (fun span -> Alcotest.(check bool) (span ^ " span") true (List.mem span spans))
+      [ "gp/place"; "pipeline/gp"; "pipeline/legalize"; "pipeline/refine" ];
+    Alcotest.(check bool) "gp/overflow trace" true
+      (List.mem "gp/overflow" (Cli.keys [ "traces" ] r));
+    Alcotest.(check bool) "final overflow <= 15%" true
+      (Cli.float_at [ "gauges"; "gp/final_overflow" ] r <= 0.15);
+    Alcotest.(check bool) "legal" true
+      (Cli.member [ "meta"; "legal" ] r = Mclh_report.Json.Bool true);
+    (* the legalizer gets an honest, heavily overlapping input *)
+    Alcotest.(check bool) "at least 100 illegal cells before legalization" true
+      (Cli.int_at [ "meta"; "illegal_pre" ] r >= 100)
+  end
+
 let () =
   Alcotest.run "gp"
     [ ( "cg",
@@ -323,4 +358,6 @@ let () =
           Alcotest.test_case "poisson residual" `Quick
             test_density_poisson_residual ] );
       ( "eco-bridge",
-        [ Alcotest.test_case "round trip" `Quick test_eco_bridge_round_trip ] ) ]
+        [ Alcotest.test_case "round trip" `Quick test_eco_bridge_round_trip ] );
+      ( "cli",
+        [ Alcotest.test_case "pipeline --metrics-out" `Quick test_cli_pipeline ] ) ]

@@ -230,6 +230,44 @@ let test_solver_s0_restart () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "wrong s0 dimension must raise"
 
+(* ---------- CLI: one ECO session end to end ---------- *)
+
+let test_cli_eco_session () =
+  if not (Cli.available ()) then Alcotest.skip ()
+  else begin
+    let design = Filename.temp_file "mclh_eco" ".mclh" in
+    let edits = Filename.temp_file "mclh_eco" ".edits" in
+    let placed = Filename.temp_file "mclh_eco" ".pl.mclh" in
+    let report = Filename.temp_file "mclh_eco" ".json" in
+    Alcotest.(check int) "gen" 0
+      (Cli.run
+         [ "gen"; "-b"; "fft_2"; "-s"; "0.02"; "--blockages"; "0.15"; "-o";
+           design ]);
+    Out_channel.with_open_bin edits (fun oc ->
+        output_string oc
+          "mclh-edits 1\nmove 3 40 2.5\nmove 17 80 5\nresize 9 7\n\
+           insert 6 2 30 4\ndelete 5\n");
+    Alcotest.(check int) "eco --verify exits 0" 0
+      (Cli.run
+         [ "eco"; "-i"; design; "-e"; edits; "--verify"; "--metrics-out"; report;
+           "-o"; placed ]);
+    let r = Cli.read_json report in
+    List.iter Sys.remove [ design; edits; placed; report ];
+    Alcotest.(check bool) "legal" true
+      (Cli.member [ "meta"; "legal" ] r = Mclh_report.Json.Bool true);
+    let counter name = Cli.int_at [ "counters"; name ] r in
+    Alcotest.(check int) "one batch" 1 (counter "incr/batches");
+    Alcotest.(check int) "five edits" 5 (counter "incr/edits");
+    Alcotest.(check bool) "cache hits counted" true
+      (List.mem "incr/cache_hits" (Cli.keys [ "counters" ] r));
+    Alcotest.(check bool) "dirty shards re-solved" true
+      (counter "incr/dirty_shards" > 0);
+    Alcotest.(check bool) "incr/solve span" true
+      (List.mem "incr/solve" (Cli.keys [ "spans_s" ] r));
+    Alcotest.(check bool) "warm-start trace" true
+      (List.exists (Cli.has_prefix "incr/solve") (Cli.keys [ "traces" ] r))
+  end
+
 let () =
   Alcotest.run "incr"
     [ ( "edits",
@@ -251,5 +289,8 @@ let () =
             test_insert_delete_roundtrip;
           Alcotest.test_case "bad edits raise" `Quick test_bad_edits_raise;
           Alcotest.test_case "obs counters" `Quick test_obs_counters ] );
+      ( "cli",
+        [ Alcotest.test_case "eco --verify --metrics-out" `Quick
+            test_cli_eco_session ] );
       ( "solver",
         [ Alcotest.test_case "?s0 restart" `Quick test_solver_s0_restart ] ) ]

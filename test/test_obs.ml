@@ -428,40 +428,29 @@ let test_fenced_runner_report () =
 
 (* ---------- CLI --metrics-out ---------- *)
 
-let cli =
-  List.find_opt Sys.file_exists
-    [ "../bin/mclh_cli.exe"; "_build/default/bin/mclh_cli.exe" ]
-  |> Option.value ~default:"../bin/mclh_cli.exe"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_cli_metrics_out () =
-  if not (Sys.file_exists cli) then Alcotest.skip ()
+  if not (Cli.available ()) then Alcotest.skip ()
   else begin
     let out = Filename.temp_file "mclh_metrics" ".json" in
-    let cmd =
-      Filename.quote_command cli
-        [ "run"; "-b"; "fft_2"; "-s"; "0.005"; "--metrics-out"; out ]
-    in
-    Alcotest.(check int) "cli exit" 0 (Sys.command (cmd ^ " > /dev/null 2>&1"));
-    (match Json.of_string (read_file out) with
-    | Error e -> Alcotest.fail ("report does not parse: " ^ e)
-    | Ok json -> (
-      (match Run_report.validate json with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      match (Json.member "meta" json, Json.member "spans_s" json) with
-      | Some meta, Some (Json.Obj spans) ->
-        Alcotest.(check bool) "meta names the design" true
-          (Json.member "design" meta = Some (Json.String "fft_2"));
-        Alcotest.(check bool) "stage spans present" true
-          (List.mem_assoc "flow/total" spans)
-      | _ -> Alcotest.fail "meta/spans_s missing"));
-    Sys.remove out
+    Alcotest.(check int) "cli exit" 0
+      (Cli.run [ "run"; "-b"; "fft_2"; "-s"; "0.005"; "--metrics-out"; out ]);
+    let json = Cli.read_json out in
+    Sys.remove out;
+    (match Run_report.validate json with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    Alcotest.(check bool) "meta names the design" true
+      (Cli.member [ "meta"; "design" ] json = Json.String "fft_2");
+    Alcotest.(check bool) "stage spans present" true
+      (List.mem "flow/total" (Cli.keys [ "spans_s" ] json));
+    Alcotest.(check bool) "solver counters present" true
+      (List.exists (Cli.has_prefix "solver/") (Cli.keys [ "counters" ] json));
+    Alcotest.(check bool) "convergence traces recorded" true
+      (Cli.keys [ "traces" ] json <> []);
+    (* peak RSS is read from procfs, and absent without it *)
+    if Sys.file_exists "/proc/self/status" then
+      Alcotest.(check bool) "peak RSS recorded" true
+        (Cli.float_at [ "gauges"; "mem/peak_rss_kb" ] json > 0.0)
   end
 
 let () =

@@ -3,11 +3,6 @@
 
 open Mclh_report
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* ---------- Table ---------- *)
 
 let test_table_render () =
@@ -21,11 +16,12 @@ let test_table_render () =
   Table.add_separator t;
   Table.add_row t [ "total"; "22223" ];
   let s = Table.render t in
-  Alcotest.(check bool) "has header" true (contains s "name");
-  Alcotest.(check bool) "has rule" true (contains s "---");
-  Alcotest.(check bool) "has rows" true (contains s "alpha" && contains s "22223");
+  Alcotest.(check bool) "has header" true (Cli.contains s "name");
+  Alcotest.(check bool) "has rule" true (Cli.contains s "---");
+  Alcotest.(check bool) "has rows" true
+    (Cli.contains s "alpha" && Cli.contains s "22223");
   (* right alignment pads the short value *)
-  Alcotest.(check bool) "right aligned" true (contains s "     1");
+  Alcotest.(check bool) "right aligned" true (Cli.contains s "     1");
   (* all lines of the body have equal length *)
   let lines = String.split_on_char '\n' s |> List.filter (( <> ) "") in
   let lens = List.map String.length lines in
@@ -70,34 +66,24 @@ let test_csv_file () =
 
 (* ---------- CLI end to end ---------- *)
 
-let cli =
-  (* dune runtest runs from _build/default/test; dune exec from the root *)
-  List.find_opt Sys.file_exists
-    [ "../bin/mclh_cli.exe"; "_build/default/bin/mclh_cli.exe" ]
-  |> Option.value ~default:"../bin/mclh_cli.exe"
-
-let run_cli args =
-  let cmd = Filename.quote_command cli args in
-  Sys.command (cmd ^ " > /dev/null 2>&1")
-
 let test_cli_available () =
-  if not (Sys.file_exists cli) then
+  if not (Cli.available ()) then
     Alcotest.skip ()
-  else Alcotest.(check int) "list" 0 (run_cli [ "list" ])
+  else Alcotest.(check int) "list" 0 (Cli.run [ "list" ])
 
 let test_cli_roundtrip () =
-  if not (Sys.file_exists cli) then Alcotest.skip ()
+  if not (Cli.available ()) then Alcotest.skip ()
   else begin
     let design = Filename.temp_file "mclh_cli" ".mclh" in
     let placed = Filename.temp_file "mclh_cli" ".pl.mclh" in
     Alcotest.(check int) "gen" 0
-      (run_cli [ "gen"; "-b"; "fft_a"; "-s"; "0.005"; "-o"; design ]);
+      (Cli.run [ "gen"; "-b"; "fft_a"; "-s"; "0.005"; "-o"; design ]);
     Alcotest.(check int) "legalize" 0
-      (run_cli [ "legalize"; "-i"; design; "-a"; "mmsim"; "-o"; placed ]);
+      (Cli.run [ "legalize"; "-i"; design; "-a"; "mmsim"; "-o"; placed ]);
     (* check exits 0 only for a legal placement *)
     Alcotest.(check int) "check" 0
-      (run_cli [ "check"; "-i"; design; "-p"; placed ]);
-    Alcotest.(check int) "stats" 0 (run_cli [ "stats"; "-i"; design ]);
+      (Cli.run [ "check"; "-i"; design; "-p"; placed ]);
+    Alcotest.(check int) "stats" 0 (Cli.run [ "stats"; "-i"; design ]);
     Sys.remove design;
     Sys.remove placed
   end
@@ -118,7 +104,7 @@ let test_json_nesting_bomb () =
       | Ok _ -> Alcotest.fail "nesting bomb parsed"
       | Error msg ->
         Alcotest.(check bool) "error names the depth cap" true
-          (contains msg "nesting"))
+          (Cli.contains msg "nesting"))
     bombs;
   (* nesting below the cap still parses *)
   let deep n = String.make n '[' ^ "7" ^ String.make n ']' in
@@ -130,12 +116,12 @@ let test_json_nesting_bomb () =
   | Error _ -> ()
 
 let test_cli_rejects_unknown () =
-  if not (Sys.file_exists cli) then Alcotest.skip ()
+  if not (Cli.available ()) then Alcotest.skip ()
   else begin
     Alcotest.(check bool) "unknown bench fails" true
-      (run_cli [ "run"; "-b"; "nonexistent" ] <> 0);
+      (Cli.run [ "run"; "-b"; "nonexistent" ] <> 0);
     Alcotest.(check bool) "unknown alg fails" true
-      (run_cli [ "run"; "-b"; "fft_a"; "-a"; "nope" ] <> 0)
+      (Cli.run [ "run"; "-b"; "fft_a"; "-a"; "nope" ] <> 0)
   end
 
 let () =

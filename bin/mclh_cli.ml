@@ -71,8 +71,8 @@ let report_of design (r : Runner.report) =
       f.Flow.solver.Solver.converged;
     let bs = f.Flow.solver.Solver.backends in
     Printf.bprintf b
-      "backends         : chain_free %d, accel %d, plain %d (fallbacks %d)\n"
-      bs.Solver.chain_free bs.Solver.accel bs.Solver.plain bs.Solver.fallbacks;
+      "backends         : accel %d, plain %d (fallbacks %d)\n"
+      bs.Solver.accel bs.Solver.plain bs.Solver.fallbacks;
     Printf.bprintf b "subcell mismatch : %.2e sites\n" f.Flow.solver.Solver.mismatch;
     Printf.bprintf b "illegal pre-fix  : %d\n" (Flow.illegal_after_mmsim f);
     Printf.bprintf b "order preserved  : %.4f\n"
@@ -100,6 +100,23 @@ let report_of design (r : Runner.report) =
   Buffer.contents b
 
 (* ---- common arguments ---- *)
+
+(* [base] restricted to the values [ok] accepts: a bad value is a command
+   line error (exit 124 with the message), like any malformed flag *)
+let checked base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_float =
+  checked Arg.float ~expected:"a positive finite number" (fun x ->
+      x > 0.0 && Float.is_finite x)
+
+let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
 
 let alg_arg =
   let alts = String.concat ", " (List.map Runner.name Runner.all) in
@@ -151,7 +168,7 @@ let generator_term =
   in
   let scale_arg =
     let doc = "Scale factor applied to the published cell counts." in
-    Arg.(value & opt float 0.02 & info [ "scale"; "s" ] ~docv:"S" ~doc)
+    Arg.(value & opt positive_float 0.02 & info [ "scale"; "s" ] ~docv:"S" ~doc)
   in
   let seed_arg =
     let doc = "Generator seed." in
@@ -248,8 +265,11 @@ let solver_term =
       & opt int Config.default.Config.max_iter
       & info [ "max-iter" ] ~docv:"N" ~doc)
   in
-  let make lambda eps max_iter = { Config.default with lambda; eps; max_iter } in
-  Term.(const make $ lambda_arg $ eps_arg $ max_iter_arg)
+  (* [Config.validate] rejects a bad value while the command line parses *)
+  let make lambda eps max_iter =
+    Config.validate { Config.default with lambda; eps; max_iter }
+  in
+  Term.(cli_parse_result' (const make $ lambda_arg $ eps_arg $ max_iter_arg))
 
 let metrics_out_arg =
   let doc =
@@ -609,7 +629,7 @@ let stats_cmd =
     Printf.printf "bin grid      : %d x %d\n" m.Density.bins_x m.Density.bins_y;
     Printf.printf "utilization   : mean %.3f, max %.3f\n" o.Density.mean_utilization
       o.Density.max_utilization;
-    Printf.printf "overflow      : %d bins over 100%%, ratio %.4f\n"
+    Printf.printf "overflow      : %d bins over capacity, ratio %.4f\n"
       o.Density.overflowed_bins o.Density.overflow_ratio;
     let rows = Density.row_utilization design placement in
     let worst = Array.fold_left Float.max 0.0 rows in
@@ -765,14 +785,14 @@ let gp_options_term =
     let doc = "Maximum global-placement rounds." in
     Arg.(
       value
-      & opt int Mclh_gp.Gp.default_options.Mclh_gp.Gp.iterations
+      & opt positive_int Mclh_gp.Gp.default_options.Mclh_gp.Gp.iterations
       & info [ "gp-rounds" ] ~docv:"N" ~doc)
   in
   let target_density_arg =
     let doc = "Target utilization per density bin." in
     Arg.(
       value
-      & opt float Mclh_gp.Gp.default_options.Mclh_gp.Gp.target_density
+      & opt positive_float Mclh_gp.Gp.default_options.Mclh_gp.Gp.target_density
       & info [ "target-density" ] ~docv:"D" ~doc)
   in
   let stop_overflow_arg =
@@ -790,7 +810,11 @@ let gp_options_term =
       "Density bins per side (a power of two; default picked from the cell \
        count)."
     in
-    Arg.(value & opt (some int) None & info [ "grid" ] ~docv:"M" ~doc)
+    let power_of_two =
+      checked Arg.int ~expected:"a power of two" (fun m ->
+          m > 0 && m land (m - 1) = 0)
+    in
+    Arg.(value & opt (some power_of_two) None & info [ "grid" ] ~docv:"M" ~doc)
   in
   let make iterations target_density stop_overflow grid =
     { Mclh_gp.Gp.default_options with

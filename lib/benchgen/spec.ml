@@ -37,7 +37,8 @@ let find name = List.find (fun s -> s.name = name) all
 let names = List.map (fun s -> s.name) all
 
 let scaled factor spec =
-  if factor <= 0.0 then invalid_arg "Spec.scaled: factor must be positive";
+  if not (factor > 0.0 && Float.is_finite factor) then
+    invalid_arg "Spec.scaled: factor must be positive and finite";
   let scale count = int_of_float (Float.round (float_of_int count *. factor)) in
   { spec with
     singles = max 1 (scale spec.singles);

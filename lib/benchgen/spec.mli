@@ -27,4 +27,5 @@ val scaled : float -> t -> t
 (** [scaled factor spec] multiplies both cell counts by [factor] (at least
     one single cell; doubles may scale to zero only if the original count
     was zero). Density and HPWL are unchanged — density is a ratio and the
-    generator sizes the chip from it. *)
+    generator sizes the chip from it.
+    @raise Invalid_argument unless [factor] is positive and finite. *)

@@ -4,6 +4,8 @@ type map = {
   bin_w : float;
   bin_h : float;
   utilization : float array;
+  cell_area : float array;
+  blocked_area : float array;
 }
 
 (* overlap of [a0, a1) with [b0, b1) *)
@@ -65,7 +67,8 @@ let map ?bins_x ?bins_y (d : Design.t) (pl : Placement.t) =
         let free = bin_area -. blocked.(k) in
         if free <= 1e-9 then 0.0 else used.(k) /. free)
   in
-  { bins_x; bins_y; bin_w; bin_h; utilization }
+  { bins_x; bins_y; bin_w; bin_h; utilization; cell_area = used;
+    blocked_area = blocked }
 
 let get m ix iy =
   if ix < 0 || ix >= m.bins_x || iy < 0 || iy >= m.bins_y then
@@ -79,28 +82,36 @@ type overflow = {
   overflowed_bins : int;
 }
 
-let overflow ?(limit = 1.0) m =
-  let n = Array.length m.utilization in
-  if n = 0 then
-    { max_utilization = 0.0; mean_utilization = 0.0; overflow_ratio = 0.0;
-      overflowed_bins = 0 }
+(* a bin's capacity: its area at the target density, less what is
+   blocked *)
+let capacity ~target ~bin_area blocked = Float.max 0.0 ((target *. bin_area) -. blocked)
+
+let area_overflow ~target ~bin_area ~cell_area ~blocked_area ~total =
+  if total <= 0.0 then 0.0
   else begin
-    let total = ref 0.0 and above = ref 0.0 in
-    let max_u = ref 0.0 and over_bins = ref 0 in
-    Array.iter
-      (fun u ->
-        total := !total +. u;
-        if u > !max_u then max_u := u;
-        if u > limit then begin
-          incr over_bins;
-          above := !above +. (u -. limit)
-        end)
-      m.utilization;
-    { max_utilization = !max_u;
-      mean_utilization = !total /. float_of_int n;
-      overflow_ratio = (if !total > 0.0 then !above /. !total else 0.0);
-      overflowed_bins = !over_bins }
+    let over = ref 0.0 in
+    for k = 0 to Array.length cell_area - 1 do
+      let cap = capacity ~target ~bin_area blocked_area.(k) in
+      over := !over +. Float.max 0.0 (cell_area.(k) -. cap)
+    done;
+    !over /. total
   end
+
+(* a map has at least one bin *)
+let overflow ?(limit = 1.0) m =
+  let sum = Array.fold_left ( +. ) 0.0 in
+  let bin_area = m.bin_w *. m.bin_h in
+  let over_bins = ref 0 in
+  Array.iteri
+    (fun k a ->
+      if a > capacity ~target:limit ~bin_area m.blocked_area.(k) then incr over_bins)
+    m.cell_area;
+  { max_utilization = Array.fold_left Float.max 0.0 m.utilization;
+    mean_utilization = sum m.utilization /. float_of_int (Array.length m.utilization);
+    overflow_ratio =
+      area_overflow ~target:limit ~bin_area ~cell_area:m.cell_area
+        ~blocked_area:m.blocked_area ~total:(sum m.cell_area);
+    overflowed_bins = !over_bins }
 
 let row_utilization (d : Design.t) (pl : Placement.t) =
   let chip = d.Design.chip in

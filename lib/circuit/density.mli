@@ -12,6 +12,8 @@ type map = private {
   bin_w : float;  (** bin width in sites *)
   bin_h : float;  (** bin height in rows *)
   utilization : float array;  (** row-major [bins_x * bins_y], in [0, inf) *)
+  cell_area : float array;  (** cell area per bin, row-major *)
+  blocked_area : float array;  (** blockage area per bin, row-major *)
 }
 
 val map : ?bins_x:int -> ?bins_y:int -> Design.t -> Placement.t -> map
@@ -23,16 +25,30 @@ val map : ?bins_x:int -> ?bins_y:int -> Design.t -> Placement.t -> map
 val get : map -> int -> int -> float
 (** [get m ix iy]. *)
 
+val area_overflow :
+  target:float ->
+  bin_area:float ->
+  cell_area:float array ->
+  blocked_area:float array ->
+  total:float ->
+  float
+(** The one definition of density overflow: the cell area above each
+    bin's capacity [max 0 (target * bin_area - blocked_area.(k))],
+    summed in bin order and divided by [total] (the cell area being
+    spread); 0 when [total <= 0]. Both {!overflow} and the global
+    placer's stopping rule use it, each over its own bin grid. *)
+
 type overflow = {
   max_utilization : float;
   mean_utilization : float;
   overflow_ratio : float;
-      (** fraction of total cell area sitting above the [limit] in its bin *)
-  overflowed_bins : int;  (** bins with utilization above the limit *)
+      (** {!area_overflow} at target [limit], over the cell area inside
+          the chip *)
+  overflowed_bins : int;  (** bins whose cell area exceeds their capacity *)
 }
 
 val overflow : ?limit:float -> map -> overflow
-(** Overflow statistics at a utilization [limit] (default 1.0). *)
+(** Overflow statistics at a target density [limit] (default 1.0). *)
 
 val row_utilization : Design.t -> Placement.t -> float array
 (** Per-row fraction of free sites covered by cells (blockage sites

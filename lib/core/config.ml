@@ -4,11 +4,9 @@ type t = {
   lambda : float;
   beta : float;
   theta : float;
-  gamma : float;
   eps : float;
   max_iter : int;
   backend : backend;
-  direct_tol : float;
   verify_bound : bool;
   warm_start : bool;
   num_domains : int;
@@ -27,11 +25,9 @@ let default =
   { lambda = 1000.0;
     beta = 0.5;
     theta = 0.5;
-    gamma = 2.0;
     eps = 3e-3;
     max_iter = 10_000;
     backend = Auto;
-    direct_tol = 1e-9;
     verify_bound = false;
     warm_start = true;
     num_domains = Mclh_par.Pool.default_num_domains ();
@@ -40,12 +36,11 @@ let default =
     progress = false }
 
 let validate t =
-  if t.lambda <= 0.0 then Error "lambda must be positive"
+  let positive x = x > 0.0 && Float.is_finite x in
+  if not (positive t.lambda) then Error "lambda must be positive and finite"
   else if not (t.beta > 0.0 && t.beta < 2.0) then Error "beta must lie in (0, 2)"
-  else if t.theta <= 0.0 then Error "theta must be positive"
-  else if t.gamma <= 0.0 then Error "gamma must be positive"
-  else if t.eps <= 0.0 then Error "eps must be positive"
+  else if not (positive t.theta) then Error "theta must be positive and finite"
+  else if not (positive t.eps) then Error "eps must be positive and finite"
   else if t.max_iter <= 0 then Error "max_iter must be positive"
-  else if t.direct_tol <= 0.0 then Error "direct_tol must be positive"
   else if t.num_domains < 1 then Error "num_domains must be >= 1"
   else Ok t

@@ -4,41 +4,39 @@
     [beta = theta = 0.5].
 
     This record is the {b single source} for solver tolerances and
-    budgets: every backend the per-shard chooser can pick (plain MMSIM,
-    accelerated MMSIM, the chain-free direct solve) receives its stopping
-    tolerance and iteration budget from here — the module-local defaults
-    of {!Mclh_lcp.Mmsim.default_options} ([eps = 1e-9]) and
+    budgets: every MMSIM run the per-shard chooser makes (plain or
+    accelerated) receives its stopping tolerance and iteration budget
+    from here — the module-local defaults of
+    {!Mclh_lcp.Mmsim.default_options} ([eps = 1e-9]) and
     {!Mclh_lcp.Pgs.default_options} ([eps = 1e-10]) are for direct
-    library use and tests only, never consulted on the production path,
-    so the chooser always compares backends like with like. *)
+    library use and tests only, so the chooser always compares attempts
+    like with like. The one MMSIM option not set here is the modulus
+    scaling [gamma], which leaves the fixed point unchanged and is the
+    fixed {!Warm_start.gamma}. *)
 
 type backend =
   | Auto
-      (** per-shard chooser: chain-free shards solve directly (isotonic
-          projection), the rest run Anderson-accelerated MMSIM; a failed
-          direct or accelerated solve falls back to plain MMSIM (see
-          {!Solver.solve}) *)
+      (** per-shard chooser: every shard runs Anderson-accelerated MMSIM,
+          and a failed accelerated solve falls back to plain MMSIM (see
+          {!Solver.solve}); a shard where {!Warm_start.exact} holds
+          starts from the PlaceRow fixed point *)
   | Plain  (** plain MMSIM everywhere: the paper's Algorithm 1 exactly *)
 
 type t = {
   lambda : float;  (** equality-penalty factor of Problem (13) *)
   beta : float;  (** splitting constant of Eq. (16); in (0, 2) *)
   theta : float;  (** splitting constant of Eq. (16); positive *)
-  gamma : float;  (** MMSIM modulus scaling; positive *)
   eps : float;  (** MMSIM stopping tolerance on iterate change *)
   max_iter : int;
   backend : backend;  (** per-shard solver selection policy *)
-  direct_tol : float;
-      (** acceptance tolerance for the chain-free solve's KKT residual
-          (relative to the solution scale); a direct solve that misses it
-          "disagrees" and falls back to MMSIM *)
   verify_bound : bool;
       (** estimate mu_max and record whether Theorem 2's bound on theta
           holds (costs one power iteration) *)
   warm_start : bool;
       (** start Algorithm 1 from the {!Warm_start} modulus vector instead
           of the plain global-placement start; identical fixed point, far
-          fewer iterations (see the ablation bench) *)
+          fewer iterations (see the ablation bench). Under [Auto] a shard
+          where {!Warm_start.exact} holds starts from it either way. *)
   num_domains : int;
       (** parallelism degree for the multicore layers ({!Fence}
           territories, the solver's per-chain top-block solves); [1]
@@ -74,4 +72,5 @@ type t = {
 val default : t
 
 val validate : t -> (t, string) result
-(** Checks the parameter ranges ([0 < beta < 2], positivity, ...). *)
+(** Checks the parameter ranges ([0 < beta < 2], positivity, ...); a
+    nan or infinite float is rejected. *)

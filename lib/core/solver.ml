@@ -1,21 +1,14 @@
 open Mclh_linalg
 
-type backend_tag = Chain_free | Accel | Plain
+type backend_tag = Accel | Plain
 
-type backend_stats = {
-  chain_free : int;
-  accel : int;
-  plain : int;
-  fallbacks : int;
-}
+type backend_stats = { accel : int; plain : int; fallbacks : int }
 
-let no_backend_stats =
-  { chain_free = 0; accel = 0; plain = 0; fallbacks = 0 }
+let no_backend_stats = { accel = 0; plain = 0; fallbacks = 0 }
 
 let count_backend stats tag ~fallbacks =
   let stats = { stats with fallbacks = stats.fallbacks + fallbacks } in
   match tag with
-  | Chain_free -> { stats with chain_free = stats.chain_free + 1 }
   | Accel -> { stats with accel = stats.accel + 1 }
   | Plain -> { stats with plain = stats.plain + 1 }
 
@@ -301,10 +294,7 @@ let accel_config (config : Config.t) =
 
    - [Plain]: the paper's Algorithm 1 exactly — one plain MMSIM run, no
      rescue (the honest baseline the bench compares against);
-   - [Auto]: chain-free shards solve exactly by isotonic projection,
-     everything else runs Anderson-accelerated MMSIM. The direct solve
-     is accepted only when its KKT residual passes [Direct.acceptable];
-     a miss falls through to the MMSIM ladder.
+   - [Auto]: Anderson-accelerated MMSIM with the rescue ladder below.
 
    MMSIM rescue ladder (Auto): if the accelerated run fails, retry
    plain with a private convergence trace; if that also fails, use the
@@ -319,27 +309,30 @@ let accel_config (config : Config.t) =
    attached — so decomposed solves stay bit-identical across pool sizes.
 
    A caller-supplied [s0] (incremental warm restart) overrides the
-   config's start-vector policy. *)
+   config's start-vector policy, except under [Auto] on a shard where
+   [Warm_start.exact] holds: that shard starts from the PlaceRow fixed
+   point whatever [s0] and [config.warm_start] say, and the MMSIM's own
+   stopping test certifies it in one iteration. *)
 let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
   let n = model.nvars and m = Model.num_constraints model in
   let q = rhs_q model in
+  let exact_start = config.backend = Config.Auto && Warm_start.exact model in
   let mmsim ?trace ~accel (cfg : Config.t) =
     let ops = operators_inplace model cfg in
     let options =
-      { Mclh_lcp.Mmsim.gamma = cfg.gamma;
+      { Mclh_lcp.Mmsim.default_options with
         eps = cfg.eps;
         max_iter = cfg.max_iter;
         accel }
     in
     let s0 =
       match s0 with
-      | Some s0 -> s0
-      | None ->
-        if cfg.warm_start then Warm_start.modulus_vector model cfg ops
-        else
-          (* the paper's plain start: z_0 at the global-placement positions *)
-          Vec.init (n + m) (fun i ->
-              if i < n then cfg.gamma /. 2.0 *. -.model.p.(i) else 0.0)
+      | Some s0 when not exact_start -> s0
+      | _ when cfg.warm_start || exact_start -> Warm_start.modulus_vector model ops
+      | _ ->
+        (* the paper's plain start: z_0 at the global-placement positions *)
+        Vec.init (n + m) (fun i ->
+            if i < n then Warm_start.gamma /. 2.0 *. -.model.p.(i) else 0.0)
     in
     let on_iter =
       match trace with
@@ -360,17 +353,20 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
     (x, r, out.Mclh_lcp.Mmsim.s, iters_before + out.Mclh_lcp.Mmsim.iterations,
      out.Mclh_lcp.Mmsim.converged, out.Mclh_lcp.Mmsim.delta_inf, tag, fallbacks)
   in
-  let mmsim_ladder ~fallbacks =
+  match config.backend with
+  | Config.Plain ->
+    let out = mmsim ~accel:0 config in
+    finish_mmsim out ~iters_before:0 ~tag:Plain ~fallbacks:0
+  | Config.Auto ->
     let first = mmsim ~accel:accel_depth (accel_config config) in
     if first.Mclh_lcp.Mmsim.converged then
-      finish_mmsim first ~iters_before:0 ~tag:Accel ~fallbacks
+      finish_mmsim first ~iters_before:0 ~tag:Accel ~fallbacks:0
     else begin
       let spent = first.Mclh_lcp.Mmsim.iterations in
       let tr = Trace.create ~capacity:trace_capacity in
       let second = mmsim ~trace:tr ~accel:0 config in
       if second.Mclh_lcp.Mmsim.converged then
-        finish_mmsim second ~iters_before:spent ~tag:Plain
-          ~fallbacks:(fallbacks + 1)
+        finish_mmsim second ~iters_before:spent ~tag:Plain ~fallbacks:1
       else begin
         let spent = spent + second.Mclh_lcp.Mmsim.iterations in
         let contracting =
@@ -383,23 +379,9 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
         let third = mmsim ~accel cfg in
         finish_mmsim third ~iters_before:spent
           ~tag:(if accel > 0 then Accel else Plain)
-          ~fallbacks:(fallbacks + 2)
+          ~fallbacks:2
       end
     end
-  in
-  match config.backend with
-  | Config.Plain ->
-    let out = mmsim ~accel:0 config in
-    finish_mmsim out ~iters_before:0 ~tag:Plain ~fallbacks:0
-  | Config.Auto ->
-    if Direct.chain_free_applicable model then begin
-      match Direct.chain_free config model with
-      | Some out when Direct.acceptable config out ->
-        (out.Direct.x, out.Direct.r, out.Direct.modulus, 0, true, 0.0,
-         Chain_free, 0)
-      | Some _ | None -> mmsim_ladder ~fallbacks:1
-    end
-    else mmsim_ladder ~fallbacks:0
 
 type fan_in = {
   max_iterations : int;
@@ -572,7 +554,6 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
   Obs.add obs "solver/components" components;
   Obs.add obs "solver/largest_dim" largest_dim;
   if not fan.all_converged then Obs.incr obs "solver/nonconverged";
-  Obs.add obs "solver/backend/chain_free" backends.chain_free;
   Obs.add obs "solver/backend/accel" backends.accel;
   Obs.add obs "solver/backend/plain" backends.plain;
   Obs.add obs "solver/fallbacks" backends.fallbacks;

@@ -14,21 +14,16 @@
 open Mclh_linalg
 
 type backend_tag =
-  | Chain_free
-      (** exact isotonic-projection solve of a chain-free shard
-          ({!Direct.chain_free}) *)
   | Accel  (** Anderson-accelerated MMSIM *)
   | Plain  (** plain MMSIM (Algorithm 1 exactly) *)
 
 type backend_stats = {
-  chain_free : int;
   accel : int;
   plain : int;
-      (** shards whose {e final} backend was each tag; the three counts
+      (** shards whose {e final} backend was each tag; the two counts
           sum to the number of per-shard solves *)
   fallbacks : int;
-      (** abandoned attempts across all shards: chain-free solves that
-          failed the KKT-residual acceptance and MMSIM rescue retries.
+      (** abandoned attempts across all shards: MMSIM rescue retries.
           [0] means every shard was solved by its first-choice
           backend. *)
 }
@@ -123,10 +118,11 @@ val solve :
 
     Each per-shard solve is routed by [config.backend]. [Plain] is
     exactly the paper's Algorithm 1 (one plain MMSIM run, no rescue).
-    [Auto] (the default) chooses per shard: chain-free shards solve
-    exactly by isotonic projection, the rest run Anderson-accelerated
-    MMSIM. A chain-free solve is accepted only when its KKT residual
-    passes {!Direct.acceptable}; a miss falls through to MMSIM. A
+    [Auto] (the default) runs Anderson-accelerated MMSIM on every shard.
+    A shard where {!Warm_start.exact} holds (no multi-row chains, as on
+    every single-height design) starts from the PlaceRow fixed point
+    whatever [s0] and [config.warm_start] say, so it converges in one
+    iteration, certified by the MMSIM's own stopping test. A
     non-converged accelerated run is rescued: retry plain, then — guided
     by the retry's convergence-trace contraction estimate
     ({!Mclh_obs.Trace.estimate_rate}) — once more with [theta] halved.
@@ -138,7 +134,7 @@ val solve :
 
     [s0] is an explicit MMSIM start vector in global numbering (length
     [n + m]); it overrides both the PlaceRow warm start and the paper's
-    plain start. Each shard receives its own restriction of [s0]
+    plain start (except on the [Auto] shards just described). Each shard receives its own restriction of [s0]
     ({!Decompose.restrict}). The LCP fixed point is unique (Q~ SPD, B full
     row rank), so any [s0] converges to the same solution within the
     tolerance; a good [s0] — e.g. [result.modulus] from a previous solve

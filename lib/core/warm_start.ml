@@ -1,5 +1,15 @@
 open Mclh_linalg
 
+let gamma = Mclh_lcp.Mmsim.default_options.Mclh_lcp.Mmsim.gamma
+
+(* Without equality chains Q~ = I and Problem (13) decouples into one
+   PlaceRow problem per ordering group. With nonnegative separations the
+   per-row solve below is that problem's exact optimum (Sec 5.3), so the
+   assembled s_0 is the LCP fixed point. *)
+let exact (model : Model.t) =
+  Blocks.num_chains model.blocks = 0
+  && Array.for_all (fun w -> w >= 0.0) model.b_rhs
+
 (* The per-group "widths" fed to PlaceRow are the required separations of
    Model.b_rhs (the left cell's width, corrected by the blockage-segment
    shift difference). A separation can degenerate to <= 0 when shifts
@@ -66,7 +76,7 @@ let multipliers (model : Model.t) x0 =
   assert (!ci = m);
   r0
 
-let modulus_vector (model : Model.t) (config : Config.t) ops =
+let modulus_vector (model : Model.t) ops =
   let n = model.nvars and m = Model.num_constraints model in
   let x0 = positions model in
   let r0 = multipliers model x0 in
@@ -76,6 +86,5 @@ let modulus_vector (model : Model.t) (config : Config.t) ops =
   let w0 = Vec.zeros (n + m) in
   ops.Mclh_lcp.Mmsim.apply_a_into z0 w0;
   let q = Model.lcp_rhs model in
-  let gamma = config.Config.gamma in
   Vec.init (n + m) (fun i ->
       gamma /. 2.0 *. (z0.(i) -. Float.max 0.0 (w0.(i) +. q.(i))))

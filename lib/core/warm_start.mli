@@ -14,13 +14,27 @@
       [w_0 = A z_0 + q], so active bounds and slack constraints carry
       their complementary values.
 
-    For single-height designs this [s_0] is the exact fixed point (and the
-    MMSIM verifies it in one iteration); with multi-row cells the residual
-    is localized at the subcell-equality chains — exactly the coupling
-    PlaceRow cannot express and the MMSIM is there to resolve. The
-    ablation benchmark measures iteration counts with and without it. *)
+    When {!exact} holds (no multi-row chains, nonnegative separations:
+    every single-height design, and every chain-free shard of a mixed
+    one) this [s_0] is the fixed point (Sec 5.3: on single-height rows
+    the optimum is PlaceRow's), and the MMSIM verifies it in one
+    iteration. With multi-row cells the residual is localized at the
+    subcell-equality chains — exactly the coupling PlaceRow cannot
+    express and the MMSIM is there to resolve. The ablation benchmark
+    measures iteration counts with and without it. *)
 
 open Mclh_linalg
+
+val gamma : float
+(** The modulus scaling of every production solve and start vector:
+    {!Mclh_lcp.Mmsim.default_options}' [gamma] (2.0). The fixed point
+    does not depend on it. *)
+
+val exact : Model.t -> bool
+(** True when the model has no subcell-equality chains (so [Q~ = I]) and
+    every required separation is nonnegative: then {!modulus_vector} is
+    the LCP fixed point, and the solver starts such a shard from it
+    whatever start vector it was offered. *)
 
 val positions : Model.t -> Vec.t
 (** Per-row PlaceRow positions for every subcell variable (step 1). *)
@@ -29,6 +43,5 @@ val multipliers : Model.t -> Vec.t -> Vec.t
 (** [multipliers model x0] recovers ordering-constraint multipliers from
     positions by the right-to-left stationarity sweep (step 2). *)
 
-val modulus_vector :
-  Model.t -> Config.t -> Mclh_lcp.Mmsim.operators_inplace -> Vec.t
-(** The assembled [s_0] (steps 1-3). *)
+val modulus_vector : Model.t -> Mclh_lcp.Mmsim.operators_inplace -> Vec.t
+(** The assembled [s_0] (steps 1-3), at scaling {!gamma}. *)

@@ -231,15 +231,8 @@ let field_at t ~x ~y =
   (pick t.ex x y, pick t.ey x y)
 
 let overflow t =
-  if t.total_movable <= 0.0 then 0.0
-  else begin
-    let over = ref 0.0 in
-    for k = 0 to (t.m * t.m) - 1 do
-      let cap = Float.max 0.0 ((t.target *. t.bin_area) -. t.fixed.(k)) in
-      over := !over +. Float.max 0.0 (t.movable.(k) -. cap)
-    done;
-    !over /. t.total_movable
-  end
+  Mclh_circuit.Density.area_overflow ~target:t.target ~bin_area:t.bin_area
+    ~cell_area:t.movable ~blocked_area:t.fixed ~total:t.total_movable
 
 let max_utilization t =
   let mx = ref 0.0 in

@@ -63,10 +63,10 @@ val field_at : t -> x:float -> y:float -> float * float
     larger [x]. Valid after {!solve}. *)
 
 val overflow : t -> float
-(** Movable area that exceeds its bin's free capacity
-    ([max 0. (target * bin_area - fixed)]), summed over bins and
-    divided by the total movable area — 0 when everything fits at the
-    target density. The placer's stopping rule. *)
+(** {!Mclh_circuit.Density.area_overflow} of the movable area against
+    the fixed pre-fill at the engine's target, divided by the total
+    movable area — 0 when everything fits at the target density. The
+    placer's stopping rule. *)
 
 val max_utilization : t -> float
 (** Max over bins of [(movable + fixed) / bin_area]. *)

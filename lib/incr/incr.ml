@@ -196,7 +196,7 @@ let apply_edits (design : Design.t) edits =
    paper's plain start at their *new* target (their old modulus reflects
    the old position); unmapped constraints start at 0. *)
 let warm_s0 (old_model : Model.t) old_s (model' : Model.t) ~old_of_new
-    ~touched (config : Config.t) =
+    ~touched =
   let n_old = old_model.Model.nvars in
   let n' = model'.Model.nvars and m' = Model.num_constraints model' in
   let old_var = Hashtbl.create (2 * n_old) in
@@ -232,7 +232,7 @@ let warm_s0 (old_model : Model.t) old_s (model' : Model.t) ~old_of_new
     s0.(v') <-
       (match mapped with
       | Some ov -> old_s.(ov)
-      | None -> config.Config.gamma /. 2.0 *. -.model'.Model.p.(v'))
+      | None -> Warm_start.gamma /. 2.0 *. -.model'.Model.p.(v'))
   done;
   Array.iteri
     (fun i (u', v') ->
@@ -407,9 +407,7 @@ let apply_locked t edits =
   in
   let out, solve_s =
     Clock.timed (fun () ->
-        let s0 =
-          warm_s0 t.model t.s model' ~old_of_new ~touched t.config
-        in
+        let s0 = warm_s0 t.model t.s model' ~old_of_new ~touched in
         resolve t model' shards' s0)
   in
   Obs.record_span obs "incr/solve" solve_s;

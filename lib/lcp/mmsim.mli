@@ -56,9 +56,10 @@ type options = {
 
 val default_options : options
 (** [gamma = 2.0] (so [z = max(s, 0)]), [eps = 1e-9], [max_iter = 10_000],
-    [accel = 0]. Production call sites in [lib/core] never rely on these:
-    they derive every tolerance and budget from {!Mclh_core.Config} (the
-    single source for backend tolerances), passing options explicitly. *)
+    [accel = 0]. Production call sites in [lib/core] take only [gamma]
+    from here (the fixed point does not depend on it); every tolerance
+    and budget comes from {!Mclh_core.Config}, the single source for
+    solver tolerances. *)
 
 type outcome = {
   z : Vec.t;  (** final iterate *)

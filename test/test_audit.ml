@@ -393,6 +393,25 @@ let check_bad_input_exits_1 () =
   List.iter Sys.remove
     [ small; large; placed; truncated; bad_number; bad_cell; converted ]
 
+(* out-of-range or non-finite numeric flags are command-line errors
+   (exit 124 with the message), never a crash or a silent nan run *)
+let check_bad_flags_exit_124 () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, err = Cli.run_stderr args in
+      Alcotest.(check int) (what ^ " exits 124") 124 code;
+      Alcotest.(check bool) (what ^ " explains itself") true
+        (err <> "" && not (Cli.contains err "uncaught exception")))
+    (List.map
+       (fun flags -> [ "run"; "-b"; "fft_2"; "-s"; "0.02" ] @ flags)
+       [ [ "--eps=-1" ]; [ "--lambda=-5" ]; [ "--max-iter"; "0" ];
+         [ "--lambda"; "nan" ]; [ "--lambda"; "inf" ]; [ "--eps"; "nan" ] ]
+    @ [ [ "pipeline"; "--grid"; "3" ];
+        [ "pipeline"; "--gp-rounds"; "0" ];
+        [ "pipeline"; "--target-density"; "0" ];
+        [ "run"; "-b"; "fft_2"; "-s"; "nan" ] ])
+
 let test_cli_exit_codes () =
   if not (Cli.available ()) then Alcotest.skip ()
   else begin
@@ -423,7 +442,8 @@ let test_cli_exit_codes () =
       (Cli.run
          [ "pipeline"; "-b"; "des_perf_1"; "-s"; "0.02"; "--blockages"; "0.1" ]);
     check_fence_dense_audit ();
-    check_bad_input_exits_1 ()
+    check_bad_input_exits_1 ();
+    check_bad_flags_exit_124 ()
   end
 
 let () =

@@ -1,6 +1,6 @@
-(* Tests for the per-shard backend chooser: both backends (chain-free
-   projection, accelerated MMSIM) land on the plain run-to-convergence
-   MMSIM solution; the des_perf_1 non-convergence fix stays fixed, and
+(* Tests for the per-shard backend chooser: Auto lands on the plain
+   run-to-convergence MMSIM solution, and certifies a shard whose PlaceRow
+   start is exact in one iteration; the des_perf_1 non-convergence fix stays fixed, and
    Auto cuts plain MMSIM's iterations at least 3x on des_perf_1 and
    matrix_mult_1 with the same snapped placement; and
    --strict-convergence turns silent budget exhaustion into a non-zero
@@ -22,53 +22,53 @@ let placement_xs model res =
 
 (* run-to-convergence plain MMSIM: the semantic baseline every backend is
    judged against. eps far below the production tolerance so the
-   iterate-change stop is within ~1e-10 of the true fixed point;
-   direct_tol tightened to match, since a KKT residual at the default
-   1e-9 certifies positions only to ~1e-9, the very bound under test. *)
+   iterate-change stop is within ~1e-10 of the true fixed point *)
 let tight =
-  { Config.default with
-    eps = 1e-12;
-    direct_tol = 1e-12;
-    max_iter = 400_000;
-    num_domains = 1 }
+  { Config.default with eps = 1e-12; max_iter = 400_000; num_domains = 1 }
 
-(* ---------- chain-free projection vs plain MMSIM, shard by shard ---------- *)
+(* ---------- Auto vs plain MMSIM on exactly warm-started shards ---------- *)
 
-let test_chain_free_agrees () =
+(* Sec 5.3: without multi-row chains the PlaceRow start is the fixed
+   point, so Auto takes it whatever s0 it is offered and stops after the
+   one iteration that verifies it *)
+let test_auto_exact_shards () =
   let options =
     { Mclh_benchgen.Generate.default_options with
       blockage_fraction = 0.2;
       blockage_count = 24 }
   in
-  let cfg = { tight with backend = Config.Plain } in
   let check_shards model deco =
     Array.fold_left
       (fun hits shard ->
         let sub = Decompose.extract model shard in
-        if not (Direct.chain_free_applicable sub) then hits
+        if not (Warm_start.exact sub) then hits
         else begin
           let dim = sub.Model.nvars + Model.num_constraints sub in
-          let base = Solver.solve ~config:cfg sub in
+          let base = Solver.solve ~config:{ tight with backend = Config.Plain } sub in
           if not base.Solver.converged then
             Alcotest.failf "plain baseline did not converge (dim %d)" dim;
-          match Direct.chain_free Config.default sub with
-          | None -> Alcotest.fail "chain_free returned None on applicable shard"
-          | Some out ->
-            if not (Direct.acceptable Config.default out) then
-              Alcotest.failf "chain_free KKT residual %g not acceptable (dim %d)"
-                out.Direct.residual dim;
-            let d = Vec.dist_inf out.Direct.x base.Solver.x in
-            if d > 1e-8 then
-              Alcotest.failf "chain_free disagrees with plain MMSIM by %g (dim %d)"
-                d dim;
-            hits + 1
+          let adversarial =
+            Vec.init dim (fun i -> (0.5 *. float_of_int (i mod 7)) -. 1.0)
+          in
+          List.iter
+            (fun (start, s0) ->
+              let auto = Solver.solve ~config:tight ?s0 sub in
+              if not (auto.Solver.converged && auto.Solver.iterations = 1) then
+                Alcotest.failf "%s: auto took %d iterations (converged %b, dim %d)"
+                  start auto.Solver.iterations auto.Solver.converged dim;
+              let d = Vec.dist_inf auto.Solver.x base.Solver.x in
+              if d > 1e-8 then
+                Alcotest.failf "%s: auto disagrees with plain MMSIM by %g (dim %d)"
+                  start d dim)
+            [ ("own start", None); ("adversarial s0", Some adversarial) ];
+          hits + 1
         end)
       0 deco.Decompose.shards
   in
   (* the raw connected components of a blockage-rich mixed-height design
      (min_shard_vars = 1): singletons, short rows and every size in
      between; and the shards production routes (default merging) of a
-     single-height design, where every shard is chain-free *)
+     single-height design, where every shard is exactly warm-started *)
   let _, mixed = model_of ~options ~scale:0.02 "fft_2" in
   let raw = check_shards mixed (Decompose.analyze ~min_shard_vars:1 mixed) in
   let single_height =
@@ -76,10 +76,10 @@ let test_chain_free_agrees () =
   in
   let _, single = model_of ~options:single_height ~scale:0.02 "pci_bridge32_a" in
   let production = check_shards single (Decompose.analyze single) in
-  (* the test is vacuous unless chain-free shards actually ran *)
-  Alcotest.(check bool) "production chain-free shards exercised" true
+  (* the test is vacuous unless such shards actually ran *)
+  Alcotest.(check bool) "production exact shards exercised" true
     (production > 1);
-  Alcotest.(check bool) "raw chain-free shards exercised" true (raw > 4)
+  Alcotest.(check bool) "raw exact shards exercised" true (raw > 4)
 
 (* ---------- end-to-end chooser equivalence ---------- *)
 
@@ -190,11 +190,10 @@ let test_cli_strict_convergence () =
 
 let () =
   Alcotest.run "backend"
-    [ ( "direct",
-        [ Alcotest.test_case "shard-level agreement" `Quick
-            test_chain_free_agrees ] );
-      ( "chooser",
-        [ QCheck_alcotest.to_alcotest qc_chooser_matches_plain_baseline ] );
+    [ ( "chooser",
+        [ QCheck_alcotest.to_alcotest qc_chooser_matches_plain_baseline;
+          Alcotest.test_case "exact warm start, one iteration" `Quick
+            test_auto_exact_shards ] );
       ( "regression",
         [ Alcotest.test_case "des_perf_1 converges in budget/3" `Quick
             test_des_perf_1_converges;

@@ -68,7 +68,13 @@ let test_spec_scaled () =
   Alcotest.(check int) "doubles scaled" 20 s.Spec.doubles;
   Alcotest.(check (float 1e-9)) "density kept" 0.50 s.Spec.density;
   let tiny = Spec.scaled 1e-9 (Spec.find "fft_2") in
-  Alcotest.(check int) "at least one single" 1 tiny.Spec.singles
+  Alcotest.(check int) "at least one single" 1 tiny.Spec.singles;
+  List.iter
+    (fun factor ->
+      Alcotest.check_raises (Printf.sprintf "factor %g rejected" factor)
+        (Invalid_argument "Spec.scaled: factor must be positive and finite")
+        (fun () -> ignore (Spec.scaled factor (Spec.find "fft_2"))))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 let generate name scale =
   Generate.generate (Spec.scaled scale (Spec.find name))

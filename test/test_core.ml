@@ -433,7 +433,7 @@ let test_inplace_equals_generic () =
       let config = { Config.default with eps = 1e-8; max_iter = 200_000 } in
       let q = Solver.rhs_q m in
       let options =
-        { Mclh_lcp.Mmsim.gamma = config.Config.gamma; eps = config.Config.eps;
+        { Mclh_lcp.Mmsim.gamma = Warm_start.gamma; eps = config.Config.eps;
           max_iter = config.Config.max_iter; accel = 0 }
       in
       let boxed =

@@ -168,10 +168,15 @@ let test_mmsim_beats_tetris () =
      <= tetris.Runner.displacement.Metrics.total_manhattan)
 
 let test_config_validation () =
-  Alcotest.(check bool) "beta out of range" true
-    (match Config.validate { Config.default with beta = 2.5 } with
-    | Error _ -> true
-    | Ok _ -> false);
+  List.iter
+    (fun (what, config) ->
+      Alcotest.(check bool) what true
+        (match Config.validate config with Error _ -> true | Ok _ -> false))
+    [ ("beta out of range", { Config.default with beta = 2.5 });
+      ("nan lambda", { Config.default with lambda = Float.nan });
+      ("infinite lambda", { Config.default with lambda = Float.infinity });
+      ("nan eps", { Config.default with eps = Float.nan });
+      ("nan theta", { Config.default with theta = Float.nan }) ];
   Alcotest.(check bool) "default valid" true
     (match Config.validate Config.default with Ok _ -> true | Error _ -> false);
   Alcotest.(check bool) "solver rejects bad config" true

@@ -185,6 +185,36 @@ let test_density_overflow_detection () =
   Alcotest.(check int) "one overflowed" 1 o.Density.overflowed_bins;
   Alcotest.(check bool) "ratio positive" true (o.Density.overflow_ratio > 0.0)
 
+let test_overflow_one_definition () =
+  (* 2x2 bins of 8 sites x 4 rows (area 32); the lower-left bin is half
+     blocked. It holds 24 cell area against a capacity of 16; the
+     lower-right bin holds 16 of 32. Cell area above capacity over total
+     cell area: 8 / 40. (Summing per-bin utilization excess instead gives
+     0.5 / 2.0 here.) *)
+  let chip = Chip.make ~num_rows:8 ~num_sites:16 () in
+  let left = List.init 6 (fun k -> (4, 4.0, float_of_int (k mod 4))) in
+  let right = [ (8, 8.0, 0.0); (8, 8.0, 1.0) ] in
+  let spots = Array.of_list (left @ right) in
+  let n = Array.length spots in
+  let cells = Array.mapi (fun id (width, _, _) -> Cell.make ~id ~width ~height:1 ()) spots in
+  let d =
+    Design.make ~name:"ov" ~chip ~cells
+      ~blockages:[| Blockage.make ~row:0 ~height:4 ~x:0 ~width:4 |]
+      ~global:
+        (Placement.make
+           ~xs:(Array.map (fun (_, x, _) -> x) spots)
+           ~ys:(Array.map (fun (_, _, y) -> y) spots))
+      ~nets:(Netlist.empty ~num_cells:n)
+      ()
+  in
+  let stats = Density.overflow (Density.map ~bins_x:2 ~bins_y:2 d d.Design.global) in
+  Alcotest.(check (float 1e-12)) "stats ratio" 0.2 stats.Density.overflow_ratio;
+  Alcotest.(check int) "one bin over capacity" 1 stats.Density.overflowed_bins;
+  (* the global placer's stopping rule, on its own grid of the same bins *)
+  let gp = Mclh_gp.Density.create ~grid:2 d in
+  Mclh_gp.Density.accumulate gp d d.Design.global;
+  Alcotest.(check (float 1e-12)) "gp ratio" 0.2 (Mclh_gp.Density.overflow gp)
+
 let test_row_utilization () =
   let d = micro_design () in
   let rows = Density.row_utilization d d.Design.global in
@@ -247,6 +277,8 @@ let () =
         [ Alcotest.test_case "map" `Quick test_density_map;
           Alcotest.test_case "blockage-adjusted" `Quick test_density_blockage_reduces_free;
           Alcotest.test_case "overflow detection" `Quick test_density_overflow_detection;
+          Alcotest.test_case "one overflow definition" `Quick
+            test_overflow_one_definition;
           Alcotest.test_case "row utilization" `Quick test_row_utilization;
           Alcotest.test_case "fractional spread" `Quick test_density_fractional_positions;
           Alcotest.test_case "legal never overflows" `Quick

@@ -9,7 +9,8 @@
     with [Q~ = I + lambda E^T E] and [D = tridiag(B Q~^-1 B^T)]. With
     [Omega = I], [M + Omega] is block lower triangular, so one iteration
     costs O(n + m): an arrowhead solve per cell chain for the top block and
-    one Thomas solve for the bottom block. *)
+    one Thomas solve for the bottom block. The Anderson step of the
+    accelerated backend adds O(depth (n + m)) to that. *)
 
 open Mclh_linalg
 

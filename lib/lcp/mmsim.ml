@@ -24,8 +24,10 @@ let w_of_s options ops s =
   Vec.mapi (fun i v -> ops.omega_diag.(i) /. options.gamma *. (Float.abs v -. v)) s
 
 let validate ~name { gamma; eps; max_iter; accel } =
-  if gamma <= 0.0 then invalid_arg (name ^ ": gamma must be positive");
-  if eps <= 0.0 then invalid_arg (name ^ ": eps must be positive");
+  let positive x = x > 0.0 && Float.is_finite x in
+  if not (positive gamma) then
+    invalid_arg (name ^ ": gamma must be positive and finite");
+  if not (positive eps) then invalid_arg (name ^ ": eps must be positive and finite");
   if max_iter <= 0 then invalid_arg (name ^ ": max_iter must be positive");
   if accel < 0 then invalid_arg (name ^ ": accel must be >= 0")
 
@@ -40,17 +42,24 @@ type operators_inplace = {
 (* Anderson (type II) acceleration state over the modulus fixed point
    s <- G(s). Keeps the last [depth] residual/step difference pairs
    (f_k - f_{k-1}, g_k - g_{k-1}) with f = G(s) - s, and extrapolates
-   s_next = g - sum c_k dg_k where c minimizes ||f - DF c||_2. Everything
-   is preallocated: the steady state stays at zero minor words per
+   s_next = g - sum c_k dg_k where c minimizes ||f - DF c||_2.
+   The Gram matrix DF^T DF persists across iterations: when the history
+   rotates, entry (a, b) becomes (a + 1, b + 1), so a step computes only
+   the new row <df_0, df_b> and costs O(depth n), not O(depth^2 n). Each
+   entry is the same ascending-i sum of the same products a full
+   recompute forms, so the iterates match it bit for bit. Everything is
+   preallocated: the steady state stays at zero minor words per
    iteration, acceleration on or off. *)
 type accel_state = {
   depth : int;
   hist_df : Vec.t array;
   hist_dg : Vec.t array;
-  f : Vec.t;
-  f_prev : Vec.t;
+  f : Vec.t; (* G(s) - s of the latest step *)
   g_prev : Vec.t;
-  gram : float array array;
+  dfdf : float array;
+      (* the Gram upper triangle, row-major [depth x depth]; entry (a, b)
+         is current for a <= b < nhist *)
+  gram : float array array; (* its copy that [solve_gram] factorizes *)
   bvec : float array;
   coef : float array;
   mutable nhist : int;
@@ -61,8 +70,8 @@ let make_accel depth n =
     hist_df = Array.init depth (fun _ -> Vec.zeros n);
     hist_dg = Array.init depth (fun _ -> Vec.zeros n);
     f = Vec.zeros n;
-    f_prev = Vec.zeros n;
     g_prev = Vec.zeros n;
+    dfdf = Array.make (depth * depth) 0.0;
     gram = Array.make_matrix depth depth 0.0;
     bvec = Array.make depth 0.0;
     coef = Array.make depth 0.0;
@@ -121,7 +130,7 @@ let coef_limit = 1e4
    into [s]. Falls back to [s <- g] whenever the extrapolation is not
    trustworthy. *)
 let accel_advance st ~k ~n s g =
-  let { depth; hist_df; hist_dg; f; f_prev; g_prev; gram; bvec; coef; _ } =
+  let { depth; hist_df; hist_dg; f; g_prev; dfdf; gram; bvec; coef; _ } =
     st
   in
   if k > 1 then begin
@@ -134,36 +143,49 @@ let accel_advance st ~k ~n s g =
     hist_df.(0) <- last_df;
     hist_dg.(0) <- last_dg;
     for i = 0 to n - 1 do
-      let fi = g.(i) -. s.(i) in
+      let gi = g.(i) in
+      let fi = gi -. s.(i) in
+      last_df.(i) <- fi -. f.(i);
+      last_dg.(i) <- gi -. g_prev.(i);
       f.(i) <- fi;
-      last_df.(i) <- fi -. f_prev.(i);
-      last_dg.(i) <- g.(i) -. g_prev.(i)
+      g_prev.(i) <- gi
     done;
-    if st.nhist < depth then st.nhist <- st.nhist + 1
+    if st.nhist < depth then st.nhist <- st.nhist + 1;
+    (* the cached triangle follows the rotation down the diagonal; the
+       entries of the dropped oldest pair fall off the end *)
+    for a = depth - 2 downto 0 do
+      for b = depth - 2 downto a do
+        dfdf.(((a + 1) * depth) + b + 1) <- dfdf.((a * depth) + b)
+      done
+    done
   end
   else
     for i = 0 to n - 1 do
-      f.(i) <- g.(i) -. s.(i)
+      f.(i) <- g.(i) -. s.(i);
+      g_prev.(i) <- g.(i)
     done;
-  Vec.blit ~src:f ~dst:f_prev;
-  Vec.blit ~src:g ~dst:g_prev;
   let mk = st.nhist in
   if mk = 0 then Vec.blit ~src:g ~dst:s
   else begin
+    (* one pass per history vector: the Gram matrix's new row
+       <df_0, df_b> and the right-hand side <df_b, f> *)
+    let df0 = hist_df.(0) in
+    for b = 0 to mk - 1 do
+      let dfb = hist_df.(b) in
+      let row = ref 0.0 and rhs = ref 0.0 in
+      for i = 0 to n - 1 do
+        row := !row +. (df0.(i) *. dfb.(i));
+        rhs := !rhs +. (dfb.(i) *. f.(i))
+      done;
+      dfdf.(b) <- !row;
+      bvec.(b) <- !rhs
+    done;
     for a = 0 to mk - 1 do
       for b = a to mk - 1 do
-        let acc = ref 0.0 in
-        for i = 0 to n - 1 do
-          acc := !acc +. (hist_df.(a).(i) *. hist_df.(b).(i))
-        done;
-        gram.(a).(b) <- !acc;
-        gram.(b).(a) <- !acc
-      done;
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        acc := !acc +. (hist_df.(a).(i) *. f.(i))
-      done;
-      bvec.(a) <- !acc
+        let v = dfdf.((a * depth) + b) in
+        gram.(a).(b) <- v;
+        gram.(b).(a) <- v
+      done
     done;
     if not (solve_gram st mk) then begin
       st.nhist <- 0;

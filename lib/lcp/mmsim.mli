@@ -50,8 +50,14 @@ type options = {
           accelerated point, so "converged" keeps its plain-MMSIM meaning
           and the fixed point is unchanged; degenerate or wild
           extrapolations fall back to the plain step and reset the
-          history. Acceleration preserves the zero-allocation steady
-          state (history buffers are preallocated). *)
+          history. A step costs O(depth n) on top of the plain one: the
+          Gram matrix of the residual differences is cached across
+          iterations, so each step forms only its new row and the
+          right-hand side, and the iterates match a full per-step
+          recompute bit for bit (property-pinned against a reference in
+          [test/mmsim_ref.ml]). Acceleration preserves the
+          zero-allocation steady state (history buffers are
+          preallocated). *)
 }
 
 val default_options : options
@@ -88,8 +94,9 @@ val solve :
     [solve] is a thin adapter over {!solve_inplace} (allocating operator
     results are blitted into the in-place destinations), so the two paths
     share one stopping/divergence implementation by construction.
-    @raise Invalid_argument on dimension mismatches, non-positive
-      [gamma]/[eps]/[max_iter], or negative [accel]. *)
+    @raise Invalid_argument on dimension mismatches, a [gamma] or [eps]
+      that is not positive and finite (NaN and infinity included), a
+      non-positive [max_iter], or a negative [accel]. *)
 
 val w_of_s : options -> operators -> Vec.t -> Vec.t
 (** The complementary slack [w = (Omega/gamma) (|s| - s)] at a modulus

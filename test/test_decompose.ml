@@ -285,15 +285,16 @@ let test_zero_alloc_per_iteration () =
   let config = { Config.default with num_domains = 1 } in
   let ops = Solver.operators_inplace model config in
   let q = Solver.rhs_q model in
-  let words ?s0 ?(accel = 0) iters =
-    let options =
-      (* eps below any representable progress: the loop never converges
-         early, so the two runs differ by exactly [iters] iterations *)
-      { Mclh_lcp.Mmsim.default_options with
-        eps = 1e-300;
-        max_iter = iters;
-        accel }
-    in
+  let options ?(accel = 0) iters =
+    (* eps below any representable progress: the loop never converges
+       early, so the two runs differ by exactly [iters] iterations *)
+    { Mclh_lcp.Mmsim.default_options with
+      eps = 1e-300;
+      max_iter = iters;
+      accel }
+  in
+  let words ?s0 ?accel iters =
+    let options = options ?accel iters in
     let before = Gc.minor_words () in
     ignore (Mclh_lcp.Mmsim.solve_inplace ~options ?s0 ops ~q);
     Gc.minor_words () -. before
@@ -318,7 +319,29 @@ let test_zero_alloc_per_iteration () =
   ignore (words ~accel:8 12);
   let lo = words ~accel:8 20 and hi = words ~accel:8 120 in
   Alcotest.(check (float 0.0))
-    "accelerated minor words per 100 steady-state iterations" 0.0 (hi -. lo)
+    "accelerated minor words per 100 steady-state iterations" 0.0 (hi -. lo);
+  (* ... and so must a history reset and the refill after it. A start
+     whose differences square to infinity makes the extrapolation
+     non-finite, which resets the history; the reference solve (bit-
+     identical, see test_lcp.ml) shows at which iterations *)
+  let huge =
+    Mclh_linalg.Vec.init (Mclh_linalg.Vec.dim s0) (fun i ->
+        1e155 *. float_of_int ((i mod 7) - 3))
+  in
+  let probe = 400 in
+  let _, resets =
+    Mmsim_ref.solve_inplace ~options:(options ~accel:8 probe) ~s0:huge ops ~q
+  in
+  match List.rev resets with
+  | [] -> Alcotest.failf "no history reset within %d iterations" probe
+  | last :: _ ->
+    (* from before the first reset to a full depth-8 refill after the last *)
+    let lo = words ~s0:huge ~accel:8 (List.hd resets - 1)
+    and hi = words ~s0:huge ~accel:8 (last + 8 + 1) in
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "accelerated minor words over resets %d..%d and the refill"
+         (List.hd resets) last)
+      0.0 (hi -. lo)
 
 let () =
   Alcotest.run "decompose"

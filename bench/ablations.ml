@@ -1,9 +1,11 @@
 (* Ablations for the design choices DESIGN.md calls out:
-   - lambda sweep: subcell mismatch and iterations vs the penalty factor;
-   - beta/theta grid: convergence behaviour around the paper's 0.5/0.5
-     (Theorem 2's bound check included);
+   - lambda sweep: subcell mismatch and iterations of the production
+     solve vs the penalty factor;
+   - beta/theta grid: convergence of the paper's Algorithm 1 around its
+     0.5/0.5 (Theorem 2's bound check included);
    - Schur path: Sherman-Morrison closed form vs exact per-chain solves;
-   - warm start on/off: iteration counts. *)
+   - warm start vs the paper's start: iterations of the production
+     solve. *)
 
 open Mclh_core
 open Mclh_report
@@ -18,7 +20,7 @@ let run () =
   let model = Model.build d assignment in
 
   (* lambda sweep *)
-  Printf.printf "\n--- lambda vs subcell mismatch (eps 1e-6) ---\n";
+  Printf.printf "\n--- lambda vs subcell mismatch (production solve, eps 1e-6) ---\n";
   let t =
     Table.create
       [ { Table.title = "lambda"; align = Table.Right };
@@ -40,8 +42,10 @@ let run () =
     [ 1.0; 10.0; 100.0; 1000.0; 10000.0 ];
   print_string (Table.render t);
 
-  (* beta/theta grid *)
-  Printf.printf "\n--- beta/theta grid (paper uses 0.5/0.5) ---\n";
+  (* beta/theta grid: Algorithm 1 as the paper runs it, on the whole LCP
+     from its start vector, with no Anderson step and no rescue *)
+  Printf.printf
+    "\n--- beta/theta grid (plain Algorithm 1, paper's start; paper uses 0.5/0.5) ---\n";
   let t =
     Table.create
       [ { Table.title = "beta"; align = Table.Right };
@@ -55,23 +59,25 @@ let run () =
      theta damps the steps so much that the z-change criterion fires while
      the complementarity residual is still large *)
   let lcp = Solver.lcp_problem model ~lambda:Config.default.Config.lambda in
+  let q = Solver.rhs_q model and s0 = Warm_start.plain_start model in
   List.iter
     (fun (beta, theta) ->
-      let config =
-        { Config.default with beta; theta; eps = 1e-4; max_iter = 30_000;
-          verify_bound = true; warm_start = false }
+      let config = { Config.default with beta; theta } in
+      let options =
+        { Mclh_lcp.Mmsim.gamma = Warm_start.gamma; eps = 1e-4; max_iter = 30_000;
+          accel = 0 }
       in
-      let res = Solver.solve ~config model in
-      let z = Array.append res.Solver.x res.Solver.r in
+      let out =
+        Mclh_lcp.Mmsim.solve_inplace ~options ~s0
+          (Solver.operators_inplace model config) ~q
+      in
       Table.add_row t
         [ Table.fmt_float 2 beta;
           Table.fmt_float 2 theta;
-          string_of_int res.Solver.iterations;
-          string_of_bool res.Solver.converged;
-          Printf.sprintf "%.1e" (Mclh_lcp.Lcp.residual_inf lcp z);
-          (match res.Solver.bound with
-          | Some b -> string_of_bool b.Solver.theta_ok
-          | None -> "-") ])
+          string_of_int out.Mclh_lcp.Mmsim.iterations;
+          string_of_bool out.Mclh_lcp.Mmsim.converged;
+          Printf.sprintf "%.1e" (Mclh_lcp.Lcp.residual_inf lcp out.Mclh_lcp.Mmsim.z);
+          string_of_bool (Solver.check_bound model config).Solver.theta_ok ])
     [ (0.25, 0.25); (0.5, 0.25); (0.5, 0.5); (0.5, 0.75); (0.75, 0.5);
       (1.0, 0.5); (0.5, 1.0) ];
   print_string (Table.render t);
@@ -99,16 +105,14 @@ let run () =
     (1e3 *. t_sm) (1e3 *. t_exact);
 
   (* warm start *)
-  Printf.printf "\n--- warm start (Algorithm 1's s_0) ---\n";
-  let run_ws warm_start =
-    let config =
-      { Config.default with warm_start; eps = 1e-6; max_iter = 200_000 }
-    in
-    let res, dt = Mclh_par.Clock.timed (fun () -> Solver.solve ~config model) in
+  Printf.printf "\n--- warm start (Algorithm 1's s_0, production solve) ---\n";
+  let run_ws ?s0 () =
+    let config = { Config.default with eps = 1e-6; max_iter = 200_000 } in
+    let res, dt = Mclh_par.Clock.timed (fun () -> Solver.solve ~config ?s0 model) in
     (res.Solver.iterations, res.Solver.converged, dt)
   in
-  let it_plain, conv_plain, t_plain = run_ws false in
-  let it_warm, conv_warm, t_warm = run_ws true in
+  let it_plain, conv_plain, t_plain = run_ws ~s0:(Warm_start.plain_start model) () in
+  let it_warm, conv_warm, t_warm = run_ws () in
   Printf.printf
     "plain start (z_0 = x'): %d iterations (converged %b, %.2fs)\n\
      PlaceRow warm start:    %d iterations (converged %b, %.2fs)\n%!"

@@ -30,12 +30,6 @@ let tests () =
     (* Table 2: one kernel per comparison column *)
     Test.make ~name:"table2/ours"
       (Staged.stage (fun () -> ignore (Solver.solve model)));
-    Test.make ~name:"table2/ours_monolithic"
-      (Staged.stage (fun () ->
-           ignore
-             (Solver.solve
-                ~config:{ Config.default with decompose = false }
-                model)));
     Test.make ~name:"table2/dac16"
       (Staged.stage (fun () ->
            ignore (Result.is_ok (Greedy_cpy.legalize ~options:Greedy_cpy.default d))));

@@ -98,9 +98,9 @@ let run () =
     (fun r -> r.runtime)
     (fun p -> p.Paper_data.runtime_s);
   (* decomposition report: component structure of each design's LCP and
-     the end-to-end solve speedup of the component-parallel path. Runs
-     sequentially over benchmarks so the solver's own shard fan-out owns
-     the pool (under Util.fanout it would find the pool busy). *)
+     the solve time of the component-parallel path. Runs sequentially
+     over benchmarks so the solver's own shard fan-out owns the pool
+     (under Util.fanout it would find the pool busy). *)
   Printf.printf "\n--- LCP decomposition (domain pool: %d) ---\n"
     (Mclh_par.Pool.size (Util.pool ()));
   let dtable =
@@ -110,10 +110,7 @@ let run () =
         { title = "components"; align = Right };
         { title = "largest"; align = Right };
         { title = "shards"; align = Right };
-        { title = "mono (s)"; align = Right };
-        { title = "decomp (s)"; align = Right };
-        { title = "speedup"; align = Right };
-        { title = "max|dx|"; align = Right } ]
+        { title = "solve (s)"; align = Right } ]
   in
   List.iter
     (fun name ->
@@ -124,42 +121,20 @@ let run () =
       let deco = Decompose.analyze model in
       (* best of three: at FAST scales the solves take milliseconds, where
          a single timing is dominated by GC and scheduler noise *)
-      let timed_best f =
-        let result = ref None and t = ref infinity in
-        for _ = 1 to 3 do
-          let r, ti = Mclh_par.Clock.timed f in
-          if ti < !t then t := ti;
-          result := Some r
-        done;
-        (Option.get !result, !t)
-      in
-      let mono, t_mono =
-        timed_best (fun () ->
-            Solver.solve ~config:{ Config.default with decompose = false } model)
-      in
-      let dec, t_dec = timed_best (fun () -> Solver.solve model) in
-      let diff =
-        Mclh_linalg.Vec.dist_inf
-          (Model.placement_of model mono.Solver.x).Mclh_circuit.Placement.xs
-          (Model.placement_of model dec.Solver.x).Mclh_circuit.Placement.xs
-      in
+      let t_solve = ref infinity in
+      for _ = 1 to 3 do
+        let _, t = Mclh_par.Clock.timed (fun () -> Solver.solve model) in
+        t_solve := Float.min !t_solve t
+      done;
       Table.add_row dtable
         [ name;
           string_of_int (model.Model.nvars + Model.num_constraints model);
           string_of_int (Decompose.num_components deco);
           string_of_int (Decompose.largest_dim deco);
           string_of_int (Decompose.num_shards deco);
-          Table.fmt_float 3 t_mono;
-          Table.fmt_float 3 t_dec;
-          Printf.sprintf "%.2fx" (if t_dec > 0.0 then t_mono /. t_dec else 1.0);
-          Printf.sprintf "%.1e" diff ])
+          Table.fmt_float 3 !t_solve ])
     (Util.benchmarks ());
   print_string (Table.render dtable);
-  print_string
-    "(max|dx| compares two eps-accurate solutions that stop on different\n\
-    \ schedules: each component converges on its own instead of riding the\n\
-    \ global maximum. Driven to eps = 1e-10 the paths agree to <= 1e-9;\n\
-    \ test_decompose.ml pins that down.)\n";
   let p1, p2, p3, p4 = Paper_data.table2_norm_disp in
   Printf.printf
     "\npaper N.Average  disp: %.2f %.2f %.2f %.2f" p1 p2 p3 p4;

@@ -1,16 +1,10 @@
-type backend = Auto | Plain
-
 type t = {
   lambda : float;
   beta : float;
   theta : float;
   eps : float;
   max_iter : int;
-  backend : backend;
-  verify_bound : bool;
-  warm_start : bool;
   num_domains : int;
-  decompose : bool;
   metrics : bool;
   progress : bool;
       (* stage/iteration heartbeat lines on stderr for long full-scale
@@ -27,11 +21,7 @@ let default =
     theta = 0.5;
     eps = 3e-3;
     max_iter = 10_000;
-    backend = Auto;
-    verify_bound = false;
-    warm_start = true;
     num_domains = Mclh_par.Pool.default_num_domains ();
-    decompose = true;
     metrics = Mclh_obs.Obs.enabled_from_env ();
     progress = false }
 

@@ -300,13 +300,6 @@ let analyze ?(min_shard_vars = default_min_shard_vars) (model : Model.t) =
   in
   { model; comp_of_var; num_components; largest_dim = !largest_dim; shards }
 
-let whole (model : Model.t) =
-  { model;
-    comp_of_var = Array.make model.nvars 0;
-    num_components = 1;
-    largest_dim = model.nvars + Model.num_constraints model;
-    shards = [| whole_shard model |] }
-
 let num_components t = t.num_components
 let largest_dim t = t.largest_dim
 let num_shards t = Array.length t.shards
@@ -341,9 +334,9 @@ let scatter (model : Model.t) shard local global =
    bookkeeping, not part of the LCP). Equal sub-LCPs have equal unique
    solutions, so a 128-bit key match makes solution reuse mathematically
    sound up to hash collisions. The incremental engine keys its solution
-   cache on this; the solver's backend chooser reads the same structural
-   features (dimensions, chain count, separation signs) when routing a
-   shard. *)
+   cache on this; the solver's exact-start test ([Warm_start.exact])
+   reads the same structural features (chain count, separation signs)
+   when picking a shard's start. *)
 let fnv_prime = 0x100000001b3L
 
 let shard_key (model : Model.t) (shard : shard) =

@@ -56,11 +56,6 @@ val analyze : ?min_shard_vars:int -> Model.t -> t
     {!default_min_shard_vars}; it must be positive and must not be derived
     from the domain count (see above). *)
 
-val whole : Model.t -> t
-(** The one-shard partition covering the whole model, planned without the
-    union-find pass: [num_components = 1], [largest_dim = n + m]. What a
-    solve with [Config.decompose] off iterates on. *)
-
 val extract : Model.t -> shard -> Model.t
 (** [extract model shard] materializes the shard's self-contained
     sub-model; a shard covering the whole model yields [model] itself
@@ -117,5 +112,5 @@ val shard_key : Model.t -> shard -> Int64.t * Int64.t * int * int
     are deliberately excluded, so insert/delete renumbering preserves the
     key. Equal sub-LCPs have equal unique solutions, which makes a cache
     keyed on this sound up to hash collisions — the incremental engine
-    ({!Mclh_incr}) relies on it, and the solver's backend chooser routes
-    shards off the same structural features. *)
+    ({!Mclh_incr}) relies on it, and the solver's exact-start test
+    ({!Warm_start.exact}) reads the same structural features. *)

@@ -21,13 +21,12 @@ type result = {
   converged : bool;
   delta_inf : float;
   mismatch : float;
-  bound : bound_check option;
   components : int;
   largest_dim : int;
   backends : backend_stats;
 }
 
-and bound_check = { mu_max : float; theta_limit : float; theta_ok : bool }
+type bound_check = { mu_max : float; theta_limit : float; theta_ok : bool }
 
 let rhs_q = Model.lcp_rhs
 
@@ -263,8 +262,6 @@ let rescue_stall_rate = 0.999
    point depends only on Omega and gamma, never on the M/N split, so the
    tuned attempt converges to the same solution — and a failed attempt
    still rescues through plain MMSIM at the caller's own constants.
-   Applied only when the caller left beta/theta at the paper defaults,
-   so explicit sweeps and ablations steer the accelerated path too.
 
    The tuned splitting trades a little late-stage smoothness for speed:
    its accelerated iterate-change floor sits around 2e-12 on the bench
@@ -282,23 +279,15 @@ let accel_eps_floor = 1e-10
 let accel_depth = 8
 
 let accel_config (config : Config.t) =
-  if
-    config.beta = Config.default.Config.beta
-    && config.theta = Config.default.Config.theta
-    && config.eps >= accel_eps_floor
-  then { config with beta = accel_beta; theta = accel_theta }
+  if config.eps >= accel_eps_floor then
+    { config with beta = accel_beta; theta = accel_theta }
   else config
 
 (* one solve of [model] as a single LCP, the core of every shard's
-   solve. Routes the shard to a backend according to [config.backend]:
-
-   - [Plain]: the paper's Algorithm 1 exactly — one plain MMSIM run, no
-     rescue (the honest baseline the bench compares against);
-   - [Auto]: Anderson-accelerated MMSIM with the rescue ladder below.
-
-   MMSIM rescue ladder (Auto): if the accelerated run fails, retry
-   plain with a private convergence trace; if that also fails, use the
-   trace's contraction estimate to pick a final attempt — still
+   solve: Anderson-accelerated MMSIM with a rescue ladder. If the
+   accelerated run fails, retry plain Algorithm 1 at the config's
+   beta/theta with a private convergence trace; if that also fails, use
+   the trace's contraction estimate to pick a final attempt — still
    contracting means the budget was short (keep acceleration, halve
    theta for a faster rate); stalled or diverging means the splitting
    violated Theorem 2's bound (halve theta, plain). Iterations
@@ -308,15 +297,15 @@ let accel_config (config : Config.t) =
    and the config — never on timing, the domain count, or whether obs is
    attached — so decomposed solves stay bit-identical across pool sizes.
 
-   A caller-supplied [s0] (incremental warm restart) overrides the
-   config's start-vector policy, except under [Auto] on a shard where
-   [Warm_start.exact] holds: that shard starts from the PlaceRow fixed
-   point whatever [s0] and [config.warm_start] say, and the MMSIM's own
-   stopping test certifies it in one iteration. *)
+   A caller-supplied [s0] (incremental warm restart) replaces the
+   PlaceRow warm start, except on a shard where [Warm_start.exact]
+   holds: that shard starts from the PlaceRow fixed point whatever [s0]
+   says, and the MMSIM's own stopping test certifies it in one
+   iteration. *)
 let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
   let n = model.nvars and m = Model.num_constraints model in
   let q = rhs_q model in
-  let exact_start = config.backend = Config.Auto && Warm_start.exact model in
+  let exact_start = Warm_start.exact model in
   let mmsim ?trace ~accel (cfg : Config.t) =
     let ops = operators_inplace model cfg in
     let options =
@@ -328,11 +317,7 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
     let s0 =
       match s0 with
       | Some s0 when not exact_start -> s0
-      | _ when cfg.warm_start || exact_start -> Warm_start.modulus_vector model ops
-      | _ ->
-        (* the paper's plain start: z_0 at the global-placement positions *)
-        Vec.init (n + m) (fun i ->
-            if i < n then Warm_start.gamma /. 2.0 *. -.model.p.(i) else 0.0)
+      | _ -> Warm_start.modulus_vector model ops
     in
     let on_iter =
       match trace with
@@ -353,35 +338,30 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
     (x, r, out.Mclh_lcp.Mmsim.s, iters_before + out.Mclh_lcp.Mmsim.iterations,
      out.Mclh_lcp.Mmsim.converged, out.Mclh_lcp.Mmsim.delta_inf, tag, fallbacks)
   in
-  match config.backend with
-  | Config.Plain ->
-    let out = mmsim ~accel:0 config in
-    finish_mmsim out ~iters_before:0 ~tag:Plain ~fallbacks:0
-  | Config.Auto ->
-    let first = mmsim ~accel:accel_depth (accel_config config) in
-    if first.Mclh_lcp.Mmsim.converged then
-      finish_mmsim first ~iters_before:0 ~tag:Accel ~fallbacks:0
+  let first = mmsim ~accel:accel_depth (accel_config config) in
+  if first.Mclh_lcp.Mmsim.converged then
+    finish_mmsim first ~iters_before:0 ~tag:Accel ~fallbacks:0
+  else begin
+    let spent = first.Mclh_lcp.Mmsim.iterations in
+    let tr = Trace.create ~capacity:trace_capacity in
+    let second = mmsim ~trace:tr ~accel:0 config in
+    if second.Mclh_lcp.Mmsim.converged then
+      finish_mmsim second ~iters_before:spent ~tag:Plain ~fallbacks:1
     else begin
-      let spent = first.Mclh_lcp.Mmsim.iterations in
-      let tr = Trace.create ~capacity:trace_capacity in
-      let second = mmsim ~trace:tr ~accel:0 config in
-      if second.Mclh_lcp.Mmsim.converged then
-        finish_mmsim second ~iters_before:spent ~tag:Plain ~fallbacks:1
-      else begin
-        let spent = spent + second.Mclh_lcp.Mmsim.iterations in
-        let contracting =
-          match Trace.estimate_rate tr with
-          | Some rate -> rate < rescue_stall_rate
-          | None -> false
-        in
-        let cfg = { config with theta = config.theta /. 2.0 } in
-        let accel = if contracting then accel_depth else 0 in
-        let third = mmsim ~accel cfg in
-        finish_mmsim third ~iters_before:spent
-          ~tag:(if accel > 0 then Accel else Plain)
-          ~fallbacks:2
-      end
+      let spent = spent + second.Mclh_lcp.Mmsim.iterations in
+      let contracting =
+        match Trace.estimate_rate tr with
+        | Some rate -> rate < rescue_stall_rate
+        | None -> false
+      in
+      let cfg = { config with theta = config.theta /. 2.0 } in
+      let accel = if contracting then accel_depth else 0 in
+      let third = mmsim ~accel cfg in
+      finish_mmsim third ~iters_before:spent
+        ~tag:(if accel > 0 then Accel else Plain)
+        ~fallbacks:2
     end
+  end
 
 type fan_in = {
   max_iterations : int;
@@ -393,7 +373,7 @@ type fan_in = {
 
 (* The one per-shard fan-out. Independent sub-LCPs go over the domain
    pool; each job materializes its sub-model ([Decompose.extract], the
-   model itself for a whole-model shard) and converges on its own
+   model itself for a shard covering the whole model) and converges on its own
    schedule. Shard contents are fixed by the model alone, so any pool
    size produces the same bits. A lone shard runs on the calling thread,
    where the in-place operators can still chunk its chains over the pool.
@@ -508,9 +488,7 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
       (Printf.sprintf "Solver.solve: s0 has dimension %d, expected n + m = %d"
          (Vec.dim s0) (n + m))
   | Some _ | None -> ());
-  let deco =
-    if config.decompose then Decompose.analyze model else Decompose.whole model
-  in
+  let deco = Decompose.analyze model in
   let shards = deco.Decompose.shards in
   if config.progress then
     Printf.eprintf "[mclh] solve: %d components, %d shards (largest dim %d)\n%!"
@@ -532,19 +510,6 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
   in
   let x = Vec.zeros n and r = Vec.zeros m and modulus = Vec.zeros (n + m) in
   let fan = solve_shards ?on_trace ?s0 config model shards ~x ~r ~modulus in
-  let bound =
-    if config.verify_bound then begin
-      (* Theorem 2 is checked on the model MMSIM actually iterated on: the
-         largest (worst-case) shard's sub-model, the model itself when
-         there is one shard *)
-      let largest = ref shards.(0) in
-      Array.iter
-        (fun s -> if Decompose.shard_dim s > Decompose.shard_dim !largest then largest := s)
-        shards;
-      Some (check_bound (Decompose.extract model !largest) config)
-    end
-    else None
-  in
   let components = Decompose.num_components deco
   and largest_dim = Decompose.largest_dim deco
   and backends = fan.backend_counts in
@@ -567,7 +532,6 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
     converged = fan.all_converged;
     delta_inf = fan.max_delta;
     mismatch;
-    bound;
     components;
     largest_dim;
     backends }

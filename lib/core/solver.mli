@@ -47,25 +47,16 @@ type result = {
   converged : bool;
   delta_inf : float;  (** final iterate change *)
   mismatch : float;  (** subcell mismatch after the solve *)
-  bound : bound_check option;
-      (** present when the config asks for it. Refers to the model MMSIM
-          actually iterated on: the largest (worst-case) shard's
-          sub-model, which is the full model for a one-shard solve —
-          smaller shards can be checked individually with {!check_bound}
-          on {!Decompose.extract}ed sub-models. *)
   components : int;
-      (** independent LCP components found by {!Decompose} (1 when
-          [config.decompose] is off) *)
+      (** independent LCP components found by {!Decompose.analyze} *)
   largest_dim : int;
-      (** variables + constraints of the largest component ([n + m] when
-          [config.decompose] is off) *)
+      (** variables + constraints of the largest component *)
   backends : backend_stats;
       (** which backend solved each shard and how many attempts fell
-          back (see {!backend_stats}); under [Config.Plain] this is
-          always [plain = shards, fallbacks = 0] *)
+          back (see {!backend_stats}) *)
 }
 
-and bound_check = {
+type bound_check = {
   mu_max : float;  (** power-iteration estimate of the largest eigenvalue
                        of [Gamma = D^-1 B Q~^-1 B^T] *)
   theta_limit : float;  (** [2 (2 - beta) / (beta mu_max)] *)
@@ -106,36 +97,38 @@ val rhs_q : Model.t -> Vec.t
 
 val solve :
   ?config:Config.t -> ?obs:Mclh_obs.Obs.t -> ?s0:Vec.t -> Model.t -> result
-(** Solves the x-direction LCP. When [config.decompose] is set (the
-    default) the LCP is first split into its independent connected
-    components ({!Decompose.analyze}); otherwise it is one shard covering
-    the whole model ({!Decompose.whole}). Every shard then goes through
-    {!solve_shards}: sub-LCPs solve on the domain pool and their
-    solutions scatter back. A single-component design is one shard whose
-    sub-model is the model itself, so it solves exactly as with
-    decomposition off. Decomposed results agree with the one-shard solve
-    up to the iteration tolerance and are bit-identical across
+(** Solves the x-direction LCP. The LCP is first split into its
+    independent connected components ({!Decompose.analyze}); every shard
+    then goes through {!solve_shards}: sub-LCPs solve on the domain pool
+    and their solutions scatter back. A single-component design is one
+    shard whose sub-model is the model itself. Each component converges
+    on its own schedule, so the result agrees with Algorithm 1 on the
+    whole LCP up to the iteration tolerance; it is bit-identical across
     [num_domains] values.
 
-    Each per-shard solve is routed by [config.backend]. [Plain] is
-    exactly the paper's Algorithm 1 (one plain MMSIM run, no rescue).
-    [Auto] (the default) runs Anderson-accelerated MMSIM on every shard.
-    A shard where {!Warm_start.exact} holds (no multi-row chains, as on
-    every single-height design) starts from the PlaceRow fixed point
-    whatever [s0] and [config.warm_start] say, so it converges in one
-    iteration, certified by the MMSIM's own stopping test. A
-    non-converged accelerated run is rescued: retry plain, then — guided
-    by the retry's convergence-trace contraction estimate
+    Every shard starts from the PlaceRow warm start
+    ({!Warm_start.modulus_vector}) unless [s0] is given, and runs
+    Anderson-accelerated MMSIM. When [config.eps >= 1e-10] the
+    accelerated attempt iterates at its own splitting (beta = 1.0,
+    theta = 0.4), which leaves the fixed point unchanged; below that it
+    keeps [config.beta]/[config.theta]. A shard where
+    {!Warm_start.exact} holds (no multi-row chains, as on every
+    single-height design) starts from the PlaceRow fixed point whatever
+    [s0] says, so it converges in one iteration, certified by the
+    MMSIM's own stopping test. A non-converged accelerated run is
+    rescued: retry plain Algorithm 1 at [config.beta]/[config.theta],
+    then — guided by the retry's convergence-trace contraction estimate
     ({!Mclh_obs.Trace.estimate_rate}) — once more with [theta] halved.
     Iterations accumulate across attempts and every abandoned attempt
     counts in [result.backends.fallbacks], so reported work and fallback
-    behaviour are never hidden. Routing and rescue decisions depend only
-    on shard content and config — never on timing, pool size, or whether
-    [obs] is attached — preserving bit-identical parallel results.
+    behaviour are never hidden. Rescue decisions depend only on shard
+    content and config — never on timing, pool size, or whether [obs]
+    is attached — preserving bit-identical parallel results.
 
     [s0] is an explicit MMSIM start vector in global numbering (length
-    [n + m]); it overrides both the PlaceRow warm start and the paper's
-    plain start (except on the [Auto] shards just described). Each shard receives its own restriction of [s0]
+    [n + m]); it replaces the PlaceRow warm start (except on the exact
+    shards just described), e.g. {!Warm_start.plain_start} for the
+    paper's start. Each shard receives its own restriction of [s0]
     ({!Decompose.restrict}). The LCP fixed point is unique (Q~ SPD, B full
     row rank), so any [s0] converges to the same solution within the
     tolerance; a good [s0] — e.g. [result.modulus] from a previous solve
@@ -177,19 +170,20 @@ val solve_shards :
     (length [n + m]); entries outside [shards] are left as they are. It
     is the one per-shard path of the solver: {!solve} hands it every
     shard, the incremental engine only its cache misses. [shards] must be
-    disjoint shards of [model] (from {!Decompose.analyze} or
-    {!Decompose.whole}) and [config] valid.
+    disjoint shards of [model] (from {!Decompose.analyze}) and [config]
+    valid.
 
     Each shard starts from its restriction of [s0] (global numbering,
-    length [n + m]) when given, otherwise from [config]'s start policy,
-    and is routed to a backend as described under {!solve}. Several
+    length [n + m]) when given, otherwise from the PlaceRow warm start,
+    and is solved as described under {!solve}. Several
     shards fan out over the domain pool, heaviest first; a lone shard
     runs on the calling thread. When [on_trace] is given, every shard
     records a convergence trace, handed over as [on_trace i ~iterations
     trace] on the calling thread after fan-in, in shard order. *)
 
 val check_bound : Model.t -> Config.t -> bound_check
-(** The Theorem 2 convergence check on its own. *)
+(** Theorem 2's sufficient convergence condition for Algorithm 1 at
+    [config.beta]/[config.theta] on [model] (one power iteration). *)
 
 val lcp_problem : Model.t -> lambda:float -> Mclh_lcp.Lcp.problem
 (** The explicit KKT LCP (Equation (15)) via {!Model.to_qp} — small

@@ -2,6 +2,12 @@ open Mclh_linalg
 
 let gamma = Mclh_lcp.Mmsim.default_options.Mclh_lcp.Mmsim.gamma
 
+(* the paper's start: z_0 at the global-placement positions *)
+let plain_start (model : Model.t) =
+  let n = model.nvars in
+  Vec.init (n + Model.num_constraints model) (fun i ->
+      if i < n then gamma /. 2.0 *. -.model.p.(i) else 0.0)
+
 (* Without equality chains Q~ = I and Problem (13) decouples into one
    PlaceRow problem per ordering group. With nonnegative separations the
    per-row solve below is that problem's exact optimum (Sec 5.3), so the

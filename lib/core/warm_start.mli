@@ -21,7 +21,7 @@
     iteration. With multi-row cells the residual is localized at the
     subcell-equality chains — exactly the coupling PlaceRow cannot
     express and the MMSIM is there to resolve. The ablation benchmark
-    measures iteration counts with and without it. *)
+    measures iteration counts against the paper's {!plain_start}. *)
 
 open Mclh_linalg
 
@@ -29,6 +29,12 @@ val gamma : float
 (** The modulus scaling of every production solve and start vector:
     {!Mclh_lcp.Mmsim.default_options}' [gamma] (2.0). The fixed point
     does not depend on it. *)
+
+val plain_start : Model.t -> Vec.t
+(** The paper's start vector [s_0 = (gamma/2) (-p; 0)]: every subcell at
+    its global-placement position, every multiplier zero. Algorithm 1
+    reaches the same fixed point from it, only in more iterations than
+    from {!modulus_vector}. *)
 
 val exact : Model.t -> bool
 (** True when the model has no subcell-equality chains (so [Q~ = I]) and

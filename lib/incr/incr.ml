@@ -49,7 +49,7 @@ let max_cache_entries = 8192
 (* shard fingerprint                                                   *)
 
 (* the 128-bit pure-LCP fingerprint lives in [Decompose.shard_key] (the
-   solver's backend chooser reads the same structural features); the
+   solver's exact-start test reads the same structural features); the
    cache is keyed on it directly *)
 let shard_key = Decompose.shard_key
 
@@ -192,13 +192,14 @@ let apply_edits (design : Design.t) edits =
 
 (* Carry the previous modulus vector to the new model's numbering.
    Variables map by (pre-batch cell id, row) identity; constraints by
-   their (left, right) variable-identity pair. Touched cells take the
-   paper's plain start at their *new* target (their old modulus reflects
-   the old position); unmapped constraints start at 0. *)
+   their (left, right) variable-identity pair. Everything unmapped keeps
+   the paper's plain start: touched cells start at their *new* target
+   (their old modulus reflects the old position), unmapped constraints
+   at 0. *)
 let warm_s0 (old_model : Model.t) old_s (model' : Model.t) ~old_of_new
     ~touched =
   let n_old = old_model.Model.nvars in
-  let n' = model'.Model.nvars and m' = Model.num_constraints model' in
+  let n' = model'.Model.nvars in
   let old_var = Hashtbl.create (2 * n_old) in
   for v = 0 to n_old - 1 do
     Hashtbl.replace old_var
@@ -222,17 +223,14 @@ let warm_s0 (old_model : Model.t) old_s (model' : Model.t) ~old_of_new
       let oc = old_of_new.(c) in
       if oc < 0 then None else Some (oc, model'.Model.var_row.(v'))
   in
-  let s0 = Vec.zeros (n' + m') in
+  let s0 = Warm_start.plain_start model' in
   for v' = 0 to n' - 1 do
-    let mapped =
-      match ident v' with
-      | None -> None
-      | Some key -> Hashtbl.find_opt old_var key
-    in
-    s0.(v') <-
-      (match mapped with
-      | Some ov -> old_s.(ov)
-      | None -> Warm_start.gamma /. 2.0 *. -.model'.Model.p.(v'))
+    match ident v' with
+    | None -> ()
+    | Some key -> (
+      match Hashtbl.find_opt old_var key with
+      | Some ov -> s0.(v') <- old_s.(ov)
+      | None -> ())
   done;
   Array.iteri
     (fun i (u', v') ->

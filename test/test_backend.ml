@@ -1,7 +1,8 @@
-(* Tests for the per-shard backend chooser: Auto lands on the plain
-   run-to-convergence MMSIM solution, and certifies a shard whose PlaceRow
-   start is exact in one iteration; the des_perf_1 non-convergence fix stays fixed, and
-   Auto cuts plain MMSIM's iterations at least 3x on des_perf_1 and
+(* Tests for the per-shard solve: the accelerated solve with its rescue
+   ladder lands on the plain run-to-convergence Algorithm 1 solution
+   ({!Algorithm1}), and certifies a shard whose PlaceRow start is exact in
+   one iteration; the des_perf_1 non-convergence fix stays fixed, and the
+   solve cuts plain Algorithm 1's iterations at least 3x on des_perf_1 and
    matrix_mult_1 with the same snapped placement; and
    --strict-convergence turns silent budget exhaustion into a non-zero
    exit. *)
@@ -17,20 +18,20 @@ let model_of ?options ~scale name =
   let d = (instance ?options ~scale name).Mclh_benchgen.Generate.design in
   (d, Model.build d (Row_assign.assign d))
 
-let placement_xs model res =
-  (Model.placement_of model res.Solver.x).Mclh_circuit.Placement.xs
+let placement_xs model x =
+  (Model.placement_of model x).Mclh_circuit.Placement.xs
 
-(* run-to-convergence plain MMSIM: the semantic baseline every backend is
-   judged against. eps far below the production tolerance so the
+(* run-to-convergence plain Algorithm 1: the semantic baseline the solve
+   is judged against. eps far below the production tolerance so the
    iterate-change stop is within ~1e-10 of the true fixed point *)
 let tight =
   { Config.default with eps = 1e-12; max_iter = 400_000; num_domains = 1 }
 
-(* ---------- Auto vs plain MMSIM on exactly warm-started shards ---------- *)
+(* ---------- the solve vs plain MMSIM on exactly warm-started shards ---------- *)
 
 (* Sec 5.3: without multi-row chains the PlaceRow start is the fixed
-   point, so Auto takes it whatever s0 it is offered and stops after the
-   one iteration that verifies it *)
+   point, so the solve takes it whatever s0 it is offered and stops after
+   the one iteration that verifies it *)
 let test_auto_exact_shards () =
   let options =
     { Mclh_benchgen.Generate.default_options with
@@ -44,8 +45,8 @@ let test_auto_exact_shards () =
         if not (Warm_start.exact sub) then hits
         else begin
           let dim = sub.Model.nvars + Model.num_constraints sub in
-          let base = Solver.solve ~config:{ tight with backend = Config.Plain } sub in
-          if not base.Solver.converged then
+          let base = Algorithm1.solve tight sub in
+          if not base.Algorithm1.converged then
             Alcotest.failf "plain baseline did not converge (dim %d)" dim;
           let adversarial =
             Vec.init dim (fun i -> (0.5 *. float_of_int (i mod 7)) -. 1.0)
@@ -56,7 +57,7 @@ let test_auto_exact_shards () =
               if not (auto.Solver.converged && auto.Solver.iterations = 1) then
                 Alcotest.failf "%s: auto took %d iterations (converged %b, dim %d)"
                   start auto.Solver.iterations auto.Solver.converged dim;
-              let d = Vec.dist_inf auto.Solver.x base.Solver.x in
+              let d = Vec.dist_inf auto.Solver.x base.Algorithm1.x in
               if d > 1e-8 then
                 Alcotest.failf "%s: auto disagrees with plain MMSIM by %g (dim %d)"
                   start d dim)
@@ -92,22 +93,21 @@ let flavor_options = function
   | _ -> { Mclh_benchgen.Generate.default_options with tall_cell_fraction = 0.3 }
 
 let qc_chooser_matches_plain_baseline =
-  (* Auto runs (tight tolerance) vs the plain run-to-convergence
+  (* the solve (tight tolerance) vs the plain run-to-convergence
      baseline: positions within 1e-9 on random designs with blockages,
      tall cells, and adversarial warm starts. The fixed point is unique,
-     so backend choice and s0 may change the path but not the answer. *)
+     so acceleration, rescue and s0 may change the path but not the
+     answer. *)
   QCheck.Test.make ~count:10 ~name:"backend chooser matches plain baseline"
     QCheck.(triple (int_range 0 10_000) (int_range 0 2) bool)
     (fun (seed, flavor, warm) ->
       let options = { (flavor_options flavor) with seed } in
       let _, model = model_of ~options ~scale:0.005 "fft_2" in
-      let base =
-        Solver.solve ~config:{ tight with backend = Config.Plain } model
-      in
+      let base = Algorithm1.solve tight model in
       (* a rare slow-contracting draw can exhaust even this budget; the
          baseline is then not a fixed point and proves nothing — skip *)
-      QCheck.assume base.Solver.converged;
-      let xs_base = placement_xs model base in
+      QCheck.assume base.Algorithm1.converged;
+      let xs_base = placement_xs model base.Algorithm1.x in
       let s0 =
         if not warm then None
         else
@@ -116,19 +116,17 @@ let qc_chooser_matches_plain_baseline =
                (model.Model.nvars + Model.num_constraints model)
                (fun i -> (0.5 *. float_of_int (i mod 7)) -. 1.0))
       in
-      let auto =
-        Solver.solve ~config:{ tight with backend = Config.Auto } ?s0 model
-      in
+      let auto = Solver.solve ~config:tight ?s0 model in
       auto.Solver.converged
-      && Vec.dist_inf (placement_xs model auto) xs_base <= 1e-9)
+      && Vec.dist_inf (placement_xs model auto.Solver.x) xs_base <= 1e-9)
 
 (* ---------- des_perf_1 regression ---------- *)
 
 let test_des_perf_1_converges () =
-  (* the PR's headline bug: plain MMSIM exhausts its 10k budget on
-     des_perf_1 (the slowest-contracting benchmark) and used to report
-     success anyway. Auto must converge well inside the budget — pinned
-     at a third of it, the ISSUE's >= 3x iteration cut. *)
+  (* plain MMSIM exhausts its 10k budget on des_perf_1 (the
+     slowest-contracting benchmark) and used to report success anyway.
+     The solve must converge well inside the budget — pinned at a third
+     of it, a >= 3x iteration cut. *)
   let _, model = model_of ~scale:0.04 "des_perf_1" in
   let res = Solver.solve ~config:{ Config.default with num_domains = 1 } model in
   Alcotest.(check bool) "converged" true res.Solver.converged;
@@ -138,8 +136,8 @@ let test_des_perf_1_converges () =
     true
     (res.Solver.iterations_total * 3 < Config.default.Config.max_iter)
 
-(* plain MMSIM, its budget raised until it converges, against the Auto
-   chooser on the two slowest-contracting benchmarks: Auto cuts the
+(* plain Algorithm 1, its budget raised until it converges, against the
+   solve on the two slowest-contracting benchmarks: the solve cuts the
    iteration total at least 3x, and after the snapping stage both give
    the same placement *)
 let test_auto_cuts_plain_iterations () =
@@ -147,26 +145,23 @@ let test_auto_cuts_plain_iterations () =
     (fun name ->
       let d, model = model_of ~scale:0.04 name in
       let plain =
-        Solver.solve
-          ~config:
-            { Config.default with backend = Config.Plain; max_iter = 2_000_000 }
-          model
+        Algorithm1.solve { Config.default with max_iter = 2_000_000 } model
       in
       let auto = Solver.solve model in
-      Alcotest.(check bool) (name ^ ": plain converged") true plain.Solver.converged;
+      Alcotest.(check bool) (name ^ ": plain converged") true plain.Algorithm1.converged;
       Alcotest.(check bool) (name ^ ": auto converged") true auto.Solver.converged;
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d plain vs %d auto iterations, >= 3x cut" name
-           plain.Solver.iterations_total auto.Solver.iterations_total)
+           plain.Algorithm1.iterations_total auto.Solver.iterations_total)
         true
-        (plain.Solver.iterations_total >= 3 * auto.Solver.iterations_total);
-      let snapped res =
-        (Tetris_alloc.run d (Model.placement_of model res.Solver.x))
+        (plain.Algorithm1.iterations_total >= 3 * auto.Solver.iterations_total);
+      let snapped x =
+        (Tetris_alloc.run d (Model.placement_of model x))
           .Tetris_alloc.placement
           .Mclh_circuit.Placement.xs
       in
       Alcotest.(check bool) (name ^ ": same post-snap placement") true
-        (Vec.dist_inf (snapped plain) (snapped auto) <= 1e-9))
+        (Vec.dist_inf (snapped plain.Algorithm1.x) (snapped auto.Solver.x) <= 1e-9))
     [ "des_perf_1"; "matrix_mult_1" ]
 
 (* ---------- CLI --strict-convergence ---------- *)

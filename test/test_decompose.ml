@@ -146,42 +146,41 @@ let test_shard_d_is_restriction () =
 
 (* ---------- decomposed vs monolithic ---------- *)
 
-let placement_xs model res =
-  (Model.placement_of model res.Solver.x).Mclh_circuit.Placement.xs
+let placement_xs model x =
+  (Model.placement_of model x).Mclh_circuit.Placement.xs
 
 let check_against_monolithic ?(tol = 1e-9) name model =
-  (* backend pinned to Plain: this check isolates the decomposition
-     machinery. Each shard's D is the monolithic D restricted to the
-     shard ([Model.d_split]), so both runs iterate the same map component
-     by component and differ only in where they stop. An iterate-change
-     stop bounds the last step, not the distance to the fixed point: a
-     component contracting at rate rho can stop eps / (1 - rho) short of
-     it, and a run that exhausts its budget proves nothing. So eps sits
+  (* plain Algorithm 1 on both sides ({!Algorithm1}): this check isolates
+     the decomposition machinery. Each shard's D is the monolithic D
+     restricted to the shard ([Model.d_split]), so both runs iterate the
+     same map component by component and differ only in where they stop.
+     An iterate-change stop bounds the last step, not the distance to the
+     fixed point: a component contracting at rate rho can stop
+     eps / (1 - rho) short of it, and a run that exhausts its budget
+     proves nothing. So eps sits
      four orders of magnitude below any tolerance checked here, the
      budget is ample, and both runs must report convergence before they
      are compared. *)
   let tight =
-    { Config.default with
-      eps = 1e-12;
-      max_iter = 1_000_000;
-      num_domains = 1;
-      backend = Config.Plain }
+    { Config.default with eps = 1e-12; max_iter = 1_000_000; num_domains = 1 }
   in
-  let mono = Solver.solve ~config:{ tight with decompose = false } model in
-  let dec = Solver.solve ~config:tight model in
+  let mono = Algorithm1.solve ~whole:true tight model in
+  let dec = Algorithm1.solve tight model in
   Alcotest.(check bool) (name ^ " monolithic converged") true
-    mono.Solver.converged;
+    mono.Algorithm1.converged;
   Alcotest.(check bool) (name ^ " decomposed converged") true
-    dec.Solver.converged;
+    dec.Algorithm1.converged;
   let diff =
-    Vec.dist_inf (placement_xs model mono) (placement_xs model dec)
+    Vec.dist_inf
+      (placement_xs model mono.Algorithm1.x)
+      (placement_xs model dec.Algorithm1.x)
   in
-  if mono.Solver.iterations = dec.Solver.iterations
-     && dec.Solver.components = 1
+  if mono.Algorithm1.iterations = dec.Algorithm1.iterations
+     && Decompose.num_components (Decompose.analyze model) = 1
   then
     Alcotest.(check (array (float 0.0)))
       (name ^ " bit-identical (single component)")
-      mono.Solver.x dec.Solver.x
+      mono.Algorithm1.x dec.Algorithm1.x
   else
     Alcotest.(check bool)
       (Printf.sprintf "%s |dx| %.2e <= %.0e" name diff tol)
@@ -236,25 +235,27 @@ let test_domain_count_bit_identity () =
 
 let test_single_component_fallback () =
   (* des_perf_1's mixed rows are all bridged by double-height cells: one
-     component, so the decomposed solve is one whole-model shard and must
-     equal the solve with decomposition off exactly *)
+     component, so the decomposed solve is one shard covering the whole
+     model and must equal Algorithm 1 on the whole LCP exactly *)
   let _, model = model_of ~scale:0.02 "des_perf_1" in
   let deco = Decompose.analyze model in
   Alcotest.(check int) "single component" 1 (Decompose.num_components deco);
   Alcotest.(check int) "single shard" 1 (Decompose.num_shards deco);
   Alcotest.(check bool) "the shard's sub-model is the model" true
     (Decompose.extract model deco.Decompose.shards.(0) == model);
-  let mono =
-    Solver.solve ~config:{ Config.default with decompose = false } model
-  in
-  Alcotest.(check (pair int int)) "decompose off: one component of dim n + m"
-    (1, model.Model.nvars + Model.num_constraints model)
-    (mono.Solver.components, mono.Solver.largest_dim);
   let obs = Mclh_obs.Obs.create () in
   let dec = Solver.solve ~obs model in
-  Alcotest.(check int) "iterations" mono.Solver.iterations dec.Solver.iterations;
-  Alcotest.(check (array (float 0.0))) "x bit-identical" mono.Solver.x dec.Solver.x;
-  Alcotest.(check (array (float 0.0))) "r bit-identical" mono.Solver.r dec.Solver.r;
+  Alcotest.(check (pair int int)) "one component of dim n + m"
+    (1, model.Model.nvars + Model.num_constraints model)
+    (dec.Solver.components, dec.Solver.largest_dim);
+  let mono = Algorithm1.solve ~whole:true Config.default model in
+  let sharded = Algorithm1.solve Config.default model in
+  Alcotest.(check int) "iterations" mono.Algorithm1.iterations
+    sharded.Algorithm1.iterations;
+  Alcotest.(check (array (float 0.0))) "x bit-identical" mono.Algorithm1.x
+    sharded.Algorithm1.x;
+  Alcotest.(check (array (float 0.0))) "r bit-identical" mono.Algorithm1.r
+    sharded.Algorithm1.r;
   (* a one-shard solve keeps the plain trace name *)
   match Mclh_obs.Obs.find_trace obs "solver/delta_inf" with
   | None -> Alcotest.fail "solver/delta_inf trace missing"

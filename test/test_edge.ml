@@ -162,17 +162,29 @@ let test_solver_zero_iteration_budget_rejected () =
      with Invalid_argument _ -> true)
 
 let test_warm_start_equals_plain_fixed_point () =
-  (* both starts must reach the same snapped placement *)
+  (* one LCP fixed point, whatever the start: the PlaceRow warm start,
+     the paper's start and an adversarial vector must all reach the same
+     snapped placement on the flow's model *)
   let inst = Mclh_benchgen.Generate.generate
       (Mclh_benchgen.Spec.scaled 0.005 (Mclh_benchgen.Spec.find "fft_1")) in
   let d = inst.Mclh_benchgen.Generate.design in
-  let tight = { Config.default with eps = 1e-9; max_iter = 500_000 } in
-  let with_ws = Flow.legalize ~config:tight d in
-  let without_ws =
-    Flow.legalize ~config:{ tight with warm_start = false } d
+  let model = Model.build d (Row_assign.assign d) in
+  let config = { Config.default with eps = 1e-9; max_iter = 500_000 } in
+  let snapped ?s0 () =
+    let res = Solver.solve ~config ?s0 model in
+    Alcotest.(check bool) "converged" true res.Solver.converged;
+    (Tetris_alloc.run d (Model.placement_of model res.Solver.x))
+      .Tetris_alloc.placement
   in
-  Alcotest.(check bool) "same legal placement" true
-    (Placement.equal with_ws without_ws)
+  let warm = snapped () in
+  let dim = model.Model.nvars + Model.num_constraints model in
+  List.iter
+    (fun (start, s0) ->
+      Alcotest.(check bool) (start ^ ": same legal placement") true
+        (Placement.equal warm (snapped ~s0 ())))
+    [ ("paper's start", Warm_start.plain_start model);
+      ("adversarial start",
+       Vec.init dim (fun i -> (0.5 *. float_of_int (i mod 7)) -. 1.0)) ]
 
 (* ---------- allocator edges ---------- *)
 

@@ -389,7 +389,7 @@ let test_accel_reset_matches_reference () =
     (bit_identical fast reference)
 
 let test_accel_kkt_matches_reference () =
-  (* a real legalization KKT system, solved the way [Auto] runs a shard:
+  (* a real legalization KKT system, solved the way the solver runs a shard:
      depth 8, the accelerated splitting (beta = 1.0, theta = 0.4), the
      PlaceRow warm start and the default budget; then past convergence
      into the noise floor *)
@@ -411,7 +411,7 @@ let test_accel_kkt_matches_reference () =
       let reference, _ = Mmsim_ref.solve_inplace ~options ~s0 ops ~q in
       Alcotest.(check bool) (name ^ ": bit-identical to the full recompute") true
         (bit_identical fast reference))
-    [ ("as Auto runs it", config.Config.eps, config.Config.max_iter);
+    [ ("as the solver runs it", config.Config.eps, config.Config.max_iter);
       ("400 iterations at eps 1e-300", 1e-300, 400) ]
 
 let qc_mmsim_accel_same_fixed_point =

@@ -281,15 +281,7 @@ let mixed_design () =
 let test_flow_records_metrics () =
   let d = mixed_design () in
   let t = Obs.create () in
-  (* Plain backend: the per-iteration trace assertions below only hold
-     when the shard actually runs MMSIM (a direct-backend solve records
-     no convergence trace) *)
-  let config =
-    { Config.default with
-      decompose = false;
-      num_domains = 1;
-      backend = Config.Plain }
-  in
+  let config = { Config.default with num_domains = 1 } in
   let result = Flow.run ~config ~obs:t d in
   Alcotest.(check bool) "legal" true (Legality.is_legal d result.Flow.legal);
   Alcotest.(check int) "solver/iterations counter"
@@ -329,14 +321,7 @@ let test_tiny_max_iter_repair_path () =
   let d = mixed_design () in
   let t = Obs.create () in
   let config =
-    (* Plain backend: starving the iteration only starves the solver when
-       the chooser cannot hand the shard to an exact direct backend *)
-    { Config.default with
-      max_iter = 2;
-      eps = 1e-12;
-      warm_start = false;
-      num_domains = 1;
-      backend = Config.Plain }
+    { Config.default with max_iter = 2; eps = 1e-12; num_domains = 1 }
   in
   let result = Flow.run ~config ~obs:t d in
   Alcotest.(check bool) "solver hit max_iter" false

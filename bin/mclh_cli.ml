@@ -69,10 +69,8 @@ let report_of design (r : Runner.report) =
     Printf.bprintf b "mmsim iterations : %d (total %d, converged %b)\n"
       f.Flow.solver.Solver.iterations f.Flow.solver.Solver.iterations_total
       f.Flow.solver.Solver.converged;
-    let bs = f.Flow.solver.Solver.backends in
-    Printf.bprintf b
-      "backends         : accel %d, plain %d (fallbacks %d)\n"
-      bs.Solver.accel bs.Solver.plain bs.Solver.fallbacks;
+    Printf.bprintf b "fallbacks        : %d\n"
+      f.Flow.solver.Solver.backends.Solver.fallbacks;
     Printf.bprintf b "subcell mismatch : %.2e sites\n" f.Flow.solver.Solver.mismatch;
     Printf.bprintf b "illegal pre-fix  : %d\n" (Flow.illegal_after_mmsim f);
     Printf.bprintf b "order preserved  : %.4f\n"

@@ -5,11 +5,11 @@
 
     This record is the {b single source} for solver tolerances and
     budgets: every MMSIM run {!Solver.solve} makes (the accelerated
-    attempt and its plain rescue rungs) receives its stopping tolerance
-    and iteration budget from here — the module-local default of
+    attempt and its theta/2 retry) receives its stopping tolerance and
+    iteration budget from here — the module-local default of
     {!Mclh_lcp.Mmsim.default_options} ([eps = 1e-9]) is for direct
-    library use and tests only, so the rescue ladder compares attempts
-    like with like. The one MMSIM option not set here is the modulus
+    library use and tests only, so both attempts of a shard stop on the
+    same test. The one MMSIM option not set here is the modulus
     scaling [gamma], which leaves the fixed point unchanged and is the
     fixed {!Warm_start.gamma}. *)
 
@@ -17,9 +17,10 @@ type t = {
   lambda : float;  (** equality-penalty factor of Problem (13) *)
   beta : float;
       (** splitting constant of Eq. (16), in (0, 2): Algorithm 1's
-          splitting, used by the solver's plain rescue rungs and by
-          {!Solver.check_bound}. The accelerated attempt runs its own
-          splitting (see {!Solver.solve}). *)
+          splitting, used by the solver's theta/2 retry, by the
+          accelerated attempt below [eps = 1e-10], and by
+          {!Solver.check_bound}. Otherwise the accelerated attempt runs
+          its own splitting (see {!Solver.solve}). *)
   theta : float;  (** splitting constant of Eq. (16); positive *)
   eps : float;  (** MMSIM stopping tolerance on iterate change *)
   max_iter : int;

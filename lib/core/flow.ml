@@ -1,9 +1,5 @@
 open Mclh_circuit
 
-let log_src = Logs.Src.create "mclh.flow" ~doc:"Legalization flow"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type timings = {
   assign_s : float;
   model_s : float;
@@ -37,38 +33,20 @@ let run ?(config = Config.default) ?obs design =
     (Array.length design.Design.cells);
   let assignment, assign_s = timed (fun () -> Row_assign.assign design) in
   Obs.record_span obs "flow/assign" assign_s;
-  Log.debug (fun m ->
-      m "%s: rows assigned, y displacement %.1f sites (%.3fs)"
-        design.Design.name assignment.Row_assign.y_displacement assign_s);
   heartbeat "rows assigned (%.2fs), building model" assign_s;
   let model, model_s =
     timed (fun () ->
         Model.build ~num_domains:config.Config.num_domains design assignment)
   in
   Obs.record_span obs "flow/model" model_s;
-  Log.debug (fun m ->
-      m "model: %d vars, %d constraints, %d chains (%.3fs)" model.Model.nvars
-        (Model.num_constraints model)
-        (Mclh_linalg.Blocks.num_chains model.Model.blocks)
-        model_s);
   heartbeat "model built: %d vars, %d constraints (%.2fs), solving" model.Model.nvars
     (Model.num_constraints model) model_s;
   let solver, solve_s =
     timed (fun () -> Solver.solve ~config ?obs model)
   in
   Obs.record_span obs "flow/solve" solve_s;
-  Log.debug (fun m ->
-      m "mmsim: %d iterations, converged %b, mismatch %.2e, %d components \
-         (largest %d) (%.3fs)"
-        solver.Solver.iterations solver.Solver.converged solver.Solver.mismatch
-        solver.Solver.components solver.Solver.largest_dim solve_s);
-  if not solver.Solver.converged then begin
-    Obs.incr obs "flow/nonconverged";
-    Log.warn (fun m ->
-        m "%s: MMSIM hit max_iter %d (delta %.2e); the Tetris stage will \
-           repair residual overlaps"
-          design.Design.name config.Config.max_iter solver.Solver.delta_inf)
-  end;
+  (* a non-converged solve leaves residual overlaps to the Tetris stage *)
+  if not solver.Solver.converged then Obs.incr obs "flow/nonconverged";
   heartbeat "solve done: %d iterations, converged %b (%.2fs), allocating"
     solver.Solver.iterations solver.Solver.converged solve_s;
   let relaxed = Model.placement_of model solver.Solver.x in
@@ -76,17 +54,9 @@ let run ?(config = Config.default) ?obs design =
     timed (fun () -> Tetris_alloc.run ?obs design relaxed)
   in
   Obs.record_span obs "flow/alloc" alloc_s;
-  Log.debug (fun m ->
-      m "tetris: %d illegal, %d relocated (%.3fs)"
-        alloc.Tetris_alloc.illegal_before alloc.Tetris_alloc.relocated alloc_s);
   (match alloc.Tetris_alloc.unplaced with
   | [] -> ()
-  | unplaced ->
-    Obs.add obs "flow/unplaced" (List.length unplaced);
-    Log.warn (fun m ->
-        m "%s: %d cell(s) could not be placed anywhere (design beyond \
-           capacity?); the placement is partial"
-          design.Design.name (List.length unplaced)));
+  | unplaced -> Obs.add obs "flow/unplaced" (List.length unplaced));
   let total_s = Mclh_par.Clock.now () -. start in
   heartbeat "done: %d relocated, %.2fs total" alloc.Tetris_alloc.relocated total_s;
   Obs.record_span obs "flow/total" total_s;

@@ -1,16 +1,6 @@
 open Mclh_linalg
 
-type backend_tag = Accel | Plain
-
-type backend_stats = { accel : int; plain : int; fallbacks : int }
-
-let no_backend_stats = { accel = 0; plain = 0; fallbacks = 0 }
-
-let count_backend stats tag ~fallbacks =
-  let stats = { stats with fallbacks = stats.fallbacks + fallbacks } in
-  match tag with
-  | Accel -> { stats with accel = stats.accel + 1 }
-  | Plain -> { stats with plain = stats.plain + 1 }
+type backend_stats = { fallbacks : int }
 
 type result = {
   x : Vec.t;
@@ -248,11 +238,6 @@ module Trace = Mclh_obs.Trace
    see the terminal behaviour without unbounded memory on long runs *)
 let trace_capacity = 512
 
-(* a plain-MMSIM rescue attempt that retains (at least) this geometric
-   contraction per iteration is merely out of budget; anything slower
-   counts as stalled and earns the theta/2 retry *)
-let rescue_stall_rate = 0.999
-
 (* Splitting constants for the accelerated attempt. The paper's beta =
    theta = 0.5 are chosen so that plain Algorithm 1 provably contracts
    (Theorem 2 with headroom); under Anderson acceleration the binding
@@ -260,8 +245,8 @@ let rescue_stall_rate = 0.999
    evaluations across the bench designs (140 vs 151 on matrix_mult_1,
    314 vs 367 on des_perf_1, both at scale 0.04). The modulus fixed
    point depends only on Omega and gamma, never on the M/N split, so the
-   tuned attempt converges to the same solution — and a failed attempt
-   still rescues through plain MMSIM at the caller's own constants.
+   tuned attempt converges to the same solution as the theta/2 retry
+   that rescues a failed one.
 
    The tuned splitting trades a little late-stage smoothness for speed:
    its accelerated iterate-change floor sits around 2e-12 on the bench
@@ -284,18 +269,14 @@ let accel_config (config : Config.t) =
   else config
 
 (* one solve of [model] as a single LCP, the core of every shard's
-   solve: Anderson-accelerated MMSIM with a rescue ladder. If the
-   accelerated run fails, retry plain Algorithm 1 at the config's
-   beta/theta with a private convergence trace; if that also fails, use
-   the trace's contraction estimate to pick a final attempt — still
-   contracting means the budget was short (keep acceleration, halve
-   theta for a faster rate); stalled or diverging means the splitting
-   violated Theorem 2's bound (halve theta, plain). Iterations
-   accumulate across attempts, so reported work never hides a rescue.
+   solve: Anderson-accelerated MMSIM, and if that fails, one accelerated
+   retry from the same start at the config's beta with theta halved —
+   Theorem 2's lever: a small enough theta contracts. Iterations add up
+   across the two attempts, so reported work never hides a rescue.
 
-   Every routing/rescue decision depends only on the shard's own content
-   and the config — never on timing, the domain count, or whether obs is
-   attached — so decomposed solves stay bit-identical across pool sizes.
+   The retry depends only on the shard's own content and the config —
+   never on timing, the domain count, or whether obs is attached — so
+   decomposed solves stay bit-identical across pool sizes.
 
    A caller-supplied [s0] (incremental warm restart) replaces the
    PlaceRow warm start, except on a shard where [Warm_start.exact]
@@ -306,69 +287,39 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
   let n = model.nvars and m = Model.num_constraints model in
   let q = rhs_q model in
   let exact_start = Warm_start.exact model in
-  let mmsim ?trace ~accel (cfg : Config.t) =
+  let mmsim (cfg : Config.t) =
     let ops = operators_inplace model cfg in
     let options =
       { Mclh_lcp.Mmsim.default_options with
         eps = cfg.eps;
         max_iter = cfg.max_iter;
-        accel }
+        accel = accel_depth }
     in
     let s0 =
       match s0 with
       | Some s0 when not exact_start -> s0
       | _ -> Warm_start.modulus_vector model ops
     in
-    let on_iter =
-      match trace with
-      | None -> on_iter
-      | Some tr ->
-        (* rescue attempts record into a private trace for the rate
-           estimate and still feed the caller's hook *)
-        Some
-          (fun k d ->
-            Trace.record tr d;
-            match on_iter with None -> () | Some f -> f k d)
-    in
     Mclh_lcp.Mmsim.solve_inplace ~options ?on_iter ~s0 ops ~q
   in
-  let finish_mmsim (out : Mclh_lcp.Mmsim.outcome) ~iters_before ~tag ~fallbacks =
-    let x = Array.sub out.Mclh_lcp.Mmsim.z 0 n in
-    let r = Array.sub out.Mclh_lcp.Mmsim.z n m in
-    (x, r, out.Mclh_lcp.Mmsim.s, iters_before + out.Mclh_lcp.Mmsim.iterations,
-     out.Mclh_lcp.Mmsim.converged, out.Mclh_lcp.Mmsim.delta_inf, tag, fallbacks)
+  let first = mmsim (accel_config config) in
+  let out, spent, fallbacks =
+    if first.Mclh_lcp.Mmsim.converged then (first, 0, 0)
+    else
+      ( mmsim { config with theta = config.theta /. 2.0 },
+        first.Mclh_lcp.Mmsim.iterations,
+        1 )
   in
-  let first = mmsim ~accel:accel_depth (accel_config config) in
-  if first.Mclh_lcp.Mmsim.converged then
-    finish_mmsim first ~iters_before:0 ~tag:Accel ~fallbacks:0
-  else begin
-    let spent = first.Mclh_lcp.Mmsim.iterations in
-    let tr = Trace.create ~capacity:trace_capacity in
-    let second = mmsim ~trace:tr ~accel:0 config in
-    if second.Mclh_lcp.Mmsim.converged then
-      finish_mmsim second ~iters_before:spent ~tag:Plain ~fallbacks:1
-    else begin
-      let spent = spent + second.Mclh_lcp.Mmsim.iterations in
-      let contracting =
-        match Trace.estimate_rate tr with
-        | Some rate -> rate < rescue_stall_rate
-        | None -> false
-      in
-      let cfg = { config with theta = config.theta /. 2.0 } in
-      let accel = if contracting then accel_depth else 0 in
-      let third = mmsim ~accel cfg in
-      finish_mmsim third ~iters_before:spent
-        ~tag:(if accel > 0 then Accel else Plain)
-        ~fallbacks:2
-    end
-  end
+  (Array.sub out.Mclh_lcp.Mmsim.z 0 n, Array.sub out.Mclh_lcp.Mmsim.z n m,
+   out.Mclh_lcp.Mmsim.s, spent + out.Mclh_lcp.Mmsim.iterations,
+   out.Mclh_lcp.Mmsim.converged, out.Mclh_lcp.Mmsim.delta_inf, fallbacks)
 
 type fan_in = {
   max_iterations : int;
   total_iterations : int;
   all_converged : bool;
   max_delta : float;
-  backend_counts : backend_stats;
+  fallbacks : int;
 }
 
 (* The one per-shard fan-out. Independent sub-LCPs go over the domain
@@ -417,7 +368,7 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
             if heartbeat && k mod 500 = 0 then
               Printf.eprintf "[mclh] mmsim: iteration %d (delta %.2e)\n%!" k d)
     in
-    let sx, sr, ss, it, conv, dinf, tag, fbk =
+    let sx, sr, ss, it, conv, dinf, fbk =
       solve_raw ?on_iter
         ?s0:(Option.map (Decompose.restrict model shard) s0)
         config
@@ -426,7 +377,7 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
     Decompose.scatter_vars shard sx x;
     Decompose.scatter_cons shard sr r;
     Decompose.scatter model shard ss modulus;
-    outs.(i) <- Some (it, conv, dinf, tag, fbk, tr);
+    outs.(i) <- Some (it, conv, dinf, fbk, tr);
     if config.progress then begin
       let k = Atomic.fetch_and_add completed 1 + 1 in
       if k mod progress_step = 0 || k = ns then
@@ -460,11 +411,11 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
         total_iterations = 0;
         all_converged = true;
         max_delta = 0.0;
-        backend_counts = no_backend_stats }
+        fallbacks = 0 }
   in
   Array.iteri
     (fun i out ->
-      let it, conv, dinf, tag, fbk, tr = Option.get out in
+      let it, conv, dinf, fbk, tr = Option.get out in
       (match (tr, on_trace) with Some tr, Some f -> f i ~iterations:it tr | _ -> ());
       let acc = !fan in
       fan :=
@@ -473,7 +424,7 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
           all_converged = acc.all_converged && conv;
           (* [Float.max] keeps a nan delta (divergence guard) *)
           max_delta = Float.max acc.max_delta dinf;
-          backend_counts = count_backend acc.backend_counts tag ~fallbacks:fbk })
+          fallbacks = acc.fallbacks + fbk })
     outs;
   !fan
 
@@ -512,15 +463,13 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
   let fan = solve_shards ?on_trace ?s0 config model shards ~x ~r ~modulus in
   let components = Decompose.num_components deco
   and largest_dim = Decompose.largest_dim deco
-  and backends = fan.backend_counts in
+  and backends = { fallbacks = fan.fallbacks } in
   let mismatch = Model.subcell_mismatch model x in
   Obs.add obs "solver/iterations" fan.max_iterations;
   Obs.add obs "solver/iterations_total" fan.total_iterations;
   Obs.add obs "solver/components" components;
   Obs.add obs "solver/largest_dim" largest_dim;
   if not fan.all_converged then Obs.incr obs "solver/nonconverged";
-  Obs.add obs "solver/backend/accel" backends.accel;
-  Obs.add obs "solver/backend/plain" backends.plain;
   Obs.add obs "solver/fallbacks" backends.fallbacks;
   Obs.gauge obs "solver/delta_inf" fan.max_delta;
   Obs.gauge obs "solver/mismatch" mismatch;

@@ -14,19 +14,11 @@
 
 open Mclh_linalg
 
-type backend_tag =
-  | Accel  (** Anderson-accelerated MMSIM *)
-  | Plain  (** plain MMSIM (Algorithm 1 exactly) *)
-
 type backend_stats = {
-  accel : int;
-  plain : int;
-      (** shards whose {e final} backend was each tag; the two counts
-          sum to the number of per-shard solves *)
   fallbacks : int;
-      (** abandoned attempts across all shards: MMSIM rescue retries.
-          [0] means every shard was solved by its first-choice
-          backend. *)
+      (** abandoned attempts across all shards: each shard whose
+          accelerated attempt fails counts one, for its theta/2 retry.
+          [0] means every shard converged on its first attempt. *)
 }
 
 type result = {
@@ -52,8 +44,8 @@ type result = {
   largest_dim : int;
       (** variables + constraints of the largest component *)
   backends : backend_stats;
-      (** which backend solved each shard and how many attempts fell
-          back (see {!backend_stats}) *)
+      (** how many shards needed their theta/2 retry (see
+          {!backend_stats}) *)
 }
 
 type bound_check = {
@@ -115,15 +107,15 @@ val solve :
     {!Warm_start.exact} holds (no multi-row chains, as on every
     single-height design) starts from the PlaceRow fixed point whatever
     [s0] says, so it converges in one iteration, certified by the
-    MMSIM's own stopping test. A non-converged accelerated run is
-    rescued: retry plain Algorithm 1 at [config.beta]/[config.theta],
-    then — guided by the retry's convergence-trace contraction estimate
-    ({!Mclh_obs.Trace.estimate_rate}) — once more with [theta] halved.
-    Iterations accumulate across attempts and every abandoned attempt
-    counts in [result.backends.fallbacks], so reported work and fallback
-    behaviour are never hidden. Rescue decisions depend only on shard
-    content and config — never on timing, pool size, or whether [obs]
-    is attached — preserving bit-identical parallel results.
+    MMSIM's own stopping test. A shard whose accelerated run does not
+    converge gets one accelerated retry from the same start at
+    [config.beta] and [config.theta /. 2] (Theorem 2's lever: a small
+    enough theta contracts). Iterations add up across the two attempts
+    and every abandoned attempt counts in [result.backends.fallbacks],
+    so reported work and fallback behaviour are never hidden. The retry
+    depends only on shard content and config — never on timing, pool
+    size, or whether [obs] is attached — preserving bit-identical
+    parallel results. No path of the solve runs plain Algorithm 1.
 
     [s0] is an explicit MMSIM start vector in global numbering (length
     [n + m]); it replaces the PlaceRow warm start (except on the exact
@@ -137,8 +129,7 @@ val solve :
 
     [obs] records [solver/iterations], [solver/iterations_total],
     [solver/components], [solver/largest_dim] and [solver/nonconverged]
-    counters, the per-backend [solver/backend/*] shard counts and
-    [solver/fallbacks], the
+    counters, the [solver/fallbacks] count, the
     [solver/delta_inf] / [solver/mismatch] gauges, and per-iteration
     convergence traces: [solver/delta_inf] when the solve has one shard,
     [solver/compNNN/{delta_inf,iterations,dim}] per shard otherwise. Traces are ring buffers keeping the last 512 iterations;
@@ -150,7 +141,7 @@ type fan_in = {
   total_iterations : int;
   all_converged : bool;
   max_delta : float;  (** nan when any shard's divergence guard fired *)
-  backend_counts : backend_stats;
+  fallbacks : int;  (** shards that needed their theta/2 retry *)
 }
 (** The per-shard outcomes of {!solve_shards}, folded in shard order. *)
 

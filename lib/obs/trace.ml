@@ -31,23 +31,3 @@ let to_array t =
 let last t =
   if t.recorded = 0 then None
   else Some t.data.((t.recorded - 1) mod Array.length t.data)
-
-let estimate_rate t =
-  (* geometric-mean contraction factor of consecutive positive samples:
-     exp(mean log(v_{k+1} / v_k)). Robust to the overall scale and to a
-     few zero samples (skipped); NaN/inf samples (the divergence guard
-     records NaN) poison the estimate on purpose. *)
-  let v = to_array t in
-  let n = Array.length v in
-  let sum = ref 0.0 and count = ref 0 and poisoned = ref false in
-  for k = 0 to n - 2 do
-    let a = v.(k) and b = v.(k + 1) in
-    if not (Float.is_finite a && Float.is_finite b) then poisoned := true
-    else if a > 0.0 && b > 0.0 then begin
-      sum := !sum +. log (b /. a);
-      incr count
-    end
-  done;
-  if !poisoned then Some infinity
-  else if !count = 0 then None
-  else Some (exp (!sum /. float_of_int !count))

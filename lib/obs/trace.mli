@@ -31,14 +31,3 @@ val to_array : t -> float array
 
 val last : t -> float option
 (** The most recent sample. *)
-
-val estimate_rate : t -> float option
-(** Geometric-mean contraction factor of consecutive retained samples —
-    for a convergence trace, the average per-iteration shrink of
-    [delta_inf] over the recorded tail. [< 1] means the iteration is
-    contracting, [>= 1] stalled. Returns [Some infinity] when any sample
-    is NaN/infinite (the MMSIM divergence guard records NaN), [None] when
-    fewer than two positive samples are retained. The solver's rescue
-    path uses this to decide whether a non-converged shard needs a
-    tighter splitting constant (stalled) or just ran out of budget
-    (contracting). *)

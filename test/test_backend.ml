@@ -1,5 +1,5 @@
-(* Tests for the per-shard solve: the accelerated solve with its rescue
-   ladder lands on the plain run-to-convergence Algorithm 1 solution
+(* Tests for the per-shard solve: the accelerated solve with its theta/2
+   retry lands on the plain run-to-convergence Algorithm 1 solution
    ({!Algorithm1}), and certifies a shard whose PlaceRow start is exact in
    one iteration; the des_perf_1 non-convergence fix stays fixed, and the
    solve cuts plain Algorithm 1's iterations at least 3x on des_perf_1 and
@@ -164,6 +164,46 @@ let test_auto_cuts_plain_iterations () =
         (Vec.dist_inf (snapped plain.Algorithm1.x) (snapped auto.Solver.x) <= 1e-9))
     [ "des_perf_1"; "matrix_mult_1" ]
 
+(* ---------- the theta/2 retry ---------- *)
+
+(* a named rescue input: on superblue12 at 0.02 (generator seed 1, 30%
+   tall cells, 15% blockage in 32 rectangles) one shard, of dimension
+   527, exhausts a 1,000-iteration accelerated attempt; its one retry at
+   theta/2 converges. The two largest shards (14,440 and 34,211 dims)
+   converge on their first attempt but take seconds, so the solve here
+   covers every other shard (35 of 37) *)
+let test_theta_half_retry_rescues () =
+  let options =
+    { Mclh_benchgen.Generate.default_options with
+      seed = 1;
+      tall_cell_fraction = 0.3;
+      blockage_fraction = 0.15;
+      blockage_count = 32 }
+  in
+  let _, model = model_of ~options ~scale:0.02 "superblue12" in
+  let shards =
+    (Decompose.analyze model).Decompose.shards
+    |> Array.to_list
+    |> List.filter (fun sh -> Decompose.shard_dim sh < 10_000)
+    |> Array.of_list
+  in
+  Alcotest.(check int) "shards solved" 35 (Array.length shards);
+  let max_iter = 1_000 in
+  let n = model.Model.nvars and m = Model.num_constraints model in
+  (* only the rescued shard spends more than one attempt's budget *)
+  let over_budget = ref [] in
+  let fan =
+    Solver.solve_shards
+      ~on_trace:(fun i ~iterations _ ->
+        if iterations > max_iter then
+          over_budget := Decompose.shard_dim shards.(i) :: !over_budget)
+      { Config.default with max_iter; num_domains = 1 }
+      model shards ~x:(Vec.zeros n) ~r:(Vec.zeros m) ~modulus:(Vec.zeros (n + m))
+  in
+  Alcotest.(check bool) "converged" true fan.Solver.all_converged;
+  Alcotest.(check int) "one fallback" 1 fan.Solver.fallbacks;
+  Alcotest.(check (list int)) "rescued shard dims" [ 527 ] !over_budget
+
 (* ---------- CLI --strict-convergence ---------- *)
 
 let test_cli_strict_convergence () =
@@ -193,7 +233,9 @@ let () =
         [ Alcotest.test_case "des_perf_1 converges in budget/3" `Quick
             test_des_perf_1_converges;
           Alcotest.test_case "auto 3x fewer iterations than plain" `Slow
-            test_auto_cuts_plain_iterations ] );
+            test_auto_cuts_plain_iterations;
+          Alcotest.test_case "theta/2 retry rescues superblue12" `Quick
+            test_theta_half_retry_rescues ] );
       ( "cli",
         [ Alcotest.test_case "--strict-convergence" `Quick
             test_cli_strict_convergence ] ) ]

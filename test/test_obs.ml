@@ -320,12 +320,26 @@ let test_tiny_max_iter_repair_path () =
      end: tiny iteration budget, tolerance far below reachable *)
   let d = mixed_design () in
   let t = Obs.create () in
+  let max_iter = 2 in
   let config =
-    { Config.default with max_iter = 2; eps = 1e-12; num_domains = 1 }
+    { Config.default with max_iter; eps = 1e-12; num_domains = 1 }
   in
   let result = Flow.run ~config ~obs:t d in
-  Alcotest.(check bool) "solver hit max_iter" false
-    result.Flow.solver.Solver.converged;
+  let solver = result.Flow.solver in
+  Alcotest.(check bool) "solver hit max_iter" false solver.Solver.converged;
+  (* the one shard makes two attempts, the accelerated one and its
+     theta/2 retry, each spending the whole budget *)
+  (match Obs.find_trace t "solver/delta_inf" with
+  | None -> Alcotest.fail "one-shard convergence trace missing"
+  | Some tr ->
+    Alcotest.(check int) "trace records both attempts" (2 * max_iter)
+      (Trace.recorded tr));
+  Alcotest.(check int) "one fallback" 1
+    solver.Solver.backends.Solver.fallbacks;
+  Alcotest.(check int) "solver/fallbacks" 1
+    (Obs.counter_value t "solver/fallbacks");
+  Alcotest.(check int) "two attempts' iterations" (2 * max_iter)
+    solver.Solver.iterations_total;
   Alcotest.(check int) "flow/nonconverged" 1
     (Obs.counter_value t "flow/nonconverged");
   Alcotest.(check int) "solver/nonconverged" 1

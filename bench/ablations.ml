@@ -68,8 +68,8 @@ let run () =
           accel = 0 }
       in
       let out =
-        Mclh_lcp.Mmsim.solve_inplace ~options ~s0
-          (Solver.operators_inplace model config) ~q
+        Mclh_lcp.Mmsim.solve ~options ~s0
+          (Solver.operators model config) ~q
       in
       Table.add_row t
         [ Table.fmt_float 2 beta;

@@ -8,7 +8,8 @@
      MCLH_ONLY    comma-separated subset of sections:
                   table1,table2,sec53,fig5,ablations,extensions,scaling,eco,
                   gp,kernels
-   A malformed MCLH_SCALE or an unknown MCLH_ONLY name exits 2. *)
+   A malformed MCLH_SCALE, an unknown MCLH_ONLY name or an MCLH_DOMAINS
+   outside 1..128 exits 2. *)
 
 let sections =
   [ ("table1", Table1.run);
@@ -23,6 +24,9 @@ let sections =
     ("kernels", Kernels.run) ]
 
 let () =
+  (match Mclh_core.Config.validate Mclh_core.Config.default with
+  | Ok _ -> ()
+  | Error msg -> Util.usage_error ("MCLH_DOMAINS: " ^ msg));
   let only =
     match Sys.getenv_opt "MCLH_ONLY" with
     | None -> None

@@ -62,7 +62,7 @@ let instance ?(single_height = false) name =
 (* deterministic parallel map over independent benchmark jobs: results come
    back in input order whatever the scheduling. The shared domain pool
    honours MCLH_DOMAINS; nested parallel layers (Fence territories, the
-   solver's chain chunks) find the pool busy and run sequentially. *)
+   solver's shard fan-out) find the pool busy and run sequentially. *)
 let pool () = Mclh_par.Pool.default ()
 
 let parallel_map f items =

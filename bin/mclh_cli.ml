@@ -1169,6 +1169,16 @@ let serve_cmd =
       $ solver_term)
 
 let () =
+  (* [MCLH_DOMAINS] is the only input that can make [Config.default]
+     invalid, so the error names it; checked before any command starts
+     a domain *)
+  (match Config.validate Config.default with
+  | Ok _ -> ()
+  | Error msg ->
+    fail
+      (Printf.sprintf "mclh: MCLH_DOMAINS=%S is not a domain count: %s"
+         (Option.value (Sys.getenv_opt "MCLH_DOMAINS") ~default:"")
+         msg));
   let info =
     Cmd.info "mclh" ~version:"1.0.0"
       ~doc:"Mixed-cell-height legalization via LCP + MMSIM (DAC'17 reproduction)"

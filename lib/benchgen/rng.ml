@@ -20,8 +20,6 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_int64 t }
-
 (* uniform in [0, bound) by rejection: [v mod bound] alone is biased for
    any bound that does not divide 2^62 (the low residues are hit one extra
    time). Draw 62-bit values and reject those at or above the largest
@@ -66,7 +64,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let choice t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
-  arr.(int t (Array.length arr))

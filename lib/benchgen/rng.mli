@@ -14,10 +14,6 @@ val of_string : string -> t
 (** Stream seeded by a string (FNV-1a hash); used to derive one stream per
     benchmark name. *)
 
-val split : t -> t
-(** An independent stream derived from the current state (advances the
-    parent). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive.
     Exactly uniform: draws are rejection-sampled, so there is no modulo
@@ -36,6 +32,3 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val choice : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

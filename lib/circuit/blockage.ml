@@ -19,8 +19,3 @@ let overlaps_span t ~row ~height ~x ~width =
   rows_meet && x_meet
 
 let area t = t.height * t.width
-
-let pp ppf t =
-  Format.fprintf ppf "blockage(rows %d..%d, sites %d..%d)" t.row
-    (t.row + t.height - 1) t.x
-    (t.x + t.width - 1)

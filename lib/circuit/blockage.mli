@@ -26,5 +26,3 @@ val overlaps_span : t -> row:int -> height:int -> x:float -> width:int -> bool
     blockage. *)
 
 val area : t -> int
-
-val pp : Format.formatter -> t -> unit

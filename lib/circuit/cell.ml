@@ -23,9 +23,3 @@ let make ~id ?name ~width ~height ?bottom_rail ?region () =
 let is_multi_row t = t.height > 1
 let is_even_height t = t.height mod 2 = 0
 let area t = t.width * t.height
-
-let pp ppf t =
-  Format.fprintf ppf "%s(%dx%d%s)" t.name t.width t.height
-    (match t.bottom_rail with
-    | None -> ""
-    | Some r -> "," ^ Rail.to_string r)

@@ -30,5 +30,3 @@ val is_even_height : t -> bool
 
 val area : t -> int
 (** [width * height] in site-row units. *)
-
-val pp : Format.formatter -> t -> unit

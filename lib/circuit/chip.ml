@@ -60,7 +60,3 @@ let nearest_admitting_row t (cell : Cell.t) y =
   Option.map fst !best
 
 let capacity t = t.num_rows * t.num_sites
-
-let pp ppf t =
-  Format.fprintf ppf "chip(%d rows x %d sites, row0 bottom %a)" t.num_rows
-    t.num_sites Rail.pp t.base_rail

@@ -45,5 +45,3 @@ val nearest_admitting_row : t -> Cell.t -> float -> int option
 
 val capacity : t -> int
 (** Total number of site-row units. *)
-
-val pp : Format.formatter -> t -> unit

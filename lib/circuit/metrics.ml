@@ -35,9 +35,3 @@ let displacement ?(row_height = 1.0) ~(before : Placement.t)
 
 let avg_manhattan m n =
   if n = 0 then 0.0 else m.total_manhattan /. float_of_int n
-
-let pp ppf m =
-  Format.fprintf ppf
-    "disp(manhattan %.1f, euclidean %.1f, squared %.1f, max %.2f, moved %d)"
-    m.total_manhattan m.total_euclidean m.total_squared m.max_manhattan
-    m.moved_cells

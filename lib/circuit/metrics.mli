@@ -21,5 +21,3 @@ val displacement :
 
 val avg_manhattan : t -> int -> float
 (** [avg_manhattan m n] with [n] the cell count; 0 for [n = 0]. *)
-
-val pp : Format.formatter -> t -> unit

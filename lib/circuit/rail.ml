@@ -6,4 +6,3 @@ let equal a b =
   match a, b with Vdd, Vdd | Vss, Vss -> true | Vdd, Vss | Vss, Vdd -> false
 
 let to_string = function Vdd -> "VDD" | Vss -> "VSS"
-let pp ppf t = Format.pp_print_string ppf (to_string t)

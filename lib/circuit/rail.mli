@@ -13,5 +13,3 @@ val opposite : t -> t
 val equal : t -> t -> bool
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

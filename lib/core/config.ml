@@ -32,5 +32,8 @@ let validate t =
   else if not (positive t.theta) then Error "theta must be positive and finite"
   else if not (positive t.eps) then Error "eps must be positive and finite"
   else if t.max_iter <= 0 then Error "max_iter must be positive"
-  else if t.num_domains < 1 then Error "num_domains must be >= 1"
+  else if t.num_domains < 1 || t.num_domains > Mclh_par.Pool.max_domains then
+    Error
+      (Printf.sprintf "num_domains must lie in 1..%d, got %d"
+         Mclh_par.Pool.max_domains t.num_domains)
   else Ok t

@@ -26,11 +26,13 @@ type t = {
   max_iter : int;
   num_domains : int;
       (** parallelism degree for the multicore layers ({!Fence}
-          territories, the solver's shard fan-out and per-chain
-          top-block solves); [1] bypasses the domain pool entirely.
-          Defaults to {!Mclh_par.Pool.default_num_domains}, i.e. the
-          [MCLH_DOMAINS] environment override when set. Parallel and
-          sequential runs produce bit-identical placements. *)
+          territories, the model build, the solver's shard fan-out); [1]
+          bypasses the domain pool entirely. Valid values lie in
+          [1..Mclh_par.Pool.max_domains]. Defaults to
+          {!Mclh_par.Pool.default_num_domains}, i.e. the [MCLH_DOMAINS]
+          environment override when set, unchecked until {!validate}.
+          Parallel and sequential runs produce bit-identical
+          placements. *)
   metrics : bool;
       (** collect the {!Mclh_obs} run metrics (stage spans, convergence
           traces, repair counters) and expose them as a JSON run report
@@ -49,5 +51,6 @@ type t = {
 val default : t
 
 val validate : t -> (t, string) result
-(** Checks the parameter ranges ([0 < beta < 2], positivity, ...); a
-    nan or infinite float is rejected. *)
+(** Checks the parameter ranges ([0 < beta < 2], positivity,
+    [1 <= num_domains <= Mclh_par.Pool.max_domains], ...); a nan or
+    infinite float is rejected. *)

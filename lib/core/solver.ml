@@ -20,83 +20,6 @@ type bound_check = { mu_max : float; theta_limit : float; theta_ok : bool }
 
 let rhs_q = Model.lcp_rhs
 
-let operators (model : Model.t) (config : Config.t) =
-  let n = model.nvars and m = Model.num_constraints model in
-  let b = Model.b_mat model in
-  let { Config.lambda; beta; theta; _ } = config in
-  let d = Schur.tridiag model ~lambda in
-  let d_over_theta = Tridiag.scale (1.0 /. theta) d in
-  let bottom_solve_mat = Tridiag.add_scaled_identity d_over_theta 1.0 in
-  let ete_buf = Vec.zeros n in
-  let split z = (Array.sub z 0 n, Array.sub z n m) in
-  let q_tilde_into x out =
-    (* out := x + lambda E^T E x *)
-    Blocks.apply_ete_into model.blocks x ete_buf;
-    for i = 0 to n - 1 do
-      out.(i) <- x.(i) +. (lambda *. ete_buf.(i))
-    done
-  in
-  let apply_a z =
-    let x, r = split z in
-    let out = Vec.zeros (n + m) in
-    let top = Array.sub out 0 n in
-    q_tilde_into x top;
-    Array.blit top 0 out 0 n;
-    (* top -= B^T r *)
-    let btr = Csr.mul_vec_t b r in
-    for i = 0 to n - 1 do
-      out.(i) <- out.(i) -. btr.(i)
-    done;
-    let bx = Csr.mul_vec b x in
-    Array.blit bx 0 out n m;
-    out
-  in
-  let apply_n z =
-    let x, r = split z in
-    let out = Vec.zeros (n + m) in
-    let top = Vec.zeros n in
-    q_tilde_into x top;
-    let c = (1.0 /. beta) -. 1.0 in
-    let btr = Csr.mul_vec_t b r in
-    for i = 0 to n - 1 do
-      out.(i) <- (c *. top.(i)) +. btr.(i)
-    done;
-    let dr = Tridiag.mul_vec d_over_theta r in
-    Array.blit dr 0 out n m;
-    out
-  in
-  let solve_m_omega rhs =
-    let rhs_x = Array.sub rhs 0 n and rhs_r = Array.sub rhs n m in
-    (* ((1/beta) Q~ + I) s_x = rhs_x, i.e. alpha I + coef E^T E with
-       alpha = 1 + 1/beta and coef = lambda/beta *)
-    let s_x =
-      Blocks.solve_shifted ~alpha:(1.0 +. (1.0 /. beta))
-        ~coef:(lambda /. beta) model.blocks rhs_x
-    in
-    (* ((1/theta) D + I) s_r = rhs_r - B s_x *)
-    let bsx = Csr.mul_vec b s_x in
-    for i = 0 to m - 1 do
-      rhs_r.(i) <- rhs_r.(i) -. bsx.(i)
-    done;
-    let s_r =
-      if m = 0 then [||] else Tridiag.solve bottom_solve_mat rhs_r
-    in
-    Array.append s_x s_r
-  in
-  { Mclh_lcp.Mmsim.dim = n + m;
-    apply_a;
-    apply_n;
-    solve_m_omega;
-    omega_diag = Vec.create (n + m) 1.0 }
-
-(* Minimum chains per domain chunk for the parallel top-block path: below
-   this the per-iteration pool barrier costs more than the arrowhead
-   solves it spreads out. Chunks are contiguous chain ranges with
-   disjoint variable footprints, so the parallel path is bit-identical
-   to the sequential one (asserted by test_par.ml, which lowers this
-   threshold to force the path on small models). *)
-let par_chain_chunk = ref 1024
-
 (* Minimum total KKT dimension per pool job of the decomposed fan-out:
    shards are packed (heaviest first) into chunks of at least this much
    work, so with tens of thousands of tiny shards (scale 1.0) the
@@ -106,22 +29,14 @@ let par_chain_chunk = ref 1024
    to force many chunks on small models). *)
 let par_shard_chunk = ref 2048
 
-(* allocation-free operator set: the same mathematics as [operators], with
-   every intermediate in preallocated scratch; used by the production
-   solve loop *)
-let operators_inplace (model : Model.t) (config : Config.t) =
+(* the MMSIM operators of the splitting (16), allocation-free: every
+   intermediate lives in scratch allocated once here, so one iteration is
+   an arrowhead solve per chain plus one Thomas sweep over prefactored
+   pivots *)
+let operators (model : Model.t) (config : Config.t) =
   let n = model.nvars and m = Model.num_constraints model in
   let b = Model.b_mat model in
   let { Config.lambda; beta; theta; _ } = config in
-  let nchains = Blocks.num_chains model.blocks in
-  let chain_chunk = !par_chain_chunk in
-  let pool =
-    (* the tridiagonal Schur sweep is inherently sequential (Thomas
-       recurrence); only the independent per-chain solves chunk out *)
-    if config.num_domains > 1 && nchains >= 2 * chain_chunk then
-      Some (Mclh_par.Pool.get ~num_domains:config.num_domains)
-    else None
-  in
   let d = Schur.tridiag model ~lambda in
   let d_over_theta = Tridiag.scale (1.0 /. theta) d in
   let bottom_factor =
@@ -135,16 +50,8 @@ let operators_inplace (model : Model.t) (config : Config.t) =
     Array.blit z 0 xbuf 0 n;
     Array.blit z n rbuf 0 m
   in
-  let apply_ete x dst =
-    match pool with
-    | None -> Blocks.apply_ete_into model.blocks x dst
-    | Some p ->
-      Array.fill dst 0 n 0.0;
-      Mclh_par.Pool.parallel_iter_chunks ~min_chunk:chain_chunk p nchains
-        ~f:(fun lo hi -> Blocks.apply_ete_chains model.blocks ~lo ~hi x dst)
-  in
   let q_tilde_into x out =
-    apply_ete x ete_buf;
+    Blocks.apply_ete_into model.blocks x ete_buf;
     for i = 0 to n - 1 do
       out.(i) <- x.(i) +. (lambda *. ete_buf.(i))
     done
@@ -173,23 +80,11 @@ let operators_inplace (model : Model.t) (config : Config.t) =
     end
   in
   let alpha = 1.0 +. (1.0 /. beta) and coef = lambda /. beta in
-  let solve_shifted b dst =
-    match pool with
-    | None -> Blocks.solve_shifted_into ~alpha ~coef model.blocks b dst
-    | Some p ->
-      (* chain chunks write disjoint variable slices; the chain-free
-         diagonal entries follow in a second sweep over variable ranges *)
-      Mclh_par.Pool.parallel_iter_chunks ~min_chunk:chain_chunk p nchains
-        ~f:(fun lo hi ->
-          Blocks.solve_shifted_chains ~alpha ~coef model.blocks ~lo ~hi b dst);
-      Mclh_par.Pool.parallel_iter_chunks ~min_chunk:(16 * chain_chunk) p n
-        ~f:(fun lo hi ->
-          Blocks.solve_shifted_singles ~alpha model.blocks ~lo ~hi b dst)
-  in
   let solve_m_omega_into rhs dst =
     split rhs;
-    (* top: ((1/beta) Q~ + I) s_x = rhs_x, solved per chain into dst *)
-    solve_shifted xbuf xbuf;
+    (* top: ((1/beta) Q~ + I) s_x = rhs_x, i.e. alpha I + coef E^T E,
+       solved per chain *)
+    Blocks.solve_shifted_into ~alpha ~coef model.blocks xbuf xbuf;
     Array.blit xbuf 0 dst 0 n;
     (* bottom: ((1/theta) D + I) s_r = rhs_r - B s_x *)
     if m > 0 then begin
@@ -201,11 +96,11 @@ let operators_inplace (model : Model.t) (config : Config.t) =
       Array.blit rbuf 0 dst n m
     end
   in
-  { Mclh_lcp.Mmsim.dim_ip = n + m;
+  { Mclh_lcp.Mmsim.dim = n + m;
     apply_a_into;
     apply_n_into;
     solve_m_omega_into;
-    omega_diag_ip = Vec.create (n + m) 1.0 }
+    omega_diag = Vec.create (n + m) 1.0 }
 
 let gamma_operator (model : Model.t) (config : Config.t) =
   let m = Model.num_constraints model in
@@ -288,7 +183,7 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
   let q = rhs_q model in
   let exact_start = Warm_start.exact model in
   let mmsim (cfg : Config.t) =
-    let ops = operators_inplace model cfg in
+    let ops = operators model cfg in
     let options =
       { Mclh_lcp.Mmsim.default_options with
         eps = cfg.eps;
@@ -300,7 +195,7 @@ let solve_raw ?on_iter ?s0 (config : Config.t) (model : Model.t) =
       | Some s0 when not exact_start -> s0
       | _ -> Warm_start.modulus_vector model ops
     in
-    Mclh_lcp.Mmsim.solve_inplace ~options ?on_iter ~s0 ops ~q
+    Mclh_lcp.Mmsim.solve ~options ?on_iter ~s0 ops ~q
   in
   let first = mmsim (accel_config config) in
   let out, spent, fallbacks =
@@ -326,8 +221,7 @@ type fan_in = {
    pool; each job materializes its sub-model ([Decompose.extract], the
    model itself for a shard covering the whole model) and converges on its own
    schedule. Shard contents are fixed by the model alone, so any pool
-   size produces the same bits. A lone shard runs on the calling thread,
-   where the in-place operators can still chunk its chains over the pool.
+   size produces the same bits. A lone shard runs on the calling thread.
    Nested entries (Fence territories, bench fan-out, concurrent serve
    sessions) find the pool busy and fall back to a sequential loop with
    identical results. *)

@@ -55,19 +55,6 @@ type bound_check = {
   theta_ok : bool;  (** Theorem 2's sufficient condition satisfied *)
 }
 
-val operators : Model.t -> Config.t -> Mclh_lcp.Mmsim.operators
-(** The MMSIM operators for this model/config — exposed for tests that
-    drive the generic solver directly. *)
-
-val par_chain_chunk : int ref
-(** Minimum chains per domain chunk before the top-block solves of
-    {!operators_inplace} fan out over the pool (when
-    [config.num_domains > 1]); below [2 * !par_chain_chunk] chains the
-    per-iteration barrier is not worth paying and the solve stays
-    sequential. Exposed so tests can lower it and exercise the parallel
-    path on small models; the parallel path is bit-identical to the
-    sequential one either way. *)
-
 val par_shard_chunk : int ref
 (** Minimum total KKT dimension ([vars + constraints]) a pool job must
     carry before {!solve_shards} fans another shard chunk out (shards
@@ -79,10 +66,14 @@ val par_shard_chunk : int ref
     shards. Exposed so tests can force multi-chunk
     scheduling on small models. *)
 
-val operators_inplace : Model.t -> Config.t -> Mclh_lcp.Mmsim.operators_inplace
-(** Allocation-free operators over preallocated scratch buffers; the
-    production path ({!solve} uses {!Mclh_lcp.Mmsim.solve_inplace} with
-    these). Produces the same iterates as {!operators} (tested). *)
+val operators : Model.t -> Config.t -> Mclh_lcp.Mmsim.operators
+(** The MMSIM operators of the splitting (16) at [config.lambda],
+    [config.beta] and [config.theta]; {!solve} runs
+    {!Mclh_lcp.Mmsim.solve} over them. Every intermediate lives in
+    scratch allocated once per call, so an iteration allocates nothing
+    and one operator set serves one solve at a time. The operators run
+    on the calling domain, whatever [config.num_domains] says. Exposed for tests and the ablation bench,
+    which drive the generic solver directly. *)
 
 val rhs_q : Model.t -> Vec.t
 (** The LCP right-hand side [q = (p; -b)]. *)

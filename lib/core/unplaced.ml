@@ -9,13 +9,3 @@ type t = {
 
 let make ~stage ~cells ~partial ~detail =
   { stage; cells = List.sort_uniq compare cells; partial; detail }
-
-let message t =
-  let shown = List.filteri (fun i _ -> i < 16) t.cells in
-  let ids = String.concat ", " (List.map string_of_int shown) in
-  let more =
-    let extra = List.length t.cells - List.length shown in
-    if extra > 0 then Printf.sprintf " (+%d more)" extra else ""
-  in
-  Printf.sprintf "%s: %d unplaceable cell(s): [%s]%s — %s" t.stage
-    (List.length t.cells) ids more t.detail

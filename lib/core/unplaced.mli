@@ -21,6 +21,3 @@ type t = {
 val make :
   stage:string -> cells:int list -> partial:Placement.t -> detail:string -> t
 (** Sorts and de-duplicates [cells]. *)
-
-val message : t -> string
-(** One-line report naming the stage and the first few cell ids. *)

@@ -49,5 +49,7 @@ val multipliers : Model.t -> Vec.t -> Vec.t
 (** [multipliers model x0] recovers ordering-constraint multipliers from
     positions by the right-to-left stationarity sweep (step 2). *)
 
-val modulus_vector : Model.t -> Mclh_lcp.Mmsim.operators_inplace -> Vec.t
-(** The assembled [s_0] (steps 1-3), at scaling {!gamma}. *)
+val modulus_vector : Model.t -> Mclh_lcp.Mmsim.operators -> Vec.t
+(** The assembled [s_0] (steps 1-3), at scaling {!gamma}. [ops] are the
+    model's MMSIM operators ({!Solver.operators}); only their [A] product
+    is used, to form [w_0]. *)

@@ -2,9 +2,9 @@ open Mclh_linalg
 
 type operators = {
   dim : int;
-  apply_a : Vec.t -> Vec.t;
-  apply_n : Vec.t -> Vec.t;
-  solve_m_omega : Vec.t -> Vec.t;
+  apply_a_into : Vec.t -> Vec.t -> unit;
+  apply_n_into : Vec.t -> Vec.t -> unit;
+  solve_m_omega_into : Vec.t -> Vec.t -> unit;
   omega_diag : Vec.t;
 }
 
@@ -30,14 +30,6 @@ let validate ~name { gamma; eps; max_iter; accel } =
   if not (positive eps) then invalid_arg (name ^ ": eps must be positive and finite");
   if max_iter <= 0 then invalid_arg (name ^ ": max_iter must be positive");
   if accel < 0 then invalid_arg (name ^ ": accel must be >= 0")
-
-type operators_inplace = {
-  dim_ip : int;
-  apply_a_into : Vec.t -> Vec.t -> unit;
-  apply_n_into : Vec.t -> Vec.t -> unit;
-  solve_m_omega_into : Vec.t -> Vec.t -> unit;
-  omega_diag_ip : Vec.t;
-}
 
 (* Anderson (type II) acceleration state over the modulus fixed point
    s <- G(s). Keeps the last [depth] residual/step difference pairs
@@ -211,18 +203,18 @@ let accel_advance st ~k ~n s g =
     end
   end
 
-let solve_inplace ?(options = default_options) ?on_iter ?s0 ops ~q =
-  validate ~name:"Mmsim.solve_inplace" options;
+let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
+  validate ~name:"Mmsim.solve" options;
   let { gamma; eps; max_iter; accel } = options in
-  let n = ops.dim_ip in
-  if Vec.dim q <> n then invalid_arg "Mmsim.solve_inplace: q dimension mismatch";
-  if Vec.dim ops.omega_diag_ip <> n then
-    invalid_arg "Mmsim.solve_inplace: omega dimension mismatch";
+  let n = ops.dim in
+  if Vec.dim q <> n then invalid_arg "Mmsim.solve: q dimension mismatch";
+  if Vec.dim ops.omega_diag <> n then
+    invalid_arg "Mmsim.solve: omega dimension mismatch";
   let s =
     match s0 with
     | None -> Vec.zeros n
     | Some s0 ->
-      if Vec.dim s0 <> n then invalid_arg "Mmsim.solve_inplace: s0 dimension";
+      if Vec.dim s0 <> n then invalid_arg "Mmsim.solve: s0 dimension mismatch";
       Vec.copy s0
   in
   let abs_s = Vec.zeros n in
@@ -255,7 +247,7 @@ let solve_inplace ?(options = default_options) ?on_iter ?s0 ops ~q =
     for i = 0 to n - 1 do
       rhs.(i) <-
         rhs.(i)
-        +. (ops.omega_diag_ip.(i) *. abs_s.(i))
+        +. (ops.omega_diag.(i) *. abs_s.(i))
         -. a_abs.(i)
         -. (gamma *. q.(i))
     done;
@@ -298,29 +290,6 @@ let solve_inplace ?(options = default_options) ?on_iter ?s0 ops ~q =
     converged = !converged;
     delta_inf = !delta_last }
 
-(* adapt allocating operators so [solve] and [solve_inplace] are the same
-   algorithm with the same stopping and divergence logic — by
-   construction, both return identical (iterations, converged, delta_inf)
-   on identical inputs (property-pinned in test_lcp.ml) *)
-let operators_as_inplace ops =
-  { dim_ip = ops.dim;
-    apply_a_into = (fun v dst -> Array.blit (ops.apply_a v) 0 dst 0 ops.dim);
-    apply_n_into = (fun v dst -> Array.blit (ops.apply_n v) 0 dst 0 ops.dim);
-    solve_m_omega_into =
-      (fun rhs dst -> Array.blit (ops.solve_m_omega rhs) 0 dst 0 ops.dim);
-    omega_diag_ip = ops.omega_diag }
-
-let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
-  validate ~name:"Mmsim.solve" options;
-  if Vec.dim q <> ops.dim then invalid_arg "Mmsim.solve: q dimension mismatch";
-  if Vec.dim ops.omega_diag <> ops.dim then
-    invalid_arg "Mmsim.solve: omega dimension mismatch";
-  (match s0 with
-  | Some s0 when Vec.dim s0 <> ops.dim ->
-    invalid_arg "Mmsim.solve: s0 dimension mismatch"
-  | Some _ | None -> ());
-  solve_inplace ~options ?on_iter ?s0 (operators_as_inplace ops) ~q
-
 let gauss_seidel_operators ?omega a =
   let n = Csr.rows a in
   if Csr.cols a <> n then
@@ -347,8 +316,9 @@ let gauss_seidel_operators ?omega a =
         o;
       Vec.copy o
   in
-  (* split the strict triangular parts once: apply_n and solve_m_omega run
-     every iteration and must not re-walk the full matrix each time *)
+  (* split the strict triangular parts once: [apply_n_into] and
+     [solve_m_omega_into] run every iteration and must not re-walk the
+     full matrix each time *)
   let strict_part keep =
     let row_ptr = Array.make (n + 1) 0 in
     Csr.iter a (fun i j _ -> if keep i j then row_ptr.(i + 1) <- row_ptr.(i + 1) + 1);
@@ -368,29 +338,26 @@ let gauss_seidel_operators ?omega a =
   in
   let up_ptr, up_col, up_val = strict_part (fun i j -> j > i) in
   let lo_ptr, lo_col, lo_val = strict_part (fun i j -> j < i) in
-  let apply_a v = Csr.mul_vec a v in
+  let apply_a_into v dst = Csr.mul_vec_into a v dst in
   (* N = -U: strictly upper part, negated *)
-  let apply_n v =
-    let out = Array.make n 0.0 in
+  let apply_n_into v dst =
     for i = 0 to n - 1 do
       let acc = ref 0.0 in
       for k = up_ptr.(i) to up_ptr.(i + 1) - 1 do
         acc := !acc -. (up_val.(k) *. v.(up_col.(k)))
       done;
-      out.(i) <- !acc
-    done;
-    out
+      dst.(i) <- !acc
+    done
   in
-  (* (M + Omega) x = rhs with M = D + L: forward substitution *)
-  let solve_m_omega rhs =
-    let x = Array.make n 0.0 in
+  (* (M + Omega) x = rhs with M = D + L: forward substitution; row i
+     reads rhs.(i) before writing dst.(i), so rhs may alias dst *)
+  let solve_m_omega_into rhs dst =
     for i = 0 to n - 1 do
       let acc = ref rhs.(i) in
       for k = lo_ptr.(i) to lo_ptr.(i + 1) - 1 do
-        acc := !acc -. (lo_val.(k) *. x.(lo_col.(k)))
+        acc := !acc -. (lo_val.(k) *. dst.(lo_col.(k)))
       done;
-      x.(i) <- !acc /. (diag.(i) +. omega_diag.(i))
-    done;
-    x
+      dst.(i) <- !acc /. (diag.(i) +. omega_diag.(i))
+    done
   in
-  { dim = n; apply_a; apply_n; solve_m_omega; omega_diag }
+  { dim = n; apply_a_into; apply_n_into; solve_m_omega_into; omega_diag }

@@ -12,15 +12,20 @@
     The solver is expressed over abstract operators so that structured
     problems (like the legalization KKT system, where [M + Omega] is block
     lower triangular with an arrowhead top block and a tridiagonal bottom
-    block) never materialize their matrices. *)
+    block) never materialize their matrices. The operators write into
+    caller-provided destinations, so the iteration allocates nothing. *)
 
 open Mclh_linalg
 
 type operators = {
   dim : int;
-  apply_a : Vec.t -> Vec.t;  (** [A v] *)
-  apply_n : Vec.t -> Vec.t;  (** [N v] *)
-  solve_m_omega : Vec.t -> Vec.t;  (** solves [(M + Omega) x = rhs] *)
+  apply_a_into : Vec.t -> Vec.t -> unit;
+      (** [apply_a_into v dst] writes [A v] into [dst] *)
+  apply_n_into : Vec.t -> Vec.t -> unit;
+      (** [apply_n_into v dst] writes [N v] into [dst] *)
+  solve_m_omega_into : Vec.t -> Vec.t -> unit;
+      (** [solve_m_omega_into rhs dst] solves [(M + Omega) dst = rhs];
+          [rhs] may be clobbered *)
   omega_diag : Vec.t;  (** the positive diagonal of [Omega] *)
 }
 
@@ -33,11 +38,7 @@ type options = {
           change, which can fire spuriously while [z] sits at a bound
           (e.g. [z = 0] for an iteration although [s] is still moving);
           the extra s-test restores soundness without changing the fixed
-          point. Both [solve] and [solve_inplace] apply exactly this
-          criterion and the same divergence (NaN) guard — they are the
-          same loop — so the two return identical [(iterations,
-          converged, delta_inf)] on identical inputs (property-pinned in
-          [test_lcp.ml]). *)
+          point. *)
   max_iter : int;
   accel : int;
       (** Anderson (type II) acceleration depth on the modulus fixed
@@ -84,16 +85,17 @@ val solve :
     convergence takes, never which solution is reached — so a caller may
     warm-restart from any previous modulus vector (the incremental ECO
     engine does; property-tested with adversarial starts in
-    [test_lcp.ml]). [s0] is copied up front, and the warm-started path
-    remains allocation-free per iteration in {!solve_inplace}.
+    [test_lcp.ml]). [s0] is copied up front.
     [on_iter k delta] is called after every iteration with the 1-based
     iteration number and the iterate change [||z_k - z_{k-1}||_inf] (NaN
     when the divergence guard fires) — the hook the observability layer
     uses for convergence traces.
 
-    [solve] is a thin adapter over {!solve_inplace} (allocating operator
-    results are blitted into the in-place destinations), so the two paths
-    share one stopping/divergence implementation by construction.
+    All iteration state lives in buffers allocated once per call. Without
+    [on_iter] the steady state allocates zero minor-heap words per
+    iteration, including with [accel > 0] (Gc-asserted in tests); the
+    [on_iter] check itself is a single branch, so the guarantee survives
+    instrumented-but-disabled call sites.
     @raise Invalid_argument on dimension mismatches, a [gamma] or [eps]
       that is not positive and finite (NaN and infinity included), a
       non-positive [max_iter], or a negative [accel]. *)
@@ -101,28 +103,6 @@ val solve :
 val w_of_s : options -> operators -> Vec.t -> Vec.t
 (** The complementary slack [w = (Omega/gamma) (|s| - s)] at a modulus
     iterate — exact complementarity with [z] holds by construction. *)
-
-type operators_inplace = {
-  dim_ip : int;
-  apply_a_into : Vec.t -> Vec.t -> unit;  (** [apply_a_into v dst] *)
-  apply_n_into : Vec.t -> Vec.t -> unit;
-  solve_m_omega_into : Vec.t -> Vec.t -> unit;
-      (** [solve_m_omega_into rhs dst]; [rhs] may be clobbered *)
-  omega_diag_ip : Vec.t;
-}
-
-val solve_inplace :
-  ?options:options -> ?on_iter:(int -> float -> unit) -> ?s0:Vec.t ->
-  operators_inplace -> q:Vec.t -> outcome
-(** Allocation-free variant of {!solve} for hot paths: all iteration state
-    lives in preallocated buffers and the operators write into
-    caller-visible destinations. Produces the same iterates as {!solve}
-    given equivalent operators (tested) — {!solve} delegates here, so the
-    stopping criterion, divergence guard, and acceleration are shared
-    code. Without [on_iter] the steady state allocates zero minor-heap
-    words per iteration, including with [accel > 0] (Gc-asserted in
-    tests); the [on_iter] check itself is a single branch, so the
-    guarantee survives instrumented-but-disabled call sites. *)
 
 val gauss_seidel_operators : ?omega:Vec.t -> Csr.t -> operators
 (** The textbook modulus-based Gauss-Seidel splitting [M = D + L],

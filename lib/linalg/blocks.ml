@@ -48,18 +48,12 @@ let num_constraints t =
 
 let chain_vars t c = Array.copy t.chains.(c)
 
-let check_chain_range t ~lo ~hi name =
-  if lo < 0 || hi > Array.length t.chains || lo > hi then
-    invalid_arg (name ^ ": chain range out of bounds")
-
-(* E^T E contribution of chains [lo, hi) only; touches exactly those
-   chains' variables, so disjoint ranges write disjoint slices of [dst]
-   and the range decomposition is safe to run on separate domains. The
-   caller is responsible for zeroing (or otherwise initializing) the
-   entries of variables outside every chain. *)
-let apply_ete_chains t ~lo ~hi x dst =
-  check_chain_range t ~lo ~hi "Blocks.apply_ete_chains";
-  for c = lo to hi - 1 do
+let apply_ete_into t x dst =
+  if Array.length x <> t.nvars || Array.length dst <> t.nvars then
+    invalid_arg "Blocks.apply_ete_into: dimension mismatch";
+  if x == dst then invalid_arg "Blocks.apply_ete_into: aliased arguments";
+  Array.fill dst 0 t.nvars 0.0;
+  for c = 0 to Array.length t.chains - 1 do
     let vars = t.chains.(c) in
     let hub = vars.(0) in
     let d = Array.length vars in
@@ -71,14 +65,6 @@ let apply_ete_chains t ~lo ~hi x dst =
     done;
     dst.(hub) <- (float_of_int (d - 1) *. x.(hub)) -. !sum_spokes
   done
-
-let apply_ete_into t x dst =
-  if Array.length x <> t.nvars || Array.length dst <> t.nvars then
-    invalid_arg "Blocks.apply_ete_into: dimension mismatch";
-  (* write result; safe even if x == dst is NOT allowed, so stage per chain *)
-  if x == dst then invalid_arg "Blocks.apply_ete_into: aliased arguments";
-  Array.fill dst 0 t.nvars 0.0;
-  apply_ete_chains t ~lo:0 ~hi:(Array.length t.chains) x dst
 
 let apply_ete t x =
   let dst = Array.make t.nvars 0.0 in
@@ -114,17 +100,17 @@ let check_params ~alpha ~coef =
   if not (alpha > 0.0) then invalid_arg "Blocks.solve_shifted: alpha <= 0";
   if coef < 0.0 then invalid_arg "Blocks.solve_shifted: coef < 0"
 
-(* arrowhead solves for chains [lo, hi) only; touches exactly those
-   chains' entries of [dst], so disjoint ranges are domain-safe.
-   Allocation-free: this runs once per MMSIM iteration, so the arrowhead
-   arithmetic of [solve_chain] is unrolled here over [b]/[dst] directly.
-   b == dst is safe: y_hub depends only on b values read before the hub
-   write, and each spoke reads its own b.(s) before overwriting it. *)
-let solve_shifted_chains ~alpha ~coef t ~lo ~hi b dst =
+(* Allocation-free: this runs once per MMSIM iteration, so the
+   arrowhead arithmetic of [solve_chain] is unrolled here over [b]/[dst]
+   directly. b == dst is safe: y_hub depends only on b values read
+   before the hub write, and each spoke reads its own b.(s) before
+   overwriting it. *)
+let solve_shifted_into ~alpha ~coef t b dst =
   check_params ~alpha ~coef;
-  check_chain_range t ~lo ~hi "Blocks.solve_shifted_chains";
+  if Array.length b <> t.nvars || Array.length dst <> t.nvars then
+    invalid_arg "Blocks.solve_shifted_into: dimension mismatch";
   let ac = alpha +. coef in
-  for c = lo to hi - 1 do
+  for c = 0 to Array.length t.chains - 1 do
     let vars = t.chains.(c) in
     let d = Array.length vars in
     let hub = vars.(0) in
@@ -142,26 +128,12 @@ let solve_shifted_chains ~alpha ~coef t ~lo ~hi b dst =
       let s = vars.(k) in
       dst.(s) <- (b.(s) +. (coef *. y_hub)) /. ac
     done
-  done
-
-(* the diagonal part of the shifted solve: variables in [lo, hi) that
-   belong to no chain; disjoint variable ranges are domain-safe *)
-let solve_shifted_singles ~alpha t ~lo ~hi b dst =
-  if not (alpha > 0.0) then
-    invalid_arg "Blocks.solve_shifted_singles: alpha <= 0";
-  if lo < 0 || hi > t.nvars || lo > hi then
-    invalid_arg "Blocks.solve_shifted_singles: variable range out of bounds";
+  done;
+  (* variables in no chain: the diagonal part *)
   let inv_alpha = 1.0 /. alpha in
-  for v = lo to hi - 1 do
+  for v = 0 to t.nvars - 1 do
     if t.chain_of.(v) = -1 then dst.(v) <- b.(v) *. inv_alpha
   done
-
-let solve_shifted_into ~alpha ~coef t b dst =
-  check_params ~alpha ~coef;
-  if Array.length b <> t.nvars || Array.length dst <> t.nvars then
-    invalid_arg "Blocks.solve_shifted_into: dimension mismatch";
-  solve_shifted_chains ~alpha ~coef t ~lo:0 ~hi:(Array.length t.chains) b dst;
-  solve_shifted_singles ~alpha t ~lo:0 ~hi:t.nvars b dst
 
 let solve_shifted ~alpha ~coef t b =
   let dst = Array.make t.nvars 0.0 in

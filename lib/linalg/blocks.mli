@@ -37,14 +37,9 @@ val apply_ete : t -> Vec.t -> Vec.t
 (** [apply_ete t x] is [E^T E x]. *)
 
 val apply_ete_into : t -> Vec.t -> Vec.t -> unit
-
-val apply_ete_chains : t -> lo:int -> hi:int -> Vec.t -> Vec.t -> unit
-(** [apply_ete_chains t ~lo ~hi x dst] writes the [E^T E x] entries of
-    chains [lo, hi) (and only those chains' variables) into [dst].
-    Disjoint chain ranges touch disjoint slices of [dst], so the range
-    decomposition may run on separate domains; the caller zeroes the
-    entries of chain-free variables once up front. Covering the full
-    range reproduces {!apply_ete_into} bit for bit. *)
+(** [apply_ete_into t x dst] writes [E^T E x] into [dst] without
+    allocating (the MMSIM hot path). [x] and [dst] must be distinct
+    arrays. *)
 
 val solve_shifted : alpha:float -> coef:float -> t -> Vec.t -> Vec.t
 (** [solve_shifted ~alpha ~coef t b] solves [(alpha I + coef E^T E) y = b].
@@ -54,20 +49,6 @@ val solve_shifted : alpha:float -> coef:float -> t -> Vec.t -> Vec.t
 val solve_shifted_into : alpha:float -> coef:float -> t -> Vec.t -> Vec.t -> unit
 (** In-place variant writing into a caller-provided destination (the MMSIM
     hot path). [b] and the destination may be the same array. *)
-
-val solve_shifted_chains :
-  alpha:float -> coef:float -> t -> lo:int -> hi:int -> Vec.t -> Vec.t -> unit
-(** The arrowhead solves of chains [lo, hi) only, writing exactly those
-    chains' entries of the destination; disjoint ranges are domain-safe
-    and [b] may alias the destination (chain inputs are staged). *)
-
-val solve_shifted_singles :
-  alpha:float -> t -> lo:int -> hi:int -> Vec.t -> Vec.t -> unit
-(** The diagonal part of {!solve_shifted_into}: for variables in
-    [lo, hi) that belong to no chain, writes [b.(v) / alpha]; other
-    entries are untouched. Disjoint variable ranges are domain-safe.
-    Running {!solve_shifted_chains} then this over the full ranges
-    reproduces {!solve_shifted_into} bit for bit. *)
 
 val solve_shifted_sparse :
   alpha:float -> coef:float -> t -> (int * float) list -> (int * float) list

@@ -2,12 +2,11 @@ type t = {
   nrows : int;
   ncols : int;
   mutable entries : (int * int * float) list;
-  mutable count : int;
 }
 
 let create ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Coo.create: negative dimension";
-  { nrows = rows; ncols = cols; entries = []; count = 0 }
+  { nrows = rows; ncols = cols; entries = [] }
 
 let rows t = t.nrows
 let cols t = t.ncols
@@ -17,10 +16,7 @@ let add t i j v =
     invalid_arg
       (Printf.sprintf "Coo.add: index (%d, %d) out of %dx%d" i j t.nrows
          t.ncols);
-  t.entries <- (i, j, v) :: t.entries;
-  t.count <- t.count + 1
-
-let nnz t = t.count
+  t.entries <- (i, j, v) :: t.entries
 
 let to_csr ?(drop_zeros = true) t =
   (* bucket triplets per row, then sort each row by column and merge dups *)

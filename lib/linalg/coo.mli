@@ -16,9 +16,6 @@ val add : t -> int -> int -> float -> unit
     kept (they disappear on conversion only if they sum to zero and
     [drop_zeros] is requested). *)
 
-val nnz : t -> int
-(** Number of accumulated triplets (before duplicate merging). *)
-
 val to_csr : ?drop_zeros:bool -> t -> Csr.t
 (** Converts to CSR, merging duplicate entries by summation. With
     [drop_zeros] (default [true]), entries that sum to exactly 0.0 are

@@ -188,7 +188,3 @@ let to_dense t =
 
 let frobenius_norm t =
   sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 t.values)
-
-let equal ?eps a b =
-  a.nrows = b.nrows && a.ncols = b.ncols
-  && Dense.equal ?eps (to_dense a) (to_dense b)

@@ -60,7 +60,3 @@ val iter : t -> (int -> int -> float -> unit) -> unit
 val to_dense : t -> Dense.t
 
 val frobenius_norm : t -> float
-
-val equal : ?eps:float -> t -> t -> bool
-(** Structural equality of the represented matrices (compares dense
-    realizations entry by entry; intended for tests on small matrices). *)

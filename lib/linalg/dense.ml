@@ -77,7 +77,6 @@ let mul_vec_t a x =
 
 let gram a = mul (transpose a) a
 let outer_gram a = mul a (transpose a)
-let row m i = Array.init m.ncols (fun j -> get m i j)
 let col m j = Array.init m.nrows (fun i -> get m i j)
 
 let is_symmetric ?(eps = 1e-12) m =

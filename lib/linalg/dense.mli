@@ -49,8 +49,6 @@ val gram : t -> t
 val outer_gram : t -> t
 (** [outer_gram a] is [A A^T]. *)
 
-val row : t -> int -> Vec.t
-
 val col : t -> int -> Vec.t
 
 val is_symmetric : ?eps:float -> t -> bool

@@ -42,8 +42,6 @@ let dot x y =
   done;
   !acc
 
-let abs x = Array.map Float.abs x
-
 let abs_into x dst =
   check_dims "abs_into" x dst;
   for i = 0 to Array.length x - 1 do
@@ -83,11 +81,9 @@ let min_elt x = extremum "min_elt" ( < ) x
 let max_elt x = extremum "max_elt" ( > ) x
 let map = Array.map
 let mapi = Array.mapi
-let iteri = Array.iteri
 let fold_left = Array.fold_left
 let sum x = fold_left ( +. ) 0.0 x
 let of_list = Array.of_list
-let to_list = Array.to_list
 
 let equal ?(eps = 1e-12) x y =
   Array.length x = Array.length y

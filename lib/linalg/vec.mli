@@ -40,9 +40,6 @@ val axpy : float -> t -> t -> unit
 val dot : t -> t -> float
 (** Euclidean inner product. *)
 
-val abs : t -> t
-(** Elementwise absolute value. *)
-
 val abs_into : t -> t -> unit
 (** [abs_into x dst] writes [|x|] elementwise into [dst]. *)
 
@@ -71,15 +68,11 @@ val map : (float -> float) -> t -> t
 
 val mapi : (int -> float -> float) -> t -> t
 
-val iteri : (int -> float -> unit) -> t -> unit
-
 val fold_left : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 val sum : t -> float
 
 val of_list : float list -> t
-
-val to_list : t -> float list
 
 val equal : ?eps:float -> t -> t -> bool
 (** [equal ?eps x y] holds when dimensions match and every component differs

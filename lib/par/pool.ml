@@ -1,9 +1,10 @@
 (* A reusable domain pool.
 
    Worker domains persist across jobs and park on a condition variable
-   between submissions, so per-job dispatch costs one broadcast — cheap
-   enough to fan out the per-iteration chain solves of the MMSIM inner
-   loop, not just whole benchmarks.
+   between submissions, so per-job dispatch costs one broadcast and the
+   many short fan-outs of a process (model-build chunks, one solve's
+   shards, an ECO batch's cache misses) reuse the same domains instead
+   of spawning their own.
 
    Concurrency protocol: a job is published by bumping [generation] under
    the lock and broadcasting; each worker keeps the last generation it ran
@@ -13,8 +14,8 @@
    Nesting: the pool is deliberately non-reentrant. A [busy] flag is
    taken for the duration of a job; any parallel entry point that finds
    the pool busy (a nested call from inside a running job, e.g. a
-   per-territory Flow.run that reaches the solver's chunked chain solves
-   while Fence already fans territories out) silently degrades to the
+   per-territory Flow.run that reaches the solver's shard fan-out while
+   Fence already fans territories out) silently degrades to the
    sequential path. Work partitioning is index-deterministic and all
    parallel writes target disjoint slices, so sequential and parallel
    execution produce bit-identical results — the property test_par.ml
@@ -46,9 +47,12 @@ let size t = t.size
    signal.) *)
 let oversubscribed t = t.size > Domain.recommended_domain_count ()
 
+(* the OCaml 5.1 runtime's [Max_domains]: [Domain.spawn] fails beyond it *)
+let max_domains = 128
+
 let default_num_domains () =
   match Sys.getenv_opt "MCLH_DOMAINS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
+  | Some s -> Option.value (int_of_string_opt (String.trim s)) ~default:0
   | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
 (* worker loop: [wid] is this worker's stable index in 1..size-1 *)
@@ -80,7 +84,10 @@ let worker t wid =
   loop ()
 
 let create ~num_domains =
-  if num_domains < 1 then invalid_arg "Pool.create: num_domains must be >= 1";
+  if num_domains < 1 || num_domains > max_domains then
+    invalid_arg
+      (Printf.sprintf "Pool.create: num_domains must lie in 1..%d, got %d"
+         max_domains num_domains);
   let t =
     { size = num_domains;
       lock = Mutex.create ();
@@ -260,23 +267,18 @@ let parallel_iter_chunks ?(min_chunk = 1) t n ~f =
 
 (* Pools are process-lifetime: parked workers cost nothing, and sharing
    one pool per size keeps nested layers (bench fan-out -> Fence
-   territories -> solver chunks) on the same pool, where the busy flag
+   territories -> the solver's shard fan-out) on the same pool, where the busy flag
    serializes them instead of oversubscribing the machine. *)
 let registry : (int, t) Hashtbl.t = Hashtbl.create 4
 let registry_lock = Mutex.create ()
 
 let get ~num_domains =
-  let num_domains = max 1 num_domains in
-  Mutex.lock registry_lock;
-  let pool =
-    match Hashtbl.find_opt registry num_domains with
-    | Some p -> p
-    | None ->
-      let p = create ~num_domains in
-      Hashtbl.replace registry num_domains p;
-      p
-  in
-  Mutex.unlock registry_lock;
-  pool
+  Mutex.protect registry_lock (fun () ->
+      match Hashtbl.find_opt registry num_domains with
+      | Some p -> p
+      | None ->
+        let p = create ~num_domains in
+        Hashtbl.replace registry num_domains p;
+        p)
 
 let default () = get ~num_domains:(default_num_domains ())

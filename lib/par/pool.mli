@@ -1,10 +1,11 @@
 (** A reusable domain pool for the repository's embarrassingly parallel
-    stages (fence territories, benchmark fan-out, per-chain arrowhead
-    solves).
+    stages (fence territories, benchmark fan-out, the solver's shard
+    fan-out, model-build chunks).
 
     Worker domains persist across jobs and park between submissions, so
-    dispatch is cheap enough for per-iteration use inside the MMSIM
-    solver loop. The pool is non-reentrant by design: a nested parallel
+    the many short fan-outs of one process (an ECO session's batches, a
+    daemon's requests) pay one broadcast per job, not a domain spawn.
+    The pool is non-reentrant by design: a nested parallel
     call from inside a running job degrades to the sequential path
     instead of oversubscribing the machine. Work partitioning is
     index-deterministic and parallel writes target disjoint slices, so
@@ -19,11 +20,16 @@
 
 type t
 
+val max_domains : int
+(** [128]: the most domains the OCaml 5.1 runtime runs at once
+    ([Max_domains]). A larger degree could never start. *)
+
 val create : num_domains:int -> t
 (** A pool of parallelism degree [num_domains] (the submitting domain
     participates; [num_domains - 1] worker domains are spawned).
     [num_domains = 1] spawns nothing and runs everything sequentially.
-    @raise Invalid_argument if [num_domains < 1]. *)
+    @raise Invalid_argument if [num_domains] lies outside
+      [1..max_domains]; no domain is spawned then. *)
 
 val size : t -> int
 (** The pool's parallelism degree. *)
@@ -72,14 +78,19 @@ val parallel_iter_chunks : ?min_chunk:int -> t -> int -> f:(int -> int -> unit) 
     a single [f 0 n] call in the same situations as {!parallel_map}. *)
 
 val default_num_domains : unit -> int
-(** The [MCLH_DOMAINS] environment override when set (clamped to >= 1),
-    otherwise [min 8 (Domain.recommended_domain_count ())]. *)
+(** The [MCLH_DOMAINS] environment override when set, otherwise
+    [min 8 (Domain.recommended_domain_count ())]. The override is taken
+    as written, not clamped: a value outside [1..max_domains] comes back
+    as it is, and one that is not an integer comes back as [0], so that
+    {!create} and [Mclh_core.Config.validate] reject it before any
+    domain starts. *)
 
 val get : num_domains:int -> t
 (** The shared process-lifetime pool of the given degree (created on
     first use). Layers that are handed the same degree — the bench
-    fan-out, {!Mclh_core.Fence} territories, the solver's chain chunks —
-    therefore share one pool, whose busy flag serializes nested use. *)
+    fan-out, {!Mclh_core.Fence} territories, the solver's shard fan-out —
+    therefore share one pool, whose busy flag serializes nested use.
+    @raise Invalid_argument as {!create} does. *)
 
 val default : unit -> t
 (** [get ~num_domains:(default_num_domains ())]. *)

@@ -18,7 +18,7 @@ type result = {
 }
 
 let solve_lcp ?s0 (config : Config.t) (model : Model.t) =
-  let ops = Solver.operators_inplace model config in
+  let ops = Solver.operators model config in
   let s0 =
     match s0 with Some s0 -> s0 | None -> Warm_start.modulus_vector model ops
   in
@@ -28,7 +28,7 @@ let solve_lcp ?s0 (config : Config.t) (model : Model.t) =
       max_iter = config.max_iter;
       accel = 0 }
   in
-  Mclh_lcp.Mmsim.solve_inplace ~options ~s0 ops ~q:(Solver.rhs_q model)
+  Mclh_lcp.Mmsim.solve ~options ~s0 ops ~q:(Solver.rhs_q model)
 
 let solve ?(whole = false) ?s0 config (model : Model.t) =
   let n = model.nvars and m = Model.num_constraints model in

@@ -16,11 +16,16 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 (* exit code of [mclh args], output discarded *)
 let run args = Sys.command (Filename.quote_command exe args ^ " > /dev/null 2>&1")
 
-(* exit code and stderr of [mclh args] *)
-let run_stderr args =
+(* exit code and stderr of [mclh args], with [env] bindings added to the
+   environment *)
+let run_stderr ?(env = []) args =
   let err = Filename.temp_file "mclh_cli" ".err" in
+  let bindings =
+    List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v ^ " ") env |> String.concat ""
+  in
   let code =
-    Sys.command (Filename.quote_command exe ~stdout:"/dev/null" ~stderr:err args)
+    Sys.command
+      (bindings ^ Filename.quote_command exe ~stdout:"/dev/null" ~stderr:err args)
   in
   let text = read_file err in
   Sys.remove err;

@@ -1,5 +1,5 @@
 (* Test-only reference for the Anderson-accelerated MMSIM: the same loop
-   as [Mmsim.solve_inplace], but the extrapolation recomputes the whole
+   as [Mmsim.solve], but the extrapolation recomputes the whole
    Gram matrix of the residual-difference history on every iteration,
    O(depth^2 n) per step. [Mmsim] caches that matrix across iterations
    instead; the two must produce bit-identical iterates. *)
@@ -151,13 +151,12 @@ let accel_advance st ~k ~n s g =
     end
   end
 
-(* [Mmsim.solve_inplace]'s loop over the reference extrapolation. Also
+(* [Mmsim.solve]'s loop over the reference extrapolation. Also
    returns the 1-based iterations whose extrapolation reset the
    history, ascending. *)
-let solve_inplace ~(options : Mmsim.options) ?s0 (ops : Mmsim.operators_inplace)
-    ~q =
+let solve ~(options : Mmsim.options) ?s0 (ops : Mmsim.operators) ~q =
   let { Mmsim.gamma; eps; max_iter; accel } = options in
-  let n = ops.Mmsim.dim_ip in
+  let n = ops.Mmsim.dim in
   let s = match s0 with None -> Vec.zeros n | Some s0 -> Vec.copy s0 in
   let abs_s = Vec.zeros n and rhs = Vec.zeros n and a_abs = Vec.zeros n in
   let g = Vec.zeros n and z = Vec.zeros n in
@@ -177,7 +176,7 @@ let solve_inplace ~(options : Mmsim.options) ?s0 (ops : Mmsim.operators_inplace)
     for i = 0 to n - 1 do
       rhs.(i) <-
         rhs.(i)
-        +. (ops.Mmsim.omega_diag_ip.(i) *. abs_s.(i))
+        +. (ops.Mmsim.omega_diag.(i) *. abs_s.(i))
         -. a_abs.(i)
         -. (gamma *. q.(i))
     done;

@@ -437,11 +437,9 @@ let test_inplace_equals_generic () =
           max_iter = config.Config.max_iter; accel = 0 }
       in
       let boxed =
-        Mclh_lcp.Mmsim.solve ~options (Solver.operators m config) ~q
+        Mclh_lcp.Mmsim.solve ~options (Solver_ref.operators m config) ~q
       in
-      let inplace =
-        Mclh_lcp.Mmsim.solve_inplace ~options (Solver.operators_inplace m config) ~q
-      in
+      let inplace = Mclh_lcp.Mmsim.solve ~options (Solver.operators m config) ~q in
       Alcotest.(check int) "same iterations" boxed.Mclh_lcp.Mmsim.iterations
         inplace.Mclh_lcp.Mmsim.iterations;
       if

@@ -281,10 +281,7 @@ let test_packing_collapse_fallback () =
 
 let test_zero_alloc_per_iteration () =
   let _, model = model_of ~scale:0.01 "fft_2" in
-  (* num_domains = 1: the pool path allocates its dispatch closures; the
-     zero-allocation guarantee is for the sequential in-place kernels *)
-  let config = { Config.default with num_domains = 1 } in
-  let ops = Solver.operators_inplace model config in
+  let ops = Solver.operators model Config.default in
   let q = Solver.rhs_q model in
   let options ?(accel = 0) iters =
     (* eps below any representable progress: the loop never converges
@@ -297,7 +294,7 @@ let test_zero_alloc_per_iteration () =
   let words ?s0 ?accel iters =
     let options = options ?accel iters in
     let before = Gc.minor_words () in
-    ignore (Mclh_lcp.Mmsim.solve_inplace ~options ?s0 ops ~q);
+    ignore (Mclh_lcp.Mmsim.solve ~options ?s0 ops ~q);
     Gc.minor_words () -. before
   in
   ignore (words 3) (* warm up: first entry may trigger lazy init *);
@@ -331,7 +328,7 @@ let test_zero_alloc_per_iteration () =
   in
   let probe = 400 in
   let _, resets =
-    Mmsim_ref.solve_inplace ~options:(options ~accel:8 probe) ~s0:huge ops ~q
+    Mmsim_ref.solve ~options:(options ~accel:8 probe) ~s0:huge ops ~q
   in
   match List.rev resets with
   | [] -> Alcotest.failf "no history reset within %d iterations" probe

@@ -302,41 +302,6 @@ let qc_mmsim_warm_start_reduces_iterations =
         warm.Mmsim.iterations <= cold.Mmsim.iterations
       else warm.Mmsim.iterations < cold.Mmsim.iterations)
 
-(* lockstep in-place adapter over allocating operators: the semantics the
-   mli promises ([solve] delegates to [solve_inplace]) checked from the
-   outside, through a *different* operator implementation *)
-let inplace_of (ops : Mmsim.operators) =
-  { Mmsim.dim_ip = ops.Mmsim.dim;
-    apply_a_into = (fun v dst -> Vec.blit ~src:(ops.Mmsim.apply_a v) ~dst);
-    apply_n_into = (fun v dst -> Vec.blit ~src:(ops.Mmsim.apply_n v) ~dst);
-    solve_m_omega_into =
-      (fun rhs dst -> Vec.blit ~src:(ops.Mmsim.solve_m_omega rhs) ~dst);
-    omega_diag_ip = ops.Mmsim.omega_diag }
-
-let qc_solve_matches_solve_inplace =
-  (* solve and solve_inplace share one stopping/divergence implementation:
-     identical (iterations, converged, delta_inf) and bit-identical
-     iterates on identical inputs — including truncated budgets (converged
-     = false), warm starts, and acceleration *)
-  QCheck.Test.make ~count:80
-    ~name:"mmsim: solve = solve_inplace on (iterations, converged, delta_inf)"
-    QCheck.(
-      quad (int_range 1 12) (int_range 0 10_000) (int_range 1 60)
-        (int_range 0 4))
-    (fun (n, seed, max_iter, accel) ->
-      let rand = mk_rand (seed + 29) in
-      let p = random_spd_lcp rand n in
-      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
-      let options = { Mmsim.default_options with max_iter; accel } in
-      let s0 = Vec.init n (fun _ -> (rand () *. 4.0) -. 2.0) in
-      let a = Mmsim.solve ~options ~s0 ops ~q:p.Lcp.q in
-      let b = Mmsim.solve_inplace ~options ~s0 (inplace_of ops) ~q:p.Lcp.q in
-      a.Mmsim.iterations = b.Mmsim.iterations
-      && a.Mmsim.converged = b.Mmsim.converged
-      && Float.equal a.Mmsim.delta_inf b.Mmsim.delta_inf
-      && Vec.dist_inf a.Mmsim.z b.Mmsim.z = 0.0
-      && Vec.dist_inf a.Mmsim.s b.Mmsim.s = 0.0)
-
 (* every field of two outcomes equal, the vectors bit for bit *)
 let bit_identical (a : Mmsim.outcome) (b : Mmsim.outcome) =
   let same_bits x y =
@@ -365,24 +330,24 @@ let qc_accel_matches_reference =
     (fun (n, seed, accel, (budget, magnitude)) ->
       let rand = mk_rand (seed + 31) in
       let p = random_spd_lcp rand n in
-      let ops = inplace_of (Mmsim.gauss_seidel_operators p.Lcp.a) in
+      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
       let max_iter = Option.value budget ~default:100_000 in
       let options = { Mmsim.default_options with max_iter; accel } in
       let scale = 10.0 ** float_of_int magnitude in
       let s0 = Vec.init n (fun _ -> scale *. ((rand () *. 2.0) -. 1.0)) in
-      let fast = Mmsim.solve_inplace ~options ~s0 ops ~q:p.Lcp.q in
-      let reference, _ = Mmsim_ref.solve_inplace ~options ~s0 ops ~q:p.Lcp.q in
+      let fast = Mmsim.solve ~options ~s0 ops ~q:p.Lcp.q in
+      let reference, _ = Mmsim_ref.solve ~options ~s0 ops ~q:p.Lcp.q in
       bit_identical fast reference)
 
 let test_accel_reset_matches_reference () =
   (* a start whose differences square to infinity makes the first
      extrapolations non-finite: the history resets, then refills *)
   let p = random_spd_lcp (mk_rand 5) 3 in
-  let ops = inplace_of (Mmsim.gauss_seidel_operators p.Lcp.a) in
+  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
   let options = { Mmsim.default_options with accel = 8 } in
   let s0 = Vec.of_list [ 1e160; -3e160; 2e160 ] in
-  let fast = Mmsim.solve_inplace ~options ~s0 ops ~q:p.Lcp.q in
-  let reference, resets = Mmsim_ref.solve_inplace ~options ~s0 ops ~q:p.Lcp.q in
+  let fast = Mmsim.solve ~options ~s0 ops ~q:p.Lcp.q in
+  let reference, resets = Mmsim_ref.solve ~options ~s0 ops ~q:p.Lcp.q in
   Alcotest.(check bool) "the history resets" true (resets <> []);
   Alcotest.(check bool) "converged" true fast.Mmsim.converged;
   Alcotest.(check bool) "bit-identical to the full recompute" true
@@ -401,14 +366,14 @@ let test_accel_kkt_matches_reference () =
   in
   let model = Model.build d (Row_assign.assign d) in
   let config = { Config.default with beta = 1.0; theta = 0.4 } in
-  let ops = Solver.operators_inplace model config in
+  let ops = Solver.operators model config in
   let q = Solver.rhs_q model in
   let s0 = Warm_start.modulus_vector model ops in
   List.iter
     (fun (name, eps, max_iter) ->
       let options = { Mmsim.default_options with eps; max_iter; accel = 8 } in
-      let fast = Mmsim.solve_inplace ~options ~s0 ops ~q in
-      let reference, _ = Mmsim_ref.solve_inplace ~options ~s0 ops ~q in
+      let fast = Mmsim.solve ~options ~s0 ops ~q in
+      let reference, _ = Mmsim_ref.solve ~options ~s0 ops ~q in
       Alcotest.(check bool) (name ^ ": bit-identical to the full recompute") true
         (bit_identical fast reference))
     [ ("as the solver runs it", config.Config.eps, config.Config.max_iter);
@@ -454,7 +419,6 @@ let () =
       [ qc_mmsim_random_spd;
         qc_mmsim_adversarial_s0_same_fixed_point;
         qc_mmsim_warm_start_reduces_iterations;
-        qc_solve_matches_solve_inplace;
         qc_mmsim_accel_same_fixed_point;
         qc_accel_matches_reference;
         qc_pgs_random_spd;

@@ -1,6 +1,7 @@
 (* Tests for the multicore layer: pool lifecycle, exception propagation,
-   and — the key property — bit-identity of the parallel and sequential
-   paths of Fence.legalize, Runner.run/run_all, and Solver.solve. *)
+   the accepted domain counts, and — the key property — bit-identity of
+   the parallel and sequential paths of Fence.legalize, Runner.run/run_all
+   and Incr sessions. *)
 
 open Mclh_circuit
 open Mclh_core
@@ -94,6 +95,36 @@ let test_default_num_domains () =
   Alcotest.(check bool) "at least one" true (d >= 1);
   Alcotest.(check bool) "capped" true (d <= 8 || Sys.getenv_opt "MCLH_DOMAINS" <> None)
 
+let test_domain_count_bounds () =
+  (* 1..Pool.max_domains is the only accepted range, refused before any
+     domain starts: no pool is spawned by these checks *)
+  Alcotest.(check int) "runtime limit" 128 Pool.max_domains;
+  List.iter
+    (fun num_domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "Config.validate rejects %d" num_domains)
+        true
+        (Result.is_error (Config.validate { Config.default with num_domains })))
+    [ 0; 129 ];
+  Alcotest.(check bool) "Config.validate accepts 128" true
+    (Result.is_ok (Config.validate { Config.default with num_domains = 128 }));
+  Alcotest.check_raises "Pool.create 129"
+    (Invalid_argument "Pool.create: num_domains must lie in 1..128, got 129")
+    (fun () -> ignore (Pool.create ~num_domains:129));
+  if Cli.available () then
+    List.iter
+      (fun value ->
+        let code, err =
+          Cli.run_stderr ~env:[ ("MCLH_DOMAINS", value) ]
+            [ "run"; "-b"; "fft_2"; "-s"; "0.01" ]
+        in
+        Alcotest.(check int) (Printf.sprintf "MCLH_DOMAINS=%s exits 1" value) 1 code;
+        Alcotest.(check bool)
+          (Printf.sprintf "MCLH_DOMAINS=%s is named" value)
+          true
+          (Cli.contains err "MCLH_DOMAINS"))
+      [ "abc"; "129" ]
+
 (* ---------- bit-identity of the wired layers ---------- *)
 
 let check_placement_identical name (a : Placement.t) (b : Placement.t) =
@@ -132,31 +163,58 @@ let test_fence_bit_identity () =
     [ 2; 4 ];
   Alcotest.(check bool) "legal" true (Legality.is_legal d seq)
 
-let test_solver_bit_identity () =
-  (* force the parallel per-chain path on a small model by lowering the
-     chunk threshold *)
-  let d = (instance ~scale:0.01 "fft_2").Mclh_benchgen.Generate.design in
-  let assignment = Row_assign.assign d in
-  let model = Model.build d assignment in
-  Alcotest.(check bool) "model has chains" true
-    (Mclh_linalg.Blocks.num_chains model.Model.blocks > 1);
-  let saved = !Solver.par_chain_chunk in
-  Fun.protect
-    ~finally:(fun () -> Solver.par_chain_chunk := saved)
-    (fun () ->
-      Solver.par_chain_chunk := 1;
-      let seq = Solver.solve ~config:(config_with_domains 1) model in
-      List.iter
-        (fun nd ->
-          let par = Solver.solve ~config:(config_with_domains nd) model in
-          let tag = Printf.sprintf "solver nd=%d" nd in
-          Alcotest.(check int) (tag ^ " iterations") seq.Solver.iterations
-            par.Solver.iterations;
-          Alcotest.(check bool) (tag ^ " converged") seq.Solver.converged
-            par.Solver.converged;
-          Alcotest.(check (array (float 0.0))) (tag ^ " x") seq.Solver.x par.Solver.x;
-          Alcotest.(check (array (float 0.0))) (tag ^ " r") seq.Solver.r par.Solver.r)
-        [ 2; 4 ])
+module Incr = Mclh_incr.Incr
+module Edit = Mclh_incr.Edit
+
+(* a batch of spread-out moves plus one resize, insert and delete, drawn
+   against the design as of the batch's start *)
+let incr_batch (d : Design.t) seed =
+  let rng = Mclh_benchgen.Rng.create seed in
+  let n = Design.num_cells d and chip = d.Design.chip in
+  let site () = Mclh_benchgen.Rng.float rng (float_of_int chip.Chip.num_sites) in
+  let row () = Mclh_benchgen.Rng.float rng (float_of_int chip.Chip.num_rows) in
+  List.init 8 (fun _ ->
+      Edit.Move { cell = Mclh_benchgen.Rng.int rng n; x = site (); y = row () })
+  @ [ Edit.Resize { cell = Mclh_benchgen.Rng.int rng n; width = 2 };
+      Edit.Insert { width = 3; height = 1; x = site (); y = row () };
+      Edit.Delete { cell = Mclh_benchgen.Rng.int rng n } ]
+
+let test_incr_bit_identity () =
+  (* an ECO session re-solves its cache misses through the solver's shard
+     fan-out from warm starts: the same batches must give the same
+     counters and placements at every domain count *)
+  let options =
+    { Mclh_benchgen.Generate.default_options with
+      blockage_fraction = 0.15;
+      blockage_count = 24 }
+  in
+  let d = (instance ~options ~scale:0.01 "fft_2").Mclh_benchgen.Generate.design in
+  let sessions =
+    List.map (fun nd -> (nd, Incr.create ~config:(config_with_domains nd) d)) [ 1; 2; 4 ]
+  in
+  let reference = List.assoc 1 sessions in
+  let fanned_out = ref false in
+  for batch = 1 to 4 do
+    let edits = incr_batch (Incr.design reference) (40 + batch) in
+    let counters (st : Incr.stats) =
+      [ st.Incr.dirty_shards; st.Incr.cache_hits; st.Incr.solve_iterations;
+        st.Incr.max_iterations ]
+    in
+    let expected = counters (Incr.apply reference edits) in
+    if List.hd expected > 1 then fanned_out := true;
+    List.iter
+      (fun (nd, session) ->
+        if nd > 1 then begin
+          let tag = Printf.sprintf "batch %d nd=%d" batch nd in
+          Alcotest.(check (list int))
+            (tag ^ " dirty_shards, cache_hits, solve_iterations, max_iterations")
+            expected
+            (counters (Incr.apply session edits));
+          check_placement_identical tag (Incr.legal reference) (Incr.legal session)
+        end)
+      sessions
+  done;
+  Alcotest.(check bool) "some batch re-solved several shards" true !fanned_out
 
 let test_pool_iter_weighted () =
   (* coverage and chunk determinism: every element of [order] is visited
@@ -246,9 +304,10 @@ let () =
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception_propagation;
           Alcotest.test_case "nested fallback" `Quick test_pool_nested_fallback;
-          Alcotest.test_case "default domains" `Quick test_default_num_domains ] );
+          Alcotest.test_case "default domains" `Quick test_default_num_domains;
+          Alcotest.test_case "domain count bounds" `Quick test_domain_count_bounds ] );
       ( "bit-identity",
         [ Alcotest.test_case "fence territories" `Quick test_fence_bit_identity;
-          Alcotest.test_case "solver chains" `Quick test_solver_bit_identity;
+          Alcotest.test_case "incr session" `Quick test_incr_bit_identity;
           Alcotest.test_case "runner" `Quick test_runner_bit_identity;
           Alcotest.test_case "run_all vs run" `Quick test_run_all_matches_run ] ) ]

@@ -1,13 +1,12 @@
 (* Benchmark harness entry point: regenerates every table and figure of the
-   paper's evaluation section (paper values printed alongside), runs the
-   ablations, and finishes with Bechamel kernel timings.
+   paper's evaluation section (paper values printed alongside), then runs
+   the ablations and the extensions beyond the paper.
 
    Environment:
      MCLH_SCALE   instance scale factor (default 0.04; 1.0 = paper size)
      MCLH_FAST    if set, run a 5-benchmark subset
      MCLH_ONLY    comma-separated subset of sections:
-                  table1,table2,sec53,fig5,ablations,extensions,scaling,eco,
-                  gp,kernels
+                  table1,table2,sec53,fig5,ablations,extensions
    A malformed MCLH_SCALE, an unknown MCLH_ONLY name or an MCLH_DOMAINS
    outside 1..128 exits 2. *)
 
@@ -17,11 +16,7 @@ let sections =
     ("sec53", Sec53.run);
     ("fig5", Fig5.run);
     ("ablations", Ablations.run);
-    ("extensions", Extensions.run);
-    ("scaling", Scaling.run);
-    ("eco", Eco.run);
-    ("gp", Gp.run);
-    ("kernels", Kernels.run) ]
+    ("extensions", Extensions.run) ]
 
 let () =
   (match Mclh_core.Config.validate Mclh_core.Config.default with

@@ -90,7 +90,3 @@ let manhattan d placement =
   (Metrics.displacement ~row_height:(row_height d) ~before:d.Design.global
      placement)
     .Metrics.total_manhattan
-
-let delta_hpwl d placement =
-  Hpwl.delta ~row_height:(row_height d) d.Design.nets ~before:d.Design.global
-    placement

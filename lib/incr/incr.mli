@@ -24,8 +24,9 @@
 
     The fixed point of each sub-LCP is unique, so a session's placement
     matches a cold full re-legalization of the same design to within the
-    iteration tolerance regardless of cache and warm-start history
-    (equivalence is asserted by the test suite and [bench/eco.ml]).
+    iteration tolerance regardless of cache and warm-start history (the
+    test suite asserts the equivalence at a tight tolerance, and
+    [mclh eco --verify] reports it batch by batch).
 
     Sessions are single-threaded on the outside (one [apply] at a time);
     cache misses go through the cold solver's own per-shard fan-out

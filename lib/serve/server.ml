@@ -143,7 +143,7 @@ let build_incr t s source =
           seed;
           blockage_fraction = blockages;
           (* blockage-rich instances are the ECO regime (many short
-             segments, small components): match bench/eco.ml's cut *)
+             segments, small components), cut into 32 rectangles *)
           blockage_count =
             (if blockages > 0.0 then 32
              else Mclh_benchgen.Generate.default_options.blockage_count);

@@ -16,20 +16,21 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 (* exit code of [mclh args], output discarded *)
 let run args = Sys.command (Filename.quote_command exe args ^ " > /dev/null 2>&1")
 
-(* exit code and stderr of [mclh args], with [env] bindings added to the
-   environment *)
-let run_stderr ?(env = []) args =
+(* exit code, stdout and stderr of [mclh args], with [env] bindings added
+   to the environment *)
+let run_output ?(env = []) args =
+  let out = Filename.temp_file "mclh_cli" ".out" in
   let err = Filename.temp_file "mclh_cli" ".err" in
   let bindings =
     List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v ^ " ") env |> String.concat ""
   in
   let code =
-    Sys.command
-      (bindings ^ Filename.quote_command exe ~stdout:"/dev/null" ~stderr:err args)
+    Sys.command (bindings ^ Filename.quote_command exe ~stdout:out ~stderr:err args)
   in
-  let text = read_file err in
+  let stdout = read_file out and stderr = read_file err in
+  Sys.remove out;
   Sys.remove err;
-  (code, text)
+  (code, stdout, stderr)
 
 (* the JSON document written to [path] (a --metrics-out report) *)
 let read_json path =

@@ -378,7 +378,7 @@ let check_bad_input_exits_1 () =
   let converted = tmp ".mclh" in
   List.iter
     (fun (what, args) ->
-      let code, err = Cli.run_stderr args in
+      let code, _, err = Cli.run_output args in
       Alcotest.(check int) (what ^ " exits 1") 1 code;
       Alcotest.(check bool) (what ^ " explains itself") true
         (err <> "" && not (Cli.contains err "uncaught exception")))
@@ -399,7 +399,7 @@ let check_bad_flags_exit_124 () =
   List.iter
     (fun args ->
       let what = String.concat " " args in
-      let code, err = Cli.run_stderr args in
+      let code, _, err = Cli.run_output args in
       Alcotest.(check int) (what ^ " exits 124") 124 code;
       Alcotest.(check bool) (what ^ " explains itself") true
         (err <> "" && not (Cli.contains err "uncaught exception")))
@@ -420,8 +420,8 @@ let test_cli_exit_codes () =
     List.iter
       (fun alg ->
         let alg = Runner.name alg in
-        let code, err =
-          Cli.run_stderr [ "run"; "--scenario"; "oversub"; "-s"; "1"; "-a"; alg ]
+        let code, _, err =
+          Cli.run_output [ "run"; "--scenario"; "oversub"; "-s"; "1"; "-a"; alg ]
         in
         Alcotest.(check int) ("oversub exits 2 under " ^ alg) 2 code;
         Alcotest.(check bool) ("oversub reports unplaced cells under " ^ alg) true

@@ -119,18 +119,48 @@ let test_gp_deterministic () =
   let gp2, _ = Mclh_gp.Gp.place d in
   Alcotest.(check bool) "deterministic" true (Placement.equal gp1 gp2)
 
+(* the fractional GP output is handed to MMSIM as it is, then refined.
+   Beside the two small inputs, the nine fft/pci/matrix families at scale
+   0.04 hold the pipeline's quality gates: no cell is legal at handoff, the
+   result is legal, and the final overflow stays within the worst the
+   placer has reached on them (10.2%, matrix_mult_1) *)
 let test_gp_output_legalizes () =
-  List.iter
-    (fun name ->
-      let d0 = design_for name 0.01 in
-      let gp, _ = Mclh_gp.Gp.place d0 in
-      let d =
-        Design.make ~blockages:d0.Design.blockages ~name:"gp" ~chip:d0.Design.chip
-          ~cells:d0.Design.cells ~global:gp ~nets:d0.Design.nets ()
-      in
-      let legal = Mclh_core.Flow.legalize d in
-      Alcotest.(check bool) (name ^ " legalizes") true (Legality.is_legal d legal))
-    [ "fft_2"; "pci_bridge32_b" ]
+  (* one pool job per input; the checks run here, in input order *)
+  let pipeline (name, scale) =
+    let d0 = design_for name scale in
+    let gp, stats = Mclh_gp.Gp.place d0 in
+    let d =
+      Design.make ~blockages:d0.Design.blockages ~name:"gp" ~chip:d0.Design.chip
+        ~cells:d0.Design.cells ~global:gp ~nets:d0.Design.nets ()
+    in
+    let legal =
+      (Mclh_core.Runner.run Mclh_core.Runner.Mmsim d).Mclh_core.Runner.placement
+    in
+    let refined, _ = Mclh_refine.Refine.run d legal in
+    ( Printf.sprintf "%s@%g" name scale,
+      Design.num_cells d,
+      Legality.count_illegal d gp,
+      Legality.is_legal d legal,
+      Legality.is_legal d refined,
+      stats.Mclh_gp.Gp.final_overflow )
+  in
+  let inputs =
+    [ ("fft_2", 0.01); ("pci_bridge32_b", 0.01) ]
+    @ List.map
+        (fun name -> (name, 0.04))
+        [ "fft_1"; "fft_2"; "fft_a"; "fft_b"; "pci_bridge32_a"; "pci_bridge32_b";
+          "matrix_mult_1"; "matrix_mult_2"; "matrix_mult_a" ]
+  in
+  Mclh_par.Pool.parallel_map (Mclh_par.Pool.default ()) pipeline
+    (Array.of_list inputs)
+  |> Array.iter (fun (what, cells, illegal, legal, refined_legal, overflow) ->
+         Alcotest.(check int) (what ^ " every cell illegal at handoff") cells
+           illegal;
+         Alcotest.(check bool) (what ^ " legalizes") true legal;
+         Alcotest.(check bool) (what ^ " legal after refine") true refined_legal;
+         Alcotest.(check bool)
+           (Printf.sprintf "%s final overflow %.4f < 0.1025" what overflow)
+           true (overflow < 0.1025))
 
 let test_gp_no_nets () =
   (* without nets, cells start at the staggered center anchors and the

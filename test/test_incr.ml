@@ -230,42 +230,84 @@ let test_solver_s0_restart () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "wrong s0 dimension must raise"
 
-(* ---------- CLI: one ECO session end to end ---------- *)
+(* ---------- CLI: ECO sessions end to end ---------- *)
+
+(* the "iterations saved" line of [mclh eco --verify] *)
+let iterations_saved stdout =
+  match
+    List.find_opt (Cli.has_prefix "iterations saved")
+      (String.split_on_char '\n' stdout)
+  with
+  | Some line -> Scanf.sscanf line "iterations saved : %d" Fun.id
+  | None -> Alcotest.fail "eco --verify printed no iterations saved line"
+
+(* one batch of every edit kind, and six batches of local moves: the
+   saving is summed per batch on both sides, so it stays positive however
+   many batches a replay has *)
+let cli_eco_inputs =
+  [ ( "mixed batch",
+      "mclh-edits 1\nmove 3 40 2.5\nmove 17 80 5\nresize 9 7\n\
+       insert 6 2 30 4\ndelete 5\n",
+      1,
+      5 );
+    ( "six move batches",
+      "mclh-edits 1\n\
+       move 137 270.8 17.5\nmove 64 11.9 29.0\nmove 460 78.2 29.0\n\
+       move 214 285.2 6.2\nbatch\n\
+       move 399 201.8 9.3\nmove 2 240.5 24.2\nmove 234 197.4 8.5\n\
+       move 325 264.8 26.7\nbatch\n\
+       move 554 87.1 9.9\nmove 221 67.1 4.6\nmove 540 27.7 2.8\n\
+       move 507 153.5 27.8\nbatch\n\
+       move 224 23.2 15.0\nmove 22 162.5 26.8\nmove 102 19.9 12.0\n\
+       move 303 163.9 4.3\nbatch\n\
+       move 512 220.9 18.6\nmove 194 49.7 7.8\nmove 511 233.3 4.2\n\
+       move 603 195.9 11.1\nbatch\n\
+       move 413 121.2 6.3\nmove 561 190.9 5.2\nmove 383 55.6 11.6\n\
+       move 110 287.5 8.0\n",
+      6,
+      24 ) ]
 
 let test_cli_eco_session () =
   if not (Cli.available ()) then Alcotest.skip ()
   else begin
     let design = Filename.temp_file "mclh_eco" ".mclh" in
-    let edits = Filename.temp_file "mclh_eco" ".edits" in
-    let placed = Filename.temp_file "mclh_eco" ".pl.mclh" in
-    let report = Filename.temp_file "mclh_eco" ".json" in
     Alcotest.(check int) "gen" 0
       (Cli.run
          [ "gen"; "-b"; "fft_2"; "-s"; "0.02"; "--blockages"; "0.15"; "-o";
            design ]);
-    Out_channel.with_open_bin edits (fun oc ->
-        output_string oc
-          "mclh-edits 1\nmove 3 40 2.5\nmove 17 80 5\nresize 9 7\n\
-           insert 6 2 30 4\ndelete 5\n");
-    Alcotest.(check int) "eco --verify exits 0" 0
-      (Cli.run
-         [ "eco"; "-i"; design; "-e"; edits; "--verify"; "--metrics-out"; report;
-           "-o"; placed ]);
-    let r = Cli.read_json report in
-    List.iter Sys.remove [ design; edits; placed; report ];
-    Alcotest.(check bool) "legal" true
-      (Cli.member [ "meta"; "legal" ] r = Mclh_report.Json.Bool true);
-    let counter name = Cli.int_at [ "counters"; name ] r in
-    Alcotest.(check int) "one batch" 1 (counter "incr/batches");
-    Alcotest.(check int) "five edits" 5 (counter "incr/edits");
-    Alcotest.(check bool) "cache hits counted" true
-      (List.mem "incr/cache_hits" (Cli.keys [ "counters" ] r));
-    Alcotest.(check bool) "dirty shards re-solved" true
-      (counter "incr/dirty_shards" > 0);
-    Alcotest.(check bool) "incr/solve span" true
-      (List.mem "incr/solve" (Cli.keys [ "spans_s" ] r));
-    Alcotest.(check bool) "warm-start trace" true
-      (List.exists (Cli.has_prefix "incr/solve") (Cli.keys [ "traces" ] r))
+    List.iter
+      (fun (what, text, batches, edits_count) ->
+        let edits = Filename.temp_file "mclh_eco" ".edits" in
+        let placed = Filename.temp_file "mclh_eco" ".pl.mclh" in
+        let report = Filename.temp_file "mclh_eco" ".json" in
+        Out_channel.with_open_bin edits (fun oc -> output_string oc text);
+        let code, stdout, _ =
+          Cli.run_output
+            [ "eco"; "-i"; design; "-e"; edits; "--verify"; "--metrics-out";
+              report; "-o"; placed ]
+        in
+        Alcotest.(check int) (what ^ ": eco --verify exits 0") 0 code;
+        let r = Cli.read_json report in
+        List.iter Sys.remove [ edits; placed; report ];
+        Alcotest.(check bool) (what ^ ": iterations saved > 0") true
+          (iterations_saved stdout > 0);
+        Alcotest.(check bool) (what ^ ": legal") true
+          (Cli.member [ "meta"; "legal" ] r = Mclh_report.Json.Bool true);
+        let counter name = Cli.int_at [ "counters"; name ] r in
+        Alcotest.(check int) (what ^ ": batches") batches
+          (counter "incr/batches");
+        Alcotest.(check int) (what ^ ": edits") edits_count
+          (counter "incr/edits");
+        Alcotest.(check bool) (what ^ ": cache hits counted") true
+          (List.mem "incr/cache_hits" (Cli.keys [ "counters" ] r));
+        Alcotest.(check bool) (what ^ ": dirty shards re-solved") true
+          (counter "incr/dirty_shards" > 0);
+        Alcotest.(check bool) (what ^ ": incr/solve span") true
+          (List.mem "incr/solve" (Cli.keys [ "spans_s" ] r));
+        Alcotest.(check bool) (what ^ ": warm-start trace") true
+          (List.exists (Cli.has_prefix "incr/solve") (Cli.keys [ "traces" ] r)))
+      cli_eco_inputs;
+    Sys.remove design
   end
 
 let () =

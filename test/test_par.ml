@@ -114,8 +114,8 @@ let test_domain_count_bounds () =
   if Cli.available () then
     List.iter
       (fun value ->
-        let code, err =
-          Cli.run_stderr ~env:[ ("MCLH_DOMAINS", value) ]
+        let code, _, err =
+          Cli.run_output ~env:[ ("MCLH_DOMAINS", value) ]
             [ "run"; "-b"; "fft_2"; "-s"; "0.01" ]
         in
         Alcotest.(check int) (Printf.sprintf "MCLH_DOMAINS=%s exits 1" value) 1 code;

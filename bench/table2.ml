@@ -18,10 +18,7 @@ type measured = {
 let measure name =
   let inst = Util.instance name in
   let d = inst.Mclh_benchgen.Generate.design in
-  (* run_all fans (design, algorithm) jobs over the pool when called at
-     top level; under the bench fan-out the pool is busy and it runs the
-     four algorithms sequentially inside this job *)
-  let reports = List.hd (Runner.run_all ~algorithms [ d ]) in
+  let reports = List.map (fun alg -> Runner.run alg d) algorithms in
   { name;
     disp =
       Array.of_list
@@ -109,7 +106,6 @@ let run () =
         { title = "n+m"; align = Right };
         { title = "components"; align = Right };
         { title = "largest"; align = Right };
-        { title = "shards"; align = Right };
         { title = "solve (s)"; align = Right } ]
   in
   List.iter
@@ -131,7 +127,6 @@ let run () =
           string_of_int (model.Model.nvars + Model.num_constraints model);
           string_of_int (Decompose.num_components deco);
           string_of_int (Decompose.largest_dim deco);
-          string_of_int (Decompose.num_shards deco);
           Table.fmt_float 3 !t_solve ])
     (Util.benchmarks ());
   print_string (Table.render dtable);

@@ -32,8 +32,8 @@ type t = {
   model : Model.t;
   comp_of_var : int array; (* dense component ids, by first appearance *)
   num_components : int;
-  largest_dim : int; (* max over components of vars + constraints *)
-  shards : shard array; (* never empty; one whole-model shard at worst *)
+  largest_dim : int; (* max over shards of vars + constraints *)
+  shards : shard array; (* one per component; a single one is the whole model *)
 }
 
 (* ---------- union-find ---------- *)
@@ -119,54 +119,31 @@ let components (model : Model.t) =
 
 (* ---------- shard planning ---------- *)
 
-(* Pack consecutive components (in dense-id order) into shards of at
-   least [min_shard_vars] variables: solving thousands of tiny components
-   as separate LCPs would drown in per-solve setup, and a joint solve of
-   several components is still exact (their blocks stay independent
-   inside the shard). The packing depends only on the model — never on
-   [num_domains] — so results are identical whatever the pool size. *)
-let pack ~min_shard_vars ~comp_of_var ~num_components n =
-  let vars_per_comp = Array.make num_components 0 in
-  for v = 0 to n - 1 do
-    let c = comp_of_var.(v) in
-    vars_per_comp.(c) <- vars_per_comp.(c) + 1
-  done;
-  let shard_of_comp = Array.make num_components 0 in
-  let num_shards = ref 0 in
-  let filled = ref 0 in
-  for c = 0 to num_components - 1 do
-    if !filled >= min_shard_vars then begin
-      incr num_shards;
-      filled := 0
-    end;
-    shard_of_comp.(c) <- !num_shards;
-    filled := !filled + vars_per_comp.(c)
-  done;
-  (shard_of_comp, !num_shards + 1)
-
-let plan_shards (model : Model.t) ~shard_of_comp ~num_shards ~comp_of_var =
+(* One shard per component, numbered like the components. The shard
+   contents depend only on the model — never on [num_domains] — so
+   results are identical whatever the pool size. *)
+let plan_shards (model : Model.t) ~comp_of_var ~num_components =
   let n = model.nvars in
-  let shard_of_var v = shard_of_comp.(comp_of_var.(v)) in
   (* local variable numbering: ascending global order within each shard *)
   let local_of_var = Array.make n 0 in
-  let shard_nvars = Array.make num_shards 0 in
+  let shard_nvars = Array.make num_components 0 in
   for v = 0 to n - 1 do
-    let s = shard_of_var v in
+    let s = comp_of_var.(v) in
     local_of_var.(v) <- shard_nvars.(s);
     shard_nvars.(s) <- shard_nvars.(s) + 1
   done;
-  let vars = Array.init num_shards (fun s -> Array.make shard_nvars.(s) 0) in
+  let vars = Array.init num_components (fun s -> Array.make shard_nvars.(s) 0) in
   for v = 0 to n - 1 do
-    vars.(shard_of_var v).(local_of_var.(v)) <- v
+    vars.(comp_of_var.(v)).(local_of_var.(v)) <- v
   done;
   (* groups and their constraints, in global order per shard *)
   let bases = constraint_bases model in
-  let groups_rev = Array.make num_shards [] in
-  let cons_rev = Array.make num_shards [] in
+  let groups_rev = Array.make num_components [] in
+  let cons_rev = Array.make num_components [] in
   Array.iteri
     (fun g gvars ->
       if Array.length gvars > 0 then begin
-        let s = shard_of_var gvars.(0) in
+        let s = comp_of_var.(gvars.(0)) in
         groups_rev.(s) <-
           Array.map (fun v -> local_of_var.(v)) gvars :: groups_rev.(s);
         for k = 0 to Array.length gvars - 2 do
@@ -174,22 +151,21 @@ let plan_shards (model : Model.t) ~shard_of_comp ~num_shards ~comp_of_var =
         done
       end)
     model.row_vars;
-  let chains_rev = Array.make num_shards [] in
+  let chains_rev = Array.make num_components [] in
   for c = Blocks.num_chains model.blocks - 1 downto 0 do
     let cvars = Blocks.chain_vars model.blocks c in
-    let s = shard_of_var cvars.(0) in
+    let s = comp_of_var.(cvars.(0)) in
     chains_rev.(s) <-
       Array.map (fun v -> local_of_var.(v)) cvars :: chains_rev.(s)
   done;
-  Array.init num_shards (fun s ->
+  Array.init num_components (fun s ->
       { vars = vars.(s);
         cons = Array.of_list (List.rev cons_rev.(s));
         groups = Array.of_list (List.rev groups_rev.(s));
         chains = Array.of_list chains_rev.(s) })
 
 (* the one shard covering the whole model, in the model's own numbering:
-   what a single component, or a packing that collapses to one piece,
-   plans *)
+   what a single component plans *)
 let whole_shard (model : Model.t) =
   { vars = Array.init model.nvars Fun.id;
     cons = Array.init (Model.num_constraints model) Fun.id;
@@ -260,51 +236,21 @@ let extract (model : Model.t) shard =
   if Array.length shard.vars = model.nvars then model
   else extract_part model shard
 
-(* Small enough that independent components stop iterating as soon as
-   they individually converge (the work saving that pays off even on one
-   core), large enough that per-shard solve setup stays noise. *)
-let default_min_shard_vars = 64
+let shard_dim shard = Array.length shard.vars + Array.length shard.cons
 
-let analyze ?(min_shard_vars = default_min_shard_vars) (model : Model.t) =
-  if min_shard_vars < 1 then invalid_arg "Decompose.analyze: min_shard_vars < 1";
-  let n = model.nvars in
+let analyze (model : Model.t) =
   let comp_of_var, num_components = components model in
-  (* largest component dimension (vars + constraints), for reporting *)
-  let vars_per_comp = Array.make (max 1 num_components) 0 in
-  for v = 0 to n - 1 do
-    let c = comp_of_var.(v) in
-    vars_per_comp.(c) <- vars_per_comp.(c) + 1
-  done;
-  let cons_per_comp = Array.make (max 1 num_components) 0 in
-  Array.iter
-    (fun gvars ->
-      if Array.length gvars > 1 then begin
-        let c = comp_of_var.(gvars.(0)) in
-        cons_per_comp.(c) <- cons_per_comp.(c) + Array.length gvars - 1
-      end)
-    model.row_vars;
-  let largest_dim = ref 0 in
-  for c = 0 to num_components - 1 do
-    let dim = vars_per_comp.(c) + cons_per_comp.(c) in
-    if dim > !largest_dim then largest_dim := dim
-  done;
   let shards =
     if num_components <= 1 then [| whole_shard model |]
-    else begin
-      let shard_of_comp, num_shards =
-        pack ~min_shard_vars ~comp_of_var ~num_components n
-      in
-      if num_shards <= 1 then [| whole_shard model |]
-      else plan_shards model ~shard_of_comp ~num_shards ~comp_of_var
-    end
+    else plan_shards model ~comp_of_var ~num_components
   in
-  { model; comp_of_var; num_components; largest_dim = !largest_dim; shards }
+  let largest_dim =
+    Array.fold_left (fun acc shard -> max acc (shard_dim shard)) 0 shards
+  in
+  { model; comp_of_var; num_components; largest_dim; shards }
 
 let num_components t = t.num_components
 let largest_dim t = t.largest_dim
-let num_shards t = Array.length t.shards
-
-let shard_dim shard = Array.length shard.vars + Array.length shard.cons
 
 (* scatter a per-shard solution slice back into a global vector *)
 let scatter_vars shard local global =

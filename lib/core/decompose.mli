@@ -13,11 +13,12 @@
     global maximum — which is also where the speedup beyond parallelism
     comes from.
 
-    Tiny components are packed together into shards of at least
-    [min_shard_vars] variables (a joint solve of several components is
-    still exact). The packing depends only on the model, never on the
-    domain count, so decomposed solves are bit-identical across
-    [Config.num_domains] settings.
+    Every component is one shard, the unit the solver schedules, the
+    incremental engine caches and every report counts. The partition
+    depends only on the model, never on the domain count, so decomposed
+    solves are bit-identical across [Config.num_domains] settings; the
+    pool batches light shards into one job ({!Solver.par_shard_chunk})
+    without changing what each shard computes.
 
     {!analyze} only plans the partition (cheap, O(n + m)); the sub-model
     of a shard is materialized on demand by {!extract}, which the solver
@@ -42,19 +43,15 @@ type t = {
           appearance in variable order *)
   num_components : int;
   largest_dim : int;
-      (** variables + constraints of the largest single component *)
+      (** the largest {!shard_dim} (variables + constraints) *)
   shards : shard array;
-      (** the independent solves, never empty: a single component (or a
-          packing that collapses to one piece) is one shard covering
-          every variable and constraint in the model's own numbering *)
+      (** one per component, in component-id order. A single component
+          (or a model without variables) is one shard covering every
+          variable and constraint in the model's own numbering *)
 }
 
-val default_min_shard_vars : int
-
-val analyze : ?min_shard_vars:int -> Model.t -> t
-(** Partitions the model. O(n alpha(n) + m). [min_shard_vars] defaults to
-    {!default_min_shard_vars}; it must be positive and must not be derived
-    from the domain count (see above). *)
+val analyze : Model.t -> t
+(** Partitions the model. O(n alpha(n) + m). *)
 
 val extract : Model.t -> shard -> Model.t
 (** [extract model shard] materializes the shard's self-contained
@@ -78,9 +75,6 @@ val constraint_pairs : Model.t -> (int * int) array
 val num_components : t -> int
 
 val largest_dim : t -> int
-
-val num_shards : t -> int
-(** Number of independent solves the decomposition produces (at least 1). *)
 
 val shard_dim : shard -> int
 (** Variables + constraints of a shard — the size of the LCP {!extract}

@@ -264,117 +264,6 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
   { design; assignment; nvars; first_var; var_cell; var_row; row_vars;
     b_mat; b_rhs; p; shift; blocks; d_split = [||] }
 
-(* The historical list-based construction, kept verbatim as the oracle the
-   property tests pin the streaming build against (byte-identical model
-   fields on any design). Not used by the production flow. *)
-let build_reference (design : Design.t) (assignment : Row_assign.t) =
-  let n = Design.num_cells design in
-  let first_var = Array.make n 0 in
-  let nvars =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      first_var.(i) <- !acc;
-      acc := !acc + design.cells.(i).Cell.height
-    done;
-    !acc
-  in
-  let var_cell = Array.make nvars 0 and var_row = Array.make nvars 0 in
-  for i = 0 to n - 1 do
-    let h = design.cells.(i).Cell.height in
-    for k = 0 to h - 1 do
-      var_cell.(first_var.(i) + k) <- i;
-      var_row.(first_var.(i) + k) <- assignment.rows.(i) + k
-    done
-  done;
-  let segments = Segments.compute design in
-  let cell_segment_start =
-    Array.init n (fun i ->
-        let c = design.cells.(i) in
-        let gx = design.global.Placement.xs.(i) in
-        Array.init c.Cell.height (fun k ->
-            match
-              Segments.locate segments
-                ~row:(assignment.rows.(i) + k)
-                ~x:gx ~width:c.Cell.width
-            with
-            | Some seg -> Some seg.Segments.start
-            | None -> None))
-  in
-  let cell_shift =
-    Array.init n (fun i ->
-        Array.fold_left
-          (fun acc -> function Some s -> max acc s | None -> acc)
-          0 cell_segment_start.(i))
-  in
-  let shift =
-    Vec.init nvars (fun v -> float_of_int cell_shift.(var_cell.(v)))
-  in
-  let order = Order.per_row design ~rows:assignment.rows in
-  let groups = ref [] in
-  Array.iteri
-    (fun r ids ->
-      if Array.length ids > 0 then begin
-        if Segments.has_blockages segments then begin
-          let tbl = Hashtbl.create 4 in
-          let keys = ref [] in
-          Array.iter
-            (fun i ->
-              let k = r - assignment.rows.(i) in
-              let key = cell_segment_start.(i).(k) in
-              if not (Hashtbl.mem tbl key) then keys := key :: !keys;
-              let prev = try Hashtbl.find tbl key with Not_found -> [] in
-              Hashtbl.replace tbl key (i :: prev))
-            ids;
-          List.iter
-            (fun key ->
-              let members = List.rev (Hashtbl.find tbl key) in
-              let vars =
-                List.map (fun i -> first_var.(i) + (r - assignment.rows.(i))) members
-              in
-              groups := Array.of_list vars :: !groups)
-            (List.rev !keys)
-        end
-        else
-          groups :=
-            Array.map (fun i -> first_var.(i) + (r - assignment.rows.(i))) ids
-            :: !groups
-      end)
-    order;
-  let row_vars = Array.of_list (List.rev !groups) in
-  let m =
-    Array.fold_left (fun acc vars -> acc + max 0 (Array.length vars - 1)) 0 row_vars
-  in
-  let coo = Coo.create ~rows:m ~cols:nvars in
-  let b_rhs = Array.make m 0.0 in
-  let ci = ref 0 in
-  Array.iter
-    (fun vars ->
-      for k = 0 to Array.length vars - 2 do
-        let u = vars.(k) and v = vars.(k + 1) in
-        Coo.add coo !ci u (-1.0);
-        Coo.add coo !ci v 1.0;
-        b_rhs.(!ci) <-
-          float_of_int design.cells.(var_cell.(u)).Cell.width
-          +. shift.(u) -. shift.(v);
-        incr ci
-      done)
-    row_vars;
-  let b_mat = Lazy.from_val (Coo.to_csr coo) in
-  let p =
-    Vec.init nvars (fun v ->
-        -.(design.global.Placement.xs.(var_cell.(v)) -. shift.(v)))
-  in
-  let chains =
-    Array.to_list first_var
-    |> List.mapi (fun i fv ->
-           let h = design.cells.(i).Cell.height in
-           Array.init h (fun k -> fv + k))
-    |> List.filter (fun chain -> Array.length chain >= 2)
-  in
-  let blocks = Blocks.make ~nvars chains in
-  { design; assignment; nvars; first_var; var_cell; var_row; row_vars;
-    b_mat; b_rhs; p; shift; blocks; d_split = [||] }
-
 let lcp_rhs t =
   let n = t.nvars and m = num_constraints t in
   Vec.init (n + m) (fun i -> if i < n then t.p.(i) else -.t.b_rhs.(i - n))

@@ -61,10 +61,6 @@ val build : ?num_domains:int -> Design.t -> Row_assign.t -> t
     per-row sorts fan out over the shared pool; all parallel writes are
     disjoint, so the result is bit-identical to the sequential build. *)
 
-val build_reference : Design.t -> Row_assign.t -> t
-(** The historical list-based construction (kept as an oracle): same
-    design, byte-identical model fields. For tests only. *)
-
 val b_mat : t -> Csr.t
 (** Force and return the global ordering-constraint matrix. *)
 

@@ -117,32 +117,3 @@ let converged report =
   | Some flow, _ -> Some flow.Flow.solver.Solver.converged
   | None, Some stats -> Some (Fence.all_converged stats)
   | None, None -> None
-
-let run_all ?config ?(algorithms = all) designs =
-  let num_domains =
-    match config with
-    | Some c -> c.Config.num_domains
-    | None -> Config.default.Config.num_domains
-  in
-  (* flatten to one job per (design, algorithm) pair for load balance —
-     a slow MMSIM solve on one design should not serialize the cheap
-     baselines of the others — and regroup in input order afterwards *)
-  let designs = Array.of_list designs in
-  let algorithms = Array.of_list algorithms in
-  let na = Array.length algorithms in
-  let jobs =
-    Array.init
-      (Array.length designs * na)
-      (fun i -> (designs.(i / na), algorithms.(i mod na)))
-  in
-  let reports =
-    if num_domains <= 1 then
-      Array.map (fun (d, alg) -> run ?config alg d) jobs
-    else
-      Mclh_par.Pool.parallel_map
-        (Mclh_par.Pool.get ~num_domains)
-        (fun (d, alg) -> run ?config alg d)
-        jobs
-  in
-  List.init (Array.length designs) (fun i ->
-      List.init na (fun j -> reports.((i * na) + j)))

@@ -57,12 +57,3 @@ val converged : report -> bool option
     over the per-territory stats on fenced ones. [None] for the
     non-iterative baseline algorithms, which have no notion of
     convergence. The CLI's [--strict-convergence] gate keys on this. *)
-
-val run_all :
-  ?config:Config.t -> ?algorithms:algorithm list -> Design.t list ->
-  report list list
-(** [run_all designs] runs every algorithm (default {!all}) on every
-    design, fanning the (design, algorithm) jobs out over the domain
-    pool (degree [config.num_domains]; [1] stays fully sequential).
-    Returns one report list per design, algorithms in input order —
-    the same reports, in the same order, as nested {!run} loops. *)

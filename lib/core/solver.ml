@@ -336,9 +336,8 @@ let solve ?(config = Config.default) ?obs ?s0 (model : Model.t) =
   let deco = Decompose.analyze model in
   let shards = deco.Decompose.shards in
   if config.progress then
-    Printf.eprintf "[mclh] solve: %d components, %d shards (largest dim %d)\n%!"
-      (Decompose.num_components deco) (Decompose.num_shards deco)
-      (Decompose.largest_dim deco);
+    Printf.eprintf "[mclh] solve: %d components (largest dim %d)\n%!"
+      (Decompose.num_components deco) (Decompose.largest_dim deco);
   (* a one-shard solve keeps the plain trace name; shards get their own *)
   let on_trace =
     match obs with

@@ -53,13 +53,6 @@ let max_cache_entries = 8192
    cache is keyed on it directly *)
 let shard_key = Decompose.shard_key
 
-(* a session decomposes one shard per component: it wants the finest
-   exact granularity so edits dirty as little as possible (the cold
-   solver packs small components together instead, to amortize its
-   per-job overhead — here clean shards cost only a fingerprint, so
-   packing would hurt) *)
-let decompose model = Decompose.analyze ~min_shard_vars:1 model
-
 let gather_entry (model : Model.t) ~x ~r ~s (shard : Decompose.shard) =
   { ex = Array.map (fun v -> x.(v)) shard.Decompose.vars;
     er = Array.map (fun c -> r.(c)) shard.Decompose.cons;
@@ -346,7 +339,7 @@ let create ?(config = Config.default) ?obs design =
     (fun shard ->
       Hashtbl.replace t.cache (shard_key model shard)
         (gather_entry model ~x ~r ~s:t.s shard))
-    (decompose model).Decompose.shards;
+    (Decompose.analyze model).Decompose.shards;
   t
 
 let design t = t.design
@@ -383,7 +376,7 @@ let apply_locked t edits =
   in
   Obs.record_span obs "incr/assign" assign_s;
   let model', model_s = Clock.timed (fun () -> Model.build design' assignment') in
-  let deco', decomp_s = Clock.timed (fun () -> decompose model') in
+  let deco', decomp_s = Clock.timed (fun () -> Decompose.analyze model') in
   let shards' = deco'.Decompose.shards in
   Obs.record_span obs "incr/model" (model_s +. decomp_s);
   let touched_cells =

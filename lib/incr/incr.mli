@@ -22,11 +22,19 @@
       (variables) and adjacent-pair identity (constraints); unmapped
       entries fall back to the paper's plain start.
 
-    The fixed point of each sub-LCP is unique, so a session's placement
-    matches a cold full re-legalization of the same design to within the
-    iteration tolerance regardless of cache and warm-start history (the
-    test suite asserts the equivalence at a tight tolerance, and
-    [mclh eco --verify] reports it batch by batch).
+    The fixed point of each sub-LCP is unique, so a session's relaxed
+    solution matches a cold full re-legalization of the same design to
+    within the iteration tolerance regardless of cache and warm-start
+    history. The snapped placement need not: a subcell that a cold run
+    and the session leave a hair apart on either side of a site boundary
+    snaps to different sites, and Tetris repair can carry that on to its
+    neighbours, so at the default [eps] a cell can land whole sites (or
+    rows) away from its cold position: up to 12 sites on six-batch
+    far-move replays of fft_2 at scale 0.02 with 15% blockage. A tighter
+    [eps] (1e-3 on those replays) makes the placements equal. The test
+    suite asserts the equivalence at a tight tolerance, and
+    [mclh eco --verify] reports the largest placement difference batch
+    by batch.
 
     Sessions are single-threaded on the outside (one [apply] at a time);
     cache misses go through the cold solver's own per-shard fan-out
@@ -61,10 +69,9 @@ type t
 val create : ?config:Config.t -> ?obs:Mclh_obs.Obs.t -> Design.t -> t
 (** Runs the full flow once ({!Flow.run}) and wraps the result in a
     session, seeding the cache with every shard's slice of the flow's
-    solution. A session decomposes one shard per component — the finest
-    exact granularity, so the dirty set and the cache keys stay minimal
-    (the cold solver packs tiny components together instead, to amortize
-    fan-out overhead). The config is fixed for the session's lifetime.
+    solution. A shard is one connected component, as in the cold solve,
+    so the dirty set and the cache keys stay minimal. The config is fixed
+    for the session's lifetime.
     [obs] is shared across the initial legalization and every later
     {!apply}.
     @raise Invalid_argument on fenced designs or an invalid config. *)

@@ -66,21 +66,21 @@ let test_auto_exact_shards () =
         end)
       0 deco.Decompose.shards
   in
-  (* the raw connected components of a blockage-rich mixed-height design
-     (min_shard_vars = 1): singletons, short rows and every size in
-     between; and the shards production routes (default merging) of a
-     single-height design, where every shard is exactly warm-started *)
+  (* the components of a blockage-rich mixed-height design: singletons,
+     short rows and every size in between; and those of a single-height
+     design, where every shard is exactly warm-started *)
   let _, mixed = model_of ~options ~scale:0.02 "fft_2" in
-  let raw = check_shards mixed (Decompose.analyze ~min_shard_vars:1 mixed) in
+  let mixed_exact = check_shards mixed (Decompose.analyze mixed) in
   let single_height =
     { Mclh_benchgen.Generate.default_options with single_height_only = true }
   in
   let _, single = model_of ~options:single_height ~scale:0.02 "pci_bridge32_a" in
-  let production = check_shards single (Decompose.analyze single) in
+  let single_exact = check_shards single (Decompose.analyze single) in
   (* the test is vacuous unless such shards actually ran *)
-  Alcotest.(check bool) "production exact shards exercised" true
-    (production > 1);
-  Alcotest.(check bool) "raw exact shards exercised" true (raw > 4)
+  Alcotest.(check bool) "single-height exact shards exercised" true
+    (single_exact > 1);
+  Alcotest.(check bool) "mixed-height exact shards exercised" true
+    (mixed_exact > 4)
 
 (* ---------- end-to-end chooser equivalence ---------- *)
 
@@ -167,11 +167,11 @@ let test_auto_cuts_plain_iterations () =
 (* ---------- the theta/2 retry ---------- *)
 
 (* a named rescue input: on superblue12 at 0.02 (generator seed 1, 30%
-   tall cells, 15% blockage in 32 rectangles) one shard, of dimension
-   527, exhausts a 1,000-iteration accelerated attempt; its one retry at
-   theta/2 converges. The two largest shards (14,440 and 34,211 dims)
-   converge on their first attempt but take seconds, so the solve here
-   covers every other shard (35 of 37) *)
+   tall cells, 15% blockage in 32 rectangles) one component, of
+   dimension 69, exhausts a 1,000-iteration accelerated attempt; its one
+   retry at theta/2 converges. The two largest components (14,440 and
+   34,211 dims) converge on their first attempt but take seconds, so the
+   solve here covers every other one (167 of 169) *)
 let test_theta_half_retry_rescues () =
   let options =
     { Mclh_benchgen.Generate.default_options with
@@ -187,7 +187,7 @@ let test_theta_half_retry_rescues () =
     |> List.filter (fun sh -> Decompose.shard_dim sh < 10_000)
     |> Array.of_list
   in
-  Alcotest.(check int) "shards solved" 35 (Array.length shards);
+  Alcotest.(check int) "shards solved" 167 (Array.length shards);
   let max_iter = 1_000 in
   let n = model.Model.nvars and m = Model.num_constraints model in
   (* only the rescued shard spends more than one attempt's budget *)
@@ -202,7 +202,7 @@ let test_theta_half_retry_rescues () =
   in
   Alcotest.(check bool) "converged" true fan.Solver.all_converged;
   Alcotest.(check int) "one fallback" 1 fan.Solver.fallbacks;
-  Alcotest.(check (list int)) "rescued shard dims" [ 527 ] !over_budget
+  Alcotest.(check (list int)) "rescued shard dims" [ 69 ] !over_budget
 
 (* ---------- CLI --strict-convergence ---------- *)
 

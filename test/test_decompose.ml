@@ -27,7 +27,7 @@ let tall_options =
 
 let test_partition_valid () =
   let _, model = model_of ~options:blockage_options ~scale:0.02 "fft_2" in
-  let deco = Decompose.analyze ~min_shard_vars:64 model in
+  let deco = Decompose.analyze model in
   Alcotest.(check bool) "several components" true (deco.Decompose.num_components > 1);
   Alcotest.(check bool) "several shards" true (Array.length deco.Decompose.shards > 1);
   let n = model.Model.nvars and m = Model.num_constraints model in
@@ -240,7 +240,7 @@ let test_single_component_fallback () =
   let _, model = model_of ~scale:0.02 "des_perf_1" in
   let deco = Decompose.analyze model in
   Alcotest.(check int) "single component" 1 (Decompose.num_components deco);
-  Alcotest.(check int) "single shard" 1 (Decompose.num_shards deco);
+  Alcotest.(check int) "single shard" 1 (Array.length deco.Decompose.shards);
   Alcotest.(check bool) "the shard's sub-model is the model" true
     (Decompose.extract model deco.Decompose.shards.(0) == model);
   let obs = Mclh_obs.Obs.create () in
@@ -263,19 +263,41 @@ let test_single_component_fallback () =
     Alcotest.(check int) "trace records every iteration" dec.Solver.iterations
       (Mclh_obs.Trace.recorded tr)
 
-let test_packing_collapse_fallback () =
-  (* a huge min_shard_vars packs everything into one shard: analyze must
-     plan one shard covering every variable and constraint *)
-  let _, model = model_of ~options:blockage_options ~scale:0.02 "fft_2" in
-  let deco = Decompose.analyze ~min_shard_vars:max_int model in
-  Alcotest.(check bool) "components found" true
-    (Decompose.num_components deco > 1);
-  Alcotest.(check int) "one shard" 1 (Decompose.num_shards deco);
-  let shard = deco.Decompose.shards.(0) in
-  Alcotest.(check (array int)) "covers every variable"
-    (Array.init model.Model.nvars Fun.id) shard.Decompose.vars;
-  Alcotest.(check (array int)) "covers every constraint"
-    (Array.init (Model.num_constraints model) Fun.id) shard.Decompose.cons
+let test_shards_are_components =
+  (* one shard per connected component on generated designs with
+     blockages and tall cells: shard k holds exactly the variables of
+     component k, and largest_dim is the largest shard *)
+  QCheck.Test.make ~count:8 ~name:"shards are the components"
+    QCheck.(triple (int_bound 1000) (int_bound 20) (int_bound 40))
+    (fun (seed, blockage_pct, tall_pct) ->
+      let blockage_fraction = float_of_int blockage_pct /. 100.0 in
+      let options =
+        { Mclh_benchgen.Generate.default_options with
+          seed;
+          blockage_fraction;
+          blockage_count = (if blockage_fraction > 0.0 then 12 else 0);
+          tall_cell_fraction = float_of_int tall_pct /. 100.0 }
+      in
+      let _, model = model_of ~options ~scale:0.01 "fft_2" in
+      let deco = Decompose.analyze model in
+      let shards = deco.Decompose.shards in
+      let comp = deco.Decompose.comp_of_var in
+      let comp_size = Array.make deco.Decompose.num_components 0 in
+      Array.iter (fun c -> comp_size.(c) <- comp_size.(c) + 1) comp;
+      let one_to_one =
+        Array.length shards = deco.Decompose.num_components
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun k shard ->
+                  let vars = shard.Decompose.vars in
+                  Array.length vars = comp_size.(k)
+                  && Array.for_all (fun v -> comp.(v) = k) vars)
+                shards)
+      in
+      let largest =
+        Array.fold_left (fun acc sh -> max acc (Decompose.shard_dim sh)) 0 shards
+      in
+      one_to_one && deco.Decompose.largest_dim = largest)
 
 (* ---------- allocation-free steady state ---------- *)
 
@@ -346,8 +368,7 @@ let () =
     [ ( "structure",
         [ Alcotest.test_case "partition validity" `Quick test_partition_valid;
           Alcotest.test_case "component ids" `Quick test_component_ids_cover;
-          Alcotest.test_case "packing collapse fallback" `Quick
-            test_packing_collapse_fallback;
+          QCheck_alcotest.to_alcotest test_shards_are_components;
           Alcotest.test_case "shard D is the full D restricted" `Quick
             test_shard_d_is_restriction ] );
       ( "vs-monolithic",

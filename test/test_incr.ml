@@ -218,8 +218,20 @@ let test_solver_s0_restart () =
   let model = Model.build d (Row_assign.assign d) in
   let first = Solver.solve ~config:tight model in
   let again = Solver.solve ~config:tight ~s0:first.Solver.modulus model in
-  Alcotest.(check bool) "restart nearly free" true
-    (again.Solver.iterations <= 3);
+  (* each component stops as soon as its own iterate change is below
+     eps, so a restart from the final modulus re-verifies it in a few
+     iterations per component (at most 4 on this design) and under 1%
+     of the cold solve's work in total *)
+  Alcotest.(check bool)
+    (Printf.sprintf "every shard restarts in <= 4 iterations (max %d)"
+       again.Solver.iterations)
+    true
+    (again.Solver.iterations <= 4);
+  Alcotest.(check bool)
+    (Printf.sprintf "restart nearly free (%d of %d iterations)"
+       again.Solver.iterations_total first.Solver.iterations_total)
+    true
+    (100 * again.Solver.iterations_total <= first.Solver.iterations_total);
   let n = model.Model.nvars in
   let worst = ref 0.0 in
   for v = 0 to n - 1 do

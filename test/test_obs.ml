@@ -278,6 +278,14 @@ let mixed_design () =
   let ys = [| 0.4; 0.6; 0.2; 1.5; 1.7; 2.4 |] in
   design ~chip ~cells ~xs ~ys ()
 
+(* the per-shard traces of a multi-component solve, by name *)
+let component_traces t (solver : Solver.result) =
+  List.init solver.Solver.components (fun i ->
+      let name = Printf.sprintf "solver/comp%03d" i in
+      match Obs.find_trace t (name ^ "/delta_inf") with
+      | None -> Alcotest.failf "%s convergence trace missing" name
+      | Some tr -> (name, tr))
+
 let test_flow_records_metrics () =
   let d = mixed_design () in
   let t = Obs.create () in
@@ -292,16 +300,25 @@ let test_flow_records_metrics () =
       Alcotest.(check bool) (span ^ " recorded") true
         (List.mem_assoc span (Obs.spans t)))
     [ "flow/assign"; "flow/model"; "flow/solve"; "flow/alloc"; "flow/total" ];
-  match Obs.find_trace t "solver/delta_inf" with
-  | None -> Alcotest.fail "monolithic convergence trace missing"
-  | Some tr ->
-    Alcotest.(check int) "trace records every iteration"
-      result.Flow.solver.Solver.iterations (Trace.recorded tr);
-    (* the final sample is the final residual *)
-    Alcotest.(check (option (float 1e-12)))
-      "last sample is delta_inf"
-      (Some result.Flow.solver.Solver.delta_inf)
-      (Trace.last tr)
+  (* the fixture is two components (rows 0-1 and row 2, each with a
+     double-height cell), so each shard records its own trace *)
+  let solver = result.Flow.solver in
+  Alcotest.(check int) "components" 2 solver.Solver.components;
+  let traces = component_traces t solver in
+  List.iter
+    (fun (name, tr) ->
+      Alcotest.(check int) (name ^ " records every iteration")
+        (Obs.counter_value t (name ^ "/iterations"))
+        (Trace.recorded tr))
+    traces;
+  Alcotest.(check int) "slowest shard's iterations" solver.Solver.iterations
+    (List.fold_left (fun acc (_, tr) -> max acc (Trace.recorded tr)) 0 traces);
+  (* the final samples are the shards' final residuals *)
+  Alcotest.(check (float 1e-12)) "largest last sample is delta_inf"
+    solver.Solver.delta_inf
+    (List.fold_left
+       (fun acc (_, tr) -> Float.max acc (Option.get (Trace.last tr)))
+       0.0 traces)
 
 let test_metrics_do_not_change_results () =
   let d = mixed_design () in
@@ -327,18 +344,18 @@ let test_tiny_max_iter_repair_path () =
   let result = Flow.run ~config ~obs:t d in
   let solver = result.Flow.solver in
   Alcotest.(check bool) "solver hit max_iter" false solver.Solver.converged;
-  (* the one shard makes two attempts, the accelerated one and its
-     theta/2 retry, each spending the whole budget *)
-  (match Obs.find_trace t "solver/delta_inf" with
-  | None -> Alcotest.fail "one-shard convergence trace missing"
-  | Some tr ->
-    Alcotest.(check int) "trace records both attempts" (2 * max_iter)
-      (Trace.recorded tr));
-  Alcotest.(check int) "one fallback" 1
+  (* each of the two shards makes two attempts, the accelerated one and
+     its theta/2 retry, each spending the whole budget *)
+  List.iter
+    (fun (name, tr) ->
+      Alcotest.(check int) (name ^ " records both attempts") (2 * max_iter)
+        (Trace.recorded tr))
+    (component_traces t solver);
+  Alcotest.(check int) "one fallback per shard" 2
     solver.Solver.backends.Solver.fallbacks;
-  Alcotest.(check int) "solver/fallbacks" 1
+  Alcotest.(check int) "solver/fallbacks" 2
     (Obs.counter_value t "solver/fallbacks");
-  Alcotest.(check int) "two attempts' iterations" (2 * max_iter)
+  Alcotest.(check int) "two attempts' iterations per shard" (2 * 2 * max_iter)
     solver.Solver.iterations_total;
   Alcotest.(check int) "flow/nonconverged" 1
     (Obs.counter_value t "flow/nonconverged");

@@ -1,7 +1,7 @@
 (* Tests for the multicore layer: pool lifecycle, exception propagation,
    the accepted domain counts, and — the key property — bit-identity of
-   the parallel and sequential paths of Fence.legalize, Runner.run/run_all
-   and Incr sessions. *)
+   the parallel and sequential paths of Fence.legalize, Runner.run and
+   Incr sessions. *)
 
 open Mclh_circuit
 open Mclh_core
@@ -266,33 +266,6 @@ let test_runner_bit_identity () =
     seq.Runner.displacement.Metrics.total_manhattan
     par.Runner.displacement.Metrics.total_manhattan
 
-let test_run_all_matches_run () =
-  let designs =
-    List.map
-      (fun name -> (instance name).Mclh_benchgen.Generate.design)
-      [ "fft_1"; "fft_2"; "pci_bridge32_a" ]
-  in
-  let algorithms = [ Runner.Tetris; Runner.Mmsim ] in
-  List.iter
-    (fun nd ->
-      let config = config_with_domains nd in
-      let grouped = Runner.run_all ~config ~algorithms designs in
-      Alcotest.(check int) "one group per design" (List.length designs)
-        (List.length grouped);
-      List.iter2
-        (fun d reports ->
-          List.iter2
-            (fun alg (r : Runner.report) ->
-              let solo = Runner.run ~config alg d in
-              Alcotest.(check string) "algorithm order" (Runner.name alg)
-                (Runner.name r.Runner.algorithm);
-              check_placement_identical
-                (Printf.sprintf "run_all %s nd=%d" (Runner.name alg) nd)
-                solo.Runner.placement r.Runner.placement)
-            algorithms reports)
-        designs grouped)
-    [ 1; 4 ]
-
 let () =
   Alcotest.run "par"
     [ ( "pool",
@@ -309,5 +282,4 @@ let () =
       ( "bit-identity",
         [ Alcotest.test_case "fence territories" `Quick test_fence_bit_identity;
           Alcotest.test_case "incr session" `Quick test_incr_bit_identity;
-          Alcotest.test_case "runner" `Quick test_runner_bit_identity;
-          Alcotest.test_case "run_all vs run" `Quick test_run_all_matches_run ] ) ]
+          Alcotest.test_case "runner" `Quick test_runner_bit_identity ] ) ]

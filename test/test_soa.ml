@@ -1,5 +1,5 @@
 (* Pins the streaming struct-of-arrays model construction against the
-   historical list-based path (kept as [Model.build_reference]): every
+   historical list-based path ([Model_ref.build]): every
    model field must be byte-identical — including the forced constraint
    CSR — on plain, blockage-heavy, and tall-cell designs, across domain
    counts. Also asserts the construction's allocation behaviour stays
@@ -89,7 +89,7 @@ let test_streaming_matches_reference () =
     (fun (label, options, name, scale) ->
       let d = (instance ~options ~scale name).Mclh_benchgen.Generate.design in
       let assignment = Row_assign.assign d in
-      let reference = Model.build_reference d assignment in
+      let reference = Model_ref.build d assignment in
       let streaming = Model.build d assignment in
       check_model_equal (label ^ "/seq") streaming reference;
       let parallel = Model.build ~num_domains:4 d assignment in

@@ -15,6 +15,16 @@ open Mclh_core
 let print_dense name d =
   Format.printf "%s =@.%a@.@." name Dense.pp d
 
+(* the model numbers its variables row by row; name each column *)
+let print_vars (model : Model.t) =
+  let name v =
+    Printf.sprintf "%s row%d"
+      model.Model.design.Design.cells.(model.Model.var_cell.(v)).Cell.name
+      model.Model.var_row.(v)
+  in
+  Format.printf "variables: x = [%s]@.@."
+    (String.concat "; " (List.init model.Model.nvars name))
+
 let cell ?rail ~id ~name ~w ~h () =
   Cell.make ~id ~name ~width:w ~height:h ?bottom_rail:rail ()
 
@@ -37,6 +47,7 @@ let () =
       ~nets:(Netlist.empty ~num_cells:5) ()
   in
   let model = Model.build design (Row_assign.assign design) in
+  print_vars model;
   print_dense "B (c2,c4 in row 0; c1,c3,c5 in row 1)" (Csr.to_dense (Model.b_mat model));
   Format.printf "b = %a@.@." Vec.pp model.Model.b_rhs;
 
@@ -54,8 +65,7 @@ let () =
       ~nets:(Netlist.empty ~num_cells:3) ()
   in
   let model = Model.build design (Row_assign.assign design) in
-  Format.printf
-    "variables: x = [c1 row0; c1 row1; c2; c3 row0; c3 row1] (subcell split)@.@.";
+  print_vars model;
   print_dense "B" (Csr.to_dense (Model.b_mat model));
   print_dense "E (x of each double's two subcells must match)"
     (Csr.to_dense (Blocks.e_matrix model.Model.blocks));

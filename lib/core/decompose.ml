@@ -181,11 +181,11 @@ let extract_part (model : Model.t) shard =
   let sub_n = Array.length shard.vars in
   let sub_m = Array.length shard.cons in
   (* B restricted to the shard, built directly in CSR form: every
-     constraint row is a (-1, +1) pair over two distinct local columns,
-     emitted in ascending column order — exactly the (sorted, merged)
-     layout [Coo.to_csr] gives the global B in [Model.build], without the
-     intermediate triplet lists. b_rhs carries the global separations
-     over unchanged. *)
+     constraint row is a (-1, +1) pair over two consecutive local columns
+     (the local numbering keeps the model's ascending group runs), so it
+     is already in the (sorted, merged) layout [Coo.to_csr] would give,
+     without the intermediate triplet lists. b_rhs carries the global
+     separations over unchanged. *)
   let row_ptr = Array.init (sub_m + 1) (fun i -> 2 * i) in
   let col_idx = Array.make (2 * sub_m) 0 in
   let values = Array.make (2 * sub_m) 0.0 in
@@ -193,20 +193,11 @@ let extract_part (model : Model.t) shard =
   Array.iter
     (fun gvars ->
       for k = 0 to Array.length gvars - 2 do
-        let a = gvars.(k) and b = gvars.(k + 1) in
         let pos = 2 * !ci in
-        if a < b then begin
-          col_idx.(pos) <- a;
-          values.(pos) <- -1.0;
-          col_idx.(pos + 1) <- b;
-          values.(pos + 1) <- 1.0
-        end
-        else begin
-          col_idx.(pos) <- b;
-          values.(pos) <- 1.0;
-          col_idx.(pos + 1) <- a;
-          values.(pos + 1) <- -1.0
-        end;
+        col_idx.(pos) <- gvars.(k);
+        values.(pos) <- -1.0;
+        col_idx.(pos + 1) <- gvars.(k + 1);
+        values.(pos + 1) <- 1.0;
         incr ci
       done)
     shard.groups;

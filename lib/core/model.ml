@@ -21,12 +21,12 @@ let b_mat t = Lazy.force t.b_mat
 
 let num_constraints t = Array.length t.b_rhs
 
-(* The ordering-constraint matrix has exactly one (-1, +1) pair per row,
-   emitted in ascending column order — the same (sorted, merged) layout
-   [Coo.to_csr] produces, so the direct build is byte-identical to the
-   historical triplet-list path (pinned by test_soa.ml). Built lazily:
-   the decomposed solve path only ever materializes per-shard CSRs, so
-   at scale the global B is never assembled at all. *)
+(* The ordering-constraint matrix has exactly one (-1, +1) pair per row.
+   Every group is an ascending run of consecutive variable ids, so the
+   pair is always emitted in ascending column order — the same (sorted,
+   merged) layout [Coo.to_csr] produces (pinned by test_soa.ml). Built
+   lazily: the decomposed solve path only ever materializes per-shard
+   CSRs, so at scale the global B is never assembled at all. *)
 let csr_of_groups ~nvars ~m row_vars =
   let row_ptr = Array.init (m + 1) (fun i -> 2 * i) in
   let col_idx = Array.make (2 * m) 0 in
@@ -35,20 +35,11 @@ let csr_of_groups ~nvars ~m row_vars =
   Array.iter
     (fun vars ->
       for k = 0 to Array.length vars - 2 do
-        let u = vars.(k) and v = vars.(k + 1) in
         let pos = 2 * !ci in
-        if u < v then begin
-          col_idx.(pos) <- u;
-          values.(pos) <- -1.0;
-          col_idx.(pos + 1) <- v;
-          values.(pos + 1) <- 1.0
-        end
-        else begin
-          col_idx.(pos) <- v;
-          values.(pos) <- 1.0;
-          col_idx.(pos + 1) <- u;
-          values.(pos + 1) <- -1.0
-        end;
+        col_idx.(pos) <- vars.(k);
+        values.(pos) <- -1.0;
+        col_idx.(pos + 1) <- vars.(k + 1);
+        values.(pos + 1) <- 1.0;
         incr ci
       done)
     row_vars;
@@ -69,39 +60,40 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
   let cells = design.cells in
   let gxs = design.global.Placement.xs in
   let rows = assignment.Row_assign.rows in
-  let first_var = Array.make n 0 in
-  let nvars =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      first_var.(i) <- !acc;
-      acc := !acc + cells.(i).Cell.height
-    done;
-    !acc
-  in
-  let var_cell = Array.make nvars 0 and var_row = Array.make nvars 0 in
+  let num_rows = design.chip.Chip.num_rows in
+  (* subcells per chip row: row r owns the variable ids
+     [row_start.(r), row_start.(r + 1)) *)
+  let row_start = Array.make (num_rows + 1) 0 in
   for i = 0 to n - 1 do
-    let h = cells.(i).Cell.height in
-    let fv = first_var.(i) in
-    for k = 0 to h - 1 do
-      var_cell.(fv + k) <- i;
-      var_row.(fv + k) <- rows.(i) + k
+    for r = rows.(i) to rows.(i) + cells.(i).Cell.height - 1 do
+      row_start.(r + 1) <- row_start.(r + 1) + 1
     done
   done;
+  for r = 0 to num_rows - 1 do
+    row_start.(r + 1) <- row_start.(r + 1) + row_start.(r)
+  done;
+  let nvars = row_start.(num_rows) in
   let segments = Segments.compute design in
   let has_blk = Segments.has_blockages segments in
   (* per-cell segment choice and shift: a multi-row cell picks a segment in
      every spanned row and is measured from the rightmost of their left
      walls, so all its subcells share one shift and E u = 0 is preserved.
-     [seg_of_var] is the chosen segment's start per subcell (-1 when the
-     row has no segment at all); it doubles as the grouping key below. *)
-  let seg_of_var = if has_blk then Array.make nvars (-1) else [||] in
+     [seg_of_sub] is the chosen segment's start per subcell (-1 when the
+     row has no segment at all), indexed in cell order from [sub_base];
+     it is the grouping key below. *)
+  let sub_base = if has_blk then Array.make n 0 else [||] in
+  if has_blk then
+    for i = 1 to n - 1 do
+      sub_base.(i) <- sub_base.(i - 1) + cells.(i - 1).Cell.height
+    done;
+  let seg_of_sub = if has_blk then Array.make nvars (-1) else [||] in
   let cell_shift = Array.make n 0 in
   if has_blk then
     iter_chunks ~num_domains n (fun lo hi ->
         for i = lo to hi - 1 do
           let c = cells.(i) in
           let gx = gxs.(i) in
-          let fv = first_var.(i) in
+          let sb = sub_base.(i) in
           let sh = ref 0 in
           for k = 0 to c.Cell.height - 1 do
             match
@@ -109,41 +101,26 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
                 ~width:c.Cell.width
             with
             | Some seg ->
-              seg_of_var.(fv + k) <- seg.Segments.start;
+              seg_of_sub.(sb + k) <- seg.Segments.start;
               if seg.Segments.start > !sh then sh := seg.Segments.start
             | None -> ()
           done;
           cell_shift.(i) <- !sh
         done);
-  let shift = Array.make nvars 0.0 in
-  if has_blk then
-    for v = 0 to nvars - 1 do
-      shift.(v) <- float_of_int cell_shift.(var_cell.(v))
-    done;
-  (* ordering groups, struct-of-arrays: bucket the subcell variables per
-     chip row with a counting sort, then sort each row range by
-     (global x, cell id) in place — the same total order [Order.per_row]
-     derives from its per-row lists, without materializing any *)
-  let num_rows = design.chip.Chip.num_rows in
-  let row_start = Array.make (num_rows + 1) 0 in
-  for v = 0 to nvars - 1 do
-    let r = var_row.(v) in
-    row_start.(r + 1) <- row_start.(r + 1) + 1
+  (* the variable numbering: bucket the cells per spanned row with a
+     counting sort, then sort each row range by (global x, cell id) in
+     place — the total order [Order.per_row] derives from its per-row
+     lists, without materializing any. A variable's id is its final
+     position, so [var_cell] is the bucket array itself. *)
+  let var_cell = Array.make nvars 0 in
+  let cursor = Array.sub row_start 0 num_rows in
+  for i = 0 to n - 1 do
+    for r = rows.(i) to rows.(i) + cells.(i).Cell.height - 1 do
+      var_cell.(cursor.(r)) <- i;
+      cursor.(r) <- cursor.(r) + 1
+    done
   done;
-  let nonempty = ref 0 in
-  for r = 0 to num_rows - 1 do
-    if row_start.(r + 1) > 0 then incr nonempty;
-    row_start.(r + 1) <- row_start.(r + 1) + row_start.(r)
-  done;
-  let members = Array.make nvars 0 in
-  let cursor = Array.make num_rows 0 in
-  for v = 0 to nvars - 1 do
-    let r = var_row.(v) in
-    members.(row_start.(r) + cursor.(r)) <- v;
-    cursor.(r) <- cursor.(r) + 1
-  done;
-  let cmp a b =
-    let ca = var_cell.(a) and cb = var_cell.(b) in
+  let cmp ca cb =
     let c = compare gxs.(ca) gxs.(cb) in
     if c <> 0 then c else compare ca cb
   in
@@ -152,79 +129,115 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
         let base = row_start.(r) in
         let len = row_start.(r + 1) - base in
         if len > 1 then begin
-          let tmp = Array.sub members base len in
+          let tmp = Array.sub var_cell base len in
           Array.sort cmp tmp;
-          Array.blit tmp 0 members base len
+          Array.blit tmp 0 var_cell base len
         end
       done);
   (* groups: one per nonempty row; under blockages a row splits into one
      group per chosen segment, ordered by first appearance in x order
-     (exactly the historical Hashtbl-based split) *)
-  let gcap = ref (max 1 !nonempty) and glen = ref 0 in
+     (exactly the historical Hashtbl-based split). The split is a stable
+     partition of the row's range, so every group is an ascending run of
+     consecutive ids and the groups concatenate to [0, nvars). *)
+  let gcap = ref (max 1 num_rows) and glen = ref 0 in
   let gbuf = ref (Array.make !gcap [||]) in
-  let push_group g =
+  let push_group start len =
     if !glen = !gcap then begin
       let grown = Array.make (2 * !gcap) [||] in
       Array.blit !gbuf 0 grown 0 !glen;
       gbuf := grown;
       gcap := 2 * !gcap
     end;
-    !gbuf.(!glen) <- g;
+    !gbuf.(!glen) <- Array.init len (fun k -> start + k);
     incr glen
   in
-  if not has_blk then
-    for r = 0 to num_rows - 1 do
-      let base = row_start.(r) in
-      let len = row_start.(r + 1) - base in
-      if len > 0 then push_group (Array.sub members base len)
-    done
-  else begin
-    (* scratch reused across rows: distinct keys (first-appearance order)
-       and their member counts *)
-    let keybuf = ref (Array.make 8 0) and cntbuf = ref (Array.make 8 0) in
-    for r = 0 to num_rows - 1 do
-      let base = row_start.(r) in
-      let len = row_start.(r + 1) - base in
-      if len > 0 then begin
-        if Array.length !keybuf < len then begin
-          keybuf := Array.make len 0;
-          cntbuf := Array.make len 0
+  (* scratch reused across rows: distinct keys (first-appearance order),
+     their member counts and fill cursors, each member's group and the
+     partitioned row *)
+  let keybuf = ref [||] and cntbuf = ref [||] in
+  let grpbuf = ref [||] and rowbuf = ref [||] in
+  for r = 0 to num_rows - 1 do
+    let base = row_start.(r) in
+    let len = row_start.(r + 1) - base in
+    if len > 0 && not has_blk then push_group base len
+    else if len > 0 then begin
+      if Array.length !keybuf < len then begin
+        keybuf := Array.make len 0;
+        cntbuf := Array.make len 0;
+        grpbuf := Array.make len 0;
+        rowbuf := Array.make len 0
+      end;
+      let keys = !keybuf and cnts = !cntbuf in
+      let grp = !grpbuf and row = !rowbuf in
+      let nkeys = ref 0 in
+      for idx = 0 to len - 1 do
+        let c = var_cell.(base + idx) in
+        let key = seg_of_sub.(sub_base.(c) + r - rows.(c)) in
+        let j = ref 0 in
+        while !j < !nkeys && keys.(!j) <> key do
+          incr j
+        done;
+        if !j = !nkeys then begin
+          keys.(!j) <- key;
+          cnts.(!j) <- 0;
+          incr nkeys
         end;
-        let keys = !keybuf and cnts = !cntbuf in
-        let nkeys = ref 0 in
-        let key_index key =
-          let idx = ref (-1) in
-          for j = 0 to !nkeys - 1 do
-            if keys.(j) = key then idx := j
-          done;
-          if !idx >= 0 then !idx
-          else begin
-            keys.(!nkeys) <- key;
-            cnts.(!nkeys) <- 0;
-            incr nkeys;
-            !nkeys - 1
-          end
-        in
-        for idx = base to base + len - 1 do
-          let j = key_index seg_of_var.(members.(idx)) in
+        grp.(idx) <- !j;
+        cnts.(!j) <- cnts.(!j) + 1
+      done;
+      if !nkeys = 1 then push_group base len
+      else begin
+        (* counts become fill cursors at each group's start *)
+        let start = ref 0 in
+        for j = 0 to !nkeys - 1 do
+          let c = cnts.(j) in
+          push_group (base + !start) c;
+          cnts.(j) <- !start;
+          start := !start + c
+        done;
+        for idx = 0 to len - 1 do
+          let j = grp.(idx) in
+          row.(cnts.(j)) <- var_cell.(base + idx);
           cnts.(j) <- cnts.(j) + 1
         done;
-        if !nkeys = 1 then push_group (Array.sub members base len)
-        else begin
-          let groups = Array.init !nkeys (fun j -> Array.make cnts.(j) 0) in
-          let fill = Array.make !nkeys 0 in
-          for idx = base to base + len - 1 do
-            let v = members.(idx) in
-            let j = key_index seg_of_var.(v) in
-            groups.(j).(fill.(j)) <- v;
-            fill.(j) <- fill.(j) + 1
-          done;
-          Array.iter push_group groups
-        end
+        Array.blit row 0 var_cell base len
       end
-    done
-  end;
+    end
+  done;
   let row_vars = Array.sub !gbuf 0 !glen in
+  let var_row = Array.make nvars 0 in
+  for r = 0 to num_rows - 1 do
+    Array.fill var_row row_start.(r) (row_start.(r + 1) - row_start.(r)) r
+  done;
+  (* subcell-equality chains, one per multi-row cell in cell order, hub
+     (bottom-row subcell) first. Until the sweep below has filled them,
+     [first_var] holds a multi-row cell's chain index and -1 for a
+     single-height cell, so the sweep reads no cell record. *)
+  let first_var = Array.make n (-1) in
+  let num_chains = ref 0 in
+  for i = 0 to n - 1 do
+    if cells.(i).Cell.height >= 2 then begin
+      first_var.(i) <- !num_chains;
+      incr num_chains
+    end
+  done;
+  let chains = Array.make !num_chains [||] in
+  for i = 0 to n - 1 do
+    let h = cells.(i).Cell.height in
+    if h >= 2 then chains.(first_var.(i)) <- Array.make h 0
+  done;
+  for v = 0 to nvars - 1 do
+    let c = var_cell.(v) in
+    let j = first_var.(c) in
+    if j < 0 then first_var.(c) <- v
+    else chains.(j).(var_row.(v) - rows.(c)) <- v
+  done;
+  Array.iter (fun chain -> first_var.(var_cell.(chain.(0))) <- chain.(0)) chains;
+  let shift = Array.make nvars 0.0 in
+  if has_blk then
+    for v = 0 to nvars - 1 do
+      shift.(v) <- float_of_int cell_shift.(var_cell.(v))
+    done;
   (* ordering constraints: one per adjacent pair in each group; every
      variable sits in exactly one group, so m = nvars - #groups. The
      required separation accounts for the shift difference. *)
@@ -245,20 +258,6 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
   let p = Array.make nvars 0.0 in
   for v = 0 to nvars - 1 do
     p.(v) <- -.(gxs.(var_cell.(v)) -. shift.(v))
-  done;
-  let num_chains = ref 0 in
-  for i = 0 to n - 1 do
-    if cells.(i).Cell.height >= 2 then incr num_chains
-  done;
-  let chains = Array.make !num_chains [||] in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let h = cells.(i).Cell.height in
-    if h >= 2 then begin
-      let fv = first_var.(i) in
-      chains.(!k) <- Array.init h (fun j -> fv + j);
-      incr k
-    end
   done;
   let blocks = Blocks.of_array ~nvars chains in
   { design; assignment; nvars; first_var; var_cell; var_row; row_vars;
@@ -311,16 +310,19 @@ let packed_start t =
     t.row_vars;
   x
 
+(* sums each cell's subcells in ascending id order: hub first, then up
+   the rows, as the chain lists them *)
 let cell_positions t x =
   let n = Design.num_cells t.design in
-  Vec.init n (fun i ->
-      let h = t.design.cells.(i).Cell.height in
-      let fv = t.first_var.(i) in
-      let acc = ref 0.0 in
-      for k = 0 to h - 1 do
-        acc := !acc +. x.(fv + k)
-      done;
-      !acc /. float_of_int h)
+  let acc = Array.make n 0.0 in
+  for v = 0 to t.nvars - 1 do
+    let c = t.var_cell.(v) in
+    acc.(c) <- acc.(c) +. x.(v)
+  done;
+  Array.iteri
+    (fun i s -> acc.(i) <- s /. float_of_int t.design.cells.(i).Cell.height)
+    acc;
+  acc
 
 let subcell_mismatch t x = Blocks.mismatch t.blocks x
 

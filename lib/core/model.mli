@@ -1,7 +1,14 @@
 (** The x-direction optimization model (Problems (5), (6), (12), (13)).
 
     After row assignment, every cell is split into one subcell variable per
-    spanned row. The model carries:
+    spanned row. Variables are numbered row by row: the ids run through
+    the ordering groups ([row_vars]) in order, so each group is an
+    ascending run of consecutive ids and every ordering constraint
+    couples [v] and [v + 1]. The operator products of the solver then
+    stream through memory instead of gathering from random addresses,
+    and the numbering does not depend on how the input numbers its cells
+    (except that cells of one row with equal global x are ordered by cell
+    id). The model carries:
 
     - the ordering constraints [B x >= b] — one row per adjacent subcell
       pair in each chip row, two nonzeros (-1, +1) per row, ordered row by
@@ -21,12 +28,17 @@ type t = {
   design : Design.t;
   assignment : Row_assign.t;
   nvars : int;  (** total number of subcell variables *)
-  first_var : int array;  (** first (hub) variable of each cell *)
+  first_var : int array;
+      (** the hub variable of each cell: its subcell in its bottom row.
+          A multi-row cell's other subcells are not adjacent to it; its
+          chain in [blocks] lists them all, hub first. *)
   var_cell : int array;  (** owning cell of each variable *)
   var_row : int array;  (** chip row of each variable *)
   row_vars : int array array;
       (** ordering groups: one per row *segment* (one per row when the
-          design has no blockages), variables in global-x order *)
+          design has no blockages), variables in global-x order; in
+          row order on a {!build} model, and together they number
+          [0 .. nvars - 1] consecutively *)
   b_mat : Csr.t Lazy.t;
       (** m x nvars ordering-constraint matrix, materialized on first
           force (prefer the {!b_mat} accessor). The decomposed solve path
@@ -42,7 +54,9 @@ type t = {
       (** per-variable coordinate shift: the segment left wall the
           variable is measured from ([x = u + shift]); all zero without
           blockages *)
-  blocks : Blocks.t;  (** subcell-equality chains *)
+  blocks : Blocks.t;
+      (** subcell-equality chains: one per multi-row cell, in cell
+          order, each listing the cell's subcells from the bottom row up *)
   d_split : bool array;
       (** empty, or length [m - 1]: [d_split.(i)] drops the coupling
           between constraints [i] and [i + 1] from the Schur tridiagonal
@@ -83,7 +97,7 @@ val packed_start : t -> Vec.t
 
 val cell_positions : t -> Vec.t -> Vec.t
 (** Per-cell x from a per-variable vector by averaging each cell's
-    subcells (multi-row restoration). *)
+    subcells (multi-row restoration), summed from the bottom row up. *)
 
 val subcell_mismatch : t -> Vec.t -> float
 (** Largest subcell disagreement (see {!Mclh_linalg.Blocks.mismatch}). *)

@@ -67,13 +67,19 @@ let operators (model : Model.t) (config : Config.t) =
     Array.blit bx 0 dst n m
   in
   let c_top = (1.0 /. beta) -. 1.0 in
+  (* at beta = 1 (the accelerated attempt) the Q~ x term vanishes: on
+     finite iterates [c_top *. Q~x] is +-0 and B^T r is never -0, so
+     skipping the product leaves every bit as it was *)
   let apply_n_into z dst =
     split z;
-    q_tilde_into xbuf dst;
     Csr.mul_vec_t_into b rbuf btr;
-    for i = 0 to n - 1 do
-      dst.(i) <- (c_top *. dst.(i)) +. btr.(i)
-    done;
+    if c_top = 0.0 then Array.blit btr 0 dst 0 n
+    else begin
+      q_tilde_into xbuf dst;
+      for i = 0 to n - 1 do
+        dst.(i) <- (c_top *. dst.(i)) +. btr.(i)
+      done
+    end;
     if m > 0 then begin
       Tridiag.mul_vec_into d_over_theta rbuf dr;
       Array.blit dr 0 dst n m

@@ -136,6 +136,10 @@ type fan_in = {
 }
 (** The per-shard outcomes of {!solve_shards}, folded in shard order. *)
 
+val trace_capacity : int
+(** Samples a convergence trace keeps (the tail of the iteration
+    history). *)
+
 val solve_shards :
   ?on_trace:(int -> iterations:int -> Mclh_obs.Trace.t -> unit) ->
   ?s0:Vec.t ->

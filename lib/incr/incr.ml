@@ -2,6 +2,7 @@ open Mclh_circuit
 open Mclh_core
 open Mclh_linalg
 module Obs = Mclh_obs.Obs
+module Trace = Mclh_obs.Trace
 module Clock = Mclh_par.Clock
 
 type stats = {
@@ -36,7 +37,10 @@ type t = {
   mutable s : Vec.t;  (* previous global modulus vector, length n + m *)
   mutable legal : Placement.t;
   mutable batches : int;
-  mutable solves : int;  (* session-global re-solve counter (trace names) *)
+  trace : Trace.t option;
+      (* the session's one warm-start convergence trace; every re-solved
+         shard's samples append to it, so it stays one bounded buffer for
+         the session's lifetime *)
 }
 
 (* the cache never evicts individual entries (old solutions keep paying
@@ -269,22 +273,18 @@ let resolve t (model' : Model.t) shards s0 =
       | None -> misses := shard :: !misses)
     shards;
   let misses = Array.of_list (List.rev !misses) in
+  (* [solve_shards] hands the per-shard traces over after fan-in, in
+     shard order *)
   let on_trace =
-    match t.obs with
-    | None -> None
-    | Some _ ->
-      Some
-        (fun k ~iterations tr ->
-          let name = Printf.sprintf "incr/solve%04d" (t.solves + k) in
-          Obs.attach_trace t.obs (name ^ "/delta_inf") tr;
-          Obs.add t.obs (name ^ "/iterations") iterations;
-          Obs.add t.obs (name ^ "/dim") (Decompose.shard_dim misses.(k)))
+    Option.map
+      (fun session _ ~iterations:_ tr ->
+        Array.iter (Trace.record session) (Trace.to_array tr))
+      t.trace
   in
   let fan =
     Solver.solve_shards ?on_trace ~s0 t.config model' misses ~x:rx ~r:rr
       ~modulus:rs
   in
-  t.solves <- t.solves + Array.length misses;
   (* refresh the cache with the live generation; reset first if the table
      outgrew its cap *)
   if Hashtbl.length t.cache > max_cache_entries then Hashtbl.reset t.cache;
@@ -330,7 +330,8 @@ let create ?(config = Config.default) ?obs design =
       s = flow.Flow.solver.Solver.modulus;
       legal = flow.Flow.legal;
       batches = 0;
-      solves = 0 }
+      trace =
+        Obs.new_trace obs "incr/solve/delta_inf" ~capacity:Solver.trace_capacity }
   in
   (* seed the cache with every current shard's slice of the initial
      solution, so the first batch already hits on clean shards *)

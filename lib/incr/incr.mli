@@ -107,9 +107,12 @@ val apply : t -> Edit.t list -> stats
     [obs] (from {!create}) records per-batch counters
     [incr/{batches,edits,touched_cells,dirty_components,dirty_shards,
     cache_hits,solve_iterations}], the [incr/{assign,model,solve,alloc,
-    total}] spans, an [incr/mismatch] gauge and one
-    [incr/solveNNNN/delta_inf] warm-start convergence trace per re-solved
-    shard (NNNN is a session-global solve counter).
+    total}] spans and an [incr/mismatch] gauge. The warm-start
+    convergence samples of every re-solved shard append, batch after
+    batch and in shard order, to one session trace
+    [incr/solve/delta_inf] that {!create} attaches, so a long-lived
+    session (an [mclh serve] client) records a fixed set of names in
+    bounded memory.
 
     @raise Invalid_argument on an edit referencing an out-of-range or
       already-deleted cell, a non-positive resize/insert dimension, or a

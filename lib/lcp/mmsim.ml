@@ -159,10 +159,43 @@ let accel_advance st ~k ~n s g =
   let mk = st.nhist in
   if mk = 0 then Vec.blit ~src:g ~dst:s
   else begin
-    (* one pass per history vector: the Gram matrix's new row
-       <df_0, df_b> and the right-hand side <df_b, f> *)
+    (* the Gram matrix's new row <df_0, df_b> and the right-hand side
+       <df_b, f>, four history vectors per pass over n with eight local
+       accumulators (OCaml keeps local float refs in registers; a
+       float-array accumulator would sit in memory), then one vector per
+       pass for the remainder. Each entry is still the ascending-i sum
+       of the same products. *)
     let df0 = hist_df.(0) in
-    for b = 0 to mk - 1 do
+    let b = ref 0 in
+    while !b + 4 <= mk do
+      let b0 = !b in
+      let x0 = hist_df.(b0) and x1 = hist_df.(b0 + 1)
+      and x2 = hist_df.(b0 + 2) and x3 = hist_df.(b0 + 3) in
+      let r0 = ref 0.0 and r1 = ref 0.0 and r2 = ref 0.0 and r3 = ref 0.0 in
+      let h0 = ref 0.0 and h1 = ref 0.0 and h2 = ref 0.0 and h3 = ref 0.0 in
+      for i = 0 to n - 1 do
+        let d = df0.(i) and fi = f.(i) in
+        let y0 = x0.(i) and y1 = x1.(i) and y2 = x2.(i) and y3 = x3.(i) in
+        r0 := !r0 +. (d *. y0);
+        h0 := !h0 +. (y0 *. fi);
+        r1 := !r1 +. (d *. y1);
+        h1 := !h1 +. (y1 *. fi);
+        r2 := !r2 +. (d *. y2);
+        h2 := !h2 +. (y2 *. fi);
+        r3 := !r3 +. (d *. y3);
+        h3 := !h3 +. (y3 *. fi)
+      done;
+      dfdf.(b0) <- !r0;
+      bvec.(b0) <- !h0;
+      dfdf.(b0 + 1) <- !r1;
+      bvec.(b0 + 1) <- !h1;
+      dfdf.(b0 + 2) <- !r2;
+      bvec.(b0 + 2) <- !h2;
+      dfdf.(b0 + 3) <- !r3;
+      bvec.(b0 + 3) <- !h3;
+      b := b0 + 4
+    done;
+    for b = !b to mk - 1 do
       let dfb = hist_df.(b) in
       let row = ref 0.0 and rhs = ref 0.0 in
       for i = 0 to n - 1 do
@@ -192,14 +225,34 @@ let accel_advance st ~k ~n s g =
         st.nhist <- 0;
         Vec.blit ~src:g ~dst:s
       end
-      else
-        for i = 0 to n - 1 do
-          let acc = ref g.(i) in
-          for j = 0 to mk - 1 do
-            acc := !acc -. (coef.(j) *. hist_dg.(j).(i))
+      else begin
+        (* s = g - sum_j c_j dg_j, four dg vectors per pass; [s] is the
+           running source after the first pass, so every entry keeps its
+           j-ordered chain of differences *)
+        let src = ref g and j = ref 0 in
+        while !j + 4 <= mk do
+          let j0 = !j in
+          let c0 = coef.(j0) and c1 = coef.(j0 + 1)
+          and c2 = coef.(j0 + 2) and c3 = coef.(j0 + 3) in
+          let v0 = hist_dg.(j0) and v1 = hist_dg.(j0 + 1)
+          and v2 = hist_dg.(j0 + 2) and v3 = hist_dg.(j0 + 3) in
+          let a = !src in
+          for i = 0 to n - 1 do
+            s.(i) <-
+              a.(i) -. (c0 *. v0.(i)) -. (c1 *. v1.(i)) -. (c2 *. v2.(i))
+              -. (c3 *. v3.(i))
           done;
-          s.(i) <- !acc
+          src := s;
+          j := j0 + 4
+        done;
+        for j = !j to mk - 1 do
+          let c = coef.(j) and v = hist_dg.(j) and a = !src in
+          for i = 0 to n - 1 do
+            s.(i) <- a.(i) -. (c *. v.(i))
+          done;
+          src := s
         done
+      end
     end
   end
 
@@ -221,10 +274,12 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
   let rhs = Vec.zeros n in
   let a_abs = Vec.zeros n in
   let g = Vec.zeros n in
-  let z = Vec.zeros n in
-  let z_prev = Vec.zeros n in
+  (* [z] receives each step's iterate and [z_prev] holds the previous
+     one; they swap after every step instead of copying *)
+  let z = ref (Vec.zeros n) in
+  let z_prev = ref (Vec.zeros n) in
   for i = 0 to n - 1 do
-    z_prev.(i) <- (Float.abs s.(i) +. s.(i)) /. gamma
+    !z_prev.(i) <- (Float.abs s.(i) +. s.(i)) /. gamma
   done;
   let acc_state = if accel > 0 then Some (make_accel accel n) else None in
   (* the plain path advances by swapping the [cur]/[nxt] buffers; the
@@ -259,10 +314,11 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
        never what "converged" means *)
     let delta = ref 0.0 and nan_seen = ref false in
     let delta_s = ref 0.0 and s_scale = ref 1.0 in
+    let z_new = !z and z_old = !z_prev in
     for i = 0 to n - 1 do
       let zi = (Float.abs g.(i) +. g.(i)) /. gamma in
-      z.(i) <- zi;
-      let d = Float.abs (zi -. z_prev.(i)) in
+      z_new.(i) <- zi;
+      let d = Float.abs (zi -. z_old.(i)) in
       if Float.is_nan zi || Float.is_nan d then nan_seen := true
       else if d > !delta then delta := d;
       let ds = Float.abs (g.(i) -. s.(i)) in
@@ -270,7 +326,8 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
       let a = Float.abs g.(i) in
       if a > !s_scale then s_scale := a
     done;
-    Vec.blit ~src:z ~dst:z_prev;
+    z := z_old;
+    z_prev := z_new;
     delta_last := (if !nan_seen then Float.nan else !delta);
     (* the observer branch is allocation-free when [on_iter] is [None],
        preserving the zero-allocation steady state *)
@@ -284,7 +341,7 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
         nxt := s
       | Some st -> accel_advance st ~k:!iters ~n s g
   done;
-  { z = Vec.copy z;
+  { z = Vec.copy !z_prev;
     s = Vec.copy !last;
     iterations = !iters;
     converged = !converged;

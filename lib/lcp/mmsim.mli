@@ -56,7 +56,10 @@ type options = {
           iterations, so each step forms only its new row and the
           right-hand side, and the iterates match a full per-step
           recompute bit for bit (property-pinned against a reference in
-          [test/mmsim_ref.ml]). Acceleration preserves the
+          [test/mmsim_ref.ml]). Those dot products and the extrapolation
+          each read four history vectors per pass over [n] (at depth 8:
+          two passes each, beside the one that rotates the history),
+          with the sums kept in local accumulators. Acceleration preserves the
           zero-allocation steady state (history buffers are
           preallocated). *)
 }

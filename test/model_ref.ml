@@ -1,7 +1,9 @@
 (* Test-only reference for [Model.build]: the historical list-based
    construction (Hashtbl segment split, Coo assembly, [Blocks.make]),
    kept as the oracle the streaming struct-of-arrays build is pinned
-   against byte for byte in [test_soa.ml]. *)
+   against byte for byte in [test_soa.ml]. It numbers the subcells in
+   cell order first, as the historical build did, and then renumbers
+   every variable by its position in the concatenated ordering groups. *)
 
 open Mclh_core
 open Mclh_linalg
@@ -81,6 +83,22 @@ let build (design : Design.t) (assignment : Row_assign.t) =
       end)
     order;
   let row_vars = Array.of_list (List.rev !groups) in
+  (* renumber: a variable's id is its position in the concatenated groups *)
+  let new_of_old = Array.make nvars (-1) in
+  let next = ref 0 in
+  Array.iter
+    (Array.iter (fun v ->
+         new_of_old.(v) <- !next;
+         incr next))
+    row_vars;
+  let old_of_new = Array.make nvars 0 in
+  Array.iteri (fun v v' -> old_of_new.(v') <- v) new_of_old;
+  let renumber vars = Array.map (fun v -> new_of_old.(v)) vars in
+  let row_vars = Array.map renumber row_vars in
+  let first_var = renumber first_var in
+  let var_cell = Array.map (fun v -> var_cell.(v)) old_of_new in
+  let var_row = Array.map (fun v -> var_row.(v)) old_of_new in
+  let shift = Array.map (fun v -> shift.(v)) old_of_new in
   let m =
     Array.fold_left (fun acc vars -> acc + max 0 (Array.length vars - 1)) 0 row_vars
   in
@@ -104,11 +122,14 @@ let build (design : Design.t) (assignment : Row_assign.t) =
     Vec.init nvars (fun v ->
         -.(design.global.Placement.xs.(var_cell.(v)) -. shift.(v)))
   in
+  (* one chain per multi-row cell in cell order, hub (bottom row) first *)
+  let var_of = Hashtbl.create nvars in
+  Array.iteri (fun v c -> Hashtbl.replace var_of (c, var_row.(v)) v) var_cell;
   let chains =
     Array.to_list first_var
-    |> List.mapi (fun i fv ->
+    |> List.mapi (fun i hub ->
            let h = design.cells.(i).Cell.height in
-           Array.init h (fun k -> fv + k))
+           Array.init h (fun k -> Hashtbl.find var_of (i, var_row.(hub) + k)))
     |> List.filter (fun chain -> Array.length chain >= 2)
   in
   let blocks = Blocks.make ~nvars chains in

@@ -202,7 +202,9 @@ let test_theta_half_retry_rescues () =
   in
   Alcotest.(check bool) "converged" true fan.Solver.all_converged;
   Alcotest.(check int) "one fallback" 1 fan.Solver.fallbacks;
-  Alcotest.(check (list int)) "rescued shard dims" [ 69 ] !over_budget
+  (* which shard needs the retry depends on the Anderson sums' order,
+     which follows the model's variable numbering *)
+  Alcotest.(check (list int)) "rescued shard dims" [ 457 ] !over_budget
 
 (* ---------- CLI --strict-convergence ---------- *)
 

@@ -66,6 +66,36 @@ let test_order_preservation_metric () =
 
 (* ---------- Model: the paper's Figure 2 (single height) ---------- *)
 
+(* The model numbers its variables row by row, so the tests name a
+   variable by its (cell, chip row) identity rather than by its id. *)
+let var_of (m : Model.t) ~cell ~row =
+  let found = ref (-1) in
+  Array.iteri
+    (fun v c -> if c = cell && m.Model.var_row.(v) = row then found := v)
+    m.Model.var_cell;
+  if !found < 0 then Alcotest.failf "no variable for cell %d in row %d" cell row;
+  !found
+
+(* a per-variable vector from (cell, row, value) triples covering every
+   variable *)
+let vec_by_identity (m : Model.t) entries =
+  Alcotest.(check int) "every variable named" m.Model.nvars (List.length entries);
+  let x = Vec.zeros m.Model.nvars in
+  List.iter (fun (cell, row, value) -> x.(var_of m ~cell ~row) <- value) entries;
+  x
+
+(* a dense matrix with one row per list entry, from (cell, row, value)
+   triples *)
+let dense_by_identity (m : Model.t) rows =
+  let out = Dense.create (List.length rows) m.Model.nvars in
+  List.iteri
+    (fun i entries ->
+      List.iter
+        (fun (cell, row, value) -> Dense.set out i (var_of m ~cell ~row) value)
+        entries)
+    rows;
+  out
+
 let figure2_design () =
   (* cells c2, c4 on row 0; c1, c3, c5 on row 1 (paper rows renumbered).
      widths: w1 = 2, w2 = 3, w3 = 4, w4 = 2, w5 = 2 *)
@@ -91,16 +121,18 @@ let test_model_figure2 () =
   (* row 1 order: c1, c3, c5 -> x3 - x1 >= 2; x5 - x3 >= 4 *)
   let b_dense = Csr.to_dense (Model.b_mat m) in
   let expect =
-    Dense.of_arrays
-      [| [| 0.0; -1.0; 0.0; 1.0; 0.0 |];
-         [| -1.0; 0.0; 1.0; 0.0; 0.0 |];
-         [| 0.0; 0.0; -1.0; 0.0; 1.0 |] |]
+    dense_by_identity m
+      [ [ (1, 0, -1.0); (3, 0, 1.0) ];
+        [ (0, 1, -1.0); (2, 1, 1.0) ];
+        [ (2, 1, -1.0); (4, 1, 1.0) ] ]
   in
   Alcotest.(check bool) "B matches the paper" true (Dense.equal b_dense expect);
   Alcotest.(check bool) "b = (w2, w1, w3)" true
     (Vec.equal m.Model.b_rhs (Vec.of_list [ 3.0; 2.0; 4.0 ]));
   Alcotest.(check bool) "p = -x'" true
-    (Vec.equal m.Model.p (Vec.of_list [ -1.0; -2.0; -6.0; -8.0; -12.0 ]));
+    (Vec.equal m.Model.p
+       (vec_by_identity m
+          [ (0, 1, -1.0); (1, 0, -2.0); (2, 1, -6.0); (3, 0, -8.0); (4, 1, -12.0) ]));
   Alcotest.(check int) "no chains" 0 (Blocks.num_chains m.Model.blocks);
   (* Proposition 1: B has full row rank (here: B B^T nonsingular) *)
   let bbt = Dense.outer_gram b_dense in
@@ -124,16 +156,17 @@ let test_model_figure3 () =
   let d = figure3_design () in
   let a = Row_assign.assign d in
   let m = Model.build d a in
-  (* variables: c1 -> 0 (row0), 1 (row1); c2 -> 2; c3 -> 3 (row0), 4 (row1) *)
+  (* variables: c1 and c3 have one subcell in each of rows 0 and 1,
+     c2 one in row 0 *)
   Alcotest.(check int) "nvars" 5 m.Model.nvars;
   Alcotest.(check int) "constraints" 3 (Model.num_constraints m);
   let b_dense = Csr.to_dense (Model.b_mat m) in
-  (* row 0: x2 - x0 >= 2; x3 - x2 >= 3. row 1: x4 - x1 >= 2 *)
+  (* row 0: x_c2 - x_c1 >= 2; x_c3 - x_c2 >= 3. row 1: x_c3 - x_c1 >= 2 *)
   let expect_b =
-    Dense.of_arrays
-      [| [| -1.0; 0.0; 1.0; 0.0; 0.0 |];
-         [| 0.0; 0.0; -1.0; 1.0; 0.0 |];
-         [| 0.0; -1.0; 0.0; 0.0; 1.0 |] |]
+    dense_by_identity m
+      [ [ (0, 0, -1.0); (1, 0, 1.0) ];
+        [ (1, 0, -1.0); (2, 0, 1.0) ];
+        [ (0, 1, -1.0); (2, 1, 1.0) ] ]
   in
   Alcotest.(check bool) "B with subcell split" true (Dense.equal b_dense expect_b);
   Alcotest.(check bool) "b = (w1, w2, w1)" true
@@ -141,14 +174,16 @@ let test_model_figure3 () =
   (* E: one row per double, x_spoke - x_hub *)
   let e_dense = Csr.to_dense (Blocks.e_matrix m.Model.blocks) in
   let expect_e =
-    Dense.of_arrays
-      [| [| -1.0; 1.0; 0.0; 0.0; 0.0 |]; [| 0.0; 0.0; 0.0; -1.0; 1.0 |] |]
+    dense_by_identity m
+      [ [ (0, 0, -1.0); (0, 1, 1.0) ]; [ (2, 0, -1.0); (2, 1, 1.0) ] ]
   in
   Alcotest.(check bool) "E matches the paper" true (Dense.equal e_dense expect_e);
   Alcotest.(check bool) "all chains double" true (Blocks.all_double m.Model.blocks);
   (* p duplicates targets across subcells *)
   Alcotest.(check bool) "p subcells" true
-    (Vec.equal m.Model.p (Vec.of_list [ -1.0; -1.0; -4.0; -8.0; -8.0 ]));
+    (Vec.equal m.Model.p
+       (vec_by_identity m
+          [ (0, 0, -1.0); (0, 1, -1.0); (1, 0, -4.0); (2, 0, -8.0); (2, 1, -8.0) ]));
   (* Proposition 2: Q + lambda E^T E is SPD - check via Cholesky-ish LU det
      of the explicit matrix and symmetry *)
   let qp = Model.to_qp m ~lambda:10.0 in
@@ -182,7 +217,10 @@ let test_model_packed_start_feasible () =
 let test_model_cell_positions () =
   let d = figure3_design () in
   let m = Model.build d (Row_assign.assign d) in
-  let x = Vec.of_list [ 1.0; 3.0; 5.0; 7.0; 9.0 ] in
+  let x =
+    vec_by_identity m
+      [ (0, 0, 1.0); (0, 1, 3.0); (1, 0, 5.0); (2, 0, 7.0); (2, 1, 9.0) ]
+  in
   let pos = Model.cell_positions m x in
   Alcotest.(check bool) "averaging" true
     (Vec.equal pos (Vec.of_list [ 2.0; 5.0; 8.0 ]));
@@ -402,18 +440,18 @@ let test_cross_solver_agreement () =
       let obj_mmsim = Mclh_qp.Qp.objective qp mmsim.Solver.x in
       (* Lemke on the explicit KKT LCP *)
       let lcp = Solver.lcp_problem m ~lambda in
-      (match Mclh_lcp.Lemke.solve lcp with
-      | Mclh_lcp.Lemke.Solution z ->
+      (match Oracle.Lemke.solve lcp with
+      | Oracle.Lemke.Solution z ->
         let x_lemke = Array.sub z 0 m.Model.nvars in
         let obj_lemke = Mclh_qp.Qp.objective qp x_lemke in
         if Float.abs (obj_lemke -. obj_mmsim) > 1e-4 *. Float.abs obj_mmsim then
           Alcotest.failf "Lemke %.8f vs MMSIM %.8f" obj_lemke obj_mmsim
-      | Mclh_lcp.Lemke.Ray_termination | Mclh_lcp.Lemke.Iteration_limit ->
+      | Oracle.Lemke.Ray_termination | Oracle.Lemke.Iteration_limit ->
         Alcotest.fail "Lemke failed on the KKT LCP");
       (* interior point on the QP *)
-      let ipm = Mclh_qp.Ipm.solve qp in
-      Alcotest.(check bool) "ipm converged" true ipm.Mclh_qp.Ipm.converged;
-      let obj_ipm = Mclh_qp.Qp.objective qp ipm.Mclh_qp.Ipm.x in
+      let ipm = Oracle.Ipm.solve qp in
+      Alcotest.(check bool) "ipm converged" true ipm.Oracle.Ipm.converged;
+      let obj_ipm = Mclh_qp.Qp.objective qp ipm.Oracle.Ipm.x in
       if Float.abs (obj_ipm -. obj_mmsim) > 1e-4 *. Float.abs obj_mmsim then
         Alcotest.failf "IPM %.8f vs MMSIM %.8f" obj_ipm obj_mmsim)
     [ 11; 12; 13 ]

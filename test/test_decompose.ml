@@ -214,6 +214,94 @@ let test_matches_monolithic_property =
       check_against_monolithic ~tol:1e-8 "property" model;
       true)
 
+(* ---------- independence of the input numbering ---------- *)
+
+(* [d] with its cells renumbered by a seeded random permutation: new
+   cell [j] is old cell [perm.(j)]; returns the design and [inv], the
+   new id of every old cell *)
+let relabel seed (d : Mclh_circuit.Design.t) =
+  let open Mclh_circuit in
+  let n = Design.num_cells d in
+  let perm = Array.init n Fun.id in
+  Mclh_benchgen.Rng.shuffle (Mclh_benchgen.Rng.create seed) perm;
+  let inv = Array.make n 0 in
+  Array.iteri (fun j i -> inv.(i) <- j) perm;
+  let cells =
+    Array.mapi
+      (fun j i ->
+        let c = d.Design.cells.(i) in
+        Cell.make ~id:j ~name:c.Cell.name ~width:c.Cell.width
+          ~height:c.Cell.height ?bottom_rail:c.Cell.bottom_rail
+          ?region:c.Cell.region ())
+      perm
+  in
+  let pick a = Array.map (fun i -> a.(i)) perm in
+  let nets = ref [] in
+  Netlist.iter d.Design.nets (fun _ net ->
+      nets :=
+        Array.map (fun p -> { p with Netlist.cell = inv.(p.Netlist.cell) }) net
+        :: !nets);
+  let g = d.Design.global in
+  ( Design.make ~blockages:d.Design.blockages ~regions:d.Design.regions
+      ~name:d.Design.name ~chip:d.Design.chip ~cells
+      ~global:(Placement.make ~xs:(pick g.Placement.xs) ~ys:(pick g.Placement.ys))
+      ~nets:(Netlist.make ~num_cells:n (List.rev !nets))
+      (),
+    inv )
+
+(* no two cells spanning one row share a global x *)
+let tie_free (model : Model.t) =
+  let xs = model.Model.design.Mclh_circuit.Design.global.Mclh_circuit.Placement.xs in
+  Array.for_all
+    (fun vars ->
+      let gx = Array.map (fun v -> xs.(model.Model.var_cell.(v))) vars in
+      let sorted = Array.copy gx in
+      Array.sort compare sorted;
+      let distinct = ref true in
+      for k = 1 to Array.length sorted - 1 do
+        if sorted.(k) = sorted.(k - 1) then distinct := false
+      done;
+      !distinct)
+    model.Model.row_vars
+
+(* The solve must not depend on how the input numbers its cells: the
+   relaxed x of every cell and the iteration count are bit-identical
+   under a relabelling. Only draws without an x tie inside a row count:
+   there [Model.build] orders the tied cells by cell id, by design, so a
+   relabelling may swap them. *)
+let test_relabel_invariance =
+  QCheck.Test.make ~count:30 ~name:"solve is independent of cell numbering"
+    QCheck.(quad (int_bound 1000) (int_bound 20) (int_bound 40) (int_bound 1000))
+    (fun (seed, blockage_pct, tall_pct, perm_seed) ->
+      let blockage_fraction = float_of_int blockage_pct /. 100.0 in
+      let options =
+        { Mclh_benchgen.Generate.default_options with
+          seed;
+          blockage_fraction;
+          blockage_count = (if blockage_fraction > 0.0 then 12 else 0);
+          tall_cell_fraction = float_of_int tall_pct /. 100.0 }
+      in
+      let d, model = model_of ~options ~scale:0.01 "fft_2" in
+      QCheck.assume (tie_free model);
+      let d', inv = relabel perm_seed d in
+      let model' = Model.build d' (Mclh_core.Row_assign.assign d') in
+      let config = { Config.default with num_domains = 1 } in
+      let res = Solver.solve ~config model and res' = Solver.solve ~config model' in
+      let xs = (Model.placement_of model res.Solver.x).Mclh_circuit.Placement.xs
+      and xs' = (Model.placement_of model' res'.Solver.x).Mclh_circuit.Placement.xs in
+      let same_x =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i x ->
+               Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float xs'.(inv.(i))))
+             xs)
+      in
+      if not same_x then QCheck.Test.fail_report "relaxed x differs";
+      if res.Solver.iterations_total <> res'.Solver.iterations_total then
+        QCheck.Test.fail_reportf "iterations_total %d vs %d"
+          res.Solver.iterations_total res'.Solver.iterations_total;
+      true)
+
 (* ---------- bit-identity across domain counts ---------- *)
 
 let test_domain_count_bit_identity () =
@@ -378,7 +466,8 @@ let () =
             test_single_component_fallback ] );
       ( "bit-identity",
         [ Alcotest.test_case "across domain counts" `Quick
-            test_domain_count_bit_identity ] );
+            test_domain_count_bit_identity;
+          QCheck_alcotest.to_alcotest test_relabel_invariance ] );
       ( "allocation",
         [ Alcotest.test_case "zero alloc per iteration" `Quick
             test_zero_alloc_per_iteration ] ) ]

@@ -211,6 +211,45 @@ let test_obs_counters () =
          String.length name >= 10 && String.sub name 0 10 = "incr/solve")
        (Mclh_obs.Obs.traces obs))
 
+(* A long-lived session records a fixed set of names: the re-solved
+   shards of every batch append to one session trace instead of
+   attaching a trace (and counters) of their own. *)
+let test_obs_names_bounded () =
+  let obs = Mclh_obs.Obs.create () in
+  let t = Incr.create ~obs (eco_design ~scale:0.01) in
+  let n = Design.num_cells (Incr.design t) in
+  let batch k =
+    let cell = k * 37 mod n in
+    let x, y = Placement.get (Incr.design t).Design.global cell in
+    let st = Incr.apply t [ Edit.Move { cell; x = x +. 3.0; y } ] in
+    Alcotest.(check bool)
+      (Printf.sprintf "batch %d re-solves a shard" k)
+      true (st.Incr.dirty_shards > 0)
+  in
+  let names () =
+    ( List.length (Mclh_obs.Obs.traces obs),
+      List.length (Mclh_obs.Obs.counters obs) )
+  in
+  let recorded () =
+    Option.fold ~none:0 ~some:Mclh_obs.Trace.recorded
+      (Mclh_obs.Obs.find_trace obs "incr/solve/delta_inf")
+  in
+  batch 0;
+  let traces1, counters1 = names () and recorded1 = recorded () in
+  for k = 1 to 29 do
+    batch k
+  done;
+  let traces30, counters30 = names () in
+  Alcotest.(check int) "trace names after 30 batches = after 1" traces1 traces30;
+  Alcotest.(check int) "counter names after 30 batches = after 1" counters1
+    counters30;
+  Alcotest.(check int) "30 batches counted" 30
+    (Mclh_obs.Obs.counter_value obs "incr/batches");
+  Alcotest.(check bool) "batch 1 records into the session trace" true
+    (recorded1 > 0);
+  Alcotest.(check bool) "later batches append to the session trace" true
+    (recorded () > recorded1)
+
 (* ---------- Solver ?s0 restart ---------- *)
 
 let test_solver_s0_restart () =
@@ -342,7 +381,9 @@ let () =
           Alcotest.test_case "insert/delete round-trip" `Quick
             test_insert_delete_roundtrip;
           Alcotest.test_case "bad edits raise" `Quick test_bad_edits_raise;
-          Alcotest.test_case "obs counters" `Quick test_obs_counters ] );
+          Alcotest.test_case "obs counters" `Quick test_obs_counters;
+          Alcotest.test_case "obs names bounded over 30 batches" `Quick
+            test_obs_names_bounded ] );
       ( "cli",
         [ Alcotest.test_case "eco --verify --metrics-out" `Quick
             test_cli_eco_session ] );

@@ -3,6 +3,7 @@
 
 open Mclh_linalg
 open Mclh_lcp
+open Oracle
 
 let mk_rand seed =
   let state = ref seed in

@@ -96,6 +96,67 @@ let test_streaming_matches_reference () =
       check_model_equal (label ^ "/par") parallel reference)
     cases
 
+(* The variable numbering: ids run row by row through the ordering
+   groups, so each group is an ascending run of consecutive ids, the
+   groups tile [0, nvars) in order and every ordering constraint couples
+   [v] and [v + 1]. The per-cell tables and the chains must agree with
+   it: [first_var] is a cell's bottom-row (hub) subcell, and each
+   multi-row cell's chain, in cell order, lists its subcells up the
+   rows. *)
+let test_row_ordered_numbering () =
+  List.iter
+    (fun (label, options, name, scale) ->
+      let d = (instance ~options ~scale name).Mclh_benchgen.Generate.design in
+      let assignment = Row_assign.assign d in
+      let rows = assignment.Row_assign.rows in
+      let m = Model.build d assignment in
+      let fail fmt = Printf.ksprintf (fun s -> Alcotest.fail (label ^ ": " ^ s)) fmt in
+      let next = ref 0 in
+      Array.iteri
+        (fun g vars ->
+          Array.iter
+            (fun v ->
+              if v <> !next then fail "group %d holds %d where %d is next" g v !next;
+              incr next)
+            vars)
+        m.Model.row_vars;
+      Alcotest.(check int) (label ^ ": groups tile [0, nvars)") m.Model.nvars !next;
+      let b = Model.b_mat m in
+      for i = 0 to Csr.rows b - 1 do
+        match Csr.row_entries b i with
+        | [ (u, -1.0); (v, 1.0) ] when v = u + 1 -> ()
+        | _ -> fail "B row %d is not (v, v + 1)" i
+      done;
+      Array.iteri
+        (fun v c ->
+          let k = m.Model.var_row.(v) - rows.(c) in
+          if k < 0 || k >= d.Design.cells.(c).Cell.height then
+            fail "variable %d: row %d outside cell %d" v m.Model.var_row.(v) c)
+        m.Model.var_cell;
+      let chain = ref 0 in
+      Array.iteri
+        (fun c (cell : Cell.t) ->
+          let fv = m.Model.first_var.(c) in
+          if m.Model.var_cell.(fv) <> c || m.Model.var_row.(fv) <> rows.(c) then
+            fail "first_var of cell %d is not its bottom-row subcell" c;
+          if cell.Cell.height >= 2 then begin
+            let vars = Blocks.chain_vars m.Model.blocks !chain in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: chain %d length" label !chain)
+              cell.Cell.height (Array.length vars);
+            Array.iteri
+              (fun k v ->
+                if m.Model.var_cell.(v) <> c || m.Model.var_row.(v) <> rows.(c) + k
+                then fail "chain %d entry %d is not cell %d in row %d" !chain k c
+                       (rows.(c) + k))
+              vars;
+            incr chain
+          end)
+        d.Design.cells;
+      Alcotest.(check int) (label ^ ": one chain per multi-row cell") !chain
+        (Blocks.num_chains m.Model.blocks))
+    cases
+
 (* The streaming build must stay O(n) in minor-heap allocation: growing
    the instance ~4x may grow allocation by the same factor but not by an
    extra log term (the historical path's List.sort of every row). The
@@ -186,7 +247,9 @@ let () =
         [ Alcotest.test_case "streaming matches reference oracle" `Quick
             test_streaming_matches_reference;
           Alcotest.test_case "build allocation is linear" `Quick
-            test_build_allocation_linear ] );
+            test_build_allocation_linear;
+          Alcotest.test_case "row-ordered numbering" `Quick
+            test_row_ordered_numbering ] );
       ( "netlist",
         [ Alcotest.test_case "builder agrees with make" `Quick
             test_netlist_builder ] );

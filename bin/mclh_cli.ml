@@ -281,8 +281,12 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let with_metrics (config : Config.t) metrics_out =
-  { config with metrics = config.metrics || metrics_out <> None }
+(* the run's metrics recorder: present when [--metrics-out] is given or
+   the MCLH_METRICS environment gate is set *)
+let recorder metrics_out =
+  if metrics_out <> None || Mclh_obs.Obs.enabled_from_env () then
+    Some (Mclh_obs.Obs.create ())
+  else None
 
 (* the solver flags plus [--metrics-out] and [--progress]; yields the
    config and the metrics path *)
@@ -297,7 +301,7 @@ let config_term =
     Arg.(value & flag & info [ "progress" ] ~doc)
   in
   let make config metrics_out progress =
-    ({ (with_metrics config metrics_out) with Config.progress }, metrics_out)
+    ({ config with Config.progress }, metrics_out)
   in
   Term.(const make $ solver_term $ metrics_out_arg $ progress_arg)
 
@@ -361,11 +365,11 @@ let warn_nonconvergence ~strict (r : Runner.report) =
    cells and non-convergence on stderr; write the run report, the
    placement ([-o]) and the SVG; then exit 2 when [legal] is false and 3
    on non-convergence under [--strict-convergence]. *)
-let conclude ~strict ~metrics_out ~meta ?output ?svg ~legal design placement
-    (r : Runner.report) =
+let conclude ~strict ~metrics_out ~obs ~meta ?output ?svg ~legal design
+    placement (r : Runner.report) =
   report_unplaced r;
   let strict_fail = warn_nonconvergence ~strict r in
-  write_report metrics_out r.Runner.obs meta;
+  write_report metrics_out obs meta;
   Option.iter
     (fun path ->
       Io.write_placement ~path placement;
@@ -439,9 +443,10 @@ let legalize_cmd =
   in
   let run input alg output svg (config, metrics_out) strict refine =
     let design = read_design input in
-    let r = maybe_refine design refine (Runner.run ~config alg design) in
+    let obs = recorder metrics_out in
+    let r = maybe_refine design refine (Runner.run ~config ?obs alg design) in
     print_string (report_of design r);
-    conclude ~strict ~metrics_out ~meta:(runner_meta design r) ?output ?svg
+    conclude ~strict ~metrics_out ~obs ~meta:(runner_meta design r) ?output ?svg
       ~legal:r.Runner.legal design r.Runner.placement r
   in
   Cmd.v
@@ -453,9 +458,10 @@ let legalize_cmd =
 let run_cmd =
   let run gen alg svg ((config : Config.t), metrics_out) strict refine =
     let design = gen.generate ~progress:config.progress in
-    let r = maybe_refine design refine (Runner.run ~config alg design) in
+    let obs = recorder metrics_out in
+    let r = maybe_refine design refine (Runner.run ~config ?obs alg design) in
     print_string (report_of design r);
-    conclude ~strict ~metrics_out ~meta:(runner_meta design r) ?svg
+    conclude ~strict ~metrics_out ~obs ~meta:(runner_meta design r) ?svg
       ~legal:r.Runner.legal design r.Runner.placement r
   in
   Cmd.v
@@ -503,7 +509,7 @@ let audit_cmd =
         report_unplaced r;
         r.Runner.placement
     in
-    let obs = Some (Mclh_obs.Obs.create ()) in
+    let obs = recorder metrics_out in
     let s =
       Audit.run ~seed:gen.seed ~count:windows ~max_cells ~max_nodes ?obs
         design placement
@@ -681,10 +687,7 @@ let eco_cmd =
     let design = read_design input in
     let batches = guard (fun () -> Mclh_incr.Edit.read_file ~path:edits_path) in
     if batches = [] then fail (Printf.sprintf "no batches in %s" edits_path);
-    let config = with_metrics config metrics_out in
-    let obs =
-      if config.Config.metrics then Some (Mclh_obs.Obs.create ()) else None
-    in
+    let obs = recorder metrics_out in
     let t0 = Mclh_par.Clock.now () in
     let session = guard (fun () -> Mclh_incr.Incr.create ~config ?obs design) in
     let initial_s = Mclh_par.Clock.now () -. t0 in
@@ -894,11 +897,7 @@ let place_cmd =
   let run gen input output out_design edits_out edits_base svg metrics_out
       options =
     let design = read_or_generate input gen in
-    let obs =
-      if metrics_out <> None || Mclh_obs.Obs.enabled_from_env () then
-        Some (Mclh_obs.Obs.create ())
-      else None
-    in
+    let obs = recorder metrics_out in
     let snapshots = ref [] in
     let on_round =
       if edits_out = None then None
@@ -992,7 +991,7 @@ let pipeline_cmd =
     let design = read_or_generate input gen in
     let rh = design.Design.chip.Chip.row_height in
     let progress = config.progress in
-    let obs = if config.metrics then Some (Mclh_obs.Obs.create ()) else None in
+    let obs = recorder metrics_out in
     if progress then
       Printf.eprintf "[mclh] pipeline: global placement (%d cells)\n%!"
         (Design.num_cells design);
@@ -1058,7 +1057,7 @@ let pipeline_cmd =
           ("legal", Bool legal);
           ("delta_hpwl_vs_gp", Float dhpwl) ]
     in
-    conclude ~strict ~metrics_out ~meta ?output ?svg ~legal placed final r
+    conclude ~strict ~metrics_out ~obs ~meta ?output ?svg ~legal placed final r
   in
   Cmd.v
     (Cmd.info "pipeline"
@@ -1151,7 +1150,7 @@ let serve_cmd =
       | None, None -> Serve.Protocol.Unix_sock "/tmp/mclh.sock"
     in
     let config =
-      { Serve.Server.incr_config = { config with Config.metrics = true };
+      { Serve.Server.incr_config = config;
         max_sessions;
         max_inflight }
     in

@@ -98,36 +98,6 @@ let pack_order rng (cells : Cell.t array) =
     idx;
   out
 
-(* occupancy-based packing used when blockages fragment the rows: each cell
-   lands at the free spot nearest a random target *)
-let pack_with_blockages rng (chip : Chip.t) blockages (cells : Cell.t array) =
-  let scratch =
-    Design.make ~blockages ~name:"scratch" ~chip ~cells:[||]
-      ~global:(Placement.create 0)
-      ~nets:(Netlist.empty ~num_cells:0)
-      ()
-  in
-  let occ = Occupancy.of_design scratch in
-  let xs = Array.make (Array.length cells) 0.0 in
-  let ys = Array.make (Array.length cells) 0.0 in
-  let order = pack_order rng cells in
-  let ok =
-    Array.for_all
-      (fun i ->
-        let c = cells.(i) in
-        let x0 = Rng.int rng (max 1 (chip.Chip.num_sites - c.Cell.width + 1)) in
-        let row0 = Rng.int rng (max 1 (chip.Chip.num_rows - c.Cell.height + 1)) in
-        match Occupancy.find_spot occ c ~row0 ~x0 with
-        | Some (row, x, _) ->
-          Occupancy.occupy occ ~row ~height:c.Cell.height ~x ~width:c.Cell.width;
-          xs.(i) <- float_of_int x;
-          ys.(i) <- float_of_int row;
-          true
-        | None -> false)
-      order
-  in
-  if ok then Some (Placement.make ~xs ~ys) else None
-
 let build_cells rng options (spec : Spec.t) =
   let lo_s, hi_s = options.single_width_range in
   let lo_d, hi_d = options.double_width_range in
@@ -314,8 +284,11 @@ let assign_fence_members rng ~density (fences : Region.t array)
     fences;
   membership
 
-(* per-class masked packing: every class sees the blockages, the cells
-   already placed, and its own exclusion mask *)
+(* occupancy-based masked packing, used whenever blockages or fences
+   fragment the rows: each cell lands at the free spot nearest a random
+   target. One grid per class (each fence, then the default territory;
+   just the one grid without fences) sees the blockages, the cells
+   already placed, and the class's own exclusion mask. *)
 let pack_with_fences rng (chip : Chip.t) blockages (fences : Region.t array)
     membership (cells : Cell.t array) =
   let scratch k =
@@ -435,47 +408,27 @@ let generate ?(options = default_options) (spec : Spec.t) =
             ?region:membership.(i) ())
         cells
   in
-  let chip, blockages, reference =
-    if Array.length fences > 0 then begin
+  let chip, reference =
+    if Array.length fences = 0 && Array.length blockages = 0 then
+      pack_with_growth rng chip cells ~density:spec.density ~attempts:6
+    else begin
       let rec attempt chip k =
         match pack_with_fences rng chip blockages fences membership cells with
-        | Some reference -> (chip, blockages, reference)
+        | Some reference -> (chip, reference)
         | None ->
-          if k <= 0 then failwith "Generate: could not pack with fences";
+          if k <= 0 then
+            failwith "Generate: could not pack with blockages or fences";
           let wider =
             Chip.make ~base_rail:chip.Chip.base_rail
               ~row_height:chip.Chip.row_height ~num_rows:chip.Chip.num_rows
               ~num_sites:(chip.Chip.num_sites + (chip.Chip.num_sites / 20) + 2)
               ()
           in
-          (* fences keep their absolute coordinates: the chip only grows *)
+          (* blockages and fences keep their absolute coordinates: the
+             chip only grows *)
           attempt wider (k - 1)
       in
       attempt chip 6
-    end
-    else if Array.length blockages = 0 then begin
-      let chip, reference =
-        pack_with_growth rng chip cells ~density:spec.density ~attempts:6
-      in
-      (chip, [||], reference)
-    end
-    else begin
-      let rec attempt chip blockages k =
-        match pack_with_blockages rng chip blockages cells with
-        | Some reference -> (chip, blockages, reference)
-        | None ->
-          if k <= 0 then
-            failwith "Generate: could not pack with blockages";
-          let wider =
-            Chip.make ~base_rail:chip.Chip.base_rail
-              ~row_height:chip.Chip.row_height ~num_rows:chip.Chip.num_rows
-              ~num_sites:(chip.Chip.num_sites + (chip.Chip.num_sites / 20) + 2)
-              ()
-          in
-          (* blockages stay valid: chip only grows *)
-          attempt wider blockages (k - 1)
-      in
-      attempt chip blockages 6
     end
   in
   let global =

@@ -5,7 +5,6 @@ type t = {
   eps : float;
   max_iter : int;
   num_domains : int;
-  metrics : bool;
   progress : bool;
       (* stage/iteration heartbeat lines on stderr for long full-scale
          runs; never part of report output *)
@@ -22,7 +21,6 @@ let default =
     eps = 3e-3;
     max_iter = 10_000;
     num_domains = Mclh_par.Pool.default_num_domains ();
-    metrics = Mclh_obs.Obs.enabled_from_env ();
     progress = false }
 
 let validate t =

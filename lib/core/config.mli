@@ -33,14 +33,6 @@ type t = {
           environment override when set, unchecked until {!validate}.
           Parallel and sequential runs produce bit-identical
           placements. *)
-  metrics : bool;
-      (** collect the {!Mclh_obs} run metrics (stage spans, convergence
-          traces, repair counters) and expose them as a JSON run report
-          ({!Runner.report}, [mclh ... --metrics-out]). Defaults to the
-          [MCLH_METRICS] environment gate; when off, the instrumentation
-          reduces to single branches and the solver's zero-allocation
-          steady state is preserved. Never affects results — only what is
-          recorded about them. *)
   progress : bool;
       (** print stage/iteration heartbeat lines to stderr during the flow
           (model build, shard fan-out, MMSIM iterations) — for watching

@@ -180,27 +180,6 @@ let whole_shard (model : Model.t) =
 let extract_part (model : Model.t) shard =
   let sub_n = Array.length shard.vars in
   let sub_m = Array.length shard.cons in
-  (* B restricted to the shard, built directly in CSR form: every
-     constraint row is a (-1, +1) pair over two consecutive local columns
-     (the local numbering keeps the model's ascending group runs), so it
-     is already in the (sorted, merged) layout [Coo.to_csr] would give,
-     without the intermediate triplet lists. b_rhs carries the global
-     separations over unchanged. *)
-  let row_ptr = Array.init (sub_m + 1) (fun i -> 2 * i) in
-  let col_idx = Array.make (2 * sub_m) 0 in
-  let values = Array.make (2 * sub_m) 0.0 in
-  let ci = ref 0 in
-  Array.iter
-    (fun gvars ->
-      for k = 0 to Array.length gvars - 2 do
-        let pos = 2 * !ci in
-        col_idx.(pos) <- gvars.(k);
-        values.(pos) <- -1.0;
-        col_idx.(pos + 1) <- gvars.(k + 1);
-        values.(pos + 1) <- 1.0;
-        incr ci
-      done)
-    shard.groups;
   { model with
     Model.nvars = sub_n;
     (* per-cell lookup tables are global-model notions; sub-models are
@@ -209,7 +188,10 @@ let extract_part (model : Model.t) shard =
     var_cell = Array.map (fun v -> model.var_cell.(v)) shard.vars;
     var_row = Array.map (fun v -> model.var_row.(v)) shard.vars;
     row_vars = shard.groups;
-    b_mat = Lazy.from_val (Csr.make ~rows:sub_m ~cols:sub_n ~row_ptr ~col_idx ~values);
+    (* the local numbering keeps the model's ascending group runs, so B
+       restricted to the shard is the groups' own CSR; b_rhs carries the
+       global separations over unchanged *)
+    b_mat = Lazy.from_val (Model.csr_of_groups ~nvars:sub_n ~m:sub_m shard.groups);
     b_rhs = Array.init sub_m (fun i -> model.b_rhs.(shard.cons.(i)));
     p = Array.map (fun v -> model.p.(v)) shard.vars;
     shift = Array.map (fun v -> model.shift.(v)) shard.vars;

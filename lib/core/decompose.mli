@@ -17,8 +17,7 @@
     incremental engine caches and every report counts. The partition
     depends only on the model, never on the domain count, so decomposed
     solves are bit-identical across [Config.num_domains] settings; the
-    pool batches light shards into one job ({!Solver.par_shard_chunk})
-    without changing what each shard computes.
+    pool only decides which domain solves which shard.
 
     {!analyze} only plans the partition (cheap, O(n + m)); the sub-model
     of a shard is materialized on demand by {!extract}, which the solver
@@ -60,9 +59,9 @@ val extract : Model.t -> shard -> Model.t
     [b_rhs], [p], [shift] and [blocks] are fully renumbered; the per-cell
     tables ([first_var]) are not meaningful on a sub-model, so
     {!Model.placement_of} and {!Model.cell_positions} must only be called
-    on the parent. The sub-model's B is built directly in (sorted) CSR
-    form, bit-identical to what [Model.build] would produce for the same
-    rows. *)
+    on the parent. The sub-model's B is {!Model.csr_of_groups} of the
+    shard's local groups, bit-identical to what [Model.build] would
+    produce for the same rows. *)
 
 val constraint_pairs : Model.t -> (int * int) array
 (** [constraint_pairs model] maps every ordering-constraint id to its

@@ -291,11 +291,9 @@ let legalize ?(config = Config.default) ?obs (design : Design.t) =
       (k, label, cell_ids, result, territory_obs)
     in
     let results =
-      if config.Config.num_domains <= 1 then Array.map run_territory jobs
-      else
-        Mclh_par.Pool.parallel_map
-          (Mclh_par.Pool.get ~num_domains:config.Config.num_domains)
-          run_territory jobs
+      Mclh_par.Pool.parallel_map
+        (Mclh_par.Pool.get ~num_domains:config.Config.num_domains)
+        run_territory jobs
     in
     let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
     let per_territory =

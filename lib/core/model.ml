@@ -45,14 +45,15 @@ let csr_of_groups ~nvars ~m row_vars =
     row_vars;
   Csr.make ~rows:m ~cols:nvars ~row_ptr ~col_idx ~values
 
-(* run [f lo hi] over [0, count), fanned over the shared pool when the
-   caller asked for domains and the range is worth splitting; [f] must
-   write disjoint state per index so either path produces the same bits *)
+(* run [f lo hi] over [0, count), in chunks of 4096 fanned over the
+   shared pool when the caller asked for domains and the range is worth
+   splitting; [f] must write disjoint state per index so either path
+   produces the same bits *)
 let iter_chunks ~num_domains count f =
   if num_domains > 1 && count >= 8192 then
-    Mclh_par.Pool.parallel_iter_chunks ~min_chunk:4096
-      (Mclh_par.Pool.get ~num_domains)
-      count ~f
+    Mclh_par.Pool.parallel_iter (Mclh_par.Pool.get ~num_domains)
+      (fun lo -> f lo (min count (lo + 4096)))
+      (Array.init ((count + 4095) / 4096) (fun c -> c * 4096))
   else f 0 count
 
 let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =

@@ -78,6 +78,14 @@ val build : ?num_domains:int -> Design.t -> Row_assign.t -> t
 val b_mat : t -> Csr.t
 (** Force and return the global ordering-constraint matrix. *)
 
+val csr_of_groups : nvars:int -> m:int -> int array array -> Csr.t
+(** [csr_of_groups ~nvars ~m groups] is the [m x nvars] ordering-
+    constraint matrix of [groups] (each an ascending run of consecutive
+    variable ids, [m] adjacent pairs in all): one [(-1, +1)] row per
+    adjacent pair, group by group, already in sorted CSR layout. The
+    global B of a model and the B of a {!Decompose} sub-model are both
+    this. *)
+
 val num_constraints : t -> int
 
 val lcp_rhs : t -> Vec.t

@@ -30,7 +30,6 @@ type report = {
   unplaced : int list;
   mmsim : Flow.result option;
   fence : Fence.stats option;
-  obs : Obs.t option;
 }
 
 let snap design placement =
@@ -43,11 +42,6 @@ let unwrap = function
   | Error u -> (u.Unplaced.partial, u.Unplaced.cells)
 
 let run ?(config = Config.default) ?obs algorithm design =
-  let obs =
-    match obs with
-    | Some _ as o -> o
-    | None -> if config.Config.metrics then Some (Obs.create ()) else None
-  in
   let t0 = Mclh_par.Clock.now () in
   let placement, unplaced, mmsim, fence =
     match algorithm with
@@ -109,8 +103,7 @@ let run ?(config = Config.default) ?obs algorithm design =
     runtime_s;
     unplaced;
     mmsim;
-    fence;
-    obs }
+    fence }
 
 let converged report =
   match (report.mmsim, report.fence) with

@@ -38,18 +38,13 @@ type report = {
       (** present for {!Mmsim} on fenced designs: the per-territory solver
           stats ({!Fence.territory_stats}), ready to aggregate with the
           {!Fence} helpers *)
-  obs : Mclh_obs.Obs.t option;
-      (** the run's metrics recorder, present when [config.metrics] is set
-          (default: the [MCLH_METRICS] gate) — serialize it with
-          {!Mclh_obs.Run_report} *)
 }
 
 val run :
   ?config:Config.t -> ?obs:Mclh_obs.Obs.t -> algorithm -> Design.t -> report
-(** [obs] shares a caller-owned metrics recorder with the run (the eco
-    session uses one recorder across the initial legalization and every
-    later batch); when omitted, a fresh recorder is created iff
-    [config.metrics] is set. *)
+(** The run records its metrics (stage spans, convergence traces, repair
+    counters) into [obs] when given, and nothing otherwise; serialize the
+    recorder with {!Mclh_obs.Run_report}. *)
 
 val converged : report -> bool option
 (** Whether every solver invocation behind this report converged:

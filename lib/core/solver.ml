@@ -20,15 +20,6 @@ type bound_check = { mu_max : float; theta_limit : float; theta_ok : bool }
 
 let rhs_q = Model.lcp_rhs
 
-(* Minimum total KKT dimension per pool job of the decomposed fan-out:
-   shards are packed (heaviest first) into chunks of at least this much
-   work, so with tens of thousands of tiny shards (scale 1.0) the
-   per-job closure/dispatch overhead stays proportional to the chunk
-   count while big shards still get a job each. Scheduling only — the
-   per-shard bits never depend on the chunking (test_par.ml lowers this
-   to force many chunks on small models). *)
-let par_shard_chunk = ref 2048
-
 (* the MMSIM operators of the splitting (16), allocation-free: every
    intermediate lives in scratch allocated once here, so one iteration is
    an arrowhead solve per chain plus one Thomas sweep over prefactored
@@ -234,9 +225,9 @@ type fan_in = {
 let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~r
     ~modulus =
   let ns = Array.length shards in
-  (* dispatch heaviest shards first: chunks are handed out in order, so a
-     size-descending order trims the makespan. The order affects
-     scheduling only, never the per-shard bits. *)
+  (* dispatch heaviest shards first: pool members pull shards in this
+     order, so a size-descending order trims the makespan. The order
+     affects scheduling only, never the per-shard bits. *)
   let order = Array.init ns Fun.id in
   Array.sort
     (fun i j ->
@@ -290,17 +281,7 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
   in
   (match pool with
   | Some pool when not (Mclh_par.Pool.oversubscribed pool) ->
-    (* shards too light to fill a chunk per domain (an ECO batch's cache
-       misses) go one per job, balanced dynamically, rather than packed
-       onto one domain *)
-    let total = Array.fold_left (fun acc sh -> acc + Decompose.shard_dim sh) 0 shards in
-    let min_chunk_weight =
-      if total < !par_shard_chunk * Mclh_par.Pool.size pool then 1
-      else !par_shard_chunk
-    in
-    Mclh_par.Pool.parallel_iter_weighted ~min_chunk_weight pool
-      ~weight:(fun i -> Decompose.shard_dim shards.(i))
-      ~f:solve_shard order
+    Mclh_par.Pool.parallel_iter pool solve_shard order
   | Some _ | None ->
     (* on an oversubscribed pool (more domains than cores) fan-out only
        adds GC-rendezvous stalls; same bits either way *)

@@ -55,17 +55,6 @@ type bound_check = {
   theta_ok : bool;  (** Theorem 2's sufficient condition satisfied *)
 }
 
-val par_shard_chunk : int ref
-(** Minimum total KKT dimension ([vars + constraints]) a pool job must
-    carry before {!solve_shards} fans another shard chunk out (shards
-    lighter in total than one chunk per domain go one per job); see
-    {!Mclh_par.Pool.parallel_iter_weighted}. Chunking only schedules
-    whole shards, each solved on its own, so results are bit-identical
-    across values and pool sizes — this only bounds dispatch overhead
-    when a full-scale design splits into tens of thousands of tiny
-    shards. Exposed so tests can force multi-chunk
-    scheduling on small models. *)
-
 val operators : Model.t -> Config.t -> Mclh_lcp.Mmsim.operators
 (** The MMSIM operators of the splitting (16) at [config.lambda],
     [config.beta] and [config.theta]; {!solve} runs

@@ -5,20 +5,23 @@ module Obs = Mclh_obs.Obs
 
 type options = {
   iterations : int;
-  anchor_weight : float;
-  anchor_growth : float;
-  cg_tol : float;
   grid : int option;
   target_density : float;
   stop_overflow : float;
-  step_bins : float;
   fixed_cells : int list;
 }
 
 let default_options =
-  { iterations = 24; anchor_weight = 0.01; anchor_growth = 1.6; cg_tol = 1e-7;
-    grid = None; target_density = 1.0;
-    stop_overflow = 0.10; step_bins = 1.0; fixed_cells = [] }
+  { iterations = 24; grid = None; target_density = 1.0; stop_overflow = 0.10;
+    fixed_cells = [] }
+
+(* the anchor schedule: initial pull alpha, its growth per round (the
+   growing density weight), the field step per round in bin pitches, and
+   the CG tolerance of each axis solve *)
+let anchor_weight = 0.01
+let anchor_growth = 1.6
+let step_bins = 1.0
+let cg_tol = 1e-7
 
 type round = {
   index : int;
@@ -149,13 +152,12 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
       let b = Vec.init n (fun i -> load.(i) +. (alphas.(i) *. anchors.(i))) in
       let jacobi = Vec.init n (fun i -> Float.max 1e-12 diag.(i) +. alphas.(i)) in
       let r =
-        Cg.solve ~tol:options.cg_tol ~x0:current ~jacobi ~dim:n apply ~b
+        Cg.solve ~tol:cg_tol ~x0:current ~jacobi ~dim:n apply ~b
       in
       (r.Cg.x, r.Cg.iterations)
     in
-    let step_bins = Float.min options.step_bins 2.0 in
     let rounds = ref [] in
-    let alpha = ref options.anchor_weight in
+    let alpha = ref anchor_weight in
     let stop = ref false in
     let round_no = ref 0 in
     while (not !stop) && !round_no < options.iterations do
@@ -239,7 +241,7 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
           fixed;
         clamp_arrays design ax ay
       end;
-      alpha := !alpha *. options.anchor_growth
+      alpha := !alpha *. anchor_growth
     done;
     let final =
       let xs' = Vec.copy xs and ys' = Vec.copy ys in

@@ -7,10 +7,12 @@
     placement is binned on the {!Density} grid, the Poisson potential of
     the density map is solved spectrally, and each movable cell's anchor
     [a] becomes its current position pushed one field step
-    [mu E(center)] toward sparser bins. The anchor pull [alpha] grows
-    geometrically, so early rounds are wirelength-dominated and late
-    rounds density-dominated; the loop stops when the density overflow
-    drops to [stop_overflow] (or after [iterations] rounds).
+    [mu E(center)] toward sparser bins, with [mu] normalized so the
+    strongest-pushed cell's anchor moves one bin pitch. The anchor pull
+    [alpha] starts at 0.01 and grows by 1.6 per round, so early rounds are
+    wirelength-dominated and late rounds density-dominated; each axis
+    solve stops at CG tolerance 1e-7. The loop stops when the density
+    overflow drops to [stop_overflow] (or after [iterations] rounds).
 
     Blockages and pinned cells ([fixed_cells]) are pre-filled into the
     density grid, so the field steers spreading around obstructed
@@ -28,12 +30,6 @@ type options = {
   iterations : int;
       (** max rounds (default 24); the density stopping rule usually
           exits earlier *)
-  anchor_weight : float;  (** initial alpha (default 0.01) *)
-  anchor_growth : float;
-      (** alpha multiplier per round (default 1.6) — this is the growing
-          density weight: it scales how hard cells are pulled toward
-          their field-pushed targets *)
-  cg_tol : float;  (** conjugate-gradient tolerance (default 1e-7) *)
   grid : int option;
       (** density bins per side (power of two); default: chosen from the
           cell count by {!Density.create} *)
@@ -41,10 +37,6 @@ type options = {
   stop_overflow : float;
       (** stop once {!Density.overflow} falls to this fraction of the
           movable area (default 0.10) *)
-  step_bins : float;
-      (** field step per round in bins: the strongest-pushed cell's
-          anchor moves this many bin pitches (default 1.0, capped at
-          2.0) *)
   fixed_cells : int list;
       (** cells pinned at their [design.global] position: immovable
           density, huge anchor weight *)

@@ -12,8 +12,9 @@
     a single branch and zero allocation, so the instrumentation compiles
     to near-zero overhead when metrics are off — in particular the MMSIM
     steady state stays allocation-free (asserted in [test_decompose.ml]).
-    Recorders are created by callers when [Config.metrics] is set, which
-    defaults to the [MCLH_METRICS] environment gate ({!enabled_from_env}).
+    Passing a recorder is the one metrics switch: the CLI creates one when
+    [--metrics-out] is given or the [MCLH_METRICS] environment gate
+    ({!enabled_from_env}) is set.
 
     {b Threading.} A recorder itself is not thread-safe; parallel stages
     (pool jobs) create their own recorder or trace per job and the

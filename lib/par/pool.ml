@@ -8,20 +8,22 @@
 
    Concurrency protocol: a job is published by bumping [generation] under
    the lock and broadcasting; each worker keeps the last generation it ran
-   and picks up exactly one unit of the new one. The submitting domain
-   participates as worker 0, then blocks until [active] drains to zero.
+   and runs the new job once. The submitting domain runs it too, then
+   blocks until [active] drains to zero. Every job is one pull loop
+   ({!parallel_iter}): members take the next element off an atomic
+   counter until the array is exhausted.
 
    Nesting: the pool is deliberately non-reentrant. A [busy] flag is
    taken for the duration of a job; any parallel entry point that finds
    the pool busy (a nested call from inside a running job, e.g. a
    per-territory Flow.run that reaches the solver's shard fan-out while
    Fence already fans territories out) silently degrades to the
-   sequential path. Work partitioning is index-deterministic and all
-   parallel writes target disjoint slices, so sequential and parallel
-   execution produce bit-identical results — the property test_par.ml
-   pins down. *)
+   sequential path. Each element runs exactly once, whichever member
+   pulls it, and all parallel writes target disjoint slices, so
+   sequential and parallel execution produce bit-identical results —
+   the property test_par.ml pins down. *)
 
-type job = int -> unit (* worker index -> work (pulls its own share) *)
+type job = unit -> unit (* each member runs it once; it pulls its own share *)
 
 type t = {
   size : int; (* parallelism degree including the caller; >= 1 *)
@@ -55,8 +57,8 @@ let default_num_domains () =
   | Some s -> Option.value (int_of_string_opt (String.trim s)) ~default:0
   | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
-(* worker loop: [wid] is this worker's stable index in 1..size-1 *)
-let worker t wid =
+(* worker loop of a spawned member *)
+let worker t =
   let gen = ref 0 in
   let rec loop () =
     Mutex.lock t.lock;
@@ -68,7 +70,7 @@ let worker t wid =
       gen := t.generation;
       let job = Option.get t.job in
       Mutex.unlock t.lock;
-      (try job wid
+      (try job ()
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Mutex.lock t.lock;
@@ -102,7 +104,7 @@ let create ~num_domains =
       busy = Atomic.make false }
   in
   t.domains <-
-    List.init (num_domains - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
+    List.init (num_domains - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let shutdown t =
@@ -129,7 +131,7 @@ let run_job t job =
   Mutex.unlock t.lock;
   let caller_failure =
     try
-      job 0;
+      job ();
       None
     with e -> Some (e, Printexc.get_raw_backtrace ())
   in
@@ -156,112 +158,29 @@ let try_with_pool t par =
     true
   end
 
+let parallel_iter t f arr =
+  let n = Array.length arr in
+  let ran_par =
+    n > 1
+    && try_with_pool t (fun () ->
+           let next = Atomic.make 0 in
+           run_job t (fun () ->
+               let rec pull () =
+                 let i = Atomic.fetch_and_add next 1 in
+                 if i < n then begin
+                   f arr.(i);
+                   pull ()
+                 end
+               in
+               pull ()))
+  in
+  if not ran_par then Array.iter f arr
+
 let parallel_map t f arr =
   let n = Array.length arr in
-  if n <= 1 then Array.map f arr
-  else begin
-    let results = Array.make n None in
-    let ran_par =
-      try_with_pool t (fun () ->
-          let next = Atomic.make 0 in
-          run_job t (fun _wid ->
-              let rec pull () =
-                let i = Atomic.fetch_and_add next 1 in
-                if i < n then begin
-                  results.(i) <- Some (f arr.(i));
-                  pull ()
-                end
-              in
-              pull ()))
-    in
-    if ran_par then
-      Array.map
-        (function
-          | Some v -> v
-          | None -> failwith "Pool.parallel_map: missing result")
-        results
-    else Array.map f arr
-  end
-
-(* Chunked weighted fan-out: [order] is a caller-chosen processing order
-   (typically heaviest first); consecutive elements are grouped into
-   chunks of at least [min_chunk_weight] total weight and each chunk
-   becomes one dynamically-scheduled pool job. With tens of thousands of
-   tiny items (scale-1.0 shard counts) this keeps the per-job dispatch
-   and closure cost proportional to the number of chunks, not items,
-   while heavy items still get a job of their own. The chunking depends
-   only on [order] and the weights — never on the pool size — so any
-   degree (including the sequential fallback) processes every element
-   exactly once with bit-identical effects. *)
-let parallel_iter_weighted ?(min_chunk_weight = 1) t ~weight ~f order =
-  if min_chunk_weight < 1 then
-    invalid_arg "Pool.parallel_iter_weighted: min_chunk_weight < 1";
-  let n = Array.length order in
-  if n > 0 then begin
-    (* chunk starts: positions in [order] where the running weight resets *)
-    let count_chunks () =
-      let count = ref 0 and acc = ref 0 in
-      for idx = 0 to n - 1 do
-        if !acc = 0 then incr count;
-        acc := !acc + max 1 (weight order.(idx));
-        if !acc >= min_chunk_weight then acc := 0
-      done;
-      !count
-    in
-    let num_chunks = count_chunks () in
-    let starts = Array.make (num_chunks + 1) n in
-    let k = ref 0 and acc = ref 0 in
-    for idx = 0 to n - 1 do
-      if !acc = 0 then begin
-        starts.(!k) <- idx;
-        incr k
-      end;
-      acc := !acc + max 1 (weight order.(idx));
-      if !acc >= min_chunk_weight then acc := 0
-    done;
-    let run_chunk c =
-      for idx = starts.(c) to starts.(c + 1) - 1 do
-        f order.(idx)
-      done
-    in
-    let ran_par =
-      num_chunks > 1
-      && try_with_pool t (fun () ->
-             let next = Atomic.make 0 in
-             run_job t (fun _wid ->
-                 let rec pull () =
-                   let c = Atomic.fetch_and_add next 1 in
-                   if c < num_chunks then begin
-                     run_chunk c;
-                     pull ()
-                   end
-                 in
-                 pull ()))
-    in
-    if not ran_par then
-      for c = 0 to num_chunks - 1 do
-        run_chunk c
-      done
-  end
-
-let parallel_iter_chunks ?(min_chunk = 1) t n ~f =
-  if min_chunk < 1 then invalid_arg "Pool.parallel_iter_chunks: min_chunk < 1";
-  if n > 0 then begin
-    let max_workers = (n + min_chunk - 1) / min_chunk in
-    let ran_par =
-      max_workers > 1
-      && try_with_pool t (fun () ->
-             let workers = min t.size max_workers in
-             let per = n / workers and rem = n mod workers in
-             run_job t (fun wid ->
-                 if wid < workers then begin
-                   let lo = (wid * per) + min wid rem in
-                   let hi = lo + per + if wid < rem then 1 else 0 in
-                   if hi > lo then f lo hi
-                 end))
-    in
-    if not ran_par then f 0 n
-  end
+  let results = Array.make n None in
+  parallel_iter t (fun i -> results.(i) <- Some (f arr.(i))) (Array.init n Fun.id);
+  Array.map Option.get results
 
 (* ---------- shared pools ---------- *)
 

@@ -7,9 +7,10 @@
     daemon's requests) pay one broadcast per job, not a domain spawn.
     The pool is non-reentrant by design: a nested parallel
     call from inside a running job degrades to the sequential path
-    instead of oversubscribing the machine. Work partitioning is
-    index-deterministic and parallel writes target disjoint slices, so
-    parallel and sequential execution produce bit-identical results.
+    instead of oversubscribing the machine. Every fan-out is one pull
+    loop ({!parallel_iter}) that runs each element exactly once, and
+    parallel writes target disjoint slices, so parallel and sequential
+    execution produce bit-identical results.
 
     The busy claim is a single atomic compare-and-set, so concurrent
     submissions from several {e system threads} (the [Mclh_serve] daemon's
@@ -46,36 +47,20 @@ val shutdown : t -> unit
     the pool fall back to sequential execution. Pools obtained from
     {!get} / {!default} are process-lifetime and need no shutdown. *)
 
+val parallel_iter : t -> ('a -> unit) -> 'a array -> unit
+(** [parallel_iter pool f arr] applies [f] to every element of [arr]
+    exactly once: the pool members pull the next element off a shared
+    counter, so the caller's order (typically heaviest first) is the
+    dispatch order and the load balances itself. If any application
+    raises, the first exception is re-raised in the caller after all
+    members finish. Runs sequentially, in array order, when the pool is
+    degenerate, stopped, busy (nested call), or [arr] has fewer than two
+    elements; with disjoint writes both paths give bit-identical
+    results. *)
+
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map pool f arr] applies [f] to every element, dynamically
-    load-balanced over the pool, and collects results in index order.
-    If any application raises, the first exception is re-raised in the
-    caller after all workers finish. Runs sequentially when the pool is
-    degenerate, busy (nested call), or [arr] has fewer than two
-    elements. *)
-
-val parallel_iter_weighted :
-  ?min_chunk_weight:int -> t -> weight:(int -> int) -> f:(int -> unit) -> int array -> unit
-(** [parallel_iter_weighted pool ~weight ~f order] applies [f] to every
-    element of [order] (a caller-chosen processing order, typically
-    heaviest first), grouping consecutive elements into chunks of at
-    least [min_chunk_weight] total weight; each chunk is one dynamically
-    load-balanced pool job. This keeps per-job dispatch and closure
-    overhead proportional to the chunk count when [order] holds tens of
-    thousands of tiny items, while heavy items still occupy a job of
-    their own. Chunk boundaries depend only on [order] and [weight] —
-    never the pool size — and [f] runs exactly once per element, so
-    disjoint-write workloads get bit-identical results on any degree
-    (including the sequential fallback, taken in the same situations as
-    {!parallel_map}). *)
-
-val parallel_iter_chunks : ?min_chunk:int -> t -> int -> f:(int -> int -> unit) -> unit
-(** [parallel_iter_chunks pool n ~f] covers the index range [0, n) with
-    disjoint contiguous chunks, calling [f lo hi] for each (the chunk is
-    [lo, hi)). Chunks are statically partitioned over the pool members;
-    [min_chunk] bounds how finely the range is split (a range of at most
-    [min_chunk] indices is processed by the caller alone). Falls back to
-    a single [f 0 n] call in the same situations as {!parallel_map}. *)
+(** [parallel_map pool f arr] is {!parallel_iter} collecting the results
+    in index order. *)
 
 val default_num_domains : unit -> int
 (** The [MCLH_DOMAINS] environment override when set, otherwise

@@ -20,7 +20,7 @@ type config = {
 
 let default_config =
   {
-    incr_config = { Config.default with metrics = true };
+    incr_config = Config.default;
     max_sessions = 64;
     max_inflight = 32;
   }

@@ -47,8 +47,9 @@ open Mclh_core
 
 type config = {
   incr_config : Config.t;
-      (** solver configuration for every session (metrics on by default
-          so [query report] has content) *)
+      (** solver configuration for every session (default
+          {!Config.default}); each session records into its own recorder
+          whatever this says, so [query report] always has content *)
   max_sessions : int;  (** open sessions cap (default 64) *)
   max_inflight : int;
       (** global admitted-edit-batch cap; [0] refuses every edit —

@@ -403,13 +403,13 @@ let test_fenced_runner_report () =
       (Mclh_benchgen.Spec.scaled 0.005 (Mclh_benchgen.Spec.find "fft_2"))
   in
   let d = inst.Mclh_benchgen.Generate.design in
-  let config = { Config.default with metrics = true; num_domains = 1 } in
-  let r = Runner.run ~config Runner.Mmsim d in
+  let config = { Config.default with num_domains = 1 } in
+  let t = Obs.create () in
+  let r = Runner.run ~config ~obs:t Runner.Mmsim d in
   Alcotest.(check bool) "legal" true r.Runner.legal;
-  match (r.Runner.fence, r.Runner.obs) with
-  | None, _ -> Alcotest.fail "fenced run must carry territory stats"
-  | _, None -> Alcotest.fail "metrics run must carry a recorder"
-  | Some stats, Some t ->
+  match r.Runner.fence with
+  | None -> Alcotest.fail "fenced run must carry territory stats"
+  | Some stats ->
     Alcotest.(check bool) "several territories" true (stats.Fence.territories >= 2);
     Alcotest.(check int) "one stats entry per territory" stats.Fence.territories
       (List.length stats.Fence.per_territory);

@@ -27,32 +27,27 @@ let test_pool_map_order () =
   let out = Pool.parallel_map pool (fun i -> i * i) input in
   Alcotest.(check (array int)) "after shutdown" (Array.map (fun i -> i * i) input) out
 
-let test_pool_iter_chunks_cover () =
-  let pool = Pool.create ~num_domains:3 in
+let test_pool_parallel_iter () =
+  (* coverage: every element runs exactly once whatever the pool degree
+     and the element order, and disjoint writes land identically *)
+  let orders =
+    [ [||]; [| 0 |]; [| 4; 1; 0; 3; 2 |]; Array.init 257 (fun i -> 256 - i) ]
+  in
   List.iter
-    (fun n ->
-      let hits = Array.make (max n 1) 0 in
-      (* chunks run on worker domains, where Alcotest's assertion log is
-         not safe to write: collect the verdict, check it on this one *)
-      let bounds_ok = Atomic.make true in
-      Pool.parallel_iter_chunks pool n ~f:(fun lo hi ->
-          if not (0 <= lo && lo <= hi && hi <= n) then Atomic.set bounds_ok false;
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Alcotest.(check bool) "chunk bounds" true (Atomic.get bounds_ok);
-      if n > 0 then
-        Alcotest.(check (array int))
-          (Printf.sprintf "each index covered once (n=%d)" n)
-          (Array.make n 1) (Array.sub hits 0 n))
-    [ 0; 1; 2; 3; 7; 100; 101 ];
-  (* min_chunk keeps small ranges on the caller *)
-  let calls = ref 0 in
-  Pool.parallel_iter_chunks ~min_chunk:50 pool 40 ~f:(fun lo hi ->
-      incr calls;
-      Alcotest.(check (pair int int)) "single chunk" (0, 40) (lo, hi));
-  Alcotest.(check int) "one call" 1 !calls;
-  Pool.shutdown pool
+    (fun num_domains ->
+      let pool = Pool.create ~num_domains in
+      List.iter
+        (fun order ->
+          let n = Array.length order in
+          let hits = Array.make (max n 1) 0 in
+          Pool.parallel_iter pool (fun i -> hits.(i) <- hits.(i) + 1) order;
+          if n > 0 then
+            Alcotest.(check (array int))
+              (Printf.sprintf "each element once (n=%d, nd=%d)" n num_domains)
+              (Array.make n 1) (Array.sub hits 0 n))
+        orders;
+      Pool.shutdown pool)
+    [ 1; 3 ]
 
 exception Boom of int
 
@@ -216,46 +211,6 @@ let test_incr_bit_identity () =
   done;
   Alcotest.(check bool) "some batch re-solved several shards" true !fanned_out
 
-let test_pool_iter_weighted () =
-  (* coverage and chunk determinism: every element of [order] is visited
-     exactly once whatever the pool degree or min_chunk_weight, and
-     disjoint writes land identically *)
-  let orders =
-    [ [||]; [| 0 |]; [| 4; 1; 0; 3; 2 |]; Array.init 257 (fun i -> 256 - i) ]
-  in
-  let weights i = 1 + (i mod 7) in
-  List.iter
-    (fun num_domains ->
-      let pool = Pool.create ~num_domains in
-      List.iter
-        (fun order ->
-          List.iter
-            (fun min_chunk_weight ->
-              let n = Array.length order in
-              let hits = Array.make (max n 1) 0 in
-              Pool.parallel_iter_weighted ~min_chunk_weight pool
-                ~weight:weights
-                ~f:(fun i -> hits.(i) <- hits.(i) + 1)
-                order;
-              if n > 0 then
-                Alcotest.(check (array int))
-                  (Printf.sprintf
-                     "each element once (n=%d, nd=%d, mcw=%d)" n num_domains
-                     min_chunk_weight)
-                  (Array.make n 1) (Array.sub hits 0 n))
-            [ 1; 3; 1000 ])
-        orders;
-      Pool.shutdown pool)
-    [ 1; 3 ];
-  let pool = Pool.create ~num_domains:2 in
-  Alcotest.check_raises "min_chunk_weight validated"
-    (Invalid_argument "Pool.parallel_iter_weighted: min_chunk_weight < 1")
-    (fun () ->
-      Pool.parallel_iter_weighted ~min_chunk_weight:0 pool
-        ~weight:(fun _ -> 1)
-        ~f:ignore [| 0 |]);
-  Pool.shutdown pool
-
 let test_runner_bit_identity () =
   let d = (instance "fft_1").Mclh_benchgen.Generate.design in
   let seq = Runner.run ~config:(config_with_domains 1) Runner.Mmsim d in
@@ -270,10 +225,8 @@ let () =
   Alcotest.run "par"
     [ ( "pool",
         [ Alcotest.test_case "map order + lifecycle" `Quick test_pool_map_order;
-          Alcotest.test_case "iter_chunks coverage" `Quick
-            test_pool_iter_chunks_cover;
-          Alcotest.test_case "iter_weighted coverage" `Quick
-            test_pool_iter_weighted;
+          Alcotest.test_case "parallel_iter coverage" `Quick
+            test_pool_parallel_iter;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception_propagation;
           Alcotest.test_case "nested fallback" `Quick test_pool_nested_fallback;

@@ -4,9 +4,8 @@
    CSR — on plain, blockage-heavy, and tall-cell designs, across domain
    counts. Also asserts the construction's allocation behaviour stays
    linear in the instance size (the list path was O(n log n) minor words
-   through [List.sort]), the counted [Netlist.Builder] agrees with
-   [Netlist.make], and the solver's chunked weighted shard fan-out is
-   scheduling-only. *)
+   through [List.sort]) and the counted [Netlist.Builder] agrees with
+   [Netlist.make]. *)
 
 open Mclh_core
 open Mclh_linalg
@@ -222,25 +221,6 @@ let test_netlist_builder () =
     (fun () ->
       Netlist.Builder.add_net b [| { Netlist.cell = 5; dx = 0.0; dy = 0.0 } |])
 
-(* The chunked weighted shard fan-out is scheduling-only: forcing many
-   tiny chunks must leave the solve bit-identical. *)
-let test_shard_chunking_identical () =
-  let d =
-    (instance ~options:blockage_options ~scale:0.03 "fft_2")
-      .Mclh_benchgen.Generate.design
-  in
-  let config = { Config.default with Config.num_domains = 4 } in
-  let saved = !Solver.par_shard_chunk in
-  let baseline = (Flow.run ~config d).Flow.legal in
-  Solver.par_shard_chunk := 1;
-  let chunked =
-    Fun.protect
-      ~finally:(fun () -> Solver.par_shard_chunk := saved)
-      (fun () -> (Flow.run ~config d).Flow.legal)
-  in
-  check_float_array "xs" baseline.Placement.xs chunked.Placement.xs;
-  check_float_array "ys" baseline.Placement.ys chunked.Placement.ys
-
 let () =
   Alcotest.run "soa"
     [ ( "construction",
@@ -252,7 +232,4 @@ let () =
             test_row_ordered_numbering ] );
       ( "netlist",
         [ Alcotest.test_case "builder agrees with make" `Quick
-            test_netlist_builder ] );
-      ( "solver",
-        [ Alcotest.test_case "shard chunk forcing is bit-identical" `Quick
-            test_shard_chunking_identical ] ) ]
+            test_netlist_builder ] ) ]

@@ -27,9 +27,36 @@ let test_pool_map_order () =
   let out = Pool.parallel_map pool (fun i -> i * i) input in
   Alcotest.(check (array int)) "after shutdown" (Array.map (fun i -> i * i) input) out
 
-let test_pool_parallel_iter () =
-  (* coverage: every element runs exactly once whatever the pool degree
-     and the element order, and disjoint writes land identically *)
+let test_pool_iter_chunks_cover () =
+  (* the chunked range pattern of Model.iter_chunks: parallel_iter over
+     chunk starts covers [0, n) once, each chunk inside its bounds *)
+  let pool = Pool.create ~num_domains:3 in
+  List.iter
+    (fun (n, chunk) ->
+      let hits = Array.make (max n 1) 0 in
+      (* chunks run on worker domains, where Alcotest's assertion log is
+         not safe to write: collect the verdict, check it on this one *)
+      let bounds_ok = Atomic.make true in
+      Pool.parallel_iter pool
+        (fun lo ->
+          let hi = min n (lo + chunk) in
+          if not (0 <= lo && lo < hi && hi <= n) then Atomic.set bounds_ok false;
+          for i = lo to hi - 1 do
+            hits.(i) <- hits.(i) + 1
+          done)
+        (Array.init ((n + chunk - 1) / chunk) (fun c -> c * chunk));
+      Alcotest.(check bool) "chunk bounds" true (Atomic.get bounds_ok);
+      if n > 0 then
+        Alcotest.(check (array int))
+          (Printf.sprintf "each index covered once (n=%d, chunk=%d)" n chunk)
+          (Array.make n 1) (Array.sub hits 0 n))
+    [ (0, 4); (1, 4); (2, 4); (3, 4); (7, 4); (100, 4); (101, 4); (101, 200) ];
+  Pool.shutdown pool
+
+let test_pool_iter_weighted () =
+  (* the heaviest-first shard order of Solver.solve_shards: every element
+     runs exactly once whatever the pool degree and the element order,
+     and disjoint writes land identically *)
   let orders =
     [ [||]; [| 0 |]; [| 4; 1; 0; 3; 2 |]; Array.init 257 (fun i -> 256 - i) ]
   in
@@ -225,8 +252,10 @@ let () =
   Alcotest.run "par"
     [ ( "pool",
         [ Alcotest.test_case "map order + lifecycle" `Quick test_pool_map_order;
-          Alcotest.test_case "parallel_iter coverage" `Quick
-            test_pool_parallel_iter;
+          Alcotest.test_case "iter_chunks coverage" `Quick
+            test_pool_iter_chunks_cover;
+          Alcotest.test_case "iter_weighted coverage" `Quick
+            test_pool_iter_weighted;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception_propagation;
           Alcotest.test_case "nested fallback" `Quick test_pool_nested_fallback;

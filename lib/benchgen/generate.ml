@@ -155,12 +155,16 @@ let size_chip options ~total_area ~max_width ~density =
   Chip.make ~num_rows ~num_sites ()
 
 (* Pack a legal placement: multi-row cells first, each cell into the
-   admitting row (or row span) with the lowest frontier, advancing the
-   frontier by a randomized gap that statistically spreads the free space
-   across the whole row. *)
+   admitting row (or row span) with the lowest frontier — the lowest row
+   on a tie — advancing the frontier by a randomized gap that
+   statistically spreads the free space across the whole row. The gap is
+   drawn only once a row is chosen. [Frontier] answers the lowest-frontier
+   query from the root of a per-class tournament tree and refreshes
+   O(height) leaves per placed cell, so one attempt costs
+   O(cells x log rows). *)
 let pack rng (chip : Chip.t) (cells : Cell.t array) ~density =
-  let num_rows = chip.Chip.num_rows and num_sites = chip.Chip.num_sites in
-  let cursor = Array.make num_rows 0 in
+  let num_sites = chip.Chip.num_sites in
+  let frontier = Frontier.create chip cells in
   let xs = Array.make (Array.length cells) 0.0 in
   let ys = Array.make (Array.length cells) 0.0 in
   let gap_for width =
@@ -169,41 +173,21 @@ let pack rng (chip : Chip.t) (cells : Cell.t array) ~density =
     int_of_float (Rng.float rng (2.0 *. mean +. 1.0))
   in
   let place (c : Cell.t) =
-    let h = c.Cell.height and w = c.Cell.width in
-    (* frontier of a span = max cursor over the spanned rows *)
-    let span_front r =
-      let front = ref 0 in
-      for k = r to r + h - 1 do
-        front := max !front cursor.(k)
-      done;
-      !front
-    in
-    let best = ref (-1) and best_front = ref max_int in
-    for r = 0 to num_rows - h do
-      if Chip.row_admits chip c r then begin
-        let front = span_front r in
-        if front < !best_front && front + w <= num_sites then begin
-          best := r;
-          best_front := front
-        end
-      end
-    done;
-    if !best < 0 then None
-    else begin
-      let r = !best in
-      let front = !best_front in
+    let r = Frontier.lowest frontier c in
+    r >= 0
+    && begin
+      let w = c.Cell.width in
+      let front = Frontier.front frontier ~row:r ~height:c.Cell.height in
       let gap = min (gap_for w) (num_sites - front - w) in
       let x = front + max 0 gap in
-      for k = r to r + h - 1 do
-        cursor.(k) <- x + w
-      done;
+      Frontier.place frontier c ~row:r ~right:(x + w);
       xs.(c.Cell.id) <- float_of_int x;
       ys.(c.Cell.id) <- float_of_int r;
-      Some ()
+      true
     end
   in
   let order = pack_order rng cells in
-  let ok = Array.for_all (fun i -> place cells.(i) <> None) order in
+  let ok = Array.for_all (fun i -> place cells.(i)) order in
   if ok then Some (Placement.make ~xs ~ys) else None
 
 let rec pack_with_growth rng chip cells ~density ~attempts =

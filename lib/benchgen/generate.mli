@@ -9,6 +9,17 @@
     overlapping global placement. The packed layout is returned as a
     feasibility witness; legalizers never see it.
 
+    Packing rule: multi-row cells first, then single-row cells, each in a
+    shuffled order; every cell goes into the admitting row span with the
+    lowest frontier (the largest right edge placed so far over the span),
+    the lowest such row on a tie, and the frontier then advances by the
+    cell's width plus a random gap. An attempt fails when the lowest
+    frontier leaves no room for the cell; three failed attempts widen the
+    chip. The lowest-frontier query is answered by a per-(height, rail)
+    tournament tree, so an attempt costs O(cells x log rows). With
+    blockages or fences the cells instead land at the free spot nearest a
+    random target on an occupancy grid.
+
     Determinism: the stream is seeded from the benchmark name and [seed],
     so the same options always produce the identical instance. *)
 

@@ -2,6 +2,7 @@ type t = {
   nvars : int;
   chains : int array array; (* hub first; every chain has length >= 2 *)
   chain_of : int array; (* var -> chain id, or -1 *)
+  free : int array; (* the variables in no chain, ascending *)
 }
 
 let of_array ~nvars chains =
@@ -36,7 +37,20 @@ let of_array ~nvars chains =
           chain_of.(v) <- c)
         vars)
     chains;
-  { nvars; chains; chain_of }
+  let free =
+    Array.make
+      (nvars - Array.fold_left (fun acc c -> acc + Array.length c) 0 chains)
+      0
+  in
+  let k = ref 0 in
+  Array.iteri
+    (fun v c ->
+      if c = -1 then begin
+        free.(!k) <- v;
+        incr k
+      end)
+    chain_of;
+  { nvars; chains; chain_of; free }
 
 let make ~nvars chain_list = of_array ~nvars (Array.of_list chain_list)
 
@@ -131,8 +145,10 @@ let solve_shifted_into ~alpha ~coef t b dst =
   done;
   (* variables in no chain: the diagonal part *)
   let inv_alpha = 1.0 /. alpha in
-  for v = 0 to t.nvars - 1 do
-    if t.chain_of.(v) = -1 then dst.(v) <- b.(v) *. inv_alpha
+  let free = t.free in
+  for i = 0 to Array.length free - 1 do
+    let v = free.(i) in
+    dst.(v) <- b.(v) *. inv_alpha
   done
 
 let solve_shifted ~alpha ~coef t b =

@@ -48,7 +48,7 @@ let () =
   in
   let model = Model.build design (Row_assign.assign design) in
   print_vars model;
-  print_dense "B (c2,c4 in row 0; c1,c3,c5 in row 1)" (Csr.to_dense (Model.b_mat model));
+  print_dense "B (c2,c4 in row 0; c1,c3,c5 in row 1)" (Csr.to_dense (Model.b_matrix model));
   Format.printf "b = %a@.@." Vec.pp model.Model.b_rhs;
 
   (* ----- Figure 3: mixed heights, subcell splitting ----- *)
@@ -66,7 +66,7 @@ let () =
   in
   let model = Model.build design (Row_assign.assign design) in
   print_vars model;
-  print_dense "B" (Csr.to_dense (Model.b_mat model));
+  print_dense "B" (Csr.to_dense (Model.b_matrix model));
   print_dense "E (x of each double's two subcells must match)"
     (Csr.to_dense (Blocks.e_matrix model.Model.blocks));
 

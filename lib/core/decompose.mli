@@ -55,13 +55,14 @@ val analyze : Model.t -> t
 val extract : Model.t -> shard -> Model.t
 (** [extract model shard] materializes the shard's self-contained
     sub-model; a shard covering the whole model yields [model] itself
-    (nothing is copied). Solver-facing: [nvars], [row_vars], [b_mat],
-    [b_rhs], [p], [shift] and [blocks] are fully renumbered; the per-cell
-    tables ([first_var]) are not meaningful on a sub-model, so
+    (nothing is copied). Solver-facing: [nvars], [row_vars], [b_rhs],
+    [p], [shift] and [blocks] are fully renumbered; the per-cell tables
+    ([first_var]) are not meaningful on a sub-model, so
     {!Model.placement_of} and {!Model.cell_positions} must only be called
-    on the parent. The sub-model's B is {!Model.csr_of_groups} of the
-    shard's local groups, bit-identical to what [Model.build] would
-    produce for the same rows. *)
+    on the parent. The local groups keep the parent's ascending runs, so
+    they tile the shard's variables in order and carry the shard's B
+    exactly as [Model.build]'s groups carry the model's; nothing builds
+    a matrix. *)
 
 val constraint_pairs : Model.t -> (int * int) array
 (** [constraint_pairs model] maps every ordering-constraint id to its

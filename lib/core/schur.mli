@@ -2,9 +2,10 @@
 
     [D = tridiag(B (Q + lambda E^T E)^-1 B^T)]
 
-    of Equation (16). Because every constraint row of [B] has two nonzeros
-    and consecutive constraints share a variable, the tridiagonal part
-    captures the dominant coupling; each entry costs O(1).
+    of Equation (16). Every constraint row of [B] is a pair [(v, v + 1)]
+    of one group of [Model.row_vars], and consecutive constraints share a
+    variable, so the tridiagonal part captures the dominant coupling;
+    each entry costs O(1).
 
     Two computation paths:
     - [Sherman_morrison]: the paper's closed form
@@ -25,6 +26,3 @@ val tridiag : ?path:path -> Model.t -> lambda:float -> Tridiag.t
     {!Mclh_linalg.Blocks.all_double} holds, [Exact_chains] otherwise.
     @raise Invalid_argument if [Sherman_morrison] is requested for a design
       with a chain longer than two. *)
-
-val dense : Model.t -> lambda:float -> Dense.t
-(** The full (un-truncated) [B Q~^-1 B^T]; O(m^2) memory — tests only. *)

@@ -62,8 +62,8 @@ let num_constraints t =
 
 let chain_vars t c = Array.copy t.chains.(c)
 
-let apply_ete_into t x dst =
-  if Array.length x <> t.nvars || Array.length dst <> t.nvars then
+let apply_ete_into t ~dim x dst =
+  if dim < t.nvars || Array.length x <> dim || Array.length dst <> dim then
     invalid_arg "Blocks.apply_ete_into: dimension mismatch";
   if x == dst then invalid_arg "Blocks.apply_ete_into: aliased arguments";
   Array.fill dst 0 t.nvars 0.0;
@@ -82,7 +82,7 @@ let apply_ete_into t x dst =
 
 let apply_ete t x =
   let dst = Array.make t.nvars 0.0 in
-  apply_ete_into t x dst;
+  apply_ete_into t ~dim:t.nvars x dst;
   dst
 
 (* Arrowhead solve for one chain of (alpha I + coef E^T E):
@@ -119,9 +119,9 @@ let check_params ~alpha ~coef =
    directly. b == dst is safe: y_hub depends only on b values read
    before the hub write, and each spoke reads its own b.(s) before
    overwriting it. *)
-let solve_shifted_into ~alpha ~coef t b dst =
+let solve_shifted_into ~alpha ~coef t ~dim b dst =
   check_params ~alpha ~coef;
-  if Array.length b <> t.nvars || Array.length dst <> t.nvars then
+  if dim < t.nvars || Array.length b <> dim || Array.length dst <> dim then
     invalid_arg "Blocks.solve_shifted_into: dimension mismatch";
   let ac = alpha +. coef in
   for c = 0 to Array.length t.chains - 1 do
@@ -153,7 +153,7 @@ let solve_shifted_into ~alpha ~coef t b dst =
 
 let solve_shifted ~alpha ~coef t b =
   let dst = Array.make t.nvars 0.0 in
-  solve_shifted_into ~alpha ~coef t b dst;
+  solve_shifted_into ~alpha ~coef t ~dim:t.nvars b dst;
   dst
 
 let solve_shifted_sparse ~alpha ~coef t entries =

@@ -36,19 +36,25 @@ val chain_vars : t -> int -> int array
 val apply_ete : t -> Vec.t -> Vec.t
 (** [apply_ete t x] is [E^T E x]. *)
 
-val apply_ete_into : t -> Vec.t -> Vec.t -> unit
-(** [apply_ete_into t x dst] writes [E^T E x] into [dst] without
-    allocating (the MMSIM hot path). [x] and [dst] must be distinct
-    arrays. *)
+val apply_ete_into : t -> dim:int -> Vec.t -> Vec.t -> unit
+(** [apply_ete_into t ~dim x dst] writes [E^T E] times the first [nvars]
+    entries of [x] into the first [nvars] entries of [dst] without
+    allocating (the MMSIM hot path, where [x] and [dst] are whole
+    iterates with the constraint entries after the variables). Both must
+    have length [dim >= nvars]; entries from [nvars] on are neither read
+    nor written. [x] and [dst] must be distinct arrays. *)
 
 val solve_shifted : alpha:float -> coef:float -> t -> Vec.t -> Vec.t
 (** [solve_shifted ~alpha ~coef t b] solves [(alpha I + coef E^T E) y = b].
     Requires [alpha > 0] and [coef >= 0]; raises [Invalid_argument]
     otherwise. *)
 
-val solve_shifted_into : alpha:float -> coef:float -> t -> Vec.t -> Vec.t -> unit
-(** In-place variant writing into a caller-provided destination (the MMSIM
-    hot path). [b] and the destination may be the same array. *)
+val solve_shifted_into :
+  alpha:float -> coef:float -> t -> dim:int -> Vec.t -> Vec.t -> unit
+(** [solve_shifted_into ~alpha ~coef t ~dim b dst] solves for the first
+    [nvars] entries of [b] into those of [dst] (the MMSIM hot path). Both
+    must have length [dim >= nvars]; entries from [nvars] on are neither
+    read nor written. [b] and [dst] may be the same array. *)
 
 val solve_shifted_sparse :
   alpha:float -> coef:float -> t -> (int * float) list -> (int * float) list

@@ -102,10 +102,9 @@ let mul_vec t x =
   mul_vec_into t x dst;
   dst
 
-let mul_vec_t_into t x dst =
-  if Array.length x <> t.nrows || Array.length dst <> t.ncols then
-    invalid_arg "Csr.mul_vec_t_into: dimension mismatch";
-  Array.fill dst 0 (Array.length dst) 0.0;
+let mul_vec_t t x =
+  if Array.length x <> t.nrows then invalid_arg "Csr.mul_vec_t: dimension mismatch";
+  let dst = Array.make t.ncols 0.0 in
   for i = 0 to t.nrows - 1 do
     let xi = x.(i) in
     if xi <> 0.0 then
@@ -113,11 +112,7 @@ let mul_vec_t_into t x dst =
         let j = t.col_idx.(k) in
         dst.(j) <- dst.(j) +. (t.values.(k) *. xi)
       done
-  done
-
-let mul_vec_t t x =
-  let dst = Array.make t.ncols 0.0 in
-  mul_vec_t_into t x dst;
+  done;
   dst
 
 let add_mul_vec t x acc =

@@ -40,8 +40,6 @@ val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 val mul_vec_t : t -> Vec.t -> Vec.t
 (** [mul_vec_t a x] is [A^T x]. *)
 
-val mul_vec_t_into : t -> Vec.t -> Vec.t -> unit
-
 val add_mul_vec : t -> Vec.t -> Vec.t -> unit
 (** [add_mul_vec a x acc] updates [acc <- acc + A x]. *)
 

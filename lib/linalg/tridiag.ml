@@ -26,22 +26,16 @@ let scale c t =
     diag = Array.map (( *. ) c) t.diag;
     sup = Array.map (( *. ) c) t.sup }
 
-let mul_vec_into t x dst =
+let mul_vec t x =
   let n = dim t in
-  if Array.length x <> n || Array.length dst <> n then
-    invalid_arg "Tridiag.mul_vec_into: dimension";
-  (* reads of x.(i-1)/x.(i+1) must not see freshly written dst entries *)
-  if x == dst then invalid_arg "Tridiag.mul_vec_into: aliased arguments";
+  if Array.length x <> n then invalid_arg "Tridiag.mul_vec: dimension";
+  let dst = Array.make n 0.0 in
   for i = 0 to n - 1 do
     let acc = ref (t.diag.(i) *. x.(i)) in
     if i > 0 then acc := !acc +. (t.sub.(i - 1) *. x.(i - 1));
     if i < n - 1 then acc := !acc +. (t.sup.(i) *. x.(i + 1));
     dst.(i) <- !acc
-  done
-
-let mul_vec t x =
-  let dst = Array.make (dim t) 0.0 in
-  mul_vec_into t x dst;
+  done;
   dst
 
 let to_dense t =
@@ -98,21 +92,6 @@ let prefactor t =
     done
   end;
   { f_sub = Array.copy t.sub; f_cprime = cprime; f_denom = denom }
-
-let solve_prefactored f b dst =
-  let n = Array.length f.f_denom in
-  if Array.length b <> n || Array.length dst <> n then
-    invalid_arg "Tridiag.solve_prefactored: dimension";
-  if n > 0 then begin
-    (* forward sweep writes d' into dst, then back substitution in place *)
-    dst.(0) <- b.(0) /. f.f_denom.(0);
-    for i = 1 to n - 1 do
-      dst.(i) <- (b.(i) -. (f.f_sub.(i - 1) *. dst.(i - 1))) /. f.f_denom.(i)
-    done;
-    for i = n - 2 downto 0 do
-      dst.(i) <- dst.(i) -. (f.f_cprime.(i) *. dst.(i + 1))
-    done
-  end
 
 (* Band LU with partial pivoting: pivoting between adjacent rows introduces
    one extra superdiagonal [sup2]. *)

@@ -29,10 +29,6 @@ val scale : float -> t -> t
 
 val mul_vec : t -> Vec.t -> Vec.t
 
-val mul_vec_into : t -> Vec.t -> Vec.t -> unit
-(** [mul_vec_into t x dst] writes [t x] into [dst] (no allocation).
-    @raise Invalid_argument when [x == dst] or on dimension mismatch. *)
-
 val to_dense : t -> Dense.t
 
 exception Singular of int
@@ -42,16 +38,19 @@ val solve : t -> Vec.t -> Vec.t
     positive definite systems.
     @raise Singular when a pivot underflows. *)
 
-type factor
-(** Precomputed Thomas sweep coefficients for a fixed matrix: repeated
-    solves against the same matrix skip the pivot recurrence. *)
+type factor = private {
+  f_sub : float array;  (** the matrix's subdiagonal *)
+  f_cprime : float array;  (** Thomas [c'] coefficients *)
+  f_denom : float array;  (** forward-sweep pivots *)
+}
+(** Precomputed Thomas sweep coefficients for a fixed matrix, so that
+    repeated solves skip the pivot recurrence: the forward sweep
+    [y_i = (b_i - f_sub_(i-1) y_(i-1)) / f_denom_i] (without the [f_sub]
+    term at [i = 0]), then [x_i = y_i - f_cprime_i x_(i+1)]. The caller
+    runs the sweeps, fusing its own right-hand side into them. *)
 
 val prefactor : t -> factor
 (** @raise Singular when a pivot underflows. *)
-
-val solve_prefactored : factor -> Vec.t -> Vec.t -> unit
-(** [solve_prefactored f b dst] solves into [dst]; [b] and [dst] may be
-    the same array. *)
 
 val solve_pivoting : t -> Vec.t -> Vec.t
 (** Gaussian elimination with partial pivoting restricted to the band

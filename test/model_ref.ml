@@ -1,5 +1,5 @@
 (* Test-only reference for [Model.build]: the historical list-based
-   construction (Hashtbl segment split, Coo assembly, [Blocks.make]),
+   construction (Hashtbl segment split, [Blocks.make]),
    kept as the oracle the streaming struct-of-arrays build is pinned
    against byte for byte in [test_soa.ml]. It numbers the subcells in
    cell order first, as the historical build did, and then renumbers
@@ -102,22 +102,18 @@ let build (design : Design.t) (assignment : Row_assign.t) =
   let m =
     Array.fold_left (fun acc vars -> acc + max 0 (Array.length vars - 1)) 0 row_vars
   in
-  let coo = Coo.create ~rows:m ~cols:nvars in
   let b_rhs = Array.make m 0.0 in
   let ci = ref 0 in
   Array.iter
     (fun vars ->
       for k = 0 to Array.length vars - 2 do
         let u = vars.(k) and v = vars.(k + 1) in
-        Coo.add coo !ci u (-1.0);
-        Coo.add coo !ci v 1.0;
         b_rhs.(!ci) <-
           float_of_int design.cells.(var_cell.(u)).Cell.width
           +. shift.(u) -. shift.(v);
         incr ci
       done)
     row_vars;
-  let b_mat = Lazy.from_val (Coo.to_csr coo) in
   let p =
     Vec.init nvars (fun v ->
         -.(design.global.Placement.xs.(var_cell.(v)) -. shift.(v)))
@@ -134,4 +130,4 @@ let build (design : Design.t) (assignment : Row_assign.t) =
   in
   let blocks = Blocks.make ~nvars chains in
   { Model.design; assignment; nvars; first_var; var_cell; var_row; row_vars;
-    b_mat; b_rhs; p; shift; blocks; d_split = [||] }
+    b_rhs; p; shift; blocks; d_split = [||] }

@@ -1,26 +1,44 @@
 (* Test-only reference for the solver's MMSIM operators: the splitting
    (16) of [Solver.operators] built from the allocating [Blocks],
-   [Tridiag] and [Csr] calls, one fresh vector per product, with the
-   bottom block solved by an unfactored Thomas sweep. The blit adapter
-   at the end gives it the destination-passing [Mmsim.operators] shape,
-   so the same [Mmsim.solve] loop runs both implementations and the
-   production operators must reproduce its iterates. *)
+   [Tridiag] and [Csr] calls on an explicit ordering-constraint matrix,
+   one fresh vector per product, with the bottom block solved by an
+   unfactored Thomas sweep. The blit adapter at the end gives it the
+   destination-passing [Mmsim.operators] shape, so the same
+   [Mmsim.solve] loop runs both implementations and the production
+   operators must reproduce its iterates bit for bit. *)
 
 open Mclh_core
 open Mclh_linalg
 
+(* the ordering-constraint matrix of [groups] assembled entry by entry:
+   one (-1, +1) row per adjacent pair, group by group *)
+let csr_of_groups ~nvars groups =
+  let m =
+    Array.fold_left (fun acc vars -> acc + max 0 (Array.length vars - 1)) 0 groups
+  in
+  let coo = Coo.create ~rows:m ~cols:nvars in
+  let ci = ref 0 in
+  Array.iter
+    (fun vars ->
+      for k = 0 to Array.length vars - 2 do
+        Coo.add coo !ci vars.(k) (-1.0);
+        Coo.add coo !ci vars.(k + 1) 1.0;
+        incr ci
+      done)
+    groups;
+  Coo.to_csr coo
+
 let boxed (model : Model.t) (config : Config.t) =
   let n = model.Model.nvars and m = Model.num_constraints model in
-  let b = Model.b_mat model in
+  let b = csr_of_groups ~nvars:n model.Model.row_vars in
   let { Config.lambda; beta; theta; _ } = config in
   let d = Schur.tridiag model ~lambda in
   let d_over_theta = Tridiag.scale (1.0 /. theta) d in
   let bottom_solve_mat = Tridiag.add_scaled_identity d_over_theta 1.0 in
-  let ete_buf = Vec.zeros n in
   let split z = (Array.sub z 0 n, Array.sub z n m) in
   let q_tilde_into x out =
     (* out := x + lambda E^T E x *)
-    Blocks.apply_ete_into model.blocks x ete_buf;
+    let ete_buf = Blocks.apply_ete model.blocks x in
     for i = 0 to n - 1 do
       out.(i) <- x.(i) +. (lambda *. ete_buf.(i))
     done

@@ -44,7 +44,7 @@ let test_mmsim_gauss_seidel_solves () =
   List.iter
     (fun n ->
       let p = random_spd_lcp rand n in
-      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+      let ops = Gauss_seidel.operators p.Lcp.a in
       let out = Mmsim.solve ops ~q:p.Lcp.q in
       Alcotest.(check bool)
         (Printf.sprintf "converged n=%d" n)
@@ -59,7 +59,7 @@ let test_mmsim_agrees_with_pgs () =
   for _ = 1 to 10 do
     let n = 3 + int_of_float (rand () *. 10.0) in
     let p = random_spd_lcp rand n in
-    let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+    let ops = Gauss_seidel.operators p.Lcp.a in
     let mm = Mmsim.solve ops ~q:p.Lcp.q in
     let pg = Pgs.solve p in
     Alcotest.(check bool) "pgs converged" true pg.Pgs.converged;
@@ -71,7 +71,7 @@ let test_mmsim_agrees_with_pgs () =
 let test_mmsim_complementary_w () =
   let rand = mk_rand 23 in
   let p = random_spd_lcp rand 8 in
-  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+  let ops = Gauss_seidel.operators p.Lcp.a in
   let options = Mmsim.default_options in
   let out = Mmsim.solve ~options ops ~q:p.Lcp.q in
   let w = Mmsim.w_of_s options ops out.Mmsim.s in
@@ -85,7 +85,7 @@ let test_mmsim_complementary_w () =
 let test_mmsim_gamma_invariance () =
   let rand = mk_rand 31 in
   let p = random_spd_lcp rand 6 in
-  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+  let ops = Gauss_seidel.operators p.Lcp.a in
   let solve gamma =
     let options = { Mmsim.default_options with gamma } in
     (Mmsim.solve ~options ops ~q:p.Lcp.q).Mmsim.z
@@ -97,7 +97,7 @@ let test_mmsim_gamma_invariance () =
 let test_mmsim_warm_start_at_solution () =
   let rand = mk_rand 37 in
   let p = random_spd_lcp rand 8 in
-  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+  let ops = Gauss_seidel.operators p.Lcp.a in
   let options = Mmsim.default_options in
   let first = Mmsim.solve ~options ops ~q:p.Lcp.q in
   let second = Mmsim.solve ~options ~s0:first.Mmsim.s ops ~q:p.Lcp.q in
@@ -107,7 +107,7 @@ let test_mmsim_warm_start_at_solution () =
 
 let test_mmsim_validation () =
   let p = random_spd_lcp (mk_rand 1) 3 in
-  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+  let ops = Gauss_seidel.operators p.Lcp.a in
   Alcotest.(check bool) "bad gamma" true
     (try
        ignore
@@ -124,7 +124,7 @@ let test_mmsim_validation () =
      ran the whole budget, eps = infinity "converged" after one iteration
      at a non-solution, and a non-finite gamma produced NaN iterates *)
   let p = Lcp.of_dense (Dense.scale 2.0 (Dense.identity 2)) (Vec.of_list [ -1.0; 1.0 ]) in
-  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+  let ops = Gauss_seidel.operators p.Lcp.a in
   List.iter
     (fun (name, options) ->
       Alcotest.(check bool) name true
@@ -146,7 +146,7 @@ let test_mmsim_stalled_z_regression () =
       [| [| 1.26359; -0.216442 |]; [| -0.216442; 1.21613 |] |]
   in
   let p = Lcp.of_dense a (Vec.of_list [ 1.33375; -0.0748509 ]) in
-  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+  let ops = Gauss_seidel.operators p.Lcp.a in
   let out = Mmsim.solve ops ~q:p.Lcp.q in
   Alcotest.(check bool) "converged" true out.Mmsim.converged;
   Alcotest.(check bool) "to an actual solution" true
@@ -160,7 +160,7 @@ let test_gs_operators_validation () =
   (* zero diagonal *)
   Alcotest.(check bool) "zero diagonal rejected" true
     (try
-       ignore (Mmsim.gauss_seidel_operators (Coo.to_csr bad));
+       ignore (Gauss_seidel.operators (Coo.to_csr bad));
        false
      with Invalid_argument _ -> true)
 
@@ -245,7 +245,7 @@ let qc_mmsim_random_spd =
     (fun (n, seed) ->
       let rand = mk_rand (seed + 1) in
       let p = random_spd_lcp rand n in
-      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+      let ops = Gauss_seidel.operators p.Lcp.a in
       (* ill-conditioned draws converge slowly under the GS splitting:
          give the iteration room, then judge by the residual *)
       let options = { Mmsim.default_options with max_iter = 500_000 } in
@@ -262,7 +262,7 @@ let qc_mmsim_adversarial_s0_same_fixed_point =
     (fun (n, seed, magnitude) ->
       let rand = mk_rand (seed + 11) in
       let p = random_spd_lcp rand n in
-      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+      let ops = Gauss_seidel.operators p.Lcp.a in
       let options = { Mmsim.default_options with max_iter = 500_000 } in
       let cold = Mmsim.solve ~options ops ~q:p.Lcp.q in
       let s0 =
@@ -283,7 +283,7 @@ let qc_mmsim_warm_start_reduces_iterations =
     (fun (n, seed) ->
       let rand = mk_rand (seed + 13) in
       let p = random_spd_lcp rand n in
-      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+      let ops = Gauss_seidel.operators p.Lcp.a in
       let options = { Mmsim.default_options with max_iter = 500_000 } in
       let first = Mmsim.solve ~options ops ~q:p.Lcp.q in
       (* perturb the linear term by ~0.1% of its magnitude *)
@@ -331,7 +331,7 @@ let qc_accel_matches_reference =
     (fun (n, seed, accel, (budget, magnitude)) ->
       let rand = mk_rand (seed + 31) in
       let p = random_spd_lcp rand n in
-      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+      let ops = Gauss_seidel.operators p.Lcp.a in
       let max_iter = Option.value budget ~default:100_000 in
       let options = { Mmsim.default_options with max_iter; accel } in
       let scale = 10.0 ** float_of_int magnitude in
@@ -344,7 +344,7 @@ let test_accel_reset_matches_reference () =
   (* a start whose differences square to infinity makes the first
      extrapolations non-finite: the history resets, then refills *)
   let p = random_spd_lcp (mk_rand 5) 3 in
-  let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+  let ops = Gauss_seidel.operators p.Lcp.a in
   let options = { Mmsim.default_options with accel = 8 } in
   let s0 = Vec.of_list [ 1e160; -3e160; 2e160 ] in
   let fast = Mmsim.solve ~options ~s0 ops ~q:p.Lcp.q in
@@ -389,7 +389,7 @@ let qc_mmsim_accel_same_fixed_point =
     (fun (n, seed) ->
       let rand = mk_rand (seed + 19) in
       let p = random_spd_lcp rand n in
-      let ops = Mmsim.gauss_seidel_operators p.Lcp.a in
+      let ops = Gauss_seidel.operators p.Lcp.a in
       let plain =
         Mmsim.solve
           ~options:{ Mmsim.default_options with max_iter = 500_000 }

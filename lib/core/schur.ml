@@ -2,32 +2,6 @@ open Mclh_linalg
 
 type path = Sherman_morrison | Exact_chains
 
-(* assoc-list dot product with a two-nonzero B row *)
-let dot_with_row entries (l, j) =
-  let look v =
-    List.fold_left
-      (fun acc (v', value) -> if v' = v then acc +. value else acc)
-      0.0 entries
-  in
-  look j -. look l
-
-(* column c_i = Q~^-1 B_i^T for the exact path *)
-let column_exact (model : Model.t) ~lambda (l, j) =
-  Blocks.solve_shifted_sparse ~alpha:1.0 ~coef:lambda model.blocks
-    [ (l, -1.0); (j, 1.0) ]
-
-(* column via the closed form, valid when every chain is a pair:
-   c_i = B_i^T - mu E^T E B_i^T with mu = lambda/(2 lambda + 1) *)
-let column_sm ~partner ~lambda (l, j) =
-  let mu = lambda /. ((2.0 *. lambda) +. 1.0) in
-  let contrib acc (v, coeff) =
-    let acc = (v, coeff) :: acc in
-    match partner.(v) with
-    | -1 -> acc
-    | p -> (v, -.mu *. coeff) :: (p, mu *. coeff) :: acc
-  in
-  List.fold_left contrib [] [ (l, -1.0); (j, 1.0) ]
-
 let partner_array (model : Model.t) =
   let partner = Array.make model.nvars (-1) in
   for c = 0 to Blocks.num_chains model.blocks - 1 do
@@ -40,6 +14,32 @@ let partner_array (model : Model.t) =
   done;
   partner
 
+(* Entry [v] of the column c = Q~^-1 B_i^T for the pair (l, j) of
+   constraint i, as a sum over the column's sparse terms in a fixed
+   order (starting from 0.0, so a lone -0 term reads +0).
+
+   Sherman-Morrison, when every chain is a pair: c = B_i^T - mu E^T E
+   B_i^T with mu = lambda/(2 lambda + 1). Its terms, in summation order:
+   (j, -mu) and (partner j, mu) when j has a partner, (j, 1), then
+   (l, mu) and (partner l, -mu) when l has one, then (l, -1).
+
+   Exact chains: the arrowhead solve of each chain holding l or j
+   ({!Blocks.solve_pair_entry}); every variable carries one term. *)
+let entry_sm ~partner ~mu ~l ~j v =
+  let acc = ref 0.0 in
+  let pj = partner.(j) and pl = partner.(l) in
+  if pj >= 0 then begin
+    if j = v then acc := !acc +. (-.mu *. 1.0);
+    if pj = v then acc := !acc +. (mu *. 1.0)
+  end;
+  if j = v then acc := !acc +. 1.0;
+  if pl >= 0 then begin
+    if l = v then acc := !acc +. (-.mu *. -1.0);
+    if pl = v then acc := !acc +. (mu *. -1.0)
+  end;
+  if l = v then acc := !acc +. -1.0;
+  !acc
+
 let tridiag ?path (model : Model.t) ~lambda =
   if lambda <= 0.0 then invalid_arg "Schur.tridiag: lambda must be positive";
   let m = Model.num_constraints model in
@@ -49,24 +49,30 @@ let tridiag ?path (model : Model.t) ~lambda =
     | None ->
       if Blocks.all_double model.blocks then Sherman_morrison else Exact_chains
   in
-  let column =
+  let entry =
     match path with
-    | Exact_chains -> column_exact model ~lambda
+    | Exact_chains ->
+      let blocks = model.blocks in
+      fun ~l ~j v ->
+        0.0 +. Blocks.solve_pair_entry ~alpha:1.0 ~coef:lambda blocks ~l ~j v
     | Sherman_morrison ->
       let partner = partner_array model in
-      column_sm ~partner ~lambda
+      let mu = lambda /. ((2.0 *. lambda) +. 1.0) in
+      entry_sm ~partner ~mu
   in
-  (* constraint i couples (left.(i), left.(i) + 1); ints rather than
-     [Decompose.constraint_pairs]' tuples, which cost ~14 ms more per
-     operator set on a 280k-constraint shard *)
+  (* constraint i couples (left.(i), left.(i) + 1); B_k c is the column's
+     entry at k's right variable minus the one at its left *)
   let left = Model.constraint_left model in
-  let pair i = (left.(i), left.(i) + 1) in
   let diag = Array.make m 0.0 in
   let off = Array.make (max 0 (m - 1)) 0.0 in
   for i = 0 to m - 1 do
-    let c = column (pair i) in
-    diag.(i) <- dot_with_row c (pair i);
+    let l = left.(i) in
+    let j = l + 1 in
+    diag.(i) <- entry ~l ~j j -. entry ~l ~j l;
     if i + 1 < m && not (Array.length model.d_split > 0 && model.d_split.(i))
-    then off.(i) <- dot_with_row c (pair (i + 1))
+    then begin
+      let l' = left.(i + 1) in
+      off.(i) <- entry ~l ~j (l' + 1) -. entry ~l ~j l'
+    end
   done;
   Tridiag.of_symmetric ~diag ~off

@@ -6,7 +6,14 @@ type operators = {
   apply_n_into : Vec.t -> Vec.t -> unit;
   solve_m_omega_into : Vec.t -> Vec.t -> unit;
   omega_diag : Vec.t;
+  chunks : int;
+  region : int -> (int -> unit) -> unit;
 }
+
+let sequential k f =
+  for c = 0 to k - 1 do
+    f c
+  done
 
 type options = { gamma : float; eps : float; max_iter : int; accel : int }
 
@@ -117,58 +124,49 @@ let solve_gram st mk =
    oscillates, so the step falls back to plain G and the history resets *)
 let coef_limit = 1e4
 
-(* advance the accelerated iteration: given the plain step [g] from the
-   point [s] (with iteration number [k], 1-based), write the next iterate
-   into [s]. Falls back to [s <- g] whenever the extrapolation is not
-   trustworthy. *)
-let accel_advance st ~k ~n s g =
-  let { depth; hist_df; hist_dg; f; g_prev; dfdf; gram; bvec; coef; _ } =
-    st
+(* The accelerated advance over [st]: given the plain step [g] from the
+   point [s] (with iteration number [k], 1-based), it writes the next
+   iterate into [s], falling back to [s <- g] whenever the extrapolation
+   is not trustworthy. Its vector passes run as regions: the elementwise
+   ones over the ranges [bounds.(c) .. bounds.(c + 1) - 1], the Gram row
+   and right-hand side over groups of four history columns, each entry
+   one ascending-i sum over all of [0, n). The task closures are built
+   here once, so an advance allocates nothing. *)
+let accel_stepper st ~n ~bounds ~region =
+  let { depth; hist_df; hist_dg; f; g_prev; dfdf; gram; bvec; coef; _ } = st in
+  let chunks = Array.length bounds - 1 in
+  let cur_s = ref f and cur_g = ref f and cur_mk = ref 0 in
+  let first_task c =
+    let s = !cur_s and g = !cur_g in
+    for i = bounds.(c) to bounds.(c + 1) - 1 do
+      f.(i) <- g.(i) -. s.(i);
+      g_prev.(i) <- g.(i)
+    done
   in
-  if k > 1 then begin
-    (* rotate: recycle the oldest pair's buffers for the newest *)
-    let last_df = hist_df.(depth - 1) and last_dg = hist_dg.(depth - 1) in
-    for j = depth - 1 downto 1 do
-      hist_df.(j) <- hist_df.(j - 1);
-      hist_dg.(j) <- hist_dg.(j - 1)
-    done;
-    hist_df.(0) <- last_df;
-    hist_dg.(0) <- last_dg;
-    for i = 0 to n - 1 do
+  let rotate_task c =
+    let s = !cur_s and g = !cur_g in
+    let last_df = hist_df.(0) and last_dg = hist_dg.(0) in
+    for i = bounds.(c) to bounds.(c + 1) - 1 do
       let gi = g.(i) in
       let fi = gi -. s.(i) in
       last_df.(i) <- fi -. f.(i);
       last_dg.(i) <- gi -. g_prev.(i);
       f.(i) <- fi;
       g_prev.(i) <- gi
-    done;
-    if st.nhist < depth then st.nhist <- st.nhist + 1;
-    (* the cached triangle follows the rotation down the diagonal; the
-       entries of the dropped oldest pair fall off the end *)
-    for a = depth - 2 downto 0 do
-      for b = depth - 2 downto a do
-        dfdf.(((a + 1) * depth) + b + 1) <- dfdf.((a * depth) + b)
-      done
     done
-  end
-  else
-    for i = 0 to n - 1 do
-      f.(i) <- g.(i) -. s.(i);
-      g_prev.(i) <- g.(i)
-    done;
-  let mk = st.nhist in
-  if mk = 0 then Vec.blit ~src:g ~dst:s
-  else begin
-    (* the Gram matrix's new row <df_0, df_b> and the right-hand side
-       <df_b, f>, four history vectors per pass over n with eight local
-       accumulators (OCaml keeps local float refs in registers; a
-       float-array accumulator would sit in memory), then one vector per
-       pass for the remainder. Each entry is still the ascending-i sum
-       of the same products. *)
-    let df0 = hist_df.(0) in
-    let b = ref 0 in
-    while !b + 4 <= mk do
-      let b0 = !b in
+  in
+  let blit_task c =
+    let lo = bounds.(c) in
+    Array.blit !cur_g lo !cur_s lo (bounds.(c + 1) - lo)
+  in
+  (* the Gram matrix's new row <df_0, df_b> and the right-hand side
+     <df_b, f> for the columns [4 t .. 4 t + 3]: four at once with eight
+     local accumulators (OCaml keeps local float refs in registers; a
+     float-array accumulator would sit in memory), one by one for a
+     shorter group *)
+  let dot_task t =
+    let df0 = hist_df.(0) and b0 = 4 * t in
+    if b0 + 4 <= !cur_mk then begin
       let x0 = hist_df.(b0) and x1 = hist_df.(b0 + 1)
       and x2 = hist_df.(b0 + 2) and x3 = hist_df.(b0 + 3) in
       let r0 = ref 0.0 and r1 = ref 0.0 and r2 = ref 0.0 and r3 = ref 0.0 in
@@ -192,69 +190,101 @@ let accel_advance st ~k ~n s g =
       dfdf.(b0 + 2) <- !r2;
       bvec.(b0 + 2) <- !h2;
       dfdf.(b0 + 3) <- !r3;
-      bvec.(b0 + 3) <- !h3;
-      b := b0 + 4
-    done;
-    for b = !b to mk - 1 do
-      let dfb = hist_df.(b) in
-      let row = ref 0.0 and rhs = ref 0.0 in
-      for i = 0 to n - 1 do
-        row := !row +. (df0.(i) *. dfb.(i));
-        rhs := !rhs +. (dfb.(i) *. f.(i))
-      done;
-      dfdf.(b) <- !row;
-      bvec.(b) <- !rhs
-    done;
-    for a = 0 to mk - 1 do
-      for b = a to mk - 1 do
-        let v = dfdf.((a * depth) + b) in
-        gram.(a).(b) <- v;
-        gram.(b).(a) <- v
-      done
-    done;
-    if not (solve_gram st mk) then begin
-      st.nhist <- 0;
-      Vec.blit ~src:g ~dst:s
+      bvec.(b0 + 3) <- !h3
     end
-    else begin
-      let cmag = ref 0.0 in
-      for j = 0 to mk - 1 do
-        cmag := !cmag +. Float.abs coef.(j)
+    else
+      for b = b0 to !cur_mk - 1 do
+        let dfb = hist_df.(b) in
+        let row = ref 0.0 and rhs = ref 0.0 in
+        for i = 0 to n - 1 do
+          row := !row +. (df0.(i) *. dfb.(i));
+          rhs := !rhs +. (dfb.(i) *. f.(i))
+        done;
+        dfdf.(b) <- !row;
+        bvec.(b) <- !rhs
+      done
+  in
+  (* s = g - sum_j c_j dg_j, four dg vectors per pass; [s] is the
+     running source after the first pass, so every entry keeps its
+     j-ordered chain of differences *)
+  let extrapolate_task c =
+    let s = !cur_s and mk = !cur_mk in
+    let lo = bounds.(c) and hi = bounds.(c + 1) - 1 in
+    let src = ref !cur_g and j = ref 0 in
+    while !j + 4 <= mk do
+      let j0 = !j in
+      let c0 = coef.(j0) and c1 = coef.(j0 + 1)
+      and c2 = coef.(j0 + 2) and c3 = coef.(j0 + 3) in
+      let v0 = hist_dg.(j0) and v1 = hist_dg.(j0 + 1)
+      and v2 = hist_dg.(j0 + 2) and v3 = hist_dg.(j0 + 3) in
+      let a = !src in
+      for i = lo to hi do
+        s.(i) <-
+          a.(i) -. (c0 *. v0.(i)) -. (c1 *. v1.(i)) -. (c2 *. v2.(i))
+          -. (c3 *. v3.(i))
       done;
-      if Float.is_nan !cmag || !cmag > coef_limit then begin
+      src := s;
+      j := j0 + 4
+    done;
+    for j = !j to mk - 1 do
+      let c = coef.(j) and v = hist_dg.(j) and a = !src in
+      for i = lo to hi do
+        s.(i) <- a.(i) -. (c *. v.(i))
+      done;
+      src := s
+    done
+  in
+  fun ~k s g ->
+    cur_s := s;
+    cur_g := g;
+    if k > 1 then begin
+      (* rotate: recycle the oldest pair's buffers for the newest *)
+      let last_df = hist_df.(depth - 1) and last_dg = hist_dg.(depth - 1) in
+      for j = depth - 1 downto 1 do
+        hist_df.(j) <- hist_df.(j - 1);
+        hist_dg.(j) <- hist_dg.(j - 1)
+      done;
+      hist_df.(0) <- last_df;
+      hist_dg.(0) <- last_dg;
+      region chunks rotate_task;
+      if st.nhist < depth then st.nhist <- st.nhist + 1;
+      (* the cached triangle follows the rotation down the diagonal; the
+         entries of the dropped oldest pair fall off the end *)
+      for a = depth - 2 downto 0 do
+        for b = depth - 2 downto a do
+          dfdf.(((a + 1) * depth) + b + 1) <- dfdf.((a * depth) + b)
+        done
+      done
+    end
+    else region chunks first_task;
+    let mk = st.nhist in
+    cur_mk := mk;
+    if mk = 0 then region chunks blit_task
+    else begin
+      region ((mk + 3) / 4) dot_task;
+      for a = 0 to mk - 1 do
+        for b = a to mk - 1 do
+          let v = dfdf.((a * depth) + b) in
+          gram.(a).(b) <- v;
+          gram.(b).(a) <- v
+        done
+      done;
+      if not (solve_gram st mk) then begin
         st.nhist <- 0;
-        Vec.blit ~src:g ~dst:s
+        region chunks blit_task
       end
       else begin
-        (* s = g - sum_j c_j dg_j, four dg vectors per pass; [s] is the
-           running source after the first pass, so every entry keeps its
-           j-ordered chain of differences *)
-        let src = ref g and j = ref 0 in
-        while !j + 4 <= mk do
-          let j0 = !j in
-          let c0 = coef.(j0) and c1 = coef.(j0 + 1)
-          and c2 = coef.(j0 + 2) and c3 = coef.(j0 + 3) in
-          let v0 = hist_dg.(j0) and v1 = hist_dg.(j0 + 1)
-          and v2 = hist_dg.(j0 + 2) and v3 = hist_dg.(j0 + 3) in
-          let a = !src in
-          for i = 0 to n - 1 do
-            s.(i) <-
-              a.(i) -. (c0 *. v0.(i)) -. (c1 *. v1.(i)) -. (c2 *. v2.(i))
-              -. (c3 *. v3.(i))
-          done;
-          src := s;
-          j := j0 + 4
+        let cmag = ref 0.0 in
+        for j = 0 to mk - 1 do
+          cmag := !cmag +. Float.abs coef.(j)
         done;
-        for j = !j to mk - 1 do
-          let c = coef.(j) and v = hist_dg.(j) and a = !src in
-          for i = 0 to n - 1 do
-            s.(i) <- a.(i) -. (c *. v.(i))
-          done;
-          src := s
-        done
+        if Float.is_nan !cmag || !cmag > coef_limit then begin
+          st.nhist <- 0;
+          region chunks blit_task
+        end
+        else region chunks extrapolate_task
       end
     end
-  end
 
 let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
   validate ~name:"Mmsim.solve" options;
@@ -263,6 +293,7 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
   if Vec.dim q <> n then invalid_arg "Mmsim.solve: q dimension mismatch";
   if Vec.dim ops.omega_diag <> n then
     invalid_arg "Mmsim.solve: omega dimension mismatch";
+  if ops.chunks < 1 then invalid_arg "Mmsim.solve: chunks must be positive";
   let s =
     match s0 with
     | None -> Vec.zeros n
@@ -281,41 +312,43 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
   for i = 0 to n - 1 do
     !z_prev.(i) <- (Float.abs s.(i) +. s.(i)) /. gamma
   done;
-  let acc_state = if accel > 0 then Some (make_accel accel n) else None in
+  (* the loop's elementwise passes run as regions over [chunks] fixed
+     ranges of [0, n); each entry is computed as in one sequential pass,
+     so the ranges and the domains that run them never change a bit *)
+  let chunks = ops.chunks and region = ops.region in
+  let bounds = Array.init (chunks + 1) (fun c -> c * n / chunks) in
+  let advance =
+    if accel > 0 then Some (accel_stepper (make_accel accel n) ~n ~bounds ~region)
+    else None
+  in
   (* the plain path advances by swapping the [cur]/[nxt] buffers; the
      accelerated path writes its combination back into [cur] instead.
      [last] always names the buffer holding the newest plain step, which
      is what the outcome reports on every exit path. *)
   let cur = ref s and nxt = ref g in
   let last = ref g in
-  let iters = ref 0 in
-  let converged = ref false and diverged = ref false in
-  let delta_last = ref 0.0 in
-  while (not !converged) && (not !diverged) && !iters < max_iter do
-    incr iters;
-    let s = !cur and g = !nxt in
-    (* g := G(s), the plain modulus step:
-       (M + Omega) g = N s + (Omega - A) |s| - gamma q *)
-    Vec.abs_into s abs_s;
-    ops.apply_n_into s rhs;
-    ops.apply_a_into abs_s a_abs;
-    for i = 0 to n - 1 do
+  let omega = ops.omega_diag in
+  let abs_task c =
+    let s = !cur in
+    for i = bounds.(c) to bounds.(c + 1) - 1 do
+      abs_s.(i) <- Float.abs s.(i)
+    done
+  in
+  let rhs_task c =
+    for i = bounds.(c) to bounds.(c + 1) - 1 do
       rhs.(i) <-
-        rhs.(i)
-        +. (ops.omega_diag.(i) *. abs_s.(i))
-        -. a_abs.(i)
-        -. (gamma *. q.(i))
-    done;
-    ops.solve_m_omega_into rhs g;
-    last := g;
-    (* the stopping test always judges the plain step: the z change plus
-       stationarity of the modulus vector relative to its own scale, so
-       acceleration changes how fast the fixed point is approached but
-       never what "converged" means *)
+        rhs.(i) +. (omega.(i) *. abs_s.(i)) -. a_abs.(i) -. (gamma *. q.(i))
+    done
+  in
+  (* the stopping test's scan, one maximum and NaN flag per range; the
+     maxima combine exactly in any order *)
+  let c_delta = Array.make chunks 0.0 and c_delta_s = Array.make chunks 0.0
+  and c_scale = Array.make chunks 1.0 and c_nan = Array.make chunks false in
+  let scan_task c =
+    let s = !cur and g = !nxt and z_new = !z and z_old = !z_prev in
     let delta = ref 0.0 and nan_seen = ref false in
     let delta_s = ref 0.0 and s_scale = ref 1.0 in
-    let z_new = !z and z_old = !z_prev in
-    for i = 0 to n - 1 do
+    for i = bounds.(c) to bounds.(c + 1) - 1 do
       let zi = (Float.abs g.(i) +. g.(i)) /. gamma in
       z_new.(i) <- zi;
       let d = Float.abs (zi -. z_old.(i)) in
@@ -326,7 +359,40 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
       let a = Float.abs g.(i) in
       if a > !s_scale then s_scale := a
     done;
-    z := z_old;
+    c_delta.(c) <- !delta;
+    c_delta_s.(c) <- !delta_s;
+    c_scale.(c) <- !s_scale;
+    c_nan.(c) <- !nan_seen
+  in
+  let iters = ref 0 in
+  let converged = ref false and diverged = ref false in
+  let delta_last = ref 0.0 in
+  while (not !converged) && (not !diverged) && !iters < max_iter do
+    incr iters;
+    let s = !cur and g = !nxt in
+    (* g := G(s), the plain modulus step:
+       (M + Omega) g = N s + (Omega - A) |s| - gamma q *)
+    region chunks abs_task;
+    ops.apply_n_into s rhs;
+    ops.apply_a_into abs_s a_abs;
+    region chunks rhs_task;
+    ops.solve_m_omega_into rhs g;
+    last := g;
+    (* the stopping test always judges the plain step: the z change plus
+       stationarity of the modulus vector relative to its own scale, so
+       acceleration changes how fast the fixed point is approached but
+       never what "converged" means *)
+    region chunks scan_task;
+    let delta = ref 0.0 and nan_seen = ref false in
+    let delta_s = ref 0.0 and s_scale = ref 1.0 in
+    for c = 0 to chunks - 1 do
+      if c_nan.(c) then nan_seen := true;
+      if c_delta.(c) > !delta then delta := c_delta.(c);
+      if c_delta_s.(c) > !delta_s then delta_s := c_delta_s.(c);
+      if c_scale.(c) > !s_scale then s_scale := c_scale.(c)
+    done;
+    let z_new = !z in
+    z := !z_prev;
     z_prev := z_new;
     delta_last := (if !nan_seen then Float.nan else !delta);
     (* the observer branch is allocation-free when [on_iter] is [None],
@@ -335,11 +401,11 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
     if !nan_seen then diverged := true
     else if !delta < eps && !delta_s < eps *. !s_scale then converged := true
     else
-      match acc_state with
+      match advance with
       | None ->
         cur := g;
         nxt := s
-      | Some st -> accel_advance st ~k:!iters ~n s g
+      | Some advance -> advance ~k:!iters s g
   done;
   { z = Vec.copy !z_prev;
     s = Vec.copy !last;

@@ -29,7 +29,21 @@ type operators = {
       (** [solve_m_omega_into rhs dst] solves [(M + Omega) dst = rhs];
           [rhs] may be clobbered *)
   omega_diag : Vec.t;  (** the positive diagonal of [Omega] *)
+  chunks : int;
+      (** how many fixed ranges of [0, dim) the loop's own vector passes
+          are cut into (at least 1) *)
+  region : int -> (int -> unit) -> unit;
+      (** [region k f] runs [f 0], ..., [f (k - 1)], each once, and
+          returns when all have finished; the tasks of one region write
+          disjoint entries, so they may run concurrently
+          ([Mclh_par.Pool.region]) or in order ({!sequential}). It must
+          not allocate, for the loop's steady state to stay
+          allocation-free. *)
 }
+
+val sequential : int -> (int -> unit) -> unit
+(** [sequential k f] runs [f 0 .. f (k - 1)] in order on the caller: the
+    [region] of operators that run on one domain. *)
 
 type options = {
   gamma : float;  (** positive scaling constant; the fixed point is invariant *)
@@ -95,6 +109,16 @@ val solve :
     iteration number and the iterate change [||z_k - z_{k-1}||_inf] (NaN
     when the divergence guard fires) — the hook the observability layer
     uses for convergence traces.
+
+    Every pass of the loop over the iterate runs as a [ops.region] of
+    tasks. The elementwise ones (|s|, the right-hand side, the z/delta
+    scan, the Anderson history update and extrapolation) split [0, n)
+    into [ops.chunks] fixed ranges; the stopping test combines one
+    maximum and one NaN flag per range, which is exact in any order; the
+    Anderson Gram row and right-hand side split across groups of four
+    history columns, never across [i], so each entry stays one
+    ascending-[i] sum. The iterates are therefore the same bits whatever
+    [ops.chunks] is and however the regions run.
 
     All iteration state lives in buffers allocated once per call. Without
     [on_iter] the steady state allocates zero minor-heap words per

@@ -74,4 +74,10 @@ let operators ?omega a =
       dst.(i) <- !acc /. (diag.(i) +. omega_diag.(i))
     done
   in
-  { Mmsim.dim = n; apply_a_into; apply_n_into; solve_m_omega_into; omega_diag }
+  { Mmsim.dim = n;
+    apply_a_into;
+    apply_n_into;
+    solve_m_omega_into;
+    omega_diag;
+    chunks = 1;
+    region = Mmsim.sequential }

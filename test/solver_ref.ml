@@ -28,6 +28,20 @@ let csr_of_groups ~nvars groups =
     groups;
   Coo.to_csr coo
 
+(* the sweeps a [Tridiag.factor] describes, as one sequential caller
+   runs them; [b] and [dst] may be the same array *)
+let solve_prefactored (f : Tridiag.factor) b dst =
+  let n = Array.length f.Tridiag.f_denom in
+  if n > 0 then begin
+    dst.(0) <- b.(0) /. f.f_denom.(0);
+    for i = 1 to n - 1 do
+      dst.(i) <- (b.(i) -. (f.f_sub.(i - 1) *. dst.(i - 1))) /. f.f_denom.(i)
+    done;
+    for i = n - 2 downto 0 do
+      dst.(i) <- dst.(i) -. (f.f_cprime.(i) *. dst.(i + 1))
+    done
+  end
+
 let boxed (model : Model.t) (config : Config.t) =
   let n = model.Model.nvars and m = Model.num_constraints model in
   let b = csr_of_groups ~nvars:n model.Model.row_vars in
@@ -100,4 +114,6 @@ let operators model config =
     apply_n_into = (fun v dst -> Array.blit (apply_n v) 0 dst 0 dim);
     solve_m_omega_into =
       (fun rhs dst -> Array.blit (solve_m_omega rhs) 0 dst 0 dim);
-    omega_diag = Vec.create dim 1.0 }
+    omega_diag = Vec.create dim 1.0;
+    chunks = 1;
+    region = Mclh_lcp.Mmsim.sequential }

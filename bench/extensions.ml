@@ -62,7 +62,7 @@ let refine_table () =
         { title = "HPWL before"; align = Right };
         { title = "HPWL after"; align = Right };
         { title = "gain"; align = Right };
-        { title = "moves/swaps/reorders"; align = Right } ]
+        { title = "moves/reorders"; align = Right } ]
   in
   List.iter
     (fun name ->
@@ -78,7 +78,7 @@ let refine_table () =
               Table.fmt_int stats.Mclh_refine.Refine.hpwl_before;
               Table.fmt_int stats.hpwl_after;
               Table.fmt_pct 2 (Mclh_refine.Refine.improvement stats);
-              Printf.sprintf "%d/%d/%d" stats.moves stats.swaps stats.reorders ])
+              Printf.sprintf "%d/%d" stats.moves stats.reorders ])
         [ Runner.Mmsim; Runner.Abacus_multirow ])
     bench_names;
   print_string (Table.render table);

@@ -145,7 +145,7 @@ let strict_arg =
 
 let refine_arg =
   let doc =
-    "Run the detailed-placement refinement (global moves, swaps, window \
+    "Run the detailed-placement refinement (global moves and window \
      reordering) after legalization."
   in
   Arg.(value & flag & info [ "refine" ] ~doc)
@@ -387,10 +387,10 @@ let maybe_refine design refine (r : Runner.report) =
   if not refine then r
   else begin
     let refined, stats = Mclh_refine.Refine.run design r.Runner.placement in
-    Printf.printf "refinement       : HPWL %.1f -> %.1f (%.2f%%), %d moves, %d swaps, %d reorders\n"
+    Printf.printf "refinement       : HPWL %.1f -> %.1f (%.2f%%), %d moves, %d reorders\n"
       stats.Mclh_refine.Refine.hpwl_before stats.hpwl_after
       (100.0 *. Mclh_refine.Refine.improvement stats)
-      stats.moves stats.swaps stats.reorders;
+      stats.moves stats.reorders;
     { r with
       Runner.placement = refined;
       legal = Mclh_circuit.Legality.is_legal design refined;

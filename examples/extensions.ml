@@ -44,10 +44,10 @@ let () =
   let refined, stats = Mclh_refine.Refine.run design legal in
   assert (Legality.is_legal design refined);
   Printf.printf
-    "refinement: HPWL %.0f -> %.0f (%.1f%% better; %d moves, %d swaps, %d reorders)\n"
+    "refinement: HPWL %.0f -> %.0f (%.1f%% better; %d moves, %d reorders)\n"
     stats.Mclh_refine.Refine.hpwl_before stats.hpwl_after
     (100.0 *. Mclh_refine.Refine.improvement stats)
-    stats.moves stats.swaps stats.reorders;
+    stats.moves stats.reorders;
 
   Svg.write_file ~path:"extensions.svg" design refined;
   Printf.printf "layout with blockages written to extensions.svg\n"

@@ -499,8 +499,10 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
   let completed = Atomic.make 0 in
   let progress_step = max 1 (ns / 20) in
   let heartbeat = config.progress && ns = 1 in
-  (* shard [i], given its sub-model [sub] *)
-  let solve_on ?ops i sub =
+  (* shard [i], given its sub-model [sub]; [alone] when it runs outside
+     the shard fan-out, the only shard or the dominant one, so that its
+     regions may use the pool *)
+  let solve_on ?ops ?(alone = ns = 1) i sub =
     let shard = shards.(i) in
     (* each pool job records into its own trace; [on_trace] hands them to
        the caller after fan-in (recorders are not thread-safe, see
@@ -526,8 +528,10 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
     outs.(i) <- Some (out, tr);
     if config.progress then begin
       if out.chunks > 1 then
-        Printf.eprintf "[mclh] solve: shard %d (dim %d) ran as %d chunks\n%!" i
-          (Decompose.shard_dim shard) out.chunks;
+        Printf.eprintf "[mclh] solve: shard %d (dim %d) ran as %d chunks %s\n%!"
+          i (Decompose.shard_dim shard) out.chunks
+          (if alone then "alone (its regions may use the pool)"
+           else "in the shard fan-out (its regions on one domain)");
       let k = Atomic.fetch_and_add completed 1 + 1 in
       if k mod progress_step = 0 || k = ns then
         Printf.eprintf "[mclh] solve: %d/%d shards done\n%!" k ns
@@ -559,7 +563,7 @@ let solve_shards ?on_trace ?s0 (config : Config.t) (model : Model.t) shards ~x ~
   let rest, solve_shard =
     match lead with
     | Some (i, sub, ops) when ops.Mclh_lcp.Mmsim.chunks >= 2 ->
-      solve_on ~ops i sub;
+      solve_on ~ops ~alone:true i sub;
       (Array.sub order 1 (ns - 1), extract_and_solve)
     | Some (i, sub, ops) ->
       (order, fun j -> if j = i then solve_on ~ops j sub else extract_and_solve j)

@@ -147,7 +147,9 @@ val solve :
 
     [obs] records [solver/iterations], [solver/iterations_total],
     [solver/components], [solver/largest_dim], [solver/chunks] (the
-    largest shard's {!chunk_groups} count) and [solver/nonconverged]
+    chunk plan of the largest shard: its {!chunk_groups} count, whether
+    or not its regions ran on more than one domain) and
+    [solver/nonconverged]
     counters, the [solver/fallbacks] count, the
     [solver/delta_inf] / [solver/mismatch] gauges, and per-iteration
     convergence traces: [solver/delta_inf] when the solve has one shard,
@@ -197,8 +199,13 @@ val solve_shards :
     chunks ({!chunk_groups}) runs first, on the calling thread, with the
     pool free for its operators' regions; the other shards then fan out
     over the domain pool, heaviest first, and a lone one runs on the
-    calling thread. With [config.progress], a shard cut into
-    several chunks prints its chunk count when it is done. When
+    calling thread. With [config.progress], a shard cut into several
+    chunks prints its chunk count when it is done, and whether it ran
+    alone, its regions free to use the pool (the dominant shard taken out
+    of the fan-out, or the only shard), or in the shard fan-out, its
+    regions on one domain. Under a caller that already holds the pool,
+    such as a fence territory, a shard that ran alone also ran its
+    regions in order. When
     [on_trace] is given, every shard records a convergence trace, handed over as [on_trace i ~iterations
     trace] on the calling thread after fan-in, in shard order. *)
 

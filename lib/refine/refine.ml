@@ -1,25 +1,19 @@
 open Mclh_circuit
 module Obs = Mclh_obs.Obs
 
-type options = {
-  passes : int;
-  window : int;
-  move_radius : int;
-  seed : int;
-  enable_moves : bool;
-  enable_swaps : bool;
-  enable_reorders : bool;
-}
+(* maximum sweeps over all cells; a sweep that accepts nothing ends early *)
+let passes = 3
 
-let default_options =
-  { passes = 3; window = 3; move_radius = 5; seed = 1; enable_moves = true;
-    enable_swaps = true; enable_reorders = true }
+(* row radius of a global move's spot search *)
+let move_radius = 5
+
+(* seed of the LCG that shuffles the visit order *)
+let order_seed = 1
 
 type stats = {
   hpwl_before : float;
   hpwl_after : float;
   moves : int;
-  swaps : int;
   reorders : int;
   passes_run : int;
   skipped_cells : int;
@@ -107,7 +101,7 @@ let optimal_target st i =
     let ty = median !ys -. (float_of_int c.Cell.height /. 2.0) in
     Some (int_of_float (Float.round tx), int_of_float (Float.round ty))
 
-let try_global_move st options i =
+let try_global_move st i =
   match optimal_target st i with
   | None -> false
   | Some (tx, ty) ->
@@ -120,7 +114,7 @@ let try_global_move st options i =
         max 0 (min ((Occupancy.chip st.occ).Chip.num_rows - c.Cell.height) ty)
       in
       match
-        Occupancy.find_spot ~row_window:options.move_radius st.occ c ~row0
+        Occupancy.find_spot ~row_window:move_radius st.occ c ~row0
           ~x0:(max 0 tx)
       with
       | None ->
@@ -137,36 +131,6 @@ let try_global_move st options i =
         end
     end
 
-(* swap two footprint-identical cells when both rows admit both cells *)
-let try_swap st i j =
-  let ci, xi, ri = cell_geom st i and cj, xj, rj = cell_geom st j in
-  let chip = Occupancy.chip st.occ in
-  if
-    i = j
-    || st.skip.(j)
-    || ci.Cell.width <> cj.Cell.width
-    || ci.Cell.height <> cj.Cell.height
-    || (not (Chip.row_admits chip ci rj))
-    || not (Chip.row_admits chip cj ri)
-  then false
-  else begin
-    let nets = union_nets st.nets_of.(i) st.nets_of.(j) in
-    let before = nets_hpwl st nets in
-    st.pl.Placement.xs.(i) <- float_of_int xj;
-    st.pl.Placement.ys.(i) <- float_of_int rj;
-    st.pl.Placement.xs.(j) <- float_of_int xi;
-    st.pl.Placement.ys.(j) <- float_of_int ri;
-    let after = nets_hpwl st nets in
-    if after < before -. 1e-9 then true
-    else begin
-      st.pl.Placement.xs.(i) <- float_of_int xi;
-      st.pl.Placement.ys.(i) <- float_of_int ri;
-      st.pl.Placement.xs.(j) <- float_of_int xj;
-      st.pl.Placement.ys.(j) <- float_of_int rj;
-      false
-    end
-  end
-
 let rec permutations = function
   | [] -> [ [] ]
   | l ->
@@ -176,17 +140,12 @@ let rec permutations = function
         List.map (fun p -> x :: p) (permutations rest))
       l
 
-(* exhaustive window reorder enumerates [length!] permutations; above
-   this cap (720 candidates) the move stops paying for itself *)
-let max_reorder_window = 6
-
 (* re-sequence a window of consecutive single-height cells in one row:
    candidates are packed left-to-right from the window start, which keeps
    them inside the original span *)
 let try_reorder st ids =
   match ids with
   | [] | [ _ ] -> false
-  | _ when List.length ids > max_reorder_window -> false
   | _ ->
     (* earlier moves in the same pass may have re-sequenced these cells, so
        order by the *current* positions and pack from the current left
@@ -264,8 +223,7 @@ let try_reorder st ids =
       ids;
     reordered
 
-let run ?(options = default_options) ?obs (design : Design.t)
-    (input : Placement.t) =
+let run ?obs (design : Design.t) (input : Placement.t) =
   let chip = design.Design.chip in
   let pl = Placement.copy input in
   let occ = Occupancy.of_design design in
@@ -320,7 +278,7 @@ let run ?(options = default_options) ?obs (design : Design.t)
   let n = Design.num_cells design in
   (* deterministic visit order, shuffled by a tiny LCG *)
   let order = Array.init n (fun i -> i) in
-  let lcg = ref options.seed in
+  let lcg = ref order_seed in
   for i = n - 1 downto 1 do
     lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
     let j = !lcg mod (i + 1) in
@@ -328,59 +286,26 @@ let run ?(options = default_options) ?obs (design : Design.t)
     order.(i) <- order.(j);
     order.(j) <- tmp
   done;
-  (* footprint buckets for the swap move *)
-  let buckets = Hashtbl.create 64 in
-  Array.iter
-    (fun (c : Cell.t) ->
-      let key = (c.Cell.width, c.Cell.height) in
-      let prev = try Hashtbl.find buckets key with Not_found -> [] in
-      Hashtbl.replace buckets key (c.Cell.id :: prev))
-    design.Design.cells;
-  let moves = ref 0 and swaps = ref 0 and reorders = ref 0 in
+  let moves = ref 0 and reorders = ref 0 in
   let passes_run = ref 0 in
   let improved = ref true in
-  while !improved && !passes_run < options.passes do
+  while !improved && !passes_run < passes do
     improved := false;
     incr passes_run;
     (* pass 1: global moves *)
-    if options.enable_moves then
-      Array.iter
-        (fun i ->
-          if (not st.skip.(i)) && try_global_move st options i then begin
-            incr moves;
-            improved := true
-          end)
-        order;
-    (* pass 2: swaps among footprint twins (bounded candidate list) *)
-    if options.enable_swaps then
     Array.iter
       (fun i ->
-        if not st.skip.(i) then begin
-        let c = design.Design.cells.(i) in
-        let twins =
-          try Hashtbl.find buckets (c.Cell.width, c.Cell.height)
-          with Not_found -> []
-        in
-        let rec try_first k = function
-          | [] -> ()
-          | j :: rest ->
-            if k = 0 then ()
-            else if try_swap st i j then begin
-              incr swaps;
-              improved := true
-            end
-            else try_first (k - 1) rest
-        in
-        try_first 8 twins
+        if (not st.skip.(i)) && try_global_move st i then begin
+          incr moves;
+          improved := true
         end)
       order;
-    (* pass 3: window reorder of single-height runs. A window is only
-       valid when its cells are consecutive among *all* occupants of the
-       row — a multi-row cell sitting between them would be plowed over
-       by the contiguous repacking — and windows are disjoint so earlier
-       reorders cannot invalidate later ones. *)
+    (* pass 2: reorder windows of three consecutive single-height cells.
+       A window is only valid when its cells are consecutive among *all*
+       occupants of the row — a multi-row cell sitting between them would
+       be plowed over by the contiguous repacking — and windows are
+       disjoint so earlier reorders cannot invalidate later ones. *)
     let num_rows = chip.Chip.num_rows in
-    if options.enable_reorders then
     for row = 0 to num_rows - 1 do
       (* every cell whose vertical span covers [row], in x order *)
       let occupants =
@@ -398,15 +323,8 @@ let run ?(options = default_options) ?obs (design : Design.t)
         && int_of_float st.pl.Placement.ys.(i) = row
       in
       let rec windows = function
-        | a :: b :: c :: rest
-          when options.window >= 3 && is_single a && is_single b && is_single c ->
+        | a :: b :: c :: rest when is_single a && is_single b && is_single c ->
           if try_reorder st [ a; b; c ] then begin
-            incr reorders;
-            improved := true
-          end;
-          windows rest
-        | a :: b :: rest when options.window = 2 && is_single a && is_single b ->
-          if try_reorder st [ a; b ] then begin
             incr reorders;
             improved := true
           end;
@@ -422,7 +340,6 @@ let run ?(options = default_options) ?obs (design : Design.t)
     { hpwl_before;
       hpwl_after;
       moves = !moves;
-      swaps = !swaps;
       reorders = !reorders;
       passes_run = !passes_run;
       skipped_cells = List.length illegal } )

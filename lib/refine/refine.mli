@@ -2,39 +2,28 @@
 
     The paper's flow ends at legalization; its successor work (MrDP, Lin
     et al., ICCAD'16 — cited as [12]) refines the legal placement for
-    wirelength. This module implements the three classic local moves on
-    top of any legal placement, each preserving legality by construction:
+    wirelength. This module runs two local moves on top of any legal
+    placement, each preserving legality by construction:
 
-    - {b global move}: relocate one cell to the nearest free span inside
-      its optimal region (the median box of its connected nets);
-    - {b swap}: exchange two cells of identical footprint and compatible
-      rail parity;
-    - {b reorder}: optimally re-sequence small windows of consecutive
-      cells within a row segment.
+    - {b global move}: relocate one cell to the free spot nearest the
+      centre of its optimal region (the median box of its connected
+      nets), at most 5 rows away;
+    - {b reorder}: try every order of each window of three consecutive
+      single-height cells of a row and repack it from the window's left
+      edge.
 
-    Moves are accepted only when they strictly reduce HPWL, so the refined
-    placement is never worse. *)
+    Each sweep runs the global moves over all cells in a fixed shuffled
+    order, then the reorders row by row; at most 3 sweeps run, and a sweep
+    that accepts nothing ends the run. Moves are accepted only when they
+    strictly reduce HPWL, so the refined placement is never worse. *)
 
 open Mclh_circuit
-
-type options = {
-  passes : int;  (** maximum sweeps over all cells (default 3) *)
-  window : int;  (** reorder window size, 2 or 3 (default 3) *)
-  move_radius : int;  (** row radius for global moves (default 5) *)
-  seed : int;  (** tie-breaking/visit-order seed *)
-  enable_moves : bool;  (** run the global-move phase (default true) *)
-  enable_swaps : bool;  (** run the swap phase (default true) *)
-  enable_reorders : bool;  (** run the reorder phase (default true) *)
-}
-
-val default_options : options
 
 type stats = {
   hpwl_before : float;
   hpwl_after : float;
   moves : int;  (** accepted global moves *)
-  swaps : int;
-  reorders : int;
+  reorders : int;  (** accepted window reorders *)
   passes_run : int;
   skipped_cells : int;
       (** cells that were illegal in the input, frozen in place and
@@ -44,12 +33,7 @@ type stats = {
 val improvement : stats -> float
 (** Relative HPWL reduction, in [0, 1). *)
 
-val run :
-  ?options:options ->
-  ?obs:Mclh_obs.Obs.t ->
-  Design.t ->
-  Placement.t ->
-  Placement.t * stats
+val run : ?obs:Mclh_obs.Obs.t -> Design.t -> Placement.t -> Placement.t * stats
 (** [run design placement] refines a placement. A not-perfectly-legal
     input no longer aborts: the illegal cells are frozen in place (their
     clamped spans become obstacles), excluded from every move, counted in

@@ -57,21 +57,41 @@ let test_never_worse () =
   Alcotest.(check bool) "improvement in [0,1)" true
     (Refine.improvement stats >= 0.0 && Refine.improvement stats < 1.0)
 
-let test_individual_phases_legal () =
-  let inst = instance "fft_2" 0.008 in
-  let d = inst.Generate.design in
-  let legal = legal_flow d in
-  List.iter
-    (fun (label, options) ->
-      let refined, _ = Refine.run ~options d legal in
-      Alcotest.(check bool) (label ^ " legal") true (Legality.is_legal d refined))
-    [ ( "moves",
-        { Refine.default_options with enable_swaps = false; enable_reorders = false } );
-      ( "swaps",
-        { Refine.default_options with enable_moves = false; enable_reorders = false } );
-      ( "reorders",
-        { Refine.default_options with enable_moves = false; enable_swaps = false } );
-      ("window2", { Refine.default_options with window = 2 }) ]
+let test_reorder_untangles_crossing_nets () =
+  (* one fully packed row 0 1 2 3 with crossing nets {0,2} and {1,3}: a
+     global move finds no free span but the cell's own, so only the
+     reorder of the window (0 1 2) into (0 2 1) can shorten the nets *)
+  let chip = Chip.make ~num_rows:1 ~num_sites:8 () in
+  let cells = Array.init 4 (fun id -> Cell.make ~id ~width:2 ~height:1 ()) in
+  let pin cell = { Netlist.cell; dx = 1.0; dy = 0.5 } in
+  let nets = Netlist.make ~num_cells:4 [ [| pin 0; pin 2 |]; [| pin 1; pin 3 |] ] in
+  let pl () = Placement.make ~xs:[| 0.0; 2.0; 4.0; 6.0 |] ~ys:(Array.make 4 0.0) in
+  let d = Design.make ~name:"crossing" ~chip ~cells ~global:(pl ()) ~nets () in
+  let refined, stats = Refine.run d (pl ()) in
+  Alcotest.(check bool) "legal" true (Legality.is_legal d refined);
+  Alcotest.(check int) "no global moves" 0 stats.Refine.moves;
+  Alcotest.(check bool)
+    (Printf.sprintf "reorders >= 1 (%d)" stats.Refine.reorders)
+    true (stats.Refine.reorders >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "hpwl fell (%.1f -> %.1f)" stats.Refine.hpwl_before
+       stats.Refine.hpwl_after)
+    true
+    (stats.Refine.hpwl_after < stats.Refine.hpwl_before)
+
+(* the bits of the refined fft_2 placement, so that a refactor of the
+   moves cannot change the output unnoticed *)
+let test_pinned_md5 () =
+  let d = (instance "fft_2" 0.008).Generate.design in
+  let refined, _ = Refine.run d (legal_flow d) in
+  Alcotest.(check bool) "legal" true (Legality.is_legal d refined);
+  let path = Filename.temp_file "refined" ".pl.mclh" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.write_placement ~path refined;
+      Alcotest.(check string) "fft_2 0.008" "562aa6b0edcf57495f57d50b9a46c91d"
+        (Digest.to_hex (Digest.file path)))
 
 let test_tall_cells_refine () =
   let options =
@@ -154,7 +174,9 @@ let () =
         [ Alcotest.test_case "skips illegal input" `Quick test_skips_illegal_input;
           Alcotest.test_case "preserves legality" `Quick test_preserves_legality;
           Alcotest.test_case "never worse" `Quick test_never_worse;
-          Alcotest.test_case "individual phases" `Quick test_individual_phases_legal;
+          Alcotest.test_case "reorder untangles crossing nets" `Quick
+            test_reorder_untangles_crossing_nets;
+          Alcotest.test_case "pinned md5 fft_2 0.008" `Quick test_pinned_md5;
           Alcotest.test_case "tall cells" `Quick test_tall_cells_refine ] );
       ( "behaviour",
         [ Alcotest.test_case "no nets no-op" `Quick test_no_nets_noop;

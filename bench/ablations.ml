@@ -3,7 +3,6 @@
      solve vs the penalty factor;
    - beta/theta grid: convergence of the paper's Algorithm 1 around its
      0.5/0.5 (Theorem 2's bound check included);
-   - Schur path: Sherman-Morrison closed form vs exact per-chain solves;
    - warm start vs the paper's start: iterations of the production
      solve. *)
 
@@ -64,8 +63,7 @@ let run () =
     (fun (beta, theta) ->
       let config = { Config.default with beta; theta } in
       let options =
-        { Mclh_lcp.Mmsim.gamma = Warm_start.gamma; eps = 1e-4; max_iter = 30_000;
-          accel = 0 }
+        { Mclh_lcp.Mmsim.eps = 1e-4; max_iter = 30_000; accel = 0 }
       in
       let out =
         Mclh_lcp.Mmsim.solve ~options ~s0
@@ -81,28 +79,6 @@ let run () =
     [ (0.25, 0.25); (0.5, 0.25); (0.5, 0.5); (0.5, 0.75); (0.75, 0.5);
       (1.0, 0.5); (0.5, 1.0) ];
   print_string (Table.render t);
-
-  (* Schur paths *)
-  Printf.printf "\n--- Schur complement path (D assembly time) ---\n";
-  let time f =
-    let t0 = Mclh_par.Clock.now () in
-    let reps = 50 in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Mclh_par.Clock.now () -. t0) /. float_of_int reps
-  in
-  let lambda = Config.default.Config.lambda in
-  let t_sm =
-    time (fun () -> Schur.tridiag ~path:Schur.Sherman_morrison model ~lambda)
-  in
-  let t_exact =
-    time (fun () -> Schur.tridiag ~path:Schur.Exact_chains model ~lambda)
-  in
-  Printf.printf
-    "Sherman-Morrison: %.4f ms    exact chains: %.4f ms    (both O(m); the\n\
-     closed form avoids per-chain hash lookups)\n"
-    (1e3 *. t_sm) (1e3 *. t_exact);
 
   (* warm start *)
   Printf.printf "\n--- warm start (Algorithm 1's s_0, production solve) ---\n";

@@ -1,6 +1,6 @@
 (* Extensions beyond the paper's evaluation:
-   - taller cells (triple/quadruple height): the exact per-chain Schur path
-     replaces the Sherman-Morrison closed form, everything else unchanged;
+   - taller cells (triple/quadruple height): the Schur tridiagonal's
+     per-chain solves serve every height, so nothing else changes;
    - blockages (fixed obstacles): the model shifts variables by row-segment
      left walls; the comparison re-runs with 15% of the chip blocked;
    - post-legalization detailed placement: HPWL recovered by the refinement

@@ -25,9 +25,9 @@ let () =
     (Array.length design.Design.blockages)
     (Design.free_capacity design) (Design.density design);
 
-  (* the MMSIM flow handles both: cells taller than two rows use the exact
-     per-chain Schur path instead of the Sherman-Morrison closed form, and
-     blockages shift each variable to its row-segment wall *)
+  (* the MMSIM flow handles both: the Schur tridiagonal's per-chain solves
+     serve cells of any height, and blockages shift each variable to its
+     row-segment wall *)
   let result = Flow.run design in
   let legal = result.Flow.legal in
   assert (Legality.is_legal design legal);

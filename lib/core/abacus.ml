@@ -1,6 +1,6 @@
 open Mclh_circuit
 
-type row_cell = { id : int; target : float; width : float }
+type row_cell = { target : float; width : float }
 
 (* One Abacus cluster covering a contiguous run of cells. [q]/[e] give the
    unclamped optimal origin; [w] is the packed width. *)
@@ -14,20 +14,20 @@ type cluster = {
 
 let optimal_x ~xmin ~xmax c = Float.min (Float.max (c.q /. c.e) xmin) (xmax -. c.w)
 
-let solve_row ~xmin ~xmax cells_arr =
-  let n = Array.length cells_arr in
+let place_row ?(xmin = 0.0) ?(xmax = infinity) cells =
+  let n = Array.length cells in
   Array.iter
     (fun rc ->
       if rc.width <= 0.0 then invalid_arg "Abacus.place_row: nonpositive width")
-    cells_arr;
+    cells;
   let total_width =
-    Array.fold_left (fun acc rc -> acc +. rc.width) 0.0 cells_arr
+    Array.fold_left (fun acc rc -> acc +. rc.width) 0.0 cells
   in
   if total_width > xmax -. xmin +. 1e-9 then
     invalid_arg "Abacus.place_row: cells do not fit between the boundaries";
   let stack = ref [] in
   for i = 0 to n - 1 do
-    let rc = cells_arr.(i) in
+    let rc = cells.(i) in
     let c = { q = rc.target; e = 1.0; w = rc.width; first = i; last = i } in
     (* collapse: merge into the predecessor while they overlap *)
     let rec settle c =
@@ -53,25 +53,19 @@ let solve_row ~xmin ~xmax cells_arr =
       let cursor = ref x in
       for i = c.first to c.last do
         xs.(i) <- !cursor;
-        cursor := !cursor +. cells_arr.(i).width
+        cursor := !cursor +. cells.(i).width
       done)
     !stack;
   xs
 
-let place_row ?(xmin = 0.0) ?(xmax = infinity) cells =
-  let arr = Array.of_list cells in
-  let xs = solve_row ~xmin ~xmax arr in
-  Array.to_list (Array.mapi (fun i rc -> (rc.id, xs.(i))) arr)
-
-let place_row_cost ?(xmin = 0.0) ?(xmax = infinity) cells =
-  let arr = Array.of_list cells in
-  let xs = solve_row ~xmin ~xmax arr in
+let place_row_cost ?xmin ?xmax cells =
+  let xs = place_row ?xmin ?xmax cells in
   let acc = ref 0.0 in
   Array.iteri
     (fun i rc ->
       let d = xs.(i) -. rc.target in
       acc := !acc +. (d *. d))
-    arr;
+    cells;
   !acc
 
 let require_single_height (design : Design.t) fn =
@@ -83,115 +77,34 @@ let require_single_height (design : Design.t) fn =
   if Array.length design.blockages > 0 then
     invalid_arg (fn ^ ": blockages are not supported by this path")
 
-let legalize_fixed_rows (design : Design.t) (assignment : Row_assign.t) =
-  require_single_height design "Abacus.legalize_fixed_rows";
+(* PlaceRow over every assigned row of a single-height design, [place]
+   mapping a row's cells in order to their positions *)
+let fixed_rows fn place (design : Design.t) (assignment : Row_assign.t) =
+  require_single_height design fn;
   let order = Order.per_row design ~rows:assignment.Row_assign.rows in
   let xs = Array.make (Design.num_cells design) 0.0 in
   Array.iter
     (fun ids ->
-      let cells =
-        Array.to_list ids
-        |> List.map (fun i ->
-               { id = i;
-                 target = design.global.Placement.xs.(i);
+      let row =
+        place
+          (Array.map
+             (fun i ->
+               { target = design.global.Placement.xs.(i);
                  width = float_of_int design.cells.(i).Cell.width })
+             ids)
       in
-      List.iter (fun (i, x) -> xs.(i) <- x) (place_row cells))
+      Array.iteri (fun idx i -> xs.(i) <- row.(idx)) ids)
     order;
   let ys = Array.map float_of_int assignment.Row_assign.rows in
   Placement.make ~xs ~ys
 
-let legalize_fixed_rows_incremental (design : Design.t)
-    (assignment : Row_assign.t) =
-  require_single_height design "Abacus.legalize_fixed_rows_incremental";
-  let order = Order.per_row design ~rows:assignment.Row_assign.rows in
-  let xs = Array.make (Design.num_cells design) 0.0 in
-  Array.iter
-    (fun ids ->
-      let cells =
-        Array.map
-          (fun i ->
-            { id = i;
-              target = design.global.Placement.xs.(i);
-              width = float_of_int design.cells.(i).Cell.width })
-          ids
-      in
+let legalize_fixed_rows =
+  fixed_rows "Abacus.legalize_fixed_rows" (fun cells -> place_row cells)
+
+let legalize_fixed_rows_incremental =
+  fixed_rows "Abacus.legalize_fixed_rows_incremental" (fun cells ->
       (* one PlaceRow call per insertion, as the Abacus driver does *)
       for k = 1 to Array.length cells - 1 do
-        ignore (solve_row ~xmin:0.0 ~xmax:infinity (Array.sub cells 0 k))
+        ignore (place_row (Array.sub cells 0 k))
       done;
-      let final = solve_row ~xmin:0.0 ~xmax:infinity cells in
-      Array.iteri (fun idx i -> xs.(i) <- final.(idx)) ids)
-    order;
-  let ys = Array.map float_of_int assignment.Row_assign.rows in
-  Placement.make ~xs ~ys
-
-let legalize_single_height (design : Design.t) =
-  require_single_height design "Abacus.legalize_single_height";
-  let chip = design.chip in
-  let num_rows = chip.Chip.num_rows in
-  let xmax = float_of_int chip.Chip.num_sites in
-  let n = Design.num_cells design in
-  (* per-row cell lists in reverse insertion order *)
-  let rows : row_cell list array = Array.make num_rows [] in
-  let row_width = Array.make num_rows 0.0 in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = compare design.global.Placement.xs.(a) design.global.Placement.xs.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  let row_of = Array.make n 0 in
-  Array.iter
-    (fun i ->
-      let rc =
-        { id = i;
-          target = design.global.Placement.xs.(i);
-          width = float_of_int design.cells.(i).Cell.width }
-      in
-      let y = design.global.Placement.ys.(i) in
-      let best_row = ref (-1) and best_cost = ref infinity in
-      (* rows by increasing vertical distance; stop once dy^2 alone loses *)
-      let try_row r =
-        if r >= 0 && r < num_rows && row_width.(r) +. rc.width <= xmax then begin
-          let dy = chip.Chip.row_height *. (float_of_int r -. y) in
-          if dy *. dy < !best_cost then begin
-            let trial = List.rev (rc :: rows.(r)) in
-            match place_row_cost ~xmin:0.0 ~xmax trial with
-            | cost ->
-              let total = cost +. (dy *. dy) in
-              if total < !best_cost then begin
-                best_cost := total;
-                best_row := r
-              end
-            | exception Invalid_argument _ -> ()
-          end
-        end
-      in
-      let r0 = max 0 (min (num_rows - 1) (int_of_float (Float.round y))) in
-      let rec widen dr =
-        let dy = chip.Chip.row_height *. float_of_int (max 0 (dr - 1)) in
-        if dr <= num_rows && (dy *. dy < !best_cost || !best_row < 0) then begin
-          try_row (r0 - dr);
-          if dr > 0 then try_row (r0 + dr);
-          widen (dr + 1)
-        end
-      in
-      widen 0;
-      if !best_row < 0 then
-        failwith "Abacus.legalize_single_height: no row can host a cell";
-      rows.(!best_row) <- rc :: rows.(!best_row);
-      row_width.(!best_row) <- row_width.(!best_row) +. rc.width;
-      row_of.(i) <- !best_row)
-    order;
-  let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
-  Array.iteri
-    (fun r cells ->
-      let cells = List.rev cells in
-      List.iter
-        (fun (i, x) ->
-          xs.(i) <- x;
-          ys.(i) <- float_of_int r)
-        (place_row ~xmin:0.0 ~xmax cells))
-    rows;
-  Placement.make ~xs ~ys
+      place_row cells)

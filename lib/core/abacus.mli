@@ -6,32 +6,27 @@
     quadratic x-displacement subject to non-overlap and the row
     boundaries. The paper's Section 5.3 uses it as the optimality oracle:
     with cells pre-assigned to rows and the right boundary relaxed, the
-    MMSIM and PlaceRow must produce the same total displacement.
-
-    [legalize_single_height] is the full Abacus flow (greedy best-row
-    selection with trial PlaceRow) for single-height designs — used by
-    examples and tests, O(n * rows * row_length), so keep instances
-    moderate. *)
+    MMSIM and PlaceRow must produce the same total displacement; the
+    MMSIM's warm start ({!Warm_start.positions}) runs it on every row of
+    the model. *)
 
 open Mclh_circuit
 
 type row_cell = {
-  id : int;  (** caller's identifier, returned untouched *)
   target : float;  (** desired x (global-placement position) *)
   width : float;
 }
 
-val place_row :
-  ?xmin:float -> ?xmax:float -> row_cell list -> (int * float) list
+val place_row : ?xmin:float -> ?xmax:float -> row_cell array -> float array
 (** [place_row cells] places the cells in the given order, abutting where
     necessary, minimizing [sum (x_i - target_i)^2] subject to
     [xmin <= x_first] and [x_last + w_last <= xmax] (defaults: [0.0] and
-    [infinity] — the relaxed right boundary of Problem (5)). Returns
-    [(id, x)] in input order.
+    [infinity] — the relaxed right boundary of Problem (5)). Returns the
+    positions in input order: [x_i] is [(place_row cells).(i)].
     @raise Invalid_argument if a width is nonpositive or the cells cannot
       fit between the boundaries. *)
 
-val place_row_cost : ?xmin:float -> ?xmax:float -> row_cell list -> float
+val place_row_cost : ?xmin:float -> ?xmax:float -> row_cell array -> float
 (** The optimal quadratic displacement of {!place_row}. *)
 
 val legalize_fixed_rows : Design.t -> Row_assign.t -> Placement.t
@@ -46,9 +41,3 @@ val legalize_fixed_rows_incremental : Design.t -> Row_assign.t -> Placement.t
     insertion (re-solving the row prefix each time), i.e. O(len^2) per
     row. This is the cost profile the paper's Section 5.3 compares the
     MMSIM against. *)
-
-val legalize_single_height : Design.t -> Placement.t
-(** Full Abacus: cells in global-x order, each inserted into the row
-    minimizing the trial PlaceRow cost plus vertical displacement; bounded
-    rows (no relaxation). Requires all cells single-height. The result is
-    fractional in x; snap with {!Tetris_alloc}. *)

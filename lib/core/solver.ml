@@ -330,7 +330,6 @@ let operators (model : Model.t) (config : Config.t) =
     apply_a_into;
     apply_n_into;
     solve_m_omega_into;
-    omega_diag = Vec.create dim 1.0;
     chunks;
     region }
 
@@ -428,8 +427,7 @@ let solve_raw ?on_iter ?s0 ?ops (config : Config.t) (model : Model.t) =
   let mmsim ?ops (cfg : Config.t) =
     let ops = match ops with Some ops -> ops | None -> operators model cfg in
     let options =
-      { Mclh_lcp.Mmsim.default_options with
-        eps = cfg.eps;
+      { Mclh_lcp.Mmsim.eps = cfg.eps;
         max_iter = cfg.max_iter;
         accel = accel_depth }
     in

@@ -1,12 +1,10 @@
 open Mclh_linalg
 
-let gamma = Mclh_lcp.Mmsim.default_options.Mclh_lcp.Mmsim.gamma
-
 (* the paper's start: z_0 at the global-placement positions *)
 let plain_start (model : Model.t) =
   let n = model.nvars in
   Vec.init (n + Model.num_constraints model) (fun i ->
-      if i < n then gamma /. 2.0 *. -.model.p.(i) else 0.0)
+      if i < n then Mclh_lcp.Mmsim.gamma /. 2.0 *. -.model.p.(i) else 0.0)
 
 (* Without equality chains Q~ = I and Problem (13) decouples into one
    PlaceRow problem per ordering group. With nonnegative separations the
@@ -20,11 +18,15 @@ let exact (model : Model.t) =
    Model.b_rhs (the left cell's width, corrected by the blockage-segment
    shift difference). A separation can degenerate to <= 0 when shifts
    differ wildly; clamp — it only blunts the warm start, never correctness. *)
-let separations (model : Model.t) vars ~base =
+let row_cells (model : Model.t) vars ~base =
   let k = Array.length vars in
-  Array.init k (fun idx ->
-      if idx < k - 1 then Float.max 1e-6 model.b_rhs.(base + idx)
-      else 1.0)
+  Array.mapi
+    (fun idx v ->
+      { Abacus.target = -.model.p.(v);
+        width =
+          (if idx < k - 1 then Float.max 1e-6 model.b_rhs.(base + idx)
+           else 1.0) })
+    vars
 
 let positions (model : Model.t) =
   let x0 = Array.make model.nvars 0.0 in
@@ -34,15 +36,8 @@ let positions (model : Model.t) =
       if Array.length vars > 0 then begin
         let base = !ci in
         ci := !ci + (Array.length vars - 1);
-        let seps = separations model vars ~base in
-        let cells =
-          Array.to_list
-            (Array.mapi
-               (fun idx v ->
-                 { Abacus.id = v; target = -.model.p.(v); width = seps.(idx) })
-               vars)
-        in
-        List.iter (fun (v, x) -> x0.(v) <- x) (Abacus.place_row cells)
+        let xs = Abacus.place_row (row_cells model vars ~base) in
+        Array.iteri (fun idx v -> x0.(v) <- xs.(idx)) vars
       end)
     model.row_vars;
   (* the per-row solves give a multi-row cell different positions in each
@@ -93,4 +88,5 @@ let modulus_vector (model : Model.t) ops =
   ops.Mclh_lcp.Mmsim.apply_a_into z0 w0;
   let q = Model.lcp_rhs model in
   Vec.init (n + m) (fun i ->
-      gamma /. 2.0 *. (z0.(i) -. Float.max 0.0 (w0.(i) +. q.(i))))
+      Mclh_lcp.Mmsim.gamma /. 2.0
+      *. (z0.(i) -. Float.max 0.0 (w0.(i) +. q.(i))))

@@ -11,8 +11,9 @@
       KKT stationarity by a right-to-left sweep (zero across slack
       constraints);
     + the modulus encoding [s_0 = (gamma/2) (z_0 - w_0+)] with
-      [w_0 = A z_0 + q], so active bounds and slack constraints carry
-      their complementary values.
+      [w_0 = A z_0 + q] and the MMSIM's fixed {!Mclh_lcp.Mmsim.gamma},
+      so active bounds and slack constraints carry their complementary
+      values.
 
     When {!exact} holds (no multi-row chains, nonnegative separations:
     every single-height design, and every chain-free shard of a mixed
@@ -24,11 +25,6 @@
     measures iteration counts against the paper's {!plain_start}. *)
 
 open Mclh_linalg
-
-val gamma : float
-(** The modulus scaling of every production solve and start vector:
-    {!Mclh_lcp.Mmsim.default_options}' [gamma] (2.0). The fixed point
-    does not depend on it. *)
 
 val plain_start : Model.t -> Vec.t
 (** The paper's start vector [s_0 = (gamma/2) (-p; 0)]: every subcell at
@@ -43,13 +39,15 @@ val exact : Model.t -> bool
     whatever start vector it was offered. *)
 
 val positions : Model.t -> Vec.t
-(** Per-row PlaceRow positions for every subcell variable (step 1). *)
+(** Per-row PlaceRow positions for every subcell variable (step 1),
+    written into one array indexed by variable. *)
 
 val multipliers : Model.t -> Vec.t -> Vec.t
 (** [multipliers model x0] recovers ordering-constraint multipliers from
     positions by the right-to-left stationarity sweep (step 2). *)
 
 val modulus_vector : Model.t -> Mclh_lcp.Mmsim.operators -> Vec.t
-(** The assembled [s_0] (steps 1-3), at scaling {!gamma}. [ops] are the
+(** The assembled [s_0] (steps 1-3), at the scaling
+    {!Mclh_lcp.Mmsim.gamma}. [ops] are the
     model's MMSIM operators ({!Solver.operators}); only their [A] product
     is used, to form [w_0]. *)

@@ -5,7 +5,6 @@ type operators = {
   apply_a_into : Vec.t -> Vec.t -> unit;
   apply_n_into : Vec.t -> Vec.t -> unit;
   solve_m_omega_into : Vec.t -> Vec.t -> unit;
-  omega_diag : Vec.t;
   chunks : int;
   region : int -> (int -> unit) -> unit;
 }
@@ -15,9 +14,11 @@ let sequential k f =
     f c
   done
 
-type options = { gamma : float; eps : float; max_iter : int; accel : int }
+let gamma = 2.0
 
-let default_options = { gamma = 2.0; eps = 1e-9; max_iter = 10_000; accel = 0 }
+type options = { eps : float; max_iter : int; accel : int }
+
+let default_options = { eps = 1e-9; max_iter = 10_000; accel = 0 }
 
 type outcome = {
   z : Vec.t;
@@ -27,14 +28,13 @@ type outcome = {
   delta_inf : float;
 }
 
-let w_of_s options ops s =
-  Vec.mapi (fun i v -> ops.omega_diag.(i) /. options.gamma *. (Float.abs v -. v)) s
+let w_of_s ops s =
+  if Vec.dim s <> ops.dim then invalid_arg "Mmsim.w_of_s: dimension mismatch";
+  Vec.map (fun v -> (Float.abs v -. v) /. gamma) s
 
-let validate ~name { gamma; eps; max_iter; accel } =
-  let positive x = x > 0.0 && Float.is_finite x in
-  if not (positive gamma) then
-    invalid_arg (name ^ ": gamma must be positive and finite");
-  if not (positive eps) then invalid_arg (name ^ ": eps must be positive and finite");
+let validate ~name { eps; max_iter; accel } =
+  if not (eps > 0.0 && Float.is_finite eps) then
+    invalid_arg (name ^ ": eps must be positive and finite");
   if max_iter <= 0 then invalid_arg (name ^ ": max_iter must be positive");
   if accel < 0 then invalid_arg (name ^ ": accel must be >= 0")
 
@@ -288,11 +288,9 @@ let accel_stepper st ~n ~bounds ~region =
 
 let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
   validate ~name:"Mmsim.solve" options;
-  let { gamma; eps; max_iter; accel } = options in
+  let { eps; max_iter; accel } = options in
   let n = ops.dim in
   if Vec.dim q <> n then invalid_arg "Mmsim.solve: q dimension mismatch";
-  if Vec.dim ops.omega_diag <> n then
-    invalid_arg "Mmsim.solve: omega dimension mismatch";
   if ops.chunks < 1 then invalid_arg "Mmsim.solve: chunks must be positive";
   let s =
     match s0 with
@@ -327,7 +325,6 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
      is what the outcome reports on every exit path. *)
   let cur = ref s and nxt = ref g in
   let last = ref g in
-  let omega = ops.omega_diag in
   let abs_task c =
     let s = !cur in
     for i = bounds.(c) to bounds.(c + 1) - 1 do
@@ -336,8 +333,7 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
   in
   let rhs_task c =
     for i = bounds.(c) to bounds.(c + 1) - 1 do
-      rhs.(i) <-
-        rhs.(i) +. (omega.(i) *. abs_s.(i)) -. a_abs.(i) -. (gamma *. q.(i))
+      rhs.(i) <- rhs.(i) +. abs_s.(i) -. a_abs.(i) -. (gamma *. q.(i))
     done
   in
   (* the stopping test's scan, one maximum and NaN flag per range; the
@@ -371,7 +367,7 @@ let solve ?(options = default_options) ?on_iter ?s0 ops ~q =
     incr iters;
     let s = !cur and g = !nxt in
     (* g := G(s), the plain modulus step:
-       (M + Omega) g = N s + (Omega - A) |s| - gamma q *)
+       (M + I) g = N s + (I - A) |s| - gamma q *)
     region chunks abs_task;
     ops.apply_n_into s rhs;
     ops.apply_a_into abs_s a_abs;

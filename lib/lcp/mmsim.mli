@@ -1,16 +1,17 @@
 (** Modulus-based matrix splitting iteration method (MMSIM, Bai 2010).
 
-    For LCP(q, A) with splitting [A = M - N] and positive diagonal [Omega],
-    iterate (Equation (3) of the paper):
+    For LCP(q, A) with splitting [A = M - N], iterate Equation (3) of the
+    paper at [Omega = I]:
 
-    [(M + Omega) s_{k+1} = N s_k + (Omega - A) |s_k| - gamma q]
+    [(M + I) s_{k+1} = N s_k + (I - A) |s_k| - gamma q]
 
     and recover [z_{k+1} = (|s_{k+1}| + s_{k+1}) / gamma] (Equation (4)).
-    At a fixed point, [z] solves the LCP with
-    [w = (Omega/gamma) (|s| - s)].
+    At a fixed point, [z] solves the LCP with [w = (|s| - s) / gamma].
+    The fixed point's [z] depends on neither [Omega] nor [gamma], so both
+    are fixed: [Omega = I] and [gamma = 2], which makes [z = max(s, 0)].
 
     The solver is expressed over abstract operators so that structured
-    problems (like the legalization KKT system, where [M + Omega] is block
+    problems (like the legalization KKT system, where [M + I] is block
     lower triangular with an arrowhead top block and a tridiagonal bottom
     block) never materialize their matrices. The operators write into
     caller-provided destinations, so the iteration allocates nothing. *)
@@ -26,9 +27,8 @@ type operators = {
       (** [apply_n_into v dst] writes [N v] into [dst]; [dst] must not be
           [v] *)
   solve_m_omega_into : Vec.t -> Vec.t -> unit;
-      (** [solve_m_omega_into rhs dst] solves [(M + Omega) dst = rhs];
+      (** [solve_m_omega_into rhs dst] solves [(M + I) dst = rhs];
           [rhs] may be clobbered *)
-  omega_diag : Vec.t;  (** the positive diagonal of [Omega] *)
   chunks : int;
       (** how many fixed ranges of [0, dim) the loop's own vector passes
           are cut into (at least 1) *)
@@ -45,8 +45,11 @@ val sequential : int -> (int -> unit) -> unit
 (** [sequential k f] runs [f 0 .. f (k - 1)] in order on the caller: the
     [region] of operators that run on one domain. *)
 
+val gamma : float
+(** The modulus scaling, [2.0]: [z = (|s| + s) / gamma = max(s, 0)]. A
+    start vector built for {!solve} encodes [z] and [w] at this scaling. *)
+
 type options = {
-  gamma : float;  (** positive scaling constant; the fixed point is invariant *)
   eps : float;
       (** stop when both [||z_k - z_{k-1}||_inf < eps] and the modulus
           vector is stationary, [||G(s_k) - s_k||_inf < eps * max(1,
@@ -81,11 +84,9 @@ type options = {
 }
 
 val default_options : options
-(** [gamma = 2.0] (so [z = max(s, 0)]), [eps = 1e-9], [max_iter = 10_000],
-    [accel = 0]. Production call sites in [lib/core] take only [gamma]
-    from here (the fixed point does not depend on it); every tolerance
-    and budget comes from {!Mclh_core.Config}, the single source for
-    solver tolerances. *)
+(** [eps = 1e-9], [max_iter = 10_000], [accel = 0]. Production call
+    sites in [lib/core] take every tolerance and budget from
+    {!Mclh_core.Config}, the single source for solver tolerances. *)
 
 type outcome = {
   z : Vec.t;  (** final iterate *)
@@ -125,11 +126,12 @@ val solve :
     iteration, including with [accel > 0] (Gc-asserted in tests); the
     [on_iter] check itself is a single branch, so the guarantee survives
     instrumented-but-disabled call sites.
-    @raise Invalid_argument on dimension mismatches, a [gamma] or [eps]
-      that is not positive and finite (NaN and infinity included), a
-      non-positive [max_iter], or a negative [accel]. *)
+    @raise Invalid_argument on dimension mismatches, an [eps] that is
+      not positive and finite (NaN and infinity included), a non-positive
+      [max_iter], or a negative [accel]. *)
 
-val w_of_s : options -> operators -> Vec.t -> Vec.t
-(** The complementary slack [w = (Omega/gamma) (|s| - s)] at a modulus
-    iterate — exact complementarity with [z] holds by construction. *)
+val w_of_s : operators -> Vec.t -> Vec.t
+(** The complementary slack [w = (|s| - s) / gamma] at a modulus iterate
+    — exact complementarity with [z] holds by construction.
+    @raise Invalid_argument if [s] is not of dimension [ops.dim]. *)
 

@@ -331,6 +331,3 @@ let e_matrix t =
       done)
     t.chains;
   Coo.to_csr coo
-
-let all_double t =
-  Array.for_all (fun vars -> Array.length vars = 2) t.chains

@@ -46,8 +46,9 @@ val solve_shifted_sparse :
   alpha:float -> coef:float -> t -> (int * float) list -> (int * float) list
 (** Solves the shifted system for a sparse right-hand side, returning only
     the (generally few) nonzero result entries: untouched chains contribute
-    nothing, touched chains contribute all their variables. Used to form
-    the tridiagonal part of the Schur complement in O(m). *)
+    nothing, touched chains contribute all their variables. The list form
+    of {!solve_pair_entry}, which forms the tridiagonal part of the Schur
+    complement in O(m). *)
 
 val solve_pair_entry :
   alpha:float -> coef:float -> t -> l:int -> j:int -> int -> float
@@ -103,8 +104,3 @@ val average_into : t -> Vec.t -> unit
 val e_matrix : t -> Csr.t
 (** The explicit [E] matrix (rows ordered chain by chain, spokes in chain
     order); for tests and dense cross-checks. *)
-
-val all_double : t -> bool
-(** True when every chain has exactly two variables — the condition under
-    which the paper's closed-form Sherman-Morrison inverse
-    [(Q + lambda E^T E)^-1 = I - lambda/(2 lambda + 1) E^T E] is exact. *)

@@ -23,8 +23,7 @@ let solve_lcp ?s0 (config : Config.t) (model : Model.t) =
     match s0 with Some s0 -> s0 | None -> Warm_start.modulus_vector model ops
   in
   let options =
-    { Mclh_lcp.Mmsim.gamma = Warm_start.gamma;
-      eps = config.eps;
+    { Mclh_lcp.Mmsim.eps = config.eps;
       max_iter = config.max_iter;
       accel = 0 }
   in

@@ -155,7 +155,7 @@ let accel_advance st ~k ~n s g =
    returns the 1-based iterations whose extrapolation reset the
    history, ascending. *)
 let solve ~(options : Mmsim.options) ?s0 (ops : Mmsim.operators) ~q =
-  let { Mmsim.gamma; eps; max_iter; accel } = options in
+  let { Mmsim.eps; max_iter; accel } = options and gamma = Mmsim.gamma in
   let n = ops.Mmsim.dim in
   let s = match s0 with None -> Vec.zeros n | Some s0 -> Vec.copy s0 in
   let abs_s = Vec.zeros n and rhs = Vec.zeros n and a_abs = Vec.zeros n in
@@ -176,7 +176,7 @@ let solve ~(options : Mmsim.options) ?s0 (ops : Mmsim.operators) ~q =
     for i = 0 to n - 1 do
       rhs.(i) <-
         rhs.(i)
-        +. (ops.Mmsim.omega_diag.(i) *. abs_s.(i))
+        +. abs_s.(i)
         -. a_abs.(i)
         -. (gamma *. q.(i))
     done;

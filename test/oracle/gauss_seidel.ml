@@ -4,7 +4,7 @@
 open Mclh_linalg
 open Mclh_lcp
 
-let operators ?omega a =
+let operators a =
   let n = Csr.rows a in
   if Csr.cols a <> n then
     invalid_arg "Gauss_seidel.operators: matrix not square";
@@ -17,19 +17,6 @@ let operators ?omega a =
           (Printf.sprintf
              "Gauss_seidel.operators: nonpositive diagonal at %d" i))
     diag;
-  let omega_diag =
-    match omega with
-    | None -> Vec.create n 1.0
-    | Some o ->
-      if Vec.dim o <> n then
-        invalid_arg "Gauss_seidel.operators: omega dimension";
-      Array.iter
-        (fun v ->
-          if v <= 0.0 then
-            invalid_arg "Gauss_seidel.operators: omega not positive")
-        o;
-      Vec.copy o
-  in
   (* split the strict triangular parts once: [apply_n_into] and
      [solve_m_omega_into] run every iteration and must not re-walk the
      full matrix each time *)
@@ -63,7 +50,7 @@ let operators ?omega a =
       dst.(i) <- !acc
     done
   in
-  (* (M + Omega) x = rhs with M = D + L: forward substitution; row i
+  (* (M + I) x = rhs with M = D + L: forward substitution; row i
      reads rhs.(i) before writing dst.(i), so rhs may alias dst *)
   let solve_m_omega_into rhs dst =
     for i = 0 to n - 1 do
@@ -71,13 +58,12 @@ let operators ?omega a =
       for k = lo_ptr.(i) to lo_ptr.(i + 1) - 1 do
         acc := !acc -. (lo_val.(k) *. dst.(lo_col.(k)))
       done;
-      dst.(i) <- !acc /. (diag.(i) +. omega_diag.(i))
+      dst.(i) <- !acc /. (diag.(i) +. 1.0)
     done
   in
   { Mmsim.dim = n;
     apply_a_into;
     apply_n_into;
     solve_m_omega_into;
-    omega_diag;
     chunks = 1;
     region = Mmsim.sequential }

@@ -5,8 +5,6 @@
 
 open Mclh_linalg
 
-val operators : ?omega:Vec.t -> Csr.t -> Mclh_lcp.Mmsim.operators
-(** [omega] defaults to the identity diagonal.
-    @raise Invalid_argument if the matrix is not square, a diagonal
-      entry is not positive, or [omega] has the wrong dimension or a
-      non-positive entry. *)
+val operators : Csr.t -> Mclh_lcp.Mmsim.operators
+(** @raise Invalid_argument if the matrix is not square or a diagonal
+      entry is not positive. *)

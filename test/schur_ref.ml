@@ -1,8 +1,10 @@
-(* Test-only reference for [Schur.tridiag]: each column Q~^-1 B_i^T
-   built as an association list (the closed form or
-   [Blocks.solve_shifted_sparse]) and dotted with the B rows by folding
-   over it. The production code computes the same sums term by term
-   without the lists and must match this bit for bit. *)
+(* Test-only references for [Schur.tridiag]: each column Q~^-1 B_i^T
+   built as an association list and dotted with the B rows by folding
+   over it. [tridiag] takes the columns from
+   [Blocks.solve_shifted_sparse], the formula the production code sums
+   term by term without the lists, and must match it bit for bit.
+   [tridiag_sm] takes them from the paper's Sherman-Morrison closed form,
+   exact when every chain is a pair. *)
 
 open Mclh_core
 open Mclh_linalg
@@ -32,20 +34,15 @@ let column_sm ~partner ~lambda (l, j) =
   in
   List.fold_left contrib [] [ (l, -1.0); (j, 1.0) ]
 
-let tridiag ~path (model : Model.t) ~lambda =
+(* every chain spans exactly two rows: the closed form's condition *)
+let all_double (model : Model.t) =
+  let blocks = model.blocks in
+  List.for_all
+    (fun c -> Array.length (Blocks.chain_vars blocks c) = 2)
+    (List.init (Blocks.num_chains blocks) Fun.id)
+
+let of_columns column (model : Model.t) =
   let m = Model.num_constraints model in
-  let column =
-    match path with
-    | Schur.Exact_chains -> column_exact model ~lambda
-    | Schur.Sherman_morrison ->
-      let partner = Array.make model.nvars (-1) in
-      for c = 0 to Blocks.num_chains model.blocks - 1 do
-        let vars = Blocks.chain_vars model.blocks c in
-        partner.(vars.(0)) <- vars.(1);
-        partner.(vars.(1)) <- vars.(0)
-      done;
-      column_sm ~partner ~lambda
-  in
   let left = Model.constraint_left model in
   let pair i = (left.(i), left.(i) + 1) in
   let diag = Array.make m 0.0 in
@@ -57,3 +54,17 @@ let tridiag ~path (model : Model.t) ~lambda =
     then off.(i) <- dot_with_row c (pair (i + 1))
   done;
   Tridiag.of_symmetric ~diag ~off
+
+let tridiag (model : Model.t) ~lambda =
+  of_columns (column_exact model ~lambda) model
+
+let tridiag_sm (model : Model.t) ~lambda =
+  let partner = Array.make model.nvars (-1) in
+  for c = 0 to Blocks.num_chains model.blocks - 1 do
+    match Blocks.chain_vars model.blocks c with
+    | [| a; b |] ->
+      partner.(a) <- b;
+      partner.(b) <- a
+    | _ -> invalid_arg "Schur_ref.tridiag_sm: a chain is not a pair"
+  done;
+  of_columns (column_sm ~partner ~lambda) model

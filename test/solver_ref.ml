@@ -114,6 +114,5 @@ let operators model config =
     apply_n_into = (fun v dst -> Array.blit (apply_n v) 0 dst 0 dim);
     solve_m_omega_into =
       (fun rhs dst -> Array.blit (solve_m_omega rhs) 0 dst 0 dim);
-    omega_diag = Vec.create dim 1.0;
     chunks = 1;
     region = Mclh_lcp.Mmsim.sequential }

@@ -178,7 +178,7 @@ let test_model_figure3 () =
       [ [ (0, 0, -1.0); (0, 1, 1.0) ]; [ (2, 0, -1.0); (2, 1, 1.0) ] ]
   in
   Alcotest.(check bool) "E matches the paper" true (Dense.equal e_dense expect_e);
-  Alcotest.(check bool) "all chains double" true (Blocks.all_double m.Model.blocks);
+  Alcotest.(check bool) "all chains double" true (Schur_ref.all_double m);
   (* p duplicates targets across subcells *)
   Alcotest.(check bool) "p subcells" true
     (Vec.equal m.Model.p
@@ -244,12 +244,13 @@ let schur_dense (model : Model.t) ~lambda =
   done;
   out
 
+(* the production D against the paper's closed form *)
 let test_schur_paths_agree () =
   let d = figure3_design () in
   let m = Model.build d (Row_assign.assign d) in
   let lambda = 1000.0 in
-  let sm = Schur.tridiag ~path:Schur.Sherman_morrison m ~lambda in
-  let exact = Schur.tridiag ~path:Schur.Exact_chains m ~lambda in
+  let sm = Schur_ref.tridiag_sm m ~lambda in
+  let exact = Schur.tridiag m ~lambda in
   Alcotest.(check bool) "SM = exact (all doubles)" true
     (Dense.equal ~eps:1e-9 (Tridiag.to_dense sm) (Tridiag.to_dense exact))
 
@@ -286,8 +287,8 @@ let test_schur_dense_vs_bruteforce () =
     (Dense.equal ~eps:1e-8 brute (schur_dense m ~lambda))
 
 
-(* designs with 0-20% blockage and 0-40% tall cells: all-double chains
-   take the Sherman-Morrison path, taller ones the exact one *)
+(* designs with 0-20% blockage and 0-40% tall cells; without tall cells
+   every chain is a pair, where the closed form applies too *)
 let mixed_design_gen =
   QCheck.(triple (int_range 1 1000) (int_range 0 20) (int_range 0 40))
 
@@ -309,7 +310,9 @@ let tridiag_bits (t : Tridiag.t) =
 
 (* [Schur.tridiag] sums each entry term by term in the order the list
    oracle folds its columns, so D is the same bits on the whole model and
-   on every extracted shard (where dropped couplings leave +0) *)
+   on every extracted shard (where dropped couplings leave +0); where
+   every chain is a pair, the paper's closed form gives those bits too
+   at the default lambda *)
 let prop_schur_matches_lists =
   QCheck.Test.make ~count:20 ~name:"schur: direct = list oracle, bit for bit"
     mixed_design_gen (fun draw ->
@@ -323,56 +326,43 @@ let prop_schur_matches_lists =
       in
       List.for_all
         (fun (m : Model.t) ->
-          let paths =
-            if Blocks.all_double m.Model.blocks then
-              [ Schur.Sherman_morrison; Schur.Exact_chains ]
-            else [ Schur.Exact_chains ]
-          in
-          tridiag_bits (Schur.tridiag m ~lambda)
-          = tridiag_bits
-              (Schur_ref.tridiag ~path:(List.hd paths) m ~lambda)
-          && List.for_all
-               (fun path ->
-                 tridiag_bits (Schur.tridiag ~path m ~lambda)
-                 = tridiag_bits (Schur_ref.tridiag ~path m ~lambda))
-               paths)
+          let bits = tridiag_bits (Schur.tridiag m ~lambda) in
+          bits = tridiag_bits (Schur_ref.tridiag m ~lambda)
+          && ((not (Schur_ref.all_double m))
+             || bits = tridiag_bits (Schur_ref.tridiag_sm m ~lambda)))
         models)
 
 (* ---------- Abacus PlaceRow ---------- *)
 
-let rc id target width = { Abacus.id; target; width }
+let rc target width = { Abacus.target; width }
 
 let test_place_row_no_overlap () =
-  let placed = Abacus.place_row [ rc 0 1.0 2.0; rc 1 8.0 2.0 ] in
-  Alcotest.(check (list (pair int (float 1e-12))))
-    "targets kept" [ (0, 1.0); (1, 8.0) ] placed
+  let placed = Abacus.place_row [| rc 1.0 2.0; rc 8.0 2.0 |] in
+  Alcotest.(check (array (float 1e-12))) "targets kept" [| 1.0; 8.0 |] placed
 
 let test_place_row_two_cell_collapse () =
   (* both want 10.0, widths 4: optimal split is 8 and 12 *)
-  let placed = Abacus.place_row [ rc 0 10.0 4.0; rc 1 10.0 4.0 ] in
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "even split" [ (0, 8.0); (1, 12.0) ] placed
+  let placed = Abacus.place_row [| rc 10.0 4.0; rc 10.0 4.0 |] in
+  Alcotest.(check (array (float 1e-9))) "even split" [| 8.0; 12.0 |] placed
 
 let test_place_row_left_clamp () =
-  let placed = Abacus.place_row [ rc 0 (-5.0) 3.0; rc 1 (-5.0) 3.0 ] in
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "clamped at zero" [ (0, 0.0); (1, 3.0) ] placed
+  let placed = Abacus.place_row [| rc (-5.0) 3.0; rc (-5.0) 3.0 |] in
+  Alcotest.(check (array (float 1e-9))) "clamped at zero" [| 0.0; 3.0 |] placed
 
 let test_place_row_right_boundary () =
-  let placed = Abacus.place_row ~xmax:10.0 [ rc 0 9.0 4.0; rc 1 9.0 4.0 ] in
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "clamped at right" [ (0, 2.0); (1, 6.0) ] placed
+  let placed = Abacus.place_row ~xmax:10.0 [| rc 9.0 4.0; rc 9.0 4.0 |] in
+  Alcotest.(check (array (float 1e-9))) "clamped at right" [| 2.0; 6.0 |] placed
 
 let test_place_row_cost () =
   Alcotest.(check (float 1e-9)) "cost of even split" 8.0
-    (Abacus.place_row_cost [ rc 0 10.0 4.0; rc 1 10.0 4.0 ]);
+    (Abacus.place_row_cost [| rc 10.0 4.0; rc 10.0 4.0 |]);
   Alcotest.(check (float 1e-9)) "zero cost" 0.0
-    (Abacus.place_row_cost [ rc 0 1.0 2.0; rc 1 8.0 2.0 ])
+    (Abacus.place_row_cost [| rc 1.0 2.0; rc 8.0 2.0 |])
 
 let test_place_row_does_not_fit () =
   Alcotest.(check bool) "rejects overflow" true
     (try
-       ignore (Abacus.place_row ~xmax:3.0 [ rc 0 0.0 2.0; rc 1 0.0 2.0 ]);
+       ignore (Abacus.place_row ~xmax:3.0 [| rc 0.0 2.0; rc 0.0 2.0 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -389,14 +379,8 @@ let test_place_row_vs_oracle () =
     let widths = Array.init k (fun _ -> 1.0 +. Float.round (rand () *. 5.0)) in
     let targets = Array.init k (fun _ -> rand () *. 20.0) in
     Array.sort compare targets;
-    let cells = List.init k (fun i -> rc i targets.(i) widths.(i)) in
-    let placed = Abacus.place_row cells in
     let abacus_cost =
-      List.fold_left
-        (fun acc (i, x) ->
-          let dx = x -. targets.(i) in
-          acc +. (dx *. dx))
-        0.0 placed
+      Abacus.place_row_cost (Array.init k (fun i -> rc targets.(i) widths.(i)))
     in
     (* oracle on the same chain QP *)
     let coo = Coo.create ~rows:(k - 1) ~cols:k in
@@ -544,7 +528,7 @@ let check_operators_match label (m : Model.t) =
       in
       let q = Solver.rhs_q m in
       let options =
-        { Mclh_lcp.Mmsim.gamma = Warm_start.gamma; eps = config.Config.eps;
+        { Mclh_lcp.Mmsim.eps = config.Config.eps;
           max_iter = config.Config.max_iter; accel }
       in
       let reference =
@@ -659,8 +643,7 @@ let test_chunked_iterates_bit_identical () =
     (fun (beta, theta, accel) ->
       let config = { Config.default with beta; theta; num_domains = 1 } in
       let options =
-        { Mclh_lcp.Mmsim.gamma = Warm_start.gamma; eps = 1e-300; max_iter = 20;
-          accel }
+        { Mclh_lcp.Mmsim.eps = 1e-300; max_iter = 20; accel }
       in
       let s0 = Warm_start.modulus_vector m (Solver.operators m config) in
       let run ops = Mclh_lcp.Mmsim.solve ~options ~s0 ops ~q in

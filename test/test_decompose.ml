@@ -442,10 +442,7 @@ let test_zero_alloc_per_iteration () =
   let options ?(accel = 0) iters =
     (* eps below any representable progress: the loop never converges
        early, so the two runs differ by exactly [iters] iterations *)
-    { Mclh_lcp.Mmsim.default_options with
-      eps = 1e-300;
-      max_iter = iters;
-      accel }
+    { Mclh_lcp.Mmsim.eps = 1e-300; max_iter = iters; accel }
   in
   let words_of ops ~q ?s0 ?accel iters =
     let options = options ?accel iters in

@@ -115,19 +115,11 @@ let test_sec53_mmsim_equals_placerow () =
         Alcotest.failf "%s: mmsim %.6f vs placerow %.6f" name da db)
     [ "fft_2"; "pci_bridge32_b"; "des_perf_a" ]
 
-let test_abacus_full_single_height () =
-  let options = { Generate.default_options with single_height_only = true } in
-  let inst = generate ~options "pci_bridge32_b" 0.01 in
-  let d = inst.Generate.design in
-  let pl = Abacus.legalize_single_height d in
-  let legal = (Tetris_alloc.run d pl).Tetris_alloc.placement in
-  check_legal "full abacus" d legal
-
 let test_abacus_rejects_mixed () =
-  let inst = generate "fft_2" 0.005 in
+  let d = (generate "fft_2" 0.005).Generate.design in
   Alcotest.(check bool) "multi-row rejected" true
     (try
-       ignore (Abacus.legalize_single_height inst.Generate.design);
+       ignore (Abacus.legalize_fixed_rows d (Row_assign.assign d));
        false
      with Invalid_argument _ -> true)
 
@@ -262,7 +254,6 @@ let () =
       ( "baselines",
         [ Alcotest.test_case "all legal" `Quick test_baselines_legal;
           Alcotest.test_case "runner names" `Quick test_runner_names;
-          Alcotest.test_case "full abacus" `Quick test_abacus_full_single_height;
           Alcotest.test_case "abacus rejects mixed" `Quick test_abacus_rejects_mixed;
           Alcotest.test_case "mmsim beats tetris" `Quick test_mmsim_beats_tetris ] );
       ( "section 5.3",

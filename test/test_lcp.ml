@@ -74,25 +74,13 @@ let test_mmsim_complementary_w () =
   let ops = Gauss_seidel.operators p.Lcp.a in
   let options = Mmsim.default_options in
   let out = Mmsim.solve ~options ops ~q:p.Lcp.q in
-  let w = Mmsim.w_of_s options ops out.Mmsim.s in
+  let w = Mmsim.w_of_s ops out.Mmsim.s in
   (* the modulus construction gives exact complementarity *)
   Array.iteri
     (fun i wi ->
       if Float.abs (wi *. out.Mmsim.z.(i)) > 1e-9 then
         Alcotest.failf "complementarity violated at %d" i)
     w
-
-let test_mmsim_gamma_invariance () =
-  let rand = mk_rand 31 in
-  let p = random_spd_lcp rand 6 in
-  let ops = Gauss_seidel.operators p.Lcp.a in
-  let solve gamma =
-    let options = { Mmsim.default_options with gamma } in
-    (Mmsim.solve ~options ops ~q:p.Lcp.q).Mmsim.z
-  in
-  Alcotest.(check bool)
-    "gamma 1 vs 2" true
-    (Vec.equal ~eps:1e-6 (solve 1.0) (solve 2.0))
 
 let test_mmsim_warm_start_at_solution () =
   let rand = mk_rand 37 in
@@ -108,13 +96,6 @@ let test_mmsim_warm_start_at_solution () =
 let test_mmsim_validation () =
   let p = random_spd_lcp (mk_rand 1) 3 in
   let ops = Gauss_seidel.operators p.Lcp.a in
-  Alcotest.(check bool) "bad gamma" true
-    (try
-       ignore
-         (Mmsim.solve ~options:{ Mmsim.default_options with gamma = 0.0 } ops
-            ~q:p.Lcp.q);
-       false
-     with Invalid_argument _ -> true);
   Alcotest.(check bool) "bad q dim" true
     (try
        ignore (Mmsim.solve ops ~q:(Vec.zeros 7));
@@ -122,7 +103,7 @@ let test_mmsim_validation () =
      with Invalid_argument _ -> true);
   (* NaN passes a [<= 0.0] test: without the finiteness check, eps = nan
      ran the whole budget, eps = infinity "converged" after one iteration
-     at a non-solution, and a non-finite gamma produced NaN iterates *)
+     at a non-solution *)
   let p = Lcp.of_dense (Dense.scale 2.0 (Dense.identity 2)) (Vec.of_list [ -1.0; 1.0 ]) in
   let ops = Gauss_seidel.operators p.Lcp.a in
   List.iter
@@ -133,9 +114,7 @@ let test_mmsim_validation () =
            false
          with Invalid_argument _ -> true))
     [ ("nan eps", { Mmsim.default_options with eps = Float.nan });
-      ("infinite eps", { Mmsim.default_options with eps = Float.infinity });
-      ("nan gamma", { Mmsim.default_options with gamma = Float.nan });
-      ("infinite gamma", { Mmsim.default_options with gamma = Float.infinity }) ]
+      ("infinite eps", { Mmsim.default_options with eps = Float.infinity }) ]
 
 let test_mmsim_stalled_z_regression () =
   (* regression: z can sit at 0 for an iteration while s still moves; the
@@ -372,7 +351,7 @@ let test_accel_kkt_matches_reference () =
   let s0 = Warm_start.modulus_vector model ops in
   List.iter
     (fun (name, eps, max_iter) ->
-      let options = { Mmsim.default_options with eps; max_iter; accel = 8 } in
+      let options = { Mmsim.eps; max_iter; accel = 8 } in
       let fast = Mmsim.solve ~options ~s0 ops ~q in
       let reference, _ = Mmsim_ref.solve ~options ~s0 ops ~q in
       Alcotest.(check bool) (name ^ ": bit-identical to the full recompute") true
@@ -433,7 +412,6 @@ let () =
         [ Alcotest.test_case "solves SPD LCPs" `Quick test_mmsim_gauss_seidel_solves;
           Alcotest.test_case "agrees with PGS" `Quick test_mmsim_agrees_with_pgs;
           Alcotest.test_case "complementary w" `Quick test_mmsim_complementary_w;
-          Alcotest.test_case "gamma invariance" `Quick test_mmsim_gamma_invariance;
           Alcotest.test_case "warm restart" `Quick test_mmsim_warm_start_at_solution;
           Alcotest.test_case "validation" `Quick test_mmsim_validation;
           Alcotest.test_case "stalled-z regression" `Quick test_mmsim_stalled_z_regression;

@@ -264,7 +264,6 @@ let test_blocks_vs_e_matrix () =
   let rand = mk_rand 23 in
   let blocks = Blocks.make ~nvars:9 [ [| 0; 3 |]; [| 5; 6; 7 |] ] in
   Alcotest.(check int) "constraints" 3 (Blocks.num_constraints blocks);
-  Alcotest.(check bool) "not all double" false (Blocks.all_double blocks);
   let e = Blocks.e_matrix blocks in
   let x = Vec.init 9 (fun _ -> rand () -. 0.5) in
   let via_blocks = Blocks.apply_ete blocks x in

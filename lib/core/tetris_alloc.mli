@@ -1,7 +1,8 @@
 (** Tetris-like allocation (final stage of Figure 4).
 
     Aligns every cell to the nearest placement site, accepts cells in
-    left-to-right order while they stay conflict-free, and relocates each
+    left-to-right order ({!acceptance_order}) while they stay
+    conflict-free, and relocates each
     remaining illegal cell — overlap from finite-precision subcell
     mismatch, or out-of-right-boundary after the relaxation — to the
     nearest free span over rail-compatible rows. Table 1's "#I. Cell"
@@ -33,6 +34,18 @@ type result = {
 val clamp_x0 : num_sites:int -> Cell.t -> int -> int
 (** Clamp a relocation-search start column into [[0, num_sites - width]]
     (the single clamp both repair passes share). *)
+
+val acceptance_order :
+  num_sites:int -> sx:int array -> gx:float array -> int array
+(** The order of the acceptance scan: cell ids ascending by snapped site
+    [sx.(i)], then by global x [gx.(i)] ([Float.compare]), then by id.
+    A counting sort files each cell under its site, cells at or past the
+    right edge ([sx.(i) >= num_sites]) in one last bucket, and each
+    bucket is sorted on the full key: O(n + num_sites) when the buckets
+    hold a few dozen cells, as MMSIM output leaves them; the last bucket
+    and one of more than 128 cells cost O(k log k). Raises
+    [Invalid_argument] when [sx] and [gx] differ in length or a site is
+    negative. *)
 
 val run : ?obs:Mclh_obs.Obs.t -> Design.t -> Placement.t -> result
 (** Input: a placement whose ys are integral rows admitting each cell

@@ -81,40 +81,20 @@ let apply_ete t x =
   done;
   dst
 
+let check_params ~alpha ~coef =
+  if not (alpha > 0.0) then invalid_arg "Blocks.solve_shifted: alpha <= 0";
+  if coef < 0.0 then invalid_arg "Blocks.solve_shifted: coef < 0"
+
 (* Arrowhead solve for one chain of (alpha I + coef E^T E):
      hub row:   (alpha + coef (d-1)) y_h - coef sum_k y_sk = b_h
      spoke row: (alpha + coef) y_sk - coef y_h             = b_sk
    Eliminating the spokes gives
      y_h = (b_h + coef/(alpha+coef) * sum_k b_sk)
-           * (alpha + coef) / (alpha (alpha + coef d)). *)
-let solve_chain ~alpha ~coef vars b set =
-  let d = Array.length vars in
-  let hub = vars.(0) in
-  let sum_spoke_b = ref 0.0 in
-  for k = 1 to d - 1 do
-    sum_spoke_b := !sum_spoke_b +. b vars.(k)
-  done;
-  let ac = alpha +. coef in
-  let y_hub =
-    (b hub +. (coef /. ac *. !sum_spoke_b))
-    *. ac
-    /. (alpha *. (alpha +. (coef *. float_of_int d)))
-  in
-  set hub y_hub;
-  for k = 1 to d - 1 do
-    let s = vars.(k) in
-    set s ((b s +. (coef *. y_hub)) /. ac)
-  done
-
-let check_params ~alpha ~coef =
-  if not (alpha > 0.0) then invalid_arg "Blocks.solve_shifted: alpha <= 0";
-  if coef < 0.0 then invalid_arg "Blocks.solve_shifted: coef < 0"
-
-(* [solve_chain]'s arithmetic unrolled over [b]/[dst] for the chain of
-   [d] variables at [vars.(off)] (hub) .. [vars.(off + d - 1)],
-   allocation-free. b == dst is safe: y_hub depends only on b values read
-   before the hub write, and each spoke reads its own b.(s) before
-   overwriting it. *)
+           * (alpha + coef) / (alpha (alpha + coef d)),
+   here over [b]/[dst] for the chain of [d] variables at [vars.(off)]
+   (hub) .. [vars.(off + d - 1)], allocation-free. b == dst is safe: y_hub
+   depends only on b values read before the hub write, and each spoke
+   reads its own b.(s) before overwriting it. *)
 let solve_chain_into ~alpha ~coef vars off d b dst =
   let hub = vars.(off) in
   let ac = alpha +. coef in
@@ -150,49 +130,38 @@ let solve_shifted ~alpha ~coef t b =
   done;
   dst
 
-let solve_shifted_sparse ~alpha ~coef t entries =
-  check_params ~alpha ~coef;
-  let touched = Hashtbl.create 8 in
-  let singles = ref [] in
-  List.iter
-    (fun (v, value) ->
-      if v < 0 || v >= t.nvars then
-        invalid_arg "Blocks.solve_shifted_sparse: index out of range";
-      match t.chain_of.(v) with
-      | -1 -> singles := (v, value /. alpha) :: !singles
-      | c ->
-        let prev = try Hashtbl.find touched c with Not_found -> [] in
-        Hashtbl.replace touched c ((v, value) :: prev))
-    entries;
-  let results = ref !singles in
-  Hashtbl.iter
-    (fun c chain_entries ->
-      let vars = t.chains.(c) in
-      let b v =
-        List.fold_left
-          (fun acc (v', value) -> if v' = v then acc +. value else acc)
-          0.0 chain_entries
-      in
-      solve_chain ~alpha ~coef vars b (fun v y ->
-          results := (v, y) :: !results))
-    touched;
-  !results
+(* one chain of the pair solve, in place on its slice of [y] after
+   writing its part of e_j - e_l there *)
+let solve_pair_chain ~alpha ~coef vars ~l ~j y =
+  for k = 0 to Array.length vars - 1 do
+    let u = vars.(k) in
+    y.(u) <- (if u = l then -1.0 else if u = j then 1.0 else 0.0)
+  done;
+  solve_chain_into ~alpha ~coef vars 0 (Array.length vars) y y
 
-(* entry [v] of [solve_shifted_sparse] on [(l, -1); (j, 1)]: the solve of
-   the one chain holding [v], or the diagonal; a chain holding neither l
-   nor j solves to zero, which the sparse result leaves out *)
-let solve_pair_entry ~alpha ~coef t ~l ~j v =
+let solve_pair_into ~alpha ~coef t ~l ~j y =
   check_params ~alpha ~coef;
-  let c = t.chain_of.(v) in
-  if c < 0 then
-    if v = l then -1.0 /. alpha else if v = j then 1.0 /. alpha else 0.0
-  else if c <> t.chain_of.(l) && c <> t.chain_of.(j) then 0.0
+  if Array.length y <> t.nvars then
+    invalid_arg "Blocks.solve_pair_into: dimension";
+  let cl = t.chain_of.(l) and cj = t.chain_of.(j) in
+  if cl >= 0 then solve_pair_chain ~alpha ~coef t.chains.(cl) ~l ~j y
+  else y.(l) <- -1.0 /. alpha;
+  if cj < 0 then y.(j) <- 1.0 /. alpha
+  else if cj <> cl then solve_pair_chain ~alpha ~coef t.chains.(cj) ~l ~j y
+
+(* zero the chain [c] holding [v], or [v] alone when it is chain-free *)
+let clear_chain t c v y =
+  if c < 0 then y.(v) <- 0.0
   else begin
-    let b u = if u = l then -1.0 else if u = j then 1.0 else 0.0 in
-    let y = ref 0.0 in
-    solve_chain ~alpha ~coef t.chains.(c) b (fun u yu -> if u = v then y := yu);
-    !y
+    let vars = t.chains.(c) in
+    for k = 0 to Array.length vars - 1 do
+      y.(vars.(k)) <- 0.0
+    done
   end
+
+let clear_pair t ~l ~j y =
+  clear_chain t t.chain_of.(l) l y;
+  clear_chain t t.chain_of.(j) j y
 
 (* ---------- the chains split by variable range ---------- *)
 

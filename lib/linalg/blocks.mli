@@ -42,21 +42,20 @@ val solve_shifted : alpha:float -> coef:float -> t -> Vec.t -> Vec.t
     Requires [alpha > 0] and [coef >= 0]; raises [Invalid_argument]
     otherwise. *)
 
-val solve_shifted_sparse :
-  alpha:float -> coef:float -> t -> (int * float) list -> (int * float) list
-(** Solves the shifted system for a sparse right-hand side, returning only
-    the (generally few) nonzero result entries: untouched chains contribute
-    nothing, touched chains contribute all their variables. The list form
-    of {!solve_pair_entry}, which forms the tridiagonal part of the Schur
-    complement in O(m). *)
+val solve_pair_into :
+  alpha:float -> coef:float -> t -> l:int -> j:int -> Vec.t -> unit
+(** [solve_pair_into ~alpha ~coef t ~l ~j y] writes the solution of
+    [(alpha I + coef E^T E) y = e_j - e_l] ([l <> j]) into [y] (length
+    [nvars]) where it can be nonzero: on the chains holding [l] and [j],
+    one arrowhead solve each with {!solve_shifted}'s arithmetic, and
+    [-1 / alpha] or [1 / alpha] at a chain-free [l] or [j]. Every other
+    entry is left as it was, so on a zero [y] the result is the whole
+    solution. Allocation-free, O(length of those chains): the column of
+    one constraint of the Schur complement's tridiagonal part. *)
 
-val solve_pair_entry :
-  alpha:float -> coef:float -> t -> l:int -> j:int -> int -> float
-(** [solve_pair_entry ~alpha ~coef t ~l ~j v] is entry [v] of the
-    solution of [(alpha I + coef E^T E) y = e_j - e_l] ([l <> j]), with
-    the arithmetic of {!solve_shifted_sparse} on [[(l, -1.); (j, 1.)]]:
-    its value there, or [0.] where that leaves [v] out. O(length of
-    [v]'s chain), no allocation of a result list. *)
+val clear_pair : t -> l:int -> j:int -> Vec.t -> unit
+(** [clear_pair t ~l ~j y] zeroes the entries {!solve_pair_into} wrote
+    for [(l, j)], returning [y] to zero for the next pair. *)
 
 (** {2 The chains split by variable range}
 

@@ -18,13 +18,23 @@ let identity n =
 
 let of_symmetric ~diag ~off = make ~sub:(Array.copy off) ~diag ~sup:off
 
+(* plain loops: a float closure under [Array.map] boxes every entry *)
 let add_scaled_identity t c =
-  { t with diag = Array.map (fun v -> v +. c) t.diag }
+  let diag = Array.copy t.diag in
+  for i = 0 to Array.length diag - 1 do
+    diag.(i) <- diag.(i) +. c
+  done;
+  { t with diag }
 
 let scale c t =
-  { sub = Array.map (( *. ) c) t.sub;
-    diag = Array.map (( *. ) c) t.diag;
-    sup = Array.map (( *. ) c) t.sup }
+  let scaled band =
+    let out = Array.copy band in
+    for i = 0 to Array.length out - 1 do
+      out.(i) <- c *. out.(i)
+    done;
+    out
+  in
+  { sub = scaled t.sub; diag = scaled t.diag; sup = scaled t.sup }
 
 let mul_vec t x =
   let n = dim t in

@@ -1,13 +1,66 @@
 (* Test-only references for [Schur.tridiag]: each column Q~^-1 B_i^T
    built as an association list and dotted with the B rows by folding
-   over it. [tridiag] takes the columns from
-   [Blocks.solve_shifted_sparse], the formula the production code sums
-   term by term without the lists, and must match it bit for bit.
+   over it. [tridiag] takes the columns from [solve_shifted_sparse], the
+   formula the production code sums term by term without the lists, and
+   must match it bit for bit.
    [tridiag_sm] takes them from the paper's Sherman-Morrison closed form,
    exact when every chain is a pair. *)
 
 open Mclh_core
 open Mclh_linalg
+
+(* the arrowhead solve of one chain of (alpha I + coef E^T E), reading
+   the right-hand side and writing the solution through closures *)
+let solve_chain ~alpha ~coef vars b set =
+  let d = Array.length vars in
+  let hub = vars.(0) in
+  let sum_spoke_b = ref 0.0 in
+  for k = 1 to d - 1 do
+    sum_spoke_b := !sum_spoke_b +. b vars.(k)
+  done;
+  let ac = alpha +. coef in
+  let y_hub =
+    (b hub +. (coef /. ac *. !sum_spoke_b))
+    *. ac
+    /. (alpha *. (alpha +. (coef *. float_of_int d)))
+  in
+  set hub y_hub;
+  for k = 1 to d - 1 do
+    let s = vars.(k) in
+    set s ((b s +. (coef *. y_hub)) /. ac)
+  done
+
+(* [Blocks.solve_shifted] for a sparse right-hand side given as an
+   association list, returning only the entries it reaches: all the
+   variables of every chain it touches, and value / alpha at a chain-free
+   variable *)
+let solve_shifted_sparse ~alpha ~coef blocks entries =
+  let chain_of = Array.make (Blocks.nvars blocks) (-1) in
+  for c = 0 to Blocks.num_chains blocks - 1 do
+    Array.iter (fun v -> chain_of.(v) <- c) (Blocks.chain_vars blocks c)
+  done;
+  let touched = Hashtbl.create 8 in
+  let singles = ref [] in
+  List.iter
+    (fun (v, value) ->
+      match chain_of.(v) with
+      | -1 -> singles := (v, value /. alpha) :: !singles
+      | c ->
+        let prev = try Hashtbl.find touched c with Not_found -> [] in
+        Hashtbl.replace touched c ((v, value) :: prev))
+    entries;
+  let results = ref !singles in
+  Hashtbl.iter
+    (fun c chain_entries ->
+      let b v =
+        List.fold_left
+          (fun acc (v', value) -> if v' = v then acc +. value else acc)
+          0.0 chain_entries
+      in
+      solve_chain ~alpha ~coef (Blocks.chain_vars blocks c) b (fun v y ->
+          results := (v, y) :: !results))
+    touched;
+  !results
 
 (* assoc-list dot product with a two-nonzero B row *)
 let dot_with_row entries (l, j) =
@@ -19,7 +72,7 @@ let dot_with_row entries (l, j) =
   look j -. look l
 
 let column_exact (model : Model.t) ~lambda (l, j) =
-  Blocks.solve_shifted_sparse ~alpha:1.0 ~coef:lambda model.blocks
+  solve_shifted_sparse ~alpha:1.0 ~coef:lambda model.blocks
     [ (l, -1.0); (j, 1.0) ]
 
 (* c_i = B_i^T - mu E^T E B_i^T with mu = lambda/(2 lambda + 1), valid

@@ -238,7 +238,7 @@ let schur_dense (model : Model.t) ~lambda =
     let col = Vec.zeros model.Model.nvars in
     List.iter
       (fun (v, y) -> col.(v) <- col.(v) +. y)
-      (Blocks.solve_shifted_sparse ~alpha:1.0 ~coef:lambda model.Model.blocks
+      (Schur_ref.solve_shifted_sparse ~alpha:1.0 ~coef:lambda model.Model.blocks
          (Csr.row_entries b i));
     Array.iteri (fun k bk -> Dense.set out k i bk) (Csr.mul_vec b col)
   done;
@@ -913,6 +913,118 @@ let test_tetris_alloc_fractional_snap () =
   Alcotest.(check bool) "integral" true
     (Placement.is_integral out.Tetris_alloc.placement)
 
+(* the acceptance order and the whole run against the comparison-sort
+   oracle and the old allocator (test/tetris_ref.ml). A draw is a
+   generated fft_2 or superblue12 design at 0.01-0.03 with 0-20% blockage
+   and 0-40% tall cells, and a relaxed placement near its global one,
+   crafted so that every rule of the order decides somewhere: cells
+   sharing a snapped site, pairs with equal global x (the id decides),
+   cells past the right edge with different overshoots and global x
+   against the overshoot order, negative and NaN x, and sometimes a pile
+   of cells on one site (a bucket sorted by comparison) *)
+let tetris_draw_gen =
+  QCheck.(
+    pair
+      (triple (int_range 1 1000) (int_range 0 20) (int_range 0 40))
+      (triple bool (int_range 1 3) bool))
+
+let tetris_draw ((seed, blockage, tall), (large, scale, pile)) =
+  let spec = Spec.find (if large then "superblue12" else "fft_2") in
+  let d =
+    (Generate.generate
+       ~options:
+         { Generate.default_options with
+           seed;
+           blockage_fraction = float_of_int blockage /. 100.0;
+           tall_cell_fraction = float_of_int tall /. 100.0 }
+       (Spec.scaled (float_of_int scale /. 100.0) spec))
+      .Generate.design
+  in
+  let n = Design.num_cells d in
+  let num_sites = d.Design.chip.Chip.num_sites in
+  let rng = Random.State.make [| seed |] in
+  let pick () = Random.State.int rng n in
+  let gx = Array.copy d.Design.global.Placement.xs in
+  let xs = Array.map (fun x -> x +. Random.State.float rng 4.0 -. 2.0) gx in
+  let ys = Array.map float_of_int (Row_assign.assign d).Row_assign.rows in
+  for _ = 1 to n / 10 do
+    (* the same snapped site as another cell *)
+    xs.(pick ()) <-
+      Float.round xs.(pick ()) +. Random.State.float rng 0.98 -. 0.49
+  done;
+  for _ = 1 to n / 20 do
+    (* equal global x, and the same site *)
+    let a = pick () and b = pick () in
+    gx.(a) <- gx.(b);
+    xs.(a) <- xs.(b)
+  done;
+  let a = pick () and b = pick () in
+  gx.(a) <- -0.0;
+  gx.(b) <- 0.0;
+  for k = 1 to 6 do
+    (* past the right edge: overshoot rises with k, global x falls *)
+    let i = pick () in
+    xs.(i) <- float_of_int (num_sites + (3 * k) + Random.State.int rng 3);
+    gx.(i) <- float_of_int (num_sites - k)
+  done;
+  xs.(pick ()) <- -7.3;
+  xs.(pick ()) <- -0.4;
+  xs.(pick ()) <- Float.nan;
+  if pile then begin
+    let site = float_of_int (Random.State.int rng num_sites) in
+    for _ = 1 to min (n / 2) 300 do
+      xs.(pick ()) <- site +. Random.State.float rng 0.9 -. 0.45
+    done
+  end;
+  let d =
+    Design.make ~blockages:d.Design.blockages ~name:d.Design.name
+      ~chip:d.Design.chip ~cells:d.Design.cells
+      ~global:(Placement.make ~xs:gx ~ys:d.Design.global.Placement.ys)
+      ~nets:d.Design.nets ()
+  in
+  (d, Placement.make ~xs ~ys)
+
+let placement_bits (p : Placement.t) =
+  Array.map Int64.bits_of_float (Array.append p.Placement.xs p.Placement.ys)
+
+let same_alloc (a : Tetris_alloc.result) (b : Tetris_alloc.result) =
+  placement_bits a.Tetris_alloc.placement
+  = placement_bits b.Tetris_alloc.placement
+  && a.Tetris_alloc.illegal_before = b.Tetris_alloc.illegal_before
+  && a.Tetris_alloc.relocated = b.Tetris_alloc.relocated
+  && Int64.bits_of_float a.Tetris_alloc.relocation_cost
+     = Int64.bits_of_float b.Tetris_alloc.relocation_cost
+  && a.Tetris_alloc.repack_fallback = b.Tetris_alloc.repack_fallback
+  && a.Tetris_alloc.exact_repacks = b.Tetris_alloc.exact_repacks
+  && a.Tetris_alloc.unplaced = b.Tetris_alloc.unplaced
+
+let prop_acceptance_order =
+  QCheck.Test.make ~count:20
+    ~name:"acceptance order = comparison sort; run = old run, bit for bit"
+    tetris_draw_gen (fun draw ->
+      let d, relaxed = tetris_draw draw in
+      let num_sites = d.Design.chip.Chip.num_sites in
+      let sx =
+        Array.map
+          (fun x -> max 0 (int_of_float (Float.round x)))
+          relaxed.Placement.xs
+      in
+      let gx = d.Design.global.Placement.xs in
+      Tetris_alloc.acceptance_order ~num_sites ~sx ~gx
+      = Tetris_ref.order ~sx ~gx
+      && same_alloc (Tetris_alloc.run d relaxed) (Tetris_ref.run d relaxed))
+
+let test_acceptance_order_rejects () =
+  Alcotest.check_raises "negative site"
+    (Invalid_argument "Tetris_alloc.acceptance_order: negative site")
+    (fun () ->
+      ignore
+        (Tetris_alloc.acceptance_order ~num_sites:4 ~sx:[| 1; -1 |]
+           ~gx:[| 0.0; 0.0 |]));
+  Alcotest.check_raises "dimension"
+    (Invalid_argument "Tetris_alloc.acceptance_order: dimension") (fun () ->
+      ignore (Tetris_alloc.acceptance_order ~num_sites:4 ~sx:[| 1 |] ~gx:[||]))
+
 let () =
   Alcotest.run "core"
     [ ("row_assign", [ Alcotest.test_case "nearest correct row" `Quick test_row_assign_nearest ]);
@@ -964,4 +1076,7 @@ let () =
         [ Alcotest.test_case "no-op when legal" `Quick test_tetris_alloc_noop_when_legal;
           Alcotest.test_case "fixes overlap" `Quick test_tetris_alloc_fixes_overlap;
           Alcotest.test_case "out of boundary" `Quick test_tetris_alloc_out_of_boundary;
-          Alcotest.test_case "fractional snap" `Quick test_tetris_alloc_fractional_snap ] ) ]
+          Alcotest.test_case "fractional snap" `Quick test_tetris_alloc_fractional_snap;
+          QCheck_alcotest.to_alcotest prop_acceptance_order;
+          Alcotest.test_case "acceptance order rejects" `Quick
+            test_acceptance_order_rejects ] ) ]

@@ -286,7 +286,7 @@ let test_blocks_solve_shifted () =
 let test_blocks_solve_sparse () =
   let blocks = Blocks.make ~nvars:6 [ [| 0; 1 |]; [| 3; 4 |] ] in
   let entries = [ (0, 1.0); (2, -2.0) ] in
-  let sparse = Blocks.solve_shifted_sparse ~alpha:1.0 ~coef:3.0 blocks entries in
+  let sparse = Schur_ref.solve_shifted_sparse ~alpha:1.0 ~coef:3.0 blocks entries in
   let dense_rhs = Vec.zeros 6 in
   List.iter (fun (v, value) -> dense_rhs.(v) <- dense_rhs.(v) +. value) entries;
   let dense = Blocks.solve_shifted ~alpha:1.0 ~coef:3.0 blocks dense_rhs in

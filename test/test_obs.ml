@@ -385,7 +385,19 @@ let test_repack_fallback () =
     (Legality.is_legal d result.Tetris_alloc.placement);
   (* tallest-first: the double-height cell keeps its snapped position *)
   Alcotest.(check (float 0.0)) "double at x=2" 2.0
-    result.Tetris_alloc.placement.Placement.xs.(0)
+    result.Tetris_alloc.placement.Placement.xs.(0);
+  let oracle = Tetris_ref.run d d.Design.global in
+  Alcotest.(check bool) "oracle's placement" true
+    (Array.map Int64.bits_of_float
+       (Array.append result.Tetris_alloc.placement.Placement.xs
+          result.Tetris_alloc.placement.Placement.ys)
+    = Array.map Int64.bits_of_float
+        (Array.append oracle.Tetris_alloc.placement.Placement.xs
+           oracle.Tetris_alloc.placement.Placement.ys));
+  Alcotest.(check bool) "oracle's counts" true
+    (oracle.Tetris_alloc.repack_fallback
+    && oracle.Tetris_alloc.relocated = result.Tetris_alloc.relocated
+    && oracle.Tetris_alloc.illegal_before = result.Tetris_alloc.illegal_before)
 
 let test_clamp_x0 () =
   let c = cell ~id:0 ~w:4 ~h:1 () in

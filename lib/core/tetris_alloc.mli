@@ -35,6 +35,12 @@ val clamp_x0 : num_sites:int -> Cell.t -> int -> int
 (** Clamp a relocation-search start column into [[0, num_sites - width]]
     (the single clamp both repair passes share). *)
 
+val snap_site : float -> int
+(** The site a relaxed x snaps to: the nearest one, [0] for any x left of
+    the chip, and [max_int] (past every site, so the cell does not fit
+    and is relocated) for NaN and for an x that rounds to [2^62] or more,
+    +inf included. *)
+
 val acceptance_order :
   num_sites:int -> sx:int array -> gx:float array -> int array
 (** The order of the acceptance scan: cell ids ascending by snapped site

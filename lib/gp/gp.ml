@@ -44,25 +44,13 @@ type stats = {
    the quadratic pull of any realistic net load is invisible *)
 let pin_weight = 1e8
 
-(* clique net model with edge weight 1/(k-1): build the Laplacian L (shared
+(* clique net model with edge weight 1/(k-1): the Laplacian L (shared
    by x and y) and the pin-offset load vectors.
 
    For an edge (i, j, w) with pin offsets (di, dj) along one axis, the
    wirelength term w (x_i + di - x_j - dj)^2 contributes
      L[i,i] += w, L[j,j] += w, L[i,j] -= w, L[j,i] -= w
      b[i] += w (dj - di), b[j] += w (di - dj). *)
-let add_edge coo load w i j di dj =
-  if i <> j && w > 0.0 then begin
-    Coo.add coo i i w;
-    Coo.add coo j j w;
-    Coo.add coo i j (-.w);
-    Coo.add coo j i (-.w);
-    load.(i) <- load.(i) +. (w *. (dj -. di));
-    load.(j) <- load.(j) +. (w *. (di -. dj))
-  end
-
-(* fixed clique model: one shared Laplacian for both axes (the x/y loads
-   differ through the pin offsets) *)
 let build_clique (design : Design.t) =
   let n = Design.num_cells design in
   let coo = Coo.create ~rows:n ~cols:n in
@@ -74,12 +62,16 @@ let build_clique (design : Design.t) =
         for a = 0 to k - 1 do
           for b = a + 1 to k - 1 do
             let pa = pins.(a) and pb = pins.(b) in
-            (* the Laplacian entries are added once; both axis loads *)
-            add_edge coo bx w pa.Netlist.cell pb.Netlist.cell pa.dx pb.dx;
-            (* y load only (reuse the structure; weights already added) *)
-            if pa.Netlist.cell <> pb.Netlist.cell then begin
-              by.(pa.Netlist.cell) <- by.(pa.Netlist.cell) +. (w *. (pb.dy -. pa.dy));
-              by.(pb.Netlist.cell) <- by.(pb.Netlist.cell) +. (w *. (pa.dy -. pb.dy))
+            let i = pa.Netlist.cell and j = pb.Netlist.cell in
+            if i <> j then begin
+              Coo.add coo i i w;
+              Coo.add coo j j w;
+              Coo.add coo i j (-.w);
+              Coo.add coo j i (-.w);
+              bx.(i) <- bx.(i) +. (w *. (pb.dx -. pa.dx));
+              bx.(j) <- bx.(j) +. (w *. (pa.dx -. pb.dx));
+              by.(i) <- by.(i) +. (w *. (pb.dy -. pa.dy));
+              by.(j) <- by.(j) +. (w *. (pa.dy -. pb.dy))
             end
           done
         done
@@ -139,23 +131,31 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
           else cy +. (0.0005 *. float_of_int (i mod 89)))
     in
     let xs = Vec.copy ax and ys = Vec.copy ay in
-    let alphas = Vec.zeros n in
+    let alphas = Vec.zeros n and jacobi = Vec.zeros n in
     let fx = Vec.zeros n and fy = Vec.zeros n in
-    let solve_axis ~anchors ~load current =
-      let apply v =
-        let out = Csr.mul_vec laplacian v in
-        for i = 0 to n - 1 do
-          out.(i) <- out.(i) +. (alphas.(i) *. v.(i))
-        done;
-        out
-      in
-      let b = Vec.init n (fun i -> load.(i) +. (alphas.(i) *. anchors.(i))) in
-      let jacobi = Vec.init n (fun i -> Float.max 1e-12 diag.(i) +. alphas.(i)) in
-      let r =
-        Cg.solve ~tol:cg_tol ~x0:current ~jacobi ~dim:n apply ~b
-      in
-      (r.Cg.x, r.Cg.iterations)
+    (* the two axis solves share only read-only data (L, alphas, the
+       Jacobi diagonal), and each owns its workspace, right-hand side and
+       iteration count, so they run side by side as one two-task region;
+       nested or on one domain, the region runs them in turn *)
+    let apply v out =
+      Csr.mul_vec_into laplacian v out;
+      for i = 0 to n - 1 do
+        out.(i) <- out.(i) +. (alphas.(i) *. v.(i))
+      done
     in
+    let ws = [| Cg.workspace n; Cg.workspace n |] in
+    let rhs = [| Vec.zeros n; Vec.zeros n |] in
+    let cg_iterations = [| 0; 0 |] in
+    let solve_axis k =
+      let anchors, load, current = if k = 0 then (ax, bx, xs) else (ay, by, ys) in
+      let b = rhs.(k) in
+      for i = 0 to n - 1 do
+        b.(i) <- load.(i) +. (alphas.(i) *. anchors.(i))
+      done;
+      let r = Cg.solve ~tol:cg_tol ~x0:current ~jacobi ws.(k) apply ~b in
+      cg_iterations.(k) <- r.Cg.iterations
+    in
+    let pool = Mclh_par.Pool.default () in
     let rounds = ref [] in
     let alpha = ref anchor_weight in
     let stop = ref false in
@@ -163,12 +163,15 @@ let place ?(options = default_options) ?obs ?on_round (design : Design.t) =
     while (not !stop) && !round_no < options.iterations do
       incr round_no;
       for i = 0 to n - 1 do
-        alphas.(i) <- (if fixed.(i) then pin_weight else !alpha)
+        alphas.(i) <- (if fixed.(i) then pin_weight else !alpha);
+        jacobi.(i) <- Float.max 1e-12 diag.(i) +. alphas.(i)
       done;
-      let x', itx = solve_axis ~anchors:ax ~load:bx xs in
-      let y', ity = solve_axis ~anchors:ay ~load:by ys in
-      Array.blit x' 0 xs 0 n;
-      Array.blit y' 0 ys 0 n;
+      let t_cg = Mclh_par.Clock.now () in
+      Mclh_par.Pool.region pool 2 solve_axis;
+      Obs.record_span obs "gp/cg" (Mclh_par.Clock.now () -. t_cg);
+      Array.blit ws.(0).Cg.x 0 xs 0 n;
+      Array.blit ws.(1).Cg.x 0 ys 0 n;
+      let itx = cg_iterations.(0) and ity = cg_iterations.(1) in
       (* pinned cells sit exactly at their given position (the huge anchor
          weight holds them there up to CG tolerance; make it exact) *)
       Array.iteri

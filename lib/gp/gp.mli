@@ -14,6 +14,11 @@
     solve stops at CG tolerance 1e-7. The loop stops when the density
     overflow drops to [stop_overflow] (or after [iterations] rounds).
 
+    The x and y solves of a round run side by side as one two-task
+    region of the default {!Mclh_par.Pool} (in turn when nested in a
+    pool job or on one domain; the bits are the same), each on its own
+    {!Mclh_linalg.Cg.workspace}, and a CG iteration allocates nothing.
+
     Blockages and pinned cells ([fixed_cells]) are pre-filled into the
     density grid, so the field steers spreading around obstructed
     regions; pinned cells are additionally held at their [design.global]
@@ -71,7 +76,8 @@ val place :
     ([design.global] is read only for [fixed_cells]). [on_round] fires
     after every round with the round record and the {e live} position
     buffer (copy it to keep it — the ECO bridge does). [obs] records
-    [gp/*] counters, gauges and spans.
+    [gp/*] counters, gauges and spans; [gp/cg] is the wall time of the
+    rounds' two-axis solves, [gp/density] that of their density steps.
 
     Cells not touched by any net settle at their anchors. The result is
     clamped to the chip but not legal.

@@ -17,9 +17,10 @@ val add : t -> int -> int -> float -> unit
     [drop_zeros] is requested). *)
 
 val to_csr : ?drop_zeros:bool -> t -> Csr.t
-(** Converts to CSR, merging duplicate entries by summation. With
-    [drop_zeros] (default [true]), entries that sum to exactly 0.0 are
-    removed. *)
+(** Converts to CSR with sorted rows, in time linear in the entries and
+    the dimensions. Duplicate entries are merged by summation, left to
+    right in the order they were added. With [drop_zeros] (default
+    [true]), entries that sum to exactly 0.0 are removed. *)
 
 val of_dense : ?eps:float -> Dense.t -> t
 (** Triplets of all entries of magnitude above [eps] (default 0., i.e. all

@@ -94,7 +94,7 @@ let optimal_target st i =
   | _ ->
     let median l =
       let arr = Array.of_list l in
-      Array.sort compare arr;
+      Array.sort Float.compare arr;
       arr.(Array.length arr / 2)
     in
     let tx = median !xs -. (float_of_int c.Cell.width /. 2.0) in
@@ -306,17 +306,42 @@ let run ?obs (design : Design.t) (input : Placement.t) =
        be plowed over by the contiguous repacking — and windows are
        disjoint so earlier reorders cannot invalidate later ones. *)
     let num_rows = chip.Chip.num_rows in
+    (* every cell whose vertical span covers a row, bucketed once per pass
+       in visit order (the reorders below move only the x of single-height
+       cells homed in the row at hand, so the buckets stay exact), and
+       stable-sorted by x when the row comes up *)
+    let start = Array.make (num_rows + 1) 0 in
+    let span i =
+      let home = int_of_float st.pl.Placement.ys.(i) in
+      (max 0 home, min num_rows (home + design.Design.cells.(i).Cell.height))
+    in
+    Array.iter
+      (fun i ->
+        let lo, hi = span i in
+        for row = lo to hi - 1 do
+          start.(row + 1) <- start.(row + 1) + 1
+        done)
+      order;
+    for row = 1 to num_rows do
+      start.(row) <- start.(row) + start.(row - 1)
+    done;
+    let next = Array.sub start 0 num_rows in
+    let bucket = Array.make start.(num_rows) 0 in
+    Array.iter
+      (fun i ->
+        let lo, hi = span i in
+        for row = lo to hi - 1 do
+          bucket.(next.(row)) <- i;
+          next.(row) <- next.(row) + 1
+        done)
+      order;
     for row = 0 to num_rows - 1 do
-      (* every cell whose vertical span covers [row], in x order *)
       let occupants =
-        Array.to_list order
-        |> List.filter (fun i ->
-               let c = design.Design.cells.(i) in
-               let home = int_of_float st.pl.Placement.ys.(i) in
-               home <= row && row < home + c.Cell.height)
-        |> List.sort (fun a b ->
-               compare st.pl.Placement.xs.(a) st.pl.Placement.xs.(b))
+        Array.sub bucket start.(row) (start.(row + 1) - start.(row))
       in
+      Array.stable_sort
+        (fun a b -> Float.compare st.pl.Placement.xs.(a) st.pl.Placement.xs.(b))
+        occupants;
       let is_single i =
         (not st.skip.(i))
         && design.Design.cells.(i).Cell.height = 1
@@ -332,7 +357,7 @@ let run ?obs (design : Design.t) (input : Placement.t) =
         | _ :: rest -> windows rest
         | [] -> ()
       in
-      windows occupants
+      windows (Array.to_list occupants)
     done
   done;
   let hpwl_after = Hpwl.total ~row_height:st.row_height design.Design.nets pl in

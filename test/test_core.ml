@@ -913,6 +913,37 @@ let test_tetris_alloc_fractional_snap () =
   Alcotest.(check bool) "integral" true
     (Placement.is_integral out.Tetris_alloc.placement)
 
+(* an x with no int (2^62 or more, +inf) or NaN must not snap onto the
+   chip: the cell is counted illegal and relocated, never accepted at
+   site 0 unseen. Site 0 is free, so a snap onto it would pass the
+   acceptance scan. *)
+let test_tetris_alloc_non_finite () =
+  let d = figure2_design () in
+  List.iter
+    (fun (name, bad) ->
+      let xs = [| 3.0; 2.0; 6.0; 8.0; bad |] in
+      let ys = [| 1.0; 0.0; 1.0; 0.0; 1.0 |] in
+      let out = Tetris_alloc.run d (Placement.make ~xs ~ys) in
+      let pl = out.Tetris_alloc.placement in
+      Alcotest.(check int) (name ^ ": counted illegal") 1
+        out.Tetris_alloc.illegal_before;
+      Alcotest.(check int) (name ^ ": relocated") 1 out.Tetris_alloc.relocated;
+      Alcotest.(check (list int)) (name ^ ": none unplaced") []
+        out.Tetris_alloc.unplaced;
+      Alcotest.(check bool) (name ^ ": legal") true (Legality.is_legal d pl);
+      Alcotest.(check bool) (name ^ ": others kept") true
+        (Array.for_all Fun.id
+           (Array.init 4 (fun i ->
+                pl.Placement.xs.(i) = xs.(i) && pl.Placement.ys.(i) = ys.(i))));
+      Alcotest.(check bool) (name ^ ": snapped past the chip") true
+        (Tetris_alloc.snap_site bad = max_int))
+    [ ("9.2e18", 9.2e18); ("1e19", 1e19); ("+inf", infinity);
+      ("nan", Float.nan) ];
+  (* finite x on either side of the chip keep their old snap *)
+  Alcotest.(check (list int)) "finite snaps" [ 0; 0; 0; 3; 40; 4611686018427387392 ]
+    (List.map Tetris_alloc.snap_site
+       [ neg_infinity; -1e19; -0.4; 2.6; 40.2; 0x1p62 -. 512.0 ])
+
 (* the acceptance order and the whole run against the comparison-sort
    oracle and the old allocator (test/tetris_ref.ml). A draw is a
    generated fft_2 or superblue12 design at 0.01-0.03 with 0-20% blockage
@@ -1004,11 +1035,7 @@ let prop_acceptance_order =
     tetris_draw_gen (fun draw ->
       let d, relaxed = tetris_draw draw in
       let num_sites = d.Design.chip.Chip.num_sites in
-      let sx =
-        Array.map
-          (fun x -> max 0 (int_of_float (Float.round x)))
-          relaxed.Placement.xs
-      in
+      let sx = Array.map Tetris_alloc.snap_site relaxed.Placement.xs in
       let gx = d.Design.global.Placement.xs in
       Tetris_alloc.acceptance_order ~num_sites ~sx ~gx
       = Tetris_ref.order ~sx ~gx
@@ -1077,6 +1104,8 @@ let () =
           Alcotest.test_case "fixes overlap" `Quick test_tetris_alloc_fixes_overlap;
           Alcotest.test_case "out of boundary" `Quick test_tetris_alloc_out_of_boundary;
           Alcotest.test_case "fractional snap" `Quick test_tetris_alloc_fractional_snap;
+          Alcotest.test_case "non-finite x relocated" `Quick
+            test_tetris_alloc_non_finite;
           QCheck_alcotest.to_alcotest prop_acceptance_order;
           Alcotest.test_case "acceptance order rejects" `Quick
             test_acceptance_order_rejects ] ) ]

@@ -21,16 +21,20 @@ let random_spd rand n =
   done;
   a
 
+(* an into-style operator for the dense matrix [a] *)
+let dense_apply a v out = Array.blit (Dense.mul_vec a v) 0 out 0 (Array.length out)
+
 let test_cg_matches_lu () =
   let rand = mk_rand 3 in
   List.iter
     (fun n ->
       let a = random_spd rand n in
       let b = Vec.init n (fun _ -> rand () *. 4.0 -. 2.0) in
-      let cg = Cg.solve ~dim:n (Dense.mul_vec a) ~b in
+      let ws = Cg.workspace n in
+      let cg = Cg.solve ws (dense_apply a) ~b in
       Alcotest.(check bool) "converged" true cg.Cg.converged;
       let x_ref = Lu.solve_system a b in
-      if not (Vec.equal ~eps:1e-6 cg.Cg.x x_ref) then
+      if not (Vec.equal ~eps:1e-6 ws.Cg.x x_ref) then
         Alcotest.failf "CG vs LU mismatch at n = %d" n)
     [ 1; 2; 5; 12; 30 ]
 
@@ -44,10 +48,12 @@ let test_cg_jacobi () =
   done;
   let b = Vec.init n (fun _ -> rand ()) in
   let diag = Vec.init n (fun i -> Dense.get a i i) in
-  let plain = Cg.solve ~dim:n (Dense.mul_vec a) ~b in
-  let pre = Cg.solve ~jacobi:diag ~dim:n (Dense.mul_vec a) ~b in
+  let ws_plain = Cg.workspace n and ws_pre = Cg.workspace n in
+  let plain = Cg.solve ws_plain (dense_apply a) ~b in
+  let pre = Cg.solve ~jacobi:diag ws_pre (dense_apply a) ~b in
   Alcotest.(check bool) "both converge" true (plain.Cg.converged && pre.Cg.converged);
-  Alcotest.(check bool) "same solution" true (Vec.equal ~eps:1e-5 plain.Cg.x pre.Cg.x);
+  Alcotest.(check bool) "same solution" true
+    (Vec.equal ~eps:1e-5 ws_plain.Cg.x ws_pre.Cg.x);
   Alcotest.(check bool) "preconditioning not slower" true
     (pre.Cg.iterations <= plain.Cg.iterations + 2)
 
@@ -56,16 +62,114 @@ let test_cg_warm_start () =
   let n = 10 in
   let a = random_spd rand n in
   let b = Vec.init n (fun _ -> rand ()) in
-  let first = Cg.solve ~dim:n (Dense.mul_vec a) ~b in
-  let second = Cg.solve ~x0:first.Cg.x ~dim:n (Dense.mul_vec a) ~b in
+  let ws = Cg.workspace n in
+  let _ = Cg.solve ws (dense_apply a) ~b in
+  (* the workspace's own iterate is a valid initial guess *)
+  let second = Cg.solve ~x0:ws.Cg.x ws (dense_apply a) ~b in
   Alcotest.(check bool) "immediate" true (second.Cg.iterations <= 1)
 
 let test_cg_validation () =
   Alcotest.(check bool) "bad jacobi" true
     (try
-       ignore (Cg.solve ~jacobi:(Vec.zeros 2) ~dim:2 (fun v -> v) ~b:(Vec.zeros 2));
+       ignore
+         (Cg.solve ~jacobi:(Vec.zeros 2) (Cg.workspace 2)
+            (fun v out -> Array.blit v 0 out 0 2)
+            ~b:(Vec.zeros 2));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "b of another dimension" true
+    (try
+       ignore
+         (Cg.solve (Cg.workspace 2) (fun v out -> Array.blit v 0 out 0 2)
+            ~b:(Vec.zeros 3));
        false
      with Invalid_argument _ -> true)
+
+(* the workspace solve against the allocating loop it replaced
+   (test/cg_ref.ml), bit for bit: iterate, iteration count, exit and
+   residual. A draw is a random SPD system of dimension 1-24 with or
+   without Jacobi and x0, and sometimes one of the other exits: b = 0
+   (converged at iteration 0), max_iter 0 or 3, or a negative definite
+   matrix (the p'Ap <= 0 stop) *)
+let cg_draw_gen =
+  QCheck.(
+    pair
+      (triple (int_range 1 100_000) (int_range 1 24) (pair bool bool))
+      (int_range 0 4))
+
+let prop_cg_equals_reference =
+  QCheck.Test.make ~count:300 ~name:"workspace CG = allocating CG, bit for bit"
+    cg_draw_gen (fun ((seed, n, (use_jacobi, use_x0)), exit_kind) ->
+      let rand = mk_rand seed in
+      let a = random_spd rand n in
+      if exit_kind = 4 then
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            Dense.set a i j (-.Dense.get a i j)
+          done
+        done;
+      let b =
+        if exit_kind = 1 then Vec.zeros n
+        else Vec.init n (fun _ -> (rand () *. 4.0) -. 2.0)
+      in
+      let jacobi =
+        if use_jacobi && exit_kind <> 4 then
+          Some (Vec.init n (fun i -> Dense.get a i i))
+        else None
+      in
+      let x0 = if use_x0 then Some (Vec.init n (fun _ -> rand ())) else None in
+      let max_iter =
+        match exit_kind with 2 -> Some 0 | 3 -> Some 3 | _ -> None
+      in
+      let expect =
+        Cg_ref.solve ?max_iter ~tol:1e-10 ?x0 ?jacobi ~dim:n (Dense.mul_vec a) ~b
+      in
+      let ws = Cg.workspace n in
+      (* a dirty workspace must not leak into the solve *)
+      List.iter (fun v -> Array.fill v 0 n Float.nan)
+        [ ws.Cg.x; ws.Cg.r; ws.Cg.z; ws.Cg.p; ws.Cg.ap ];
+      let got = Cg.solve ?max_iter ~tol:1e-10 ?x0 ?jacobi ws (dense_apply a) ~b in
+      (* b = 0 with an x0 drives the iterate to NaN. Which NaN an
+         operation returns, when both operands are NaNs of different
+         signs, follows the operand order the compiler picks for a
+         commutative operation; so any NaN matches any NaN *)
+      let bits f =
+        Int64.bits_of_float (if Float.is_nan f then Float.nan else f)
+      in
+      Array.map bits ws.Cg.x = Array.map bits expect.Cg_ref.x
+      && got.Cg.iterations = expect.Cg_ref.iterations
+      && got.Cg.converged = expect.Cg_ref.converged
+      && bits got.Cg.residual_norm = bits expect.Cg_ref.residual_norm)
+
+(* the loop allocates nothing per iteration: the words a solve allocates
+   (its outcome record) do not grow from 10 to 200 iterations. The
+   operator is a CSR product into the given vector, which allocates
+   nothing itself. *)
+let test_cg_no_allocation () =
+  let n = 2000 in
+  let coo = Coo.create ~rows:n ~cols:n in
+  for i = 0 to n - 1 do
+    Coo.add coo i i (2.0 +. (0.001 *. float_of_int (i mod 7)));
+    if i > 0 then Coo.add coo i (i - 1) (-1.0);
+    if i < n - 1 then Coo.add coo i (i + 1) (-1.0)
+  done;
+  let l = Coo.to_csr coo in
+  let apply v out = Csr.mul_vec_into l v out in
+  let b = Vec.init n (fun i -> float_of_int (i mod 13)) in
+  let jacobi = Vec.init n (fun i -> Csr.get l i i) in
+  let ws = Cg.workspace n in
+  let words max_iter =
+    let minor0, _, major0 = Gc.counters () in
+    let r = Cg.solve ~max_iter ~tol:0.0 ~jacobi ws apply ~b in
+    let minor1, _, major1 = Gc.counters () in
+    Alcotest.(check int) "ran to max_iter" max_iter r.Cg.iterations;
+    (minor1 -. minor0, major1 -. major0)
+  in
+  ignore (words 10);
+  let short_minor, short_major = words 10 in
+  let long_minor, long_major = words 200 in
+  Alcotest.(check (float 0.0)) "minor words" short_minor long_minor;
+  Alcotest.(check (float 0.0)) "major words" short_major long_major
 
 (* ---------- Gp ---------- *)
 
@@ -118,6 +222,32 @@ let test_gp_deterministic () =
   let gp1, _ = Mclh_gp.Gp.place d in
   let gp2, _ = Mclh_gp.Gp.place d in
   Alcotest.(check bool) "deterministic" true (Placement.equal gp1 gp2)
+
+let placement_bits (p : Placement.t) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun f -> Buffer.add_int64_le b (Int64.bits_of_float f))
+    (Array.append p.Placement.xs p.Placement.ys);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* the two axis solves run as one pool region at top level; inside a pool
+   job the region runs them in turn. Both give the same bits, and those
+   are the bits the placer gave before the solves moved onto the pool *)
+let test_gp_pool_bits () =
+  let d = design_for "fft_2" 0.02 in
+  let top, _ = Mclh_gp.Gp.place d in
+  let nested =
+    Mclh_par.Pool.parallel_map (Mclh_par.Pool.default ())
+      (fun d -> fst (Mclh_gp.Gp.place d))
+      [| d; d |]
+  in
+  Array.iter
+    (fun pl ->
+      Alcotest.(check string) "nested = top level" (placement_bits top)
+        (placement_bits pl))
+    nested;
+  Alcotest.(check string) "pinned fft_2 0.02" "701664f415eb60e927352cd32794224e"
+    (placement_bits top)
 
 (* the fractional GP output is handed to MMSIM as it is, then refined.
    Beside the two small inputs, the nine fft/pci/matrix families at scale
@@ -371,10 +501,15 @@ let () =
         [ Alcotest.test_case "matches LU" `Quick test_cg_matches_lu;
           Alcotest.test_case "jacobi" `Quick test_cg_jacobi;
           Alcotest.test_case "warm start" `Quick test_cg_warm_start;
-          Alcotest.test_case "validation" `Quick test_cg_validation ] );
+          Alcotest.test_case "validation" `Quick test_cg_validation;
+          QCheck_alcotest.to_alcotest prop_cg_equals_reference;
+          Alcotest.test_case "no allocation per iteration" `Quick
+            test_cg_no_allocation ] );
       ( "placer",
         [ Alcotest.test_case "basics" `Quick test_gp_basics;
           Alcotest.test_case "deterministic" `Quick test_gp_deterministic;
+          Alcotest.test_case "pool = nested, pinned bits" `Quick
+            test_gp_pool_bits;
           Alcotest.test_case "output legalizes" `Quick test_gp_output_legalizes;
           Alcotest.test_case "no nets" `Quick test_gp_no_nets;
           Alcotest.test_case "overflow decreases" `Quick

@@ -211,6 +211,41 @@ let test_coo_duplicates () =
   check_float "merged" 3.0 (Csr.get m 0 0);
   Alcotest.(check int) "zero dropped" 1 (Csr.nnz m)
 
+(* the array-backed COO against the triplet-list builder it replaced
+   (test/coo_ref.ml), bit for bit. A draw adds up to 200 triplets to a
+   matrix of up to 8 x 8, so positions repeat often, with values drawn
+   from a pool where the sum of a group depends on its order (0.1 beside
+   1e16), cancels to 0.0 or -0.0, or is NaN; both [drop_zeros] settings *)
+let qc_coo_equals_reference =
+  let pool = [| 1.0; -1.0; 0.1; -0.1; 1e16; -1e16; 0.0; -0.0; 3.0; Float.nan |] in
+  QCheck.Test.make ~count:300 ~name:"coo: to_csr = list assembly, bit for bit"
+    QCheck.(quad (int_range 0 8) (int_range 0 8) (int_range 0 200)
+              (pair (int_range 0 100_000) bool))
+    (fun (rows, cols, m, (seed, drop_zeros)) ->
+      let rand = mk_rand seed in
+      let pick k = min (k - 1) (int_of_float (rand () *. float_of_int k)) in
+      let coo = Coo.create ~rows ~cols in
+      let oracle = Coo_ref.create ~rows ~cols in
+      if rows > 0 && cols > 0 then
+        for _ = 1 to m do
+          let i = pick rows and j = pick cols in
+          let v = pool.(pick (Array.length pool)) in
+          Coo.add coo i j v;
+          Coo_ref.add oracle i j v
+        done;
+      let entries a =
+        let acc = ref [] in
+        let bits v = Int64.bits_of_float (if Float.is_nan v then Float.nan else v) in
+        Csr.iter a (fun i j v -> acc := (i, j, bits v) :: !acc);
+        List.rev !acc
+      in
+      let got = Coo.to_csr ~drop_zeros coo in
+      let expect = Coo_ref.to_csr ~drop_zeros oracle in
+      Csr.rows got = Csr.rows expect
+      && Csr.cols got = Csr.cols expect
+      && Csr.nnz got = Csr.nnz expect
+      && entries got = entries expect)
+
 let test_csr_mul_vs_dense () =
   let rand = mk_rand 13 in
   let d =
@@ -461,6 +496,7 @@ let () =
           Alcotest.test_case "scale/shift" `Quick test_tridiag_scale_shift ] );
       ( "sparse",
         [ Alcotest.test_case "coo duplicates" `Quick test_coo_duplicates;
+          QCheck_alcotest.to_alcotest qc_coo_equals_reference;
           Alcotest.test_case "mul vs dense" `Quick test_csr_mul_vs_dense;
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
           Alcotest.test_case "add_mul" `Quick test_csr_add_mul;

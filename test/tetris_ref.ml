@@ -3,7 +3,11 @@
    snaps into a boxed (x, row) tuple array, orders the acceptance scan
    with a closure comparison sort on (snapped x, global x, id), reads
    every cell record in the scan, and orders the repack fallback with
-   polymorphic tuple comparisons. [order] is that comparison sort alone:
+   polymorphic tuple comparisons. Only its snap has changed since: NaN
+   and an x of 2^62 or more now snap past every site, as in
+   [Tetris_alloc.snap_site], where they used to land on site 0 (and the
+   right-edge test is written so that such a site cannot overflow it).
+   [order] is that comparison sort alone:
    the oracle for [Tetris_alloc.acceptance_order]. The production run
    must give the same placement bits and counts as [run]. *)
 
@@ -192,10 +196,13 @@ let run ?obs (design : Design.t) (input : Placement.t) =
     let c = design.cells.(i) in
     let x =
       (* snap to the nearest site; out-of-right-boundary stays out and is
-         caught by the legality scan below *)
-      int_of_float (Float.round input.Placement.xs.(i))
+         caught by the legality scan below. NaN and an x of 2^62 or more
+         (no int) snap past every site *)
+      let r = Float.round input.Placement.xs.(i) in
+      if Float.is_nan r || r >= 0x1p62 then max_int
+      else if r <= 0.0 then 0
+      else int_of_float r
     in
-    let x = max 0 x in
     let row = int_of_float (Float.round input.Placement.ys.(i)) in
     let row = max 0 (min (chip.Chip.num_rows - c.Cell.height) row) in
     snap.(i) <- (x, row)
@@ -220,7 +227,7 @@ let run ?obs (design : Design.t) (input : Placement.t) =
       let c = design.cells.(i) in
       let x, row = snap.(i) in
       if
-        x + c.Cell.width <= num_sites
+        x <= num_sites - c.Cell.width
         && Chip.row_admits chip c row
         && Occupancy.is_free_span occ ~row ~height:c.Cell.height ~x
              ~width:c.Cell.width

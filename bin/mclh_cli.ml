@@ -694,7 +694,7 @@ let eco_cmd =
     Printf.printf "initial legalize : %d cells in %.3f s\n"
       (Design.num_cells design) initial_s;
     Printf.printf "%5s %6s %7s %12s %5s %6s %11s %5s\n" "batch" "edits"
-      "touched" "dirty/shards" "hits" "iters" "latency(ms)" "conv";
+      "touched" "dirty/comps" "hits" "iters" "latency(ms)" "conv";
     let total_iters = ref 0
     and total_latency = ref 0.0
     and nonconverged = ref 0 in
@@ -710,7 +710,7 @@ let eco_cmd =
         if not st.Mclh_incr.Incr.converged then incr nonconverged;
         Printf.printf "%5d %6d %7d %6d/%-5d %5d %6d %11.2f %5b\n" (i + 1)
           st.Mclh_incr.Incr.edits st.Mclh_incr.Incr.touched_cells
-          st.Mclh_incr.Incr.dirty_shards st.Mclh_incr.Incr.shards
+          st.Mclh_incr.Incr.dirty_shards st.Mclh_incr.Incr.components
           st.Mclh_incr.Incr.cache_hits st.Mclh_incr.Incr.solve_iterations
           (1000.0 *. st.Mclh_incr.Incr.latency_s)
           st.Mclh_incr.Incr.converged;

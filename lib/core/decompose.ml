@@ -57,13 +57,6 @@ let union parent rank a b =
       rank.(ra) <- rank.(ra) + 1
     end
 
-(* constraint id -> (left, right) global variable pair, in build order
-   ({!Model.constraint_left}). The pair is the constraint's identity
-   across model rebuilds — incremental callers key old-to-new constraint
-   maps on it. *)
-let constraint_pairs (model : Model.t) =
-  Array.map (fun v -> (v, v + 1)) (Model.constraint_left model)
-
 let components (model : Model.t) =
   let n = model.nvars in
   let parent = Array.init n Fun.id and rank = Array.make n 0 in

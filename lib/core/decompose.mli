@@ -64,14 +64,6 @@ val extract : Model.t -> shard -> Model.t
     exactly as [Model.build]'s groups carry the model's; nothing builds
     a matrix. *)
 
-val constraint_pairs : Model.t -> (int * int) array
-(** [constraint_pairs model] maps every ordering-constraint id to its
-    (left, right) global variable pair, in the build order ([Model.build]
-    emits each [row_vars] group's adjacent pairs consecutively, left to
-    right). The pair — lifted to cell identity — survives model rebuilds
-    after an edit, so the incremental engine uses it to carry constraint
-    multipliers and modulus entries from an old model to a new one. *)
-
 val num_components : t -> int
 
 val largest_dim : t -> int

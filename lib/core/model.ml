@@ -113,14 +113,12 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
           let sb = sub_base.(i) in
           let sh = ref 0 in
           for k = 0 to c.Cell.height - 1 do
-            match
+            let start =
               Segments.locate segments ~row:(rows.(i) + k) ~x:gx
                 ~width:c.Cell.width
-            with
-            | Some seg ->
-              seg_of_sub.(sb + k) <- seg.Segments.start;
-              if seg.Segments.start > !sh then sh := seg.Segments.start
-            | None -> ()
+            in
+            seg_of_sub.(sb + k) <- start;
+            if start > !sh then sh := start
           done;
           cell_shift.(i) <- !sh
         done);

@@ -54,6 +54,17 @@ let pin_weight = 1e8
 let build_clique (design : Design.t) =
   let n = Design.num_cells design in
   let coo = Coo.create ~rows:n ~cols:n in
+  (* four triplets per edge between distinct cells: count them first, so
+     the triplet arrays are allocated once at their exact size *)
+  let edges = ref 0 in
+  Netlist.iter design.nets (fun _ pins ->
+      let k = Array.length pins in
+      for a = 0 to k - 1 do
+        for b = a + 1 to k - 1 do
+          if pins.(a).Netlist.cell <> pins.(b).Netlist.cell then incr edges
+        done
+      done);
+  Coo.reserve coo (4 * !edges);
   let bx = Vec.zeros n and by = Vec.zeros n in
   Netlist.iter design.nets (fun _ pins ->
       let k = Array.length pins in

@@ -85,7 +85,12 @@ let insert_cell ~id ~width ~height ~y (chip : Chip.t) =
    pre-batch numbering; modifications apply first, then deletions compact
    ids and insertions append after the survivors. Returns the new design,
    [old_of_new] (new cell id -> pre-batch id, -1 for inserts) and the
-   touched flags (moved / resized / inserted) in new numbering. *)
+   touched flags (moved / resized / inserted) in new numbering.
+
+   A batch of moves and resizes only patches: it keeps the numbering, the
+   netlist and every unresized [Cell.t], and copies the two placement
+   arrays. Deletions and insertions renumber, which rebuilds the cell
+   table and the netlist. *)
 let apply_edits (design : Design.t) edits =
   let n = Design.num_cells design in
   let deleted = Array.make n false in
@@ -125,6 +130,26 @@ let apply_edits (design : Design.t) edits =
         inserts := (width, height, x, y) :: !inserts;
         incr num_inserts)
     edits;
+  if !num_inserts = 0 && not (Array.exists Fun.id deleted) then begin
+    let cells' =
+      Array.mapi
+        (fun id (c : Cell.t) ->
+          if widths.(id) = c.Cell.width then c
+          else
+            Cell.make ~id ~name:c.Cell.name ~width:widths.(id)
+              ~height:c.Cell.height ?bottom_rail:c.Cell.bottom_rail
+              ?region:c.Cell.region ())
+        design.Design.cells
+    in
+    let design' =
+      Design.make ~blockages:design.Design.blockages ~name:design.Design.name
+        ~chip:design.Design.chip ~cells:cells'
+        ~global:(Placement.make ~xs:gx ~ys:gy)
+        ~nets:design.Design.nets ()
+    in
+    (design', Array.init n Fun.id, touched)
+  end
+  else
   let inserts = Array.of_list (List.rev !inserts) in
   let new_of_old = Array.make n (-1) in
   let survivors = ref 0 in
@@ -187,57 +212,64 @@ let apply_edits (design : Design.t) edits =
 (* ------------------------------------------------------------------ *)
 (* warm start across a model rebuild                                   *)
 
-(* Carry the previous modulus vector to the new model's numbering.
-   Variables map by (pre-batch cell id, row) identity; constraints by
-   their (left, right) variable-identity pair. Everything unmapped keeps
-   the paper's plain start: touched cells start at their *new* target
-   (their old modulus reflects the old position), unmapped constraints
-   at 0. *)
+(* Carry the previous modulus vector to the new model's numbering, by
+   index. An untouched surviving cell keeps its rows and height, so each
+   of its new subcells has an old twin at the same row offset. An old
+   group is a run of consecutive ids owning the constraints numbered
+   from its start minus its index ({!Model.group_starts}), so the old
+   pair (ou, ou + 1) is a constraint exactly when both sit in one group,
+   and it is number [ou - group(ou)]. Everything unmapped keeps the
+   paper's plain start: touched and inserted cells start at their *new*
+   target (their old modulus reflects the old position), unmapped
+   constraints at 0. *)
 let warm_s0 (old_model : Model.t) old_s (model' : Model.t) ~old_of_new
     ~touched =
   let n_old = old_model.Model.nvars in
   let n' = model'.Model.nvars in
-  let old_var = Hashtbl.create (2 * n_old) in
+  let old_cells = old_model.Model.design.Design.cells in
+  let old_rows = old_model.Model.assignment.Row_assign.rows in
+  (* old cell c's subcells, bottom row up, are the slots
+     [sub_base.(c), sub_base.(c + 1)) of [old_var] *)
+  let nc_old = Array.length old_cells in
+  let sub_base = Array.make (nc_old + 1) 0 in
+  for c = 0 to nc_old - 1 do
+    sub_base.(c + 1) <- sub_base.(c) + old_cells.(c).Cell.height
+  done;
+  let old_var = Array.make n_old 0 in
   for v = 0 to n_old - 1 do
-    Hashtbl.replace old_var
-      (old_model.Model.var_cell.(v), old_model.Model.var_row.(v))
-      v
+    let c = old_model.Model.var_cell.(v) in
+    old_var.(sub_base.(c) + old_model.Model.var_row.(v) - old_rows.(c)) <- v
   done;
-  let old_con = Hashtbl.create 256 in
+  let old_group = Array.make n_old 0 in
   Array.iteri
-    (fun i (u, v) ->
-      Hashtbl.replace old_con
-        ( (old_model.Model.var_cell.(u), old_model.Model.var_row.(u)),
-          (old_model.Model.var_cell.(v), old_model.Model.var_row.(v)) )
-        i)
-    (Decompose.constraint_pairs old_model);
-  (* identity of a new variable in pre-batch terms; None for inserted or
-     touched cells *)
-  let ident v' =
-    let c = model'.Model.var_cell.(v') in
-    if touched.(c) then None
-    else
-      let oc = old_of_new.(c) in
-      if oc < 0 then None else Some (oc, model'.Model.var_row.(v'))
-  in
+    (fun g vars -> Array.iter (fun v -> old_group.(v) <- g) vars)
+    old_model.Model.row_vars;
   let s0 = Warm_start.plain_start model' in
+  (* the old variable of every new one, -1 where nothing carries *)
+  let carried = Array.make n' (-1) in
   for v' = 0 to n' - 1 do
-    match ident v' with
-    | None -> ()
-    | Some key -> (
-      match Hashtbl.find_opt old_var key with
-      | Some ov -> s0.(v') <- old_s.(ov)
-      | None -> ())
+    let c = model'.Model.var_cell.(v') in
+    let oc = old_of_new.(c) in
+    if oc >= 0 && not touched.(c) then begin
+      let k = model'.Model.var_row.(v') - old_rows.(oc) in
+      if k >= 0 && k < sub_base.(oc + 1) - sub_base.(oc) then begin
+        let ov = old_var.(sub_base.(oc) + k) in
+        carried.(v') <- ov;
+        s0.(v') <- old_s.(ov)
+      end
+    end
   done;
-  Array.iteri
-    (fun i (u', v') ->
-      match (ident u', ident v') with
-      | Some ku, Some kv -> (
-        match Hashtbl.find_opt old_con (ku, kv) with
-        | Some oc -> s0.(n' + i) <- old_s.(n_old + oc)
-        | None -> ())
-      | _ -> ())
-    (Decompose.constraint_pairs model');
+  let ci = ref n' in
+  Array.iter
+    (fun vars ->
+      for k = 0 to Array.length vars - 2 do
+        let ou = carried.(vars.(k)) in
+        if ou >= 0 && carried.(vars.(k + 1)) = ou + 1
+           && old_group.(ou + 1) = old_group.(ou)
+        then s0.(!ci) <- old_s.(n_old + ou - old_group.(ou));
+        incr ci
+      done)
+    model'.Model.row_vars;
   s0
 
 (* ------------------------------------------------------------------ *)
@@ -285,17 +317,18 @@ let resolve t (model' : Model.t) shards s0 =
     Solver.solve_shards ?on_trace ~s0 t.config model' misses ~x:rx ~r:rr
       ~modulus:rs
   in
-  (* refresh the cache with the live generation; reset first if the table
-     outgrew its cap *)
-  if Hashtbl.length t.cache > max_cache_entries then Hashtbl.reset t.cache;
+  (* refresh the cache with the live generation: a hit is already in the
+     table under its key, so only the misses go in, unless the table
+     outgrew its cap and is reset, when every live key goes back *)
+  let reset = Hashtbl.length t.cache > max_cache_entries in
+  if reset then Hashtbl.reset t.cache;
   Array.iteri
     (fun i key ->
-      let e =
-        match found.(i) with
-        | Some e -> e
-        | None -> gather_entry model' ~x:rx ~r:rr ~s:rs shards.(i)
-      in
-      Hashtbl.replace t.cache key e)
+      match found.(i) with
+      | Some e -> if reset then Hashtbl.replace t.cache key e
+      | None ->
+        Hashtbl.replace t.cache key
+          (gather_entry model' ~x:rx ~r:rr ~s:rs shards.(i)))
     keys;
   { rx;
     rr;

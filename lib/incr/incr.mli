@@ -18,9 +18,12 @@
       entry. Equal LCPs have equal (unique) solutions, so a hit skips the
       solve entirely.
     - {b warm start}: cache misses re-solve with [?s0] built from the
-      previous modulus vector, carried across the rebuild by cell identity
-      (variables) and adjacent-pair identity (constraints); unmapped
-      entries fall back to the paper's plain start.
+      previous modulus vector, carried across the rebuild by index
+      ({!warm_s0}): a variable of an untouched cell from the old
+      variable of the same (pre-batch cell, row offset), a constraint
+      from the old constraint between the two old variables when they
+      are adjacent in one old group; unmapped entries fall back to the
+      paper's plain start.
 
     The fixed point of each sub-LCP is unique, so a session's relaxed
     solution matches a cold full re-legalization of the same design to
@@ -55,7 +58,9 @@ type stats = {
       (** components containing a touched cell's variables *)
   components : int;  (** total components after the batch *)
   dirty_shards : int;  (** shards re-solved (fingerprint misses) *)
-  shards : int;  (** total shards after the batch *)
+  shards : int;
+      (** total shards after the batch; every shard is one component, so
+          this always equals [components] *)
   cache_hits : int;  (** shards reused from the solution cache *)
   solve_iterations : int;  (** MMSIM iterations summed over re-solves *)
   max_iterations : int;  (** largest single re-solve iteration count *)
@@ -129,3 +134,31 @@ val try_apply : t -> Edit.t list -> (stats, [ `Busy ]) result
     callers wins; the session is released when the apply returns or
     raises. Domain-level failures ([Invalid_argument], [Failure]) leave
     the session's design and placement at their pre-batch state. *)
+
+(**/**)
+
+(* Exposed for the test oracles, not a stable interface. *)
+
+val apply_edits : Design.t -> Edit.t list -> Design.t * int array * bool array
+(** [apply_edits design batch] is the post-batch design, [old_of_new]
+    (new cell id -> pre-batch id, -1 for inserts) and the touched flags
+    (moved, resized or inserted) in new numbering. A batch without
+    inserts or deletes patches: it keeps the numbering, the netlist and
+    every unresized [Cell.t]. *)
+
+val warm_s0 :
+  Model.t ->
+  Mclh_linalg.Vec.t ->
+  Model.t ->
+  old_of_new:int array ->
+  touched:bool array ->
+  Mclh_linalg.Vec.t
+(** [warm_s0 old_model old_s model' ~old_of_new ~touched] carries the
+    modulus vector [old_s] of [old_model] to [model'], built on the
+    design {!apply_edits} returned with untouched cells on their old
+    rows. Variables carry from the old variable of the same (pre-batch
+    cell, row offset), looked up in an int array over the old model;
+    the new constraint [(u, u + 1)] carries the old constraint
+    [ou - group(ou)] when [u] and [u + 1] map to [ou] and [ou + 1] and
+    [ou + 1] sits in [ou]'s old group. Touched and inserted cells and
+    unmapped constraints keep {!Warm_start.plain_start}. *)

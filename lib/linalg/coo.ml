@@ -15,22 +15,25 @@ let create ~rows ~cols =
 let rows t = t.nrows
 let cols t = t.ncols
 
+(* move the triplets into arrays of [cap] slots *)
+let resize t cap =
+  let grow a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.ti <- grow t.ti 0;
+  t.tj <- grow t.tj 0;
+  t.tv <- grow t.tv 0.0
+
+let reserve t cap = if cap > Array.length t.ti then resize t cap
+
 let add t i j v =
   if i < 0 || i >= t.nrows || j < 0 || j >= t.ncols then
     invalid_arg
       (Printf.sprintf "Coo.add: index (%d, %d) out of %dx%d" i j t.nrows
          t.ncols);
-  if t.len = Array.length t.ti then begin
-    let cap = max 16 (2 * t.len) in
-    let grow a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 t.len;
-      b
-    in
-    t.ti <- grow t.ti 0;
-    t.tj <- grow t.tj 0;
-    t.tv <- grow t.tv 0.0
-  end;
+  if t.len = Array.length t.ti then resize t (max 16 (2 * t.len));
   t.ti.(t.len) <- i;
   t.tj.(t.len) <- j;
   t.tv.(t.len) <- v;

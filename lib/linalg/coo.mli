@@ -10,6 +10,11 @@ val create : rows:int -> cols:int -> t
 val rows : t -> int
 val cols : t -> int
 
+val reserve : t -> int -> unit
+(** [reserve t n] makes room for [n] triplets in all, so that adding
+    that many allocates nothing more; a caller that counts its triplets
+    first sizes the arrays exactly, with no slack from doubling. *)
+
 val add : t -> int -> int -> float -> unit
 (** [add t i j v] accumulates [v] at position [(i, j)]. Raises
     [Invalid_argument] when the indices are out of bounds. Zero values are

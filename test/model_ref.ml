@@ -28,18 +28,18 @@ let build (design : Design.t) (assignment : Row_assign.t) =
       var_row.(first_var.(i) + k) <- assignment.Row_assign.rows.(i) + k
     done
   done;
-  let segments = Segments.compute design in
+  let segments = Segments_ref.compute design in
   let cell_segment_start =
     Array.init n (fun i ->
         let c = design.cells.(i) in
         let gx = design.global.Placement.xs.(i) in
         Array.init c.Cell.height (fun k ->
             match
-              Segments.locate segments
+              Segments_ref.locate segments
                 ~row:(assignment.rows.(i) + k)
                 ~x:gx ~width:c.Cell.width
             with
-            | Some seg -> Some seg.Segments.start
+            | Some seg -> Some seg.Segments_ref.start
             | None -> None))
   in
   let cell_shift =
@@ -56,7 +56,7 @@ let build (design : Design.t) (assignment : Row_assign.t) =
   Array.iteri
     (fun r ids ->
       if Array.length ids > 0 then begin
-        if Segments.has_blockages segments then begin
+        if Segments_ref.has_blockages segments then begin
           let tbl = Hashtbl.create 4 in
           let keys = ref [] in
           Array.iter

@@ -71,12 +71,91 @@ let test_segments () =
     Alcotest.(check int) "full row stop" 30 a.Segments.stop
   | l -> Alcotest.failf "expected 1 segment in row 0, got %d" (List.length l));
   (* locate: wide target near the blockage goes to the side that fits *)
-  (match Segments.locate segs ~row:1 ~x:11.0 ~width:4 with
-  | Some seg -> Alcotest.(check int) "left side" 0 seg.Segments.start
-  | None -> Alcotest.fail "expected a segment");
-  (match Segments.locate segs ~row:1 ~x:16.0 ~width:4 with
-  | Some seg -> Alcotest.(check int) "right side" 18 seg.Segments.start
-  | None -> Alcotest.fail "expected a segment")
+  Alcotest.(check int) "left side" 0 (Segments.locate segs ~row:1 ~x:11.0 ~width:4);
+  Alcotest.(check int) "right side" 18
+    (Segments.locate segs ~row:1 ~x:16.0 ~width:4)
+
+(* equal distances go to the span with the smaller start, and a row
+   where no span fits falls back to the nearest span of any width *)
+let test_locate_ties_and_spill () =
+  let chip = Chip.make ~num_rows:2 ~num_sites:30 () in
+  let blockages =
+    [| Blockage.make ~row:0 ~height:1 ~x:10 ~width:10;
+       Blockage.make ~row:1 ~height:1 ~x:3 ~width:24 |]
+  in
+  let d =
+    Design.make ~blockages ~name:"ties" ~chip ~cells:[||]
+      ~global:(Placement.create 0) ~nets:(Netlist.empty ~num_cells:0) ()
+  in
+  let segs = Segments.compute d in
+  (* row 0: [0, 10) and [20, 30); x = 13 is 7 from either for width 4 *)
+  Alcotest.(check int) "tie to the first span" 0
+    (Segments.locate segs ~row:0 ~x:13.0 ~width:4);
+  Alcotest.(check int) "strictly nearer second span" 20
+    (Segments.locate segs ~row:0 ~x:13.5 ~width:4);
+  (* row 1: [0, 3) and [27, 30), neither hosts width 5 *)
+  Alcotest.(check int) "nothing fits: nearest span" 27
+    (Segments.locate segs ~row:1 ~x:20.0 ~width:5);
+  Alcotest.(check int) "nothing fits: tie to the first" 0
+    (Segments.locate segs ~row:1 ~x:13.5 ~width:5)
+
+(* a scan over the row's span array: no closure, option, tuple or boxed
+   float per call *)
+let test_locate_allocates_nothing () =
+  let segs = Segments.compute (blocked_design ()) in
+  let x = 16.0 and acc = ref 0 in
+  let minor0 = Gc.minor_words () in
+  for k = 0 to 999 do
+    acc := !acc + Segments.locate segs ~row:(k land 3) ~x ~width:(1 + (k land 7))
+  done;
+  let words = Gc.minor_words () -. minor0 in
+  Alcotest.(check bool) "some span found" true (!acc > 0);
+  Alcotest.(check (float 0.0)) "minor words over 1000 calls" 0.0 words
+
+(* the flat span arrays and the allocation-free scan against the list
+   oracle: same spans per row, same chosen span on random queries,
+   including integer x (ties between spans) and widths no span fits *)
+let qc_locate_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"segments: locate = list oracle"
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 14))
+    (fun (seed, nblk) ->
+      let rng = Rng.create seed in
+      let num_rows = 1 + Rng.int rng 6 and num_sites = 8 + Rng.int rng 60 in
+      let chip = Chip.make ~num_rows ~num_sites () in
+      let blockages =
+        Array.init nblk (fun _ ->
+            let row = Rng.int rng num_rows and x = Rng.int rng num_sites in
+            Blockage.make ~row
+              ~height:(1 + Rng.int rng (num_rows - row))
+              ~x
+              ~width:(1 + Rng.int rng (min 12 (num_sites - x))))
+      in
+      let d =
+        Design.make ~blockages ~name:"qc" ~chip ~cells:[||]
+          ~global:(Placement.create 0) ~nets:(Netlist.empty ~num_cells:0) ()
+      in
+      let segs = Segments.compute d and oracle = Segments_ref.compute d in
+      let same_spans r =
+        List.map (fun (s : Segments.span) -> (s.start, s.stop))
+          (Segments.row_segments segs r)
+        = List.map
+            (fun (s : Segments_ref.span) -> (s.start, s.stop))
+            (Segments_ref.row_segments oracle r)
+      in
+      let same_pick _ =
+        let row = Rng.int rng num_rows in
+        let x =
+          if Rng.int rng 2 = 0 then float_of_int (Rng.int rng (num_sites + 20) - 10)
+          else Rng.float rng (float_of_int (num_sites + 20)) -. 10.0
+        in
+        let width = 1 + Rng.int rng (num_sites + 4) in
+        Segments.locate segs ~row ~x ~width
+        = (match Segments_ref.locate oracle ~row ~x ~width with
+          | Some s -> s.Segments_ref.start
+          | None -> -1)
+      in
+      List.for_all same_spans (List.init num_rows Fun.id)
+      && List.for_all same_pick (List.init 40 Fun.id))
 
 let test_model_shifts () =
   let d = blocked_design () in
@@ -200,6 +279,10 @@ let () =
           Alcotest.test_case "capacity" `Quick test_design_capacity ] );
       ( "segments",
         [ Alcotest.test_case "compute/locate" `Quick test_segments;
+          Alcotest.test_case "locate ties and spill" `Quick
+            test_locate_ties_and_spill;
+          Alcotest.test_case "locate allocates nothing" `Quick
+            test_locate_allocates_nothing;
           Alcotest.test_case "model shifts" `Quick test_model_shifts;
           Alcotest.test_case "no blockages = no shifts" `Quick
             test_no_blockage_shifts_zero ] );
@@ -211,4 +294,5 @@ let () =
           Alcotest.test_case "refine" `Quick test_refine_with_blockages;
           Alcotest.test_case "svg" `Quick test_svg_draws_blockages ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qc_flow_legal_with_blockages ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ qc_flow_legal_with_blockages; qc_locate_matches_oracle ] ) ]

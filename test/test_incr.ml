@@ -250,6 +250,157 @@ let test_obs_names_bounded () =
   Alcotest.(check bool) "later batches append to the session trace" true
     (recorded () > recorded1)
 
+(* ---------- pinned replay ---------- *)
+
+(* a seeded batch of every edit kind: three moves near the cell's
+   position, a resize, then an insert, a delete or nothing in turn, so
+   the replay runs both the patch and the renumbering path *)
+let replay_batch rng (d : Design.t) k =
+  let module Rng = Mclh_benchgen.Rng in
+  let n = Design.num_cells d in
+  let g = d.Design.global and chip = d.Design.chip in
+  let sites = float_of_int chip.Chip.num_sites
+  and rows = float_of_int chip.Chip.num_rows in
+  let clamp hi v = Float.min hi (Float.max 0.0 v) in
+  let move _ =
+    let cell = Rng.int rng n in
+    let x =
+      clamp (sites -. 1.0) (g.Placement.xs.(cell) +. (6.0 *. Rng.gaussian rng))
+    in
+    let y = clamp (rows -. 1.0) (g.Placement.ys.(cell) +. Rng.gaussian rng) in
+    Edit.Move { cell; x; y }
+  in
+  let moves = List.init 3 move in
+  let cell = Rng.int rng n in
+  let resize = Edit.Resize { cell; width = 1 + Rng.int rng 6 } in
+  let extra =
+    match k mod 3 with
+    | 0 ->
+      let width = 2 + Rng.int rng 4 in
+      let height = 1 + Rng.int rng 2 in
+      let x = Rng.float rng (sites -. 6.0) in
+      let y = Rng.float rng (rows -. 2.0) in
+      [ Edit.Insert { width; height; x; y } ]
+    | 1 -> [ Edit.Delete { cell = Rng.int rng n } ]
+    | _ -> []
+  in
+  moves @ (resize :: extra)
+
+(* MD5 of the [Io.write_placement] output after a seeded 30-batch replay
+   of every edit kind on fft_2 at 0.04 with 15% blockage in 32
+   rectangles, and the MMSIM iterations summed over the batches, pinned
+   on the engine as it stood before the warm start was carried by index
+   and move/resize batches patched the design. An output-neutral change
+   to the session keeps both, at any domain count. *)
+let test_pinned_replay () =
+  let options = { eco_options with blockage_count = 32 } in
+  let t = Incr.create (instance ~options ~scale:0.04 "fft_2").Mclh_benchgen.Generate.design in
+  let rng = Mclh_benchgen.Rng.create 2024 in
+  let iterations = ref 0 in
+  for k = 0 to 29 do
+    let st = Incr.apply t (replay_batch rng (Incr.design t) k) in
+    iterations := !iterations + st.Incr.solve_iterations
+  done;
+  let path = Filename.temp_file "pinned" ".pl.mclh" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.write_placement ~path (Incr.legal t);
+      Alcotest.(check string) "placement md5" "4af236342358e8c92c405f4ab24f2c0b"
+        (Digest.to_hex (Digest.file path)));
+  Alcotest.(check int) "summed iterations" 1581 !iterations
+
+(* ---------- index carry = Hashtbl oracle ---------- *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let same_design (a : Design.t) (b : Design.t) =
+  a.Design.cells = b.Design.cells
+  && same_bits a.Design.global.Placement.xs b.Design.global.Placement.xs
+  && same_bits a.Design.global.Placement.ys b.Design.global.Placement.ys
+  && Netlist.num_cells a.Design.nets = Netlist.num_cells b.Design.nets
+  && List.init (Netlist.num_nets a.Design.nets) (Netlist.net a.Design.nets)
+     = List.init (Netlist.num_nets b.Design.nets) (Netlist.net b.Design.nets)
+  && a.Design.blockages = b.Design.blockages
+
+(* three batches in a row on a blocked design with tall cells, each a
+   random mix of moves (some back onto the cell's own spot), resizes,
+   inserts of one to three rows and deletes, often several edits of one
+   cell. The old modulus vector is
+   random, so every carried entry shows; the patched design, the map and
+   the touched flags must equal the rebuilding oracle's, and the carried
+   [s0] the Hashtbl oracle's, bit for bit. *)
+let qc_carry_matches_oracle =
+  QCheck.Test.make ~count:40 ~name:"warm_s0 by index = Hashtbl oracle"
+    QCheck.(pair (int_range 1 10_000) (int_range 0 3))
+    (fun (seed, kinds) ->
+      let module Rng = Mclh_benchgen.Rng in
+      let options =
+        { eco_options with seed; tall_cell_fraction = 0.3; blockage_count = 12 }
+      in
+      let d = ref (instance ~options ~scale:0.006 "fft_2").Mclh_benchgen.Generate.design in
+      let rng = Rng.create seed in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let d0 = !d in
+        let n = Design.num_cells d0 in
+        let chip = d0.Design.chip in
+        let g = d0.Design.global in
+        let edit _ =
+          (* one edit in three hits cells 0-2, so a batch often edits a
+             cell more than once *)
+          let cell = Rng.int rng (if Rng.int rng 3 = 0 then min n 3 else n) in
+          (* one draw in four only moves, so its batches all patch *)
+          match Rng.int rng (if kinds = 0 then 2 else 5) with
+          | 0 ->
+            let x = Rng.float rng (float_of_int chip.Chip.num_sites) in
+            let y = Rng.float rng (float_of_int chip.Chip.num_rows) in
+            Edit.Move { cell; x; y }
+          | 1 ->
+            Edit.Move { cell; x = g.Placement.xs.(cell); y = g.Placement.ys.(cell) }
+          | 2 -> Edit.Resize { cell; width = 1 + Rng.int rng 6 }
+          | 3 ->
+            let height = 1 + Rng.int rng 3 in
+            let x = Rng.float rng (float_of_int chip.Chip.num_sites -. 4.0) in
+            let y = Rng.float rng (float_of_int (chip.Chip.num_rows - height)) in
+            Edit.Insert { width = 1 + Rng.int rng 4; height; x; y }
+          | _ -> Edit.Delete { cell }
+        in
+        (* a cell is deleted once, after every other edit of it *)
+        let deletes, others =
+          List.partition
+            (function Edit.Delete _ -> true | _ -> false)
+            (List.init (1 + Rng.int rng 6) edit)
+        in
+        (* and cell 0 is resized twice: the second width counts *)
+        let twice =
+          if kinds = 0 then []
+          else
+            List.init 2 (fun _ -> Edit.Resize { cell = 0; width = 1 + Rng.int rng 6 })
+        in
+        let batch = others @ twice @ List.sort_uniq compare deletes in
+        let model = Model.build d0 (Row_assign.assign d0) in
+        let old_s =
+          Array.init
+            (model.Model.nvars + Model.num_constraints model)
+            (fun _ -> Rng.float rng 100.0 -. 50.0)
+        in
+        let d', old_of_new, touched = Incr.apply_edits d0 batch in
+        let rd', rold_of_new, rtouched = Incr_ref.apply_edits d0 batch in
+        let model' = Model.build d' (Row_assign.assign d') in
+        let s0 = Incr.warm_s0 model old_s model' ~old_of_new ~touched in
+        let rs0 = Incr_ref.warm_s0 model old_s model' ~old_of_new ~touched in
+        ok :=
+          !ok && same_design d' rd' && old_of_new = rold_of_new
+          && touched = rtouched && same_bits s0 rs0;
+        d := d'
+      done;
+      !ok)
+
 (* ---------- Solver ?s0 restart ---------- *)
 
 let test_solver_s0_restart () =
@@ -384,6 +535,11 @@ let () =
           Alcotest.test_case "obs counters" `Quick test_obs_counters;
           Alcotest.test_case "obs names bounded over 30 batches" `Quick
             test_obs_names_bounded ] );
+      ( "pinned md5",
+        [ Alcotest.test_case "fft_2 0.04 blockages 30-batch replay" `Quick
+            test_pinned_replay ] );
+      ( "warm start",
+        List.map QCheck_alcotest.to_alcotest [ qc_carry_matches_oracle ] );
       ( "cli",
         [ Alcotest.test_case "eco --verify --metrics-out" `Quick
             test_cli_eco_session ] );

@@ -211,6 +211,26 @@ let test_coo_duplicates () =
   check_float "merged" 3.0 (Csr.get m 0 0);
   Alcotest.(check int) "zero dropped" 1 (Csr.nnz m)
 
+(* a reserved COO takes that many triplets without allocating and
+   converts to the same matrix as a growing one *)
+let test_coo_reserve () =
+  let grown = Coo.create ~rows:5 ~cols:5 in
+  let sized = Coo.create ~rows:5 ~cols:5 in
+  Coo.reserve sized 300;
+  let v = 0.25 in
+  let minor0 = Gc.minor_words () in
+  for e = 0 to 299 do
+    Coo.add sized (e mod 5) (e * 7 mod 5) v
+  done;
+  let words = Gc.minor_words () -. minor0 in
+  for e = 0 to 299 do
+    Coo.add grown (e mod 5) (e * 7 mod 5) v
+  done;
+  Alcotest.(check (float 0.0)) "no allocation after reserve" 0.0 words;
+  let a = Coo.to_csr grown and b = Coo.to_csr sized in
+  Alcotest.(check int) "same nnz" (Csr.nnz a) (Csr.nnz b);
+  Csr.iter a (fun i j x -> check_float "same entry" x (Csr.get b i j))
+
 (* the array-backed COO against the triplet-list builder it replaced
    (test/coo_ref.ml), bit for bit. A draw adds up to 200 triplets to a
    matrix of up to 8 x 8, so positions repeat often, with values drawn
@@ -496,6 +516,7 @@ let () =
           Alcotest.test_case "scale/shift" `Quick test_tridiag_scale_shift ] );
       ( "sparse",
         [ Alcotest.test_case "coo duplicates" `Quick test_coo_duplicates;
+          Alcotest.test_case "coo reserve" `Quick test_coo_reserve;
           QCheck_alcotest.to_alcotest qc_coo_equals_reference;
           Alcotest.test_case "mul vs dense" `Quick test_csr_mul_vs_dense;
           Alcotest.test_case "transpose" `Quick test_csr_transpose;

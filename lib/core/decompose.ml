@@ -57,78 +57,97 @@ let union parent rank a b =
       rank.(ra) <- rank.(ra) + 1
     end
 
+(* Every ordering group is a run of consecutive ids connected through
+   its own constraints, so the union-find runs over the groups, joined
+   by the chains, and each component's ids fill whole runs. *)
 let components (model : Model.t) =
-  let n = model.nvars in
-  let parent = Array.init n Fun.id and rank = Array.make n 0 in
-  Array.iter
-    (fun vars ->
-      for k = 0 to Array.length vars - 2 do
-        union parent rank vars.(k) vars.(k + 1)
-      done)
-    model.row_vars;
-  for c = 0 to Blocks.num_chains model.blocks - 1 do
-    let vars = Blocks.chain_vars model.blocks c in
-    for k = 1 to Array.length vars - 1 do
-      union parent rank vars.(0) vars.(k)
+  let groups = model.row_vars in
+  let ng = Array.length groups in
+  let starts = Model.group_starts groups in
+  (* the group holding variable v: the last start <= v *)
+  let group_of v =
+    let lo = ref 0 and hi = ref (ng - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if starts.(mid) <= v then lo := mid else hi := mid - 1
+    done;
+    !lo
+  in
+  let parent = Array.init ng Fun.id and rank = Array.make ng 0 in
+  let blocks = model.blocks in
+  for c = 0 to Blocks.num_chains blocks - 1 do
+    let g0 = group_of (Blocks.chain_var blocks c 0) in
+    for k = 1 to Blocks.chain_length blocks c - 1 do
+      union parent rank g0 (group_of (Blocks.chain_var blocks c k))
     done
   done;
   (* dense component ids in order of first appearance, so everything
      downstream is deterministic in the global variable order *)
-  let comp_of_var = Array.make n (-1) in
-  let comp_of_root = Array.make n (-1) in
+  let comp_of_var = Array.make model.nvars (-1) in
+  let comp_of_root = Array.make ng (-1) in
   let count = ref 0 in
-  for v = 0 to n - 1 do
-    let r = find parent v in
+  for g = 0 to ng - 1 do
+    let r = find parent g in
     if comp_of_root.(r) = -1 then begin
       comp_of_root.(r) <- !count;
       incr count
     end;
-    comp_of_var.(v) <- comp_of_root.(r)
+    Array.fill comp_of_var starts.(g)
+      (starts.(g + 1) - starts.(g))
+      comp_of_root.(r)
   done;
   (comp_of_var, !count)
 
 (* ---------- shard planning ---------- *)
 
-(* One shard per component, numbered like the components. The shard
-   contents depend only on the model — never on [num_domains] — so
+(* The shards of the components [ids], in that order: [slot.(c)] is
+   component c's position in [ids], -1 for a component not asked for.
+   The contents depend only on the model, never on [num_domains], so
    results are identical whatever the pool size. *)
-let plan_shards (model : Model.t) ~comp_of_var ~num_components =
+let plan (model : Model.t) ~comp_of_var ~num_components ids =
   let n = model.nvars in
+  let k = Array.length ids in
+  let slot = Array.make num_components (-1) in
+  Array.iteri (fun j c -> slot.(c) <- j) ids;
   (* local variable numbering: ascending global order within each shard *)
   let local_of_var = Array.make n 0 in
-  let shard_nvars = Array.make num_components 0 in
+  let shard_nvars = Array.make k 0 in
   for v = 0 to n - 1 do
-    let s = comp_of_var.(v) in
-    local_of_var.(v) <- shard_nvars.(s);
-    shard_nvars.(s) <- shard_nvars.(s) + 1
+    let s = slot.(comp_of_var.(v)) in
+    if s >= 0 then begin
+      local_of_var.(v) <- shard_nvars.(s);
+      shard_nvars.(s) <- shard_nvars.(s) + 1
+    end
   done;
-  let vars = Array.init num_components (fun s -> Array.make shard_nvars.(s) 0) in
+  let vars = Array.init k (fun s -> Array.make shard_nvars.(s) 0) in
   for v = 0 to n - 1 do
-    vars.(comp_of_var.(v)).(local_of_var.(v)) <- v
+    let s = slot.(comp_of_var.(v)) in
+    if s >= 0 then vars.(s).(local_of_var.(v)) <- v
   done;
   (* groups and their constraints, in global order per shard *)
   let starts = Model.group_starts model.row_vars in
-  let groups_rev = Array.make num_components [] in
-  let cons_rev = Array.make num_components [] in
+  let groups_rev = Array.make k [] in
+  let cons_rev = Array.make k [] in
   Array.iteri
     (fun g gvars ->
-      if Array.length gvars > 0 then begin
-        let s = comp_of_var.(gvars.(0)) in
+      let s = slot.(comp_of_var.(gvars.(0))) in
+      if s >= 0 then begin
         groups_rev.(s) <-
           Array.map (fun v -> local_of_var.(v)) gvars :: groups_rev.(s);
-        for k = 0 to Array.length gvars - 2 do
-          cons_rev.(s) <- (starts.(g) - g + k) :: cons_rev.(s)
+        for j = 0 to Array.length gvars - 2 do
+          cons_rev.(s) <- (starts.(g) - g + j) :: cons_rev.(s)
         done
       end)
     model.row_vars;
-  let chains_rev = Array.make num_components [] in
+  let chains_rev = Array.make k [] in
   for c = Blocks.num_chains model.blocks - 1 downto 0 do
-    let cvars = Blocks.chain_vars model.blocks c in
-    let s = comp_of_var.(cvars.(0)) in
-    chains_rev.(s) <-
-      Array.map (fun v -> local_of_var.(v)) cvars :: chains_rev.(s)
+    let s = slot.(comp_of_var.(Blocks.chain_var model.blocks c 0)) in
+    if s >= 0 then
+      chains_rev.(s) <-
+        Array.map (fun v -> local_of_var.(v)) (Blocks.chain_vars model.blocks c)
+        :: chains_rev.(s)
   done;
-  Array.init num_components (fun s ->
+  Array.init k (fun s ->
       { vars = vars.(s);
         cons = Array.of_list (List.rev cons_rev.(s));
         groups = Array.of_list (List.rev groups_rev.(s));
@@ -184,7 +203,9 @@ let analyze (model : Model.t) =
   let comp_of_var, num_components = components model in
   let shards =
     if num_components <= 1 then [| whole_shard model |]
-    else plan_shards model ~comp_of_var ~num_components
+    else
+      plan model ~comp_of_var ~num_components
+        (Array.init num_components Fun.id)
   in
   let largest_dim =
     Array.fold_left (fun acc shard -> max acc (shard_dim shard)) 0 shards
@@ -226,31 +247,56 @@ let scatter (model : Model.t) shard local global =
    reads the same structural features (chain count, separation signs)
    when picking a shard's start. *)
 let fnv_prime = 0x100000001b3L
+let xs_mul = 0x2545f4914f6cdd1dL
 
+(* every word goes through the same two steps, written out at each of
+   the eight word sources: a closure over the two hash refs would box
+   them, and every mixed word would then allocate *)
 let shard_key (model : Model.t) (shard : shard) =
   let h1 = ref 0xcbf29ce484222325L and h2 = ref 0x9e3779b97f4a7c15L in
-  let mix v =
-    h1 := Int64.mul (Int64.logxor !h1 v) fnv_prime;
-    h2 := Int64.logxor (Int64.mul !h2 0x2545f4914f6cdd1dL) v
-  in
-  let mix_int i = mix (Int64.of_int i) in
-  let mix_float f = mix (Int64.bits_of_float f) in
   let sn = Array.length shard.vars in
   let sm = Array.length shard.cons in
-  mix_int sn;
-  mix_int sm;
-  mix_int (Array.length shard.groups);
-  Array.iter
-    (fun g ->
-      mix_int (Array.length g);
-      Array.iter mix_int g)
-    shard.groups;
-  mix_int (Array.length shard.chains);
-  Array.iter
-    (fun ch ->
-      mix_int (Array.length ch);
-      Array.iter mix_int ch)
-    shard.chains;
-  Array.iter (fun v -> mix_float model.Model.p.(v)) shard.vars;
-  Array.iter (fun c -> mix_float model.Model.b_rhs.(c)) shard.cons;
+  let ng = Array.length shard.groups in
+  let nc = Array.length shard.chains in
+  for j = 0 to 2 do
+    let w = Int64.of_int (if j = 0 then sn else if j = 1 then sm else ng) in
+    h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+    h2 := Int64.logxor (Int64.mul !h2 xs_mul) w
+  done;
+  for g = 0 to ng - 1 do
+    let grp = shard.groups.(g) in
+    let w = Int64.of_int (Array.length grp) in
+    h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+    h2 := Int64.logxor (Int64.mul !h2 xs_mul) w;
+    for k = 0 to Array.length grp - 1 do
+      let w = Int64.of_int grp.(k) in
+      h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+      h2 := Int64.logxor (Int64.mul !h2 xs_mul) w
+    done
+  done;
+  let w = Int64.of_int nc in
+  h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+  h2 := Int64.logxor (Int64.mul !h2 xs_mul) w;
+  for c = 0 to nc - 1 do
+    let ch = shard.chains.(c) in
+    let w = Int64.of_int (Array.length ch) in
+    h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+    h2 := Int64.logxor (Int64.mul !h2 xs_mul) w;
+    for k = 0 to Array.length ch - 1 do
+      let w = Int64.of_int ch.(k) in
+      h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+      h2 := Int64.logxor (Int64.mul !h2 xs_mul) w
+    done
+  done;
+  let p = model.Model.p and b_rhs = model.Model.b_rhs in
+  for i = 0 to sn - 1 do
+    let w = Int64.bits_of_float p.(shard.vars.(i)) in
+    h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+    h2 := Int64.logxor (Int64.mul !h2 xs_mul) w
+  done;
+  for i = 0 to sm - 1 do
+    let w = Int64.bits_of_float b_rhs.(shard.cons.(i)) in
+    h1 := Int64.mul (Int64.logxor !h1 w) fnv_prime;
+    h2 := Int64.logxor (Int64.mul !h2 xs_mul) w
+  done;
   (!h1, !h2, sn, sm)

@@ -50,7 +50,25 @@ type t = {
 }
 
 val analyze : Model.t -> t
-(** Partitions the model. O(n alpha(n) + m). *)
+(** Partitions the model: {!components}, then {!plan} of every
+    component (one shard covering the model when there is only one).
+    O(n alpha(n) + m). *)
+
+val components : Model.t -> int array * int
+(** [(comp_of_var, num_components)]: union-find over the ordering groups
+    and the equality chains, components numbered by first appearance in
+    variable order. *)
+
+val plan :
+  Model.t ->
+  comp_of_var:int array ->
+  num_components:int ->
+  int array ->
+  shard array
+(** [plan model ~comp_of_var ~num_components ids] plans the shards of
+    the components [ids] only (distinct), in that order. One pass over
+    the variables, the groups and the chains; it allocates only for the
+    shards asked for, each equal to its shard in {!analyze}. *)
 
 val extract : Model.t -> shard -> Model.t
 (** [extract model shard] materializes the shard's self-contained

@@ -22,7 +22,7 @@ let timed = Mclh_par.Clock.timed
 
 module Obs = Mclh_obs.Obs
 
-let run ?(config = Config.default) ?obs design =
+let run_with ~build ?(config = Config.default) ?obs design =
   let start = Mclh_par.Clock.now () in
   let heartbeat fmt =
     Format.kasprintf
@@ -35,8 +35,7 @@ let run ?(config = Config.default) ?obs design =
   Obs.record_span obs "flow/assign" assign_s;
   heartbeat "rows assigned (%.2fs), building model" assign_s;
   let model, model_s =
-    timed (fun () ->
-        Model.build ~num_domains:config.Config.num_domains design assignment)
+    timed (fun () -> build design assignment)
   in
   Obs.record_span obs "flow/model" model_s;
   heartbeat "model built: %d vars, %d constraints (%.2fs), solving" model.Model.nvars
@@ -65,6 +64,10 @@ let run ?(config = Config.default) ?obs design =
     solver;
     alloc;
     timings = { assign_s; model_s; solve_s; alloc_s; total_s } }
+
+let run ?(config = Config.default) ?obs design =
+  run_with ~build:(Model.build ~num_domains:config.Config.num_domains) ~config
+    ?obs design
 
 let legalize ?config design = (run ?config design).legal
 

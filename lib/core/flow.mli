@@ -31,6 +31,16 @@ val run : ?config:Config.t -> ?obs:Mclh_obs.Obs.t -> Design.t -> result
     a [flow/nonconverged] counter when MMSIM hits [max_iter], and is
     threaded into {!Solver.solve} and {!Tetris_alloc.run}. *)
 
+val run_with :
+  build:(Design.t -> Row_assign.t -> Model.t) ->
+  ?config:Config.t ->
+  ?obs:Mclh_obs.Obs.t ->
+  Design.t ->
+  result
+(** {!run} with [build] as the model step in place of {!Model.build}:
+    a caller that keeps the build's {!Model.layout} ({!Mclh_incr.Incr})
+    runs the build's steps itself. *)
+
 val legalize : ?config:Config.t -> Design.t -> Placement.t
 (** [run] returning only the legal placement. *)
 

@@ -72,10 +72,65 @@ let iter_chunks ~num_domains count f =
       (Array.init ((count + 4095) / 4096) (fun c -> c * 4096))
   else f 0 count
 
-let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
+(* ---------- the three build steps ---------- *)
+
+type layout = {
+  segments : Segments.t;
+  sub_base : int array;
+      (* cell i's subcells, bottom row up, are the slots of [seg_of_sub]
+         from [sub_base.(i)]; empty without blockages *)
+  seg_of_sub : int array;
+      (* step 1: each subcell's chosen segment start, -1 when its row has
+         no segment; empty without blockages *)
+  cell_shift : int array;  (* step 1: the rightmost of those starts *)
+  row_start : int array;
+      (* row r's cells are the slots [row_start.(r), row_start.(r + 1))
+         of [row_order] *)
+  row_order : int array;
+      (* step 2: each row's cells by (global x, cell id); after
+         [assemble], split into segment groups in place (the model's
+         [var_cell]) *)
+}
+
+(* step 1 for cell [i]: a multi-row cell picks a segment in every
+   spanned row and is measured from the rightmost of their left walls,
+   so all its subcells share one shift and E u = 0 is preserved *)
+let choose_segment l (design : Design.t) (assignment : Row_assign.t) i =
+  let c = design.cells.(i) in
+  let gx = design.global.Placement.xs.(i) in
+  let row = assignment.Row_assign.rows.(i) in
+  let sb = l.sub_base.(i) in
+  let sh = ref 0 in
+  for k = 0 to c.Cell.height - 1 do
+    let start =
+      Segments.locate l.segments ~row:(row + k) ~x:gx ~width:c.Cell.width
+    in
+    l.seg_of_sub.(sb + k) <- start;
+    if start > !sh then sh := start
+  done;
+  l.cell_shift.(i) <- !sh
+
+(* step 2 for the [len] cells of [order] from [base]: (global x, cell
+   id) is a total order, so any sort gives the same bits *)
+let sort_cells (gxs : float array) order base len =
+  if len > 1 then begin
+    let cmp ca cb =
+      let c = compare gxs.(ca) gxs.(cb) in
+      if c <> 0 then c else compare ca cb
+    in
+    let tmp = Array.sub order base len in
+    Array.sort cmp tmp;
+    Array.blit tmp 0 order base len
+  end
+
+let order_row l (design : Design.t) r =
+  sort_cells design.global.Placement.xs l.row_order l.row_start.(r)
+    (l.row_start.(r + 1) - l.row_start.(r))
+
+let layout ?(num_domains = 1) segments (design : Design.t)
+    (assignment : Row_assign.t) =
   let n = Design.num_cells design in
   let cells = design.cells in
-  let gxs = design.global.Placement.xs in
   let rows = assignment.Row_assign.rows in
   let num_rows = design.chip.Chip.num_rows in
   (* subcells per chip row: row r owns the variable ids
@@ -90,91 +145,117 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
     row_start.(r + 1) <- row_start.(r + 1) + row_start.(r)
   done;
   let nvars = row_start.(num_rows) in
-  let segments = Segments.compute design in
   let has_blk = Segments.has_blockages segments in
-  (* per-cell segment choice and shift: a multi-row cell picks a segment in
-     every spanned row and is measured from the rightmost of their left
-     walls, so all its subcells share one shift and E u = 0 is preserved.
-     [seg_of_sub] is the chosen segment's start per subcell (-1 when the
-     row has no segment at all), indexed in cell order from [sub_base];
-     it is the grouping key below. *)
   let sub_base = if has_blk then Array.make n 0 else [||] in
   if has_blk then
     for i = 1 to n - 1 do
       sub_base.(i) <- sub_base.(i - 1) + cells.(i - 1).Cell.height
     done;
-  let seg_of_sub = if has_blk then Array.make nvars (-1) else [||] in
-  let cell_shift = Array.make n 0 in
-  if has_blk then
-    iter_chunks ~num_domains n (fun lo hi ->
-        for i = lo to hi - 1 do
-          let c = cells.(i) in
-          let gx = gxs.(i) in
-          let sb = sub_base.(i) in
-          let sh = ref 0 in
-          for k = 0 to c.Cell.height - 1 do
-            let start =
-              Segments.locate segments ~row:(rows.(i) + k) ~x:gx
-                ~width:c.Cell.width
-            in
-            seg_of_sub.(sb + k) <- start;
-            if start > !sh then sh := start
-          done;
-          cell_shift.(i) <- !sh
-        done);
-  (* the variable numbering: bucket the cells per spanned row with a
-     counting sort, then sort each row range by (global x, cell id) in
-     place — the total order [Order.per_row] derives from its per-row
-     lists, without materializing any. A variable's id is its final
-     position, so [var_cell] is the bucket array itself. *)
-  let var_cell = Array.make nvars 0 in
+  (* bucket the cells per spanned row with a counting sort; each row is
+     then sorted in place by (global x, cell id), the total order
+     [Order.per_row] derives from its per-row lists *)
+  let row_order = Array.make nvars 0 in
   let cursor = Array.sub row_start 0 num_rows in
   for i = 0 to n - 1 do
     for r = rows.(i) to rows.(i) + cells.(i).Cell.height - 1 do
-      var_cell.(cursor.(r)) <- i;
+      row_order.(cursor.(r)) <- i;
       cursor.(r) <- cursor.(r) + 1
     done
   done;
-  let cmp ca cb =
-    let c = compare gxs.(ca) gxs.(cb) in
-    if c <> 0 then c else compare ca cb
+  let l =
+    { segments;
+      sub_base;
+      seg_of_sub = (if has_blk then Array.make nvars (-1) else [||]);
+      cell_shift = Array.make n 0;
+      row_start;
+      row_order }
   in
+  if has_blk then
+    iter_chunks ~num_domains n (fun lo hi ->
+        for i = lo to hi - 1 do
+          choose_segment l design assignment i
+        done);
   iter_chunks ~num_domains num_rows (fun lo hi ->
       for r = lo to hi - 1 do
-        let base = row_start.(r) in
-        let len = row_start.(r + 1) - base in
-        if len > 1 then begin
-          let tmp = Array.sub var_cell base len in
-          Array.sort cmp tmp;
-          Array.blit tmp 0 var_cell base len
-        end
+        order_row l design r
       done);
+  l
+
+(* step 3; [reuse = Some (prev, same)] copies every row [same] marks from
+   [prev] ({!patch}) *)
+let assemble_rows reuse (design : Design.t) (assignment : Row_assign.t) l =
+  let n = Design.num_cells design in
+  let cells = design.cells in
+  let gxs = design.global.Placement.xs in
+  let rows = assignment.Row_assign.rows in
+  let num_rows = design.chip.Chip.num_rows in
+  let row_start = l.row_start in
+  let nvars = row_start.(num_rows) in
+  let has_blk = Segments.has_blockages l.segments in
+  let sub_base = l.sub_base and seg_of_sub = l.seg_of_sub in
+  (* a variable's id is its final position, so [var_cell] is the ordered
+     rows themselves, split into groups in place below *)
+  let var_cell = l.row_order in
+  (* what a reused row copies: the previous model's groups, variables
+     ([prev_rs]) and groups ([prev_g]) per row, its shifts, linear terms
+     and separations *)
+  let same, prev_groups, prev_rs, prev_g, prev_shift, prev_p, prev_b =
+    match reuse with
+    | None -> ([||], [||], [||], [||], [||], [||], [||])
+    | Some ((prev : t), same) ->
+      let prev_rs = Array.make (num_rows + 1) 0 in
+      let prev_g = Array.make (num_rows + 1) 0 in
+      Array.iter
+        (fun vars ->
+          let r = prev.var_row.(vars.(0)) + 1 in
+          prev_rs.(r) <- prev_rs.(r) + Array.length vars;
+          prev_g.(r) <- prev_g.(r) + 1)
+        prev.row_vars;
+      for r = 0 to num_rows - 1 do
+        prev_rs.(r + 1) <- prev_rs.(r + 1) + prev_rs.(r);
+        prev_g.(r + 1) <- prev_g.(r + 1) + prev_g.(r)
+      done;
+      (same, prev.row_vars, prev_rs, prev_g, prev.shift, prev.p, prev.b_rhs)
+  in
+  let reused r = Array.length same > 0 && same.(r) in
   (* groups: one per nonempty row; under blockages a row splits into one
      group per chosen segment, ordered by first appearance in x order
      (exactly the historical Hashtbl-based split). The split is a stable
      partition of the row's range, so every group is an ascending run of
-     consecutive ids and the groups concatenate to [0, nvars). *)
+     consecutive ids and the groups concatenate to [0, nvars). Row r's
+     groups are [g_first.(r), g_first.(r + 1)). *)
   let gcap = ref (max 1 num_rows) and glen = ref 0 in
   let gbuf = ref (Array.make !gcap [||]) in
-  let push_group start len =
+  let push vars =
     if !glen = !gcap then begin
       let grown = Array.make (2 * !gcap) [||] in
       Array.blit !gbuf 0 grown 0 !glen;
       gbuf := grown;
       gcap := 2 * !gcap
     end;
-    !gbuf.(!glen) <- Array.init len (fun k -> start + k);
+    !gbuf.(!glen) <- vars;
     incr glen
   in
+  let push_group start len = push (Array.init len (fun k -> start + k)) in
+  let g_first = Array.make (num_rows + 1) 0 in
   (* scratch reused across rows: distinct keys (first-appearance order),
      their member counts and fill cursors, each member's group and the
      partitioned row *)
   let keybuf = ref [||] and cntbuf = ref [||] in
   let grpbuf = ref [||] and rowbuf = ref [||] in
   for r = 0 to num_rows - 1 do
+    g_first.(r) <- !glen;
     let base = row_start.(r) in
     let len = row_start.(r + 1) - base in
-    if len > 0 && not has_blk then push_group base len
+    if reused r then begin
+      (* the previous model's groups, already split, moved to the new ids *)
+      let d = base - prev_rs.(r) in
+      for g = prev_g.(r) to prev_g.(r + 1) - 1 do
+        let vars = prev_groups.(g) in
+        push (if d = 0 then vars else Array.map (fun v -> v + d) vars)
+      done
+    end
+    else if len > 0 && not has_blk then push_group base len
     else if len > 0 then begin
       if Array.length !keybuf < len then begin
         keybuf := Array.make len 0;
@@ -219,6 +300,7 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
       end
     end
   done;
+  g_first.(num_rows) <- !glen;
   let row_vars = Array.sub !gbuf 0 !glen in
   let var_row = Array.make nvars 0 in
   for r = 0 to num_rows - 1 do
@@ -248,34 +330,176 @@ let build ?(num_domains = 1) (design : Design.t) (assignment : Row_assign.t) =
     else chains.(j).(var_row.(v) - rows.(c)) <- v
   done;
   Array.iter (fun chain -> first_var.(var_cell.(chain.(0))) <- chain.(0)) chains;
+  (* row by row: the shifts, then the linear terms [-(x' - shift)], then
+     the ordering constraints, one per adjacent pair in each group (every
+     variable sits in exactly one group, so m = nvars - #groups) whose
+     required separation accounts for the shift difference. Group g's
+     pair (v, v + 1) is constraint v - g ({!group_starts}). A reused row
+     copies all three. *)
   let shift = Array.make nvars 0.0 in
-  if has_blk then
-    for v = 0 to nvars - 1 do
-      shift.(v) <- float_of_int cell_shift.(var_cell.(v))
-    done;
-  (* ordering constraints: one per adjacent pair in each group; every
-     variable sits in exactly one group, so m = nvars - #groups. The
-     required separation accounts for the shift difference. *)
-  let m = nvars - !glen in
-  let b_rhs = Array.make m 0.0 in
-  let ci = ref 0 in
-  Array.iter
-    (fun vars ->
-      for k = 0 to Array.length vars - 2 do
-        let u = vars.(k) and v = vars.(k + 1) in
-        b_rhs.(!ci) <-
-          float_of_int cells.(var_cell.(u)).Cell.width
-          +. shift.(u) -. shift.(v);
-        incr ci
-      done)
-    row_vars;
   let p = Array.make nvars 0.0 in
-  for v = 0 to nvars - 1 do
-    p.(v) <- -.(gxs.(var_cell.(v)) -. shift.(v))
+  let b_rhs = Array.make (nvars - !glen) 0.0 in
+  for r = 0 to num_rows - 1 do
+    let base = row_start.(r) in
+    let len = row_start.(r + 1) - base in
+    let c0 = base - g_first.(r) in
+    if reused r then begin
+      Array.blit prev_shift prev_rs.(r) shift base len;
+      Array.blit prev_p prev_rs.(r) p base len;
+      Array.blit prev_b (prev_rs.(r) - prev_g.(r)) b_rhs c0
+        (len - (g_first.(r + 1) - g_first.(r)))
+    end
+    else begin
+      if has_blk then
+        for v = base to base + len - 1 do
+          shift.(v) <- float_of_int l.cell_shift.(var_cell.(v))
+        done;
+      for v = base to base + len - 1 do
+        p.(v) <- -.(gxs.(var_cell.(v)) -. shift.(v))
+      done;
+      for g = g_first.(r) to g_first.(r + 1) - 1 do
+        let vars = row_vars.(g) in
+        for k = 0 to Array.length vars - 2 do
+          let u = vars.(k) and v = vars.(k + 1) in
+          b_rhs.(u - g) <-
+            float_of_int cells.(var_cell.(u)).Cell.width
+            +. shift.(u) -. shift.(v)
+        done
+      done
+    end
   done;
   let blocks = Blocks.of_array ~nvars chains in
   { design; assignment; nvars; first_var; var_cell; var_row; row_vars;
     b_rhs; p; shift; blocks; d_split = [||] }
+
+let assemble design assignment l = assemble_rows None design assignment l
+
+(* the cold build: all three steps, with nothing to reuse *)
+let build ?(num_domains = 1) design assignment =
+  assemble design assignment
+    (layout ~num_domains (Segments.compute design) design assignment)
+
+(* ---------- patching steps 1-2 across a move/resize batch ---------- *)
+
+(* the dirty rows: the rows touched cells leave or enter *)
+let dirty_rows (design : Design.t) ~old_rows ~rows' touched_cells =
+  let dirty = Array.make design.Design.chip.Chip.num_rows false in
+  Array.iter
+    (fun c ->
+      for k = 0 to design.Design.cells.(c).Cell.height - 1 do
+        dirty.(old_rows.(c) + k) <- true;
+        dirty.(rows'.(c) + k) <- true
+      done)
+    touched_cells;
+  dirty
+
+(* The untouched cells that shared an ordering group with a touched cell
+   before the batch, read from the old layout: their group lost a
+   member. A group is a row's cells on one segment; a touched cell's old
+   rows are dirty. *)
+let lost_neighbours l ~old_rows (design : Design.t) ~touched ~dirty
+    touched_cells =
+  let blk = Segments.has_blockages l.segments in
+  let seg c r =
+    if blk then l.seg_of_sub.(l.sub_base.(c) + r - old_rows.(c)) else 0
+  in
+  let lost = ref [] in
+  Array.iteri
+    (fun r is_dirty ->
+      if is_dirty then
+        Array.iter
+          (fun c ->
+            if old_rows.(c) <= r
+               && r < old_rows.(c) + design.Design.cells.(c).Cell.height
+            then begin
+              let key = seg c r in
+              for idx = l.row_start.(r) to l.row_start.(r + 1) - 1 do
+                let u = l.row_order.(idx) in
+                if not touched.(u) && seg u r = key then lost := u :: !lost
+              done
+            end)
+          touched_cells)
+    dirty;
+  !lost
+
+(* Steps 1-2 from the old layout, whose [row_order] is the old model's
+   [var_cell]: the touched cells choose their segments again, and each
+   dirty row is re-sorted from its old cells without the touched ones
+   plus the touched cells now in it. Every other row is copied as the
+   old model split it into groups, which [assemble] leaves as it is. The
+   cell numbering and the heights are the old ones, so [sub_base] and
+   the variable count are too. The old layout is not written to. *)
+let patch_layout l ~old_rows (design' : Design.t) (assignment' : Row_assign.t)
+    ~touched ~dirty touched_cells =
+  let cells = design'.Design.cells in
+  let rows' = assignment'.Row_assign.rows in
+  let num_rows = design'.Design.chip.Chip.num_rows in
+  let l =
+    if not (Segments.has_blockages l.segments) then l
+    else begin
+      let l =
+        { l with
+          seg_of_sub = Array.copy l.seg_of_sub;
+          cell_shift = Array.copy l.cell_shift }
+      in
+      Array.iter (choose_segment l design' assignment') touched_cells;
+      l
+    end
+  in
+  let row_start = Array.make (num_rows + 1) 0 in
+  for r = 0 to num_rows - 1 do
+    row_start.(r + 1) <- l.row_start.(r + 1) - l.row_start.(r)
+  done;
+  Array.iter
+    (fun c ->
+      for k = 1 to cells.(c).Cell.height do
+        let r = old_rows.(c) + k and r' = rows'.(c) + k in
+        row_start.(r) <- row_start.(r) - 1;
+        row_start.(r') <- row_start.(r') + 1
+      done)
+    touched_cells;
+  for r = 0 to num_rows - 1 do
+    row_start.(r + 1) <- row_start.(r + 1) + row_start.(r)
+  done;
+  let old_order = l.row_order in
+  let row_order = Array.make (Array.length old_order) 0 in
+  let l' = { l with row_start; row_order } in
+  for r = 0 to num_rows - 1 do
+    let lo = l.row_start.(r) and hi = l.row_start.(r + 1) in
+    if not dirty.(r) then Array.blit old_order lo row_order row_start.(r) (hi - lo)
+    else begin
+      let pos = ref row_start.(r) in
+      for idx = lo to hi - 1 do
+        let c = old_order.(idx) in
+        if not touched.(c) then begin
+          row_order.(!pos) <- c;
+          incr pos
+        end
+      done;
+      Array.iter
+        (fun c ->
+          if rows'.(c) <= r && r < rows'.(c) + cells.(c).Cell.height then begin
+            row_order.(!pos) <- c;
+            incr pos
+          end)
+        touched_cells;
+      order_row l' design' r
+    end
+  done;
+  l'
+
+let patch (prev : t) l design' assignment' ~touched touched_cells =
+  let old_rows = prev.assignment.Row_assign.rows in
+  let dirty =
+    dirty_rows design' ~old_rows ~rows':assignment'.Row_assign.rows touched_cells
+  in
+  let lost = lost_neighbours l ~old_rows design' ~touched ~dirty touched_cells in
+  let l' = patch_layout l ~old_rows design' assignment' ~touched ~dirty touched_cells in
+  (* the rows that are not dirty are [prev]'s *)
+  let model' =
+    assemble_rows (Some (prev, Array.map not dirty)) design' assignment' l'
+  in
+  (model', l', lost)
 
 let lcp_rhs t =
   let n = t.nvars and m = num_constraints t in

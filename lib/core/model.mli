@@ -67,9 +67,59 @@ type t = {
 val build : ?num_domains:int -> Design.t -> Row_assign.t -> t
 (** Streaming struct-of-arrays construction: every model field is filled
     in linear passes over preallocated arrays (counting-sort row buckets,
-    in-place range sorts) with no intermediate lists. With [num_domains > 1] the per-cell segment location and the
-    per-row sorts fan out over the shared pool; all parallel writes are
+    in-place range sorts) with no intermediate lists. It runs the three
+    steps below with nothing to reuse: [assemble design assignment
+    (layout (Segments.compute design) design assignment)]. With
+    [num_domains > 1] the per-cell segment location and the per-row
+    sorts fan out over the shared pool; all parallel writes are
     disjoint, so the result is bit-identical to the sequential build. *)
+
+(** {2 The three build steps}
+
+    An incremental caller ({!Mclh_incr.Incr}) keeps a {!layout} across
+    edits and {!patch}es it: step 1 only for the cells it touched and
+    step 2 only for the rows they leave or enter; step 3 is the one
+    assembly path for both. *)
+
+type layout
+(** Steps 1 and 2 of a build: each subcell's chosen segment, each cell's
+    shift (the rightmost of its subcells' segment starts, so all its
+    subcells share it and [E u = 0] is preserved), and each row's cells
+    in (global x, cell id) order. *)
+
+val layout :
+  ?num_domains:int -> Segments.t -> Design.t -> Row_assign.t -> layout
+(** Steps 1 and 2 for every cell and every row. *)
+
+val assemble : Design.t -> Row_assign.t -> layout -> t
+(** Step 3, in O(nvars + cells): numbers the variables and fills every
+    field from the layout. It splits the rows into segment groups in
+    place, so the layout's row order becomes the model's [var_cell], and
+    the layout describes the model from then on. *)
+
+val patch :
+  t ->
+  layout ->
+  Design.t ->
+  Row_assign.t ->
+  touched:bool array ->
+  int array ->
+  t * layout * int list
+(** [patch prev l design' assignment' ~touched touched_cells] builds the
+    model of a move/resize batch from [prev] and the layout [l] that
+    {!assemble} made [prev] from. [design'] has [prev]'s cells in
+    [prev]'s numbering, each of the same height; [touched_cells] lists
+    the cells whose position or width changed ([touched] flags them),
+    and every other cell keeps its row in [assignment'].
+
+    The touched cells choose their segments again, and only the dirty
+    rows — the rows touched cells leave or enter — are sorted again.
+    Every other row is [prev]'s, and its groups, shifts, linear terms
+    and separations are copied (the groups moved to the new ids). The
+    result is a cold {!build} of [design'] and [assignment'] bit for
+    bit, with its layout; [l] is not written to. Also returns the
+    untouched cells that shared an ordering group with a touched cell
+    in [prev]: their group lost a member. *)
 
 val group_starts : int array array -> int array
 (** [group_starts groups] is the layout of [B] that the ordering groups

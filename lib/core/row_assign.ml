@@ -17,14 +17,13 @@ let assign_cell (design : Design.t) i =
          (int_of_float (Float.round y)))
 
 let y_displacement (design : Design.t) rows =
+  let row_height = design.chip.Mclh_circuit.Chip.row_height in
+  let ys = design.global.Placement.ys in
   let total = ref 0.0 in
-  Array.iteri
-    (fun i row ->
-      total :=
-        !total
-        +. (design.chip.Mclh_circuit.Chip.row_height
-            *. Float.abs (float_of_int row -. design.global.Placement.ys.(i))))
-    rows;
+  for i = 0 to Array.length rows - 1 do
+    total :=
+      !total +. (row_height *. Float.abs (float_of_int rows.(i) -. ys.(i)))
+  done;
   !total
 
 let assign (design : Design.t) =

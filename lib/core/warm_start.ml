@@ -3,8 +3,11 @@ open Mclh_linalg
 (* the paper's start: z_0 at the global-placement positions *)
 let plain_start (model : Model.t) =
   let n = model.nvars in
-  Vec.init (n + Model.num_constraints model) (fun i ->
-      if i < n then Mclh_lcp.Mmsim.gamma /. 2.0 *. -.model.p.(i) else 0.0)
+  let s0 = Vec.zeros (n + Model.num_constraints model) in
+  for i = 0 to n - 1 do
+    s0.(i) <- Mclh_lcp.Mmsim.gamma /. 2.0 *. -.model.p.(i)
+  done;
+  s0
 
 (* Without equality chains Q~ = I and Problem (13) decouples into one
    PlaceRow problem per ordering group. With nonnegative separations the

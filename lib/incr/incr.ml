@@ -24,17 +24,49 @@ type stats = {
    final modulus in the shard's local numbering *)
 type entry = { ex : Vec.t; er : Vec.t; es : Vec.t }
 
+(* the 128-bit pure-LCP fingerprint of [Decompose.shard_key] (the
+   solver's exact-start test reads the same structural features) keys
+   the cache directly; it is itself a hash, so the table hashes its
+   first word instead of walking the boxed tuple *)
+type key = Int64.t * Int64.t * int * int
+
+module Cache = Hashtbl.Make (struct
+  type t = key
+
+  let equal ((a1, b1, c1, d1) : t) ((a2, b2, c2, d2) : t) =
+    Int64.equal a1 a2 && Int64.equal b1 b2 && c1 = c2 && d1 = d2
+
+  let hash ((h1, _, _, _) : t) = Int64.to_int h1 land max_int
+end)
+
 exception Busy
 
 type t = {
   config : Config.t;
   obs : Obs.t option;
-  cache : (Int64.t * Int64.t * int * int, entry) Hashtbl.t;
+  cache : entry Cache.t;
   in_apply : bool Atomic.t;  (* overlapping-[apply] guard (see [try_apply]) *)
   mutable design : Design.t;
   mutable assignment : Row_assign.t;
   mutable model : Model.t;
-  mutable s : Vec.t;  (* previous global modulus vector, length n + m *)
+  segments : Segments.t;  (* the design's free row segments *)
+  mutable layout : Model.layout;
+      (* build steps 1-2 of [model]: each cell's segment choice and
+         shift, each row's cell order; a move/resize batch redoes them
+         only for its touched cells and dirty rows ({!Model.patch}) *)
+  mutable comp_of_var : int array;  (* [model]'s components *)
+  mutable keys : key array;  (* each component's shard key *)
+  mutable clean : bool array;
+      (* per component: the last batch carried it over, neither planned,
+         keyed nor looked up *)
+  mutable stale : bool array;
+      (* per component: its slice of [x]/[r]/[s] is not the cache's
+         entry under its key, because a later shard of its batch with the
+         same key replaced the entry; such a component is looked up even
+         when clean *)
+  mutable x : Vec.t;  (* previous global solution: positions, length n *)
+  mutable r : Vec.t;  (* multipliers, length m *)
+  mutable s : Vec.t;  (* modulus vector, length n + m *)
   mutable legal : Placement.t;
   mutable batches : int;
   trace : Trace.t option;
@@ -48,14 +80,6 @@ type t = {
    and reseeded with the live generation, bounding memory on very long
    sessions *)
 let max_cache_entries = 8192
-
-(* ------------------------------------------------------------------ *)
-(* shard fingerprint                                                   *)
-
-(* the 128-bit pure-LCP fingerprint lives in [Decompose.shard_key] (the
-   solver's exact-start test reads the same structural features); the
-   cache is keyed on it directly *)
-let shard_key = Decompose.shard_key
 
 let gather_entry (model : Model.t) ~x ~r ~s (shard : Decompose.shard) =
   { ex = Array.map (fun v -> x.(v)) shard.Decompose.vars;
@@ -109,10 +133,16 @@ let apply_edits (design : Design.t) edits =
         (Printf.sprintf
            "Incr.apply: %s targets cell %d, already deleted in this batch" op c)
   in
+  let finite op x y =
+    if not (Float.is_finite x && Float.is_finite y) then
+      invalid_arg
+        (Printf.sprintf "Incr.apply: %s to a non-finite position (%g, %g)" op x y)
+  in
   List.iter
     (function
       | Edit.Move { cell; x; y } ->
         check "move" cell;
+        finite "move" x y;
         gx.(cell) <- x;
         gy.(cell) <- y;
         touched.(cell) <- true
@@ -127,6 +157,7 @@ let apply_edits (design : Design.t) edits =
       | Edit.Insert { width; height; x; y } ->
         if width < 1 || height < 1 then
           invalid_arg "Incr.apply: insert dimensions must be >= 1";
+        finite "insert" x y;
         inserts := (width, height, x, y) :: !inserts;
         incr num_inserts)
     edits;
@@ -210,98 +241,131 @@ let apply_edits (design : Design.t) edits =
   (design', old_of_new, touched')
 
 (* ------------------------------------------------------------------ *)
-(* warm start across a model rebuild                                   *)
+(* carrying the previous solution across a rebuild                    *)
 
-(* Carry the previous modulus vector to the new model's numbering, by
-   index. An untouched surviving cell keeps its rows and height, so each
-   of its new subcells has an old twin at the same row offset. An old
-   group is a run of consecutive ids owning the constraints numbered
+(* Reports every new variable with an old twin ov through [var v' ov]
+   and every new constraint with an old twin oc through [con c' oc],
+   walking the new groups. An untouched surviving cell keeps its rows
+   and height, so each of its new subcells has an old twin at the same
+   row offset: its old hub, or its old chain's entry at that offset. An
+   old group is a run of consecutive ids owning the constraints numbered
    from its start minus its index ({!Model.group_starts}), so the old
    pair (ou, ou + 1) is a constraint exactly when both sit in one group,
-   and it is number [ou - group(ou)]. Everything unmapped keeps the
-   paper's plain start: touched and inserted cells start at their *new*
-   target (their old modulus reflects the old position), unmapped
-   constraints at 0. *)
-let warm_s0 (old_model : Model.t) old_s (model' : Model.t) ~old_of_new
-    ~touched =
-  let n_old = old_model.Model.nvars in
-  let n' = model'.Model.nvars in
-  let old_cells = old_model.Model.design.Design.cells in
+   and it is number [ou - group(ou)]. Touched and inserted cells carry
+   nothing. *)
+let carry (old_model : Model.t) (model' : Model.t) ~old_of_new ~touched ~var
+    ~con =
   let old_rows = old_model.Model.assignment.Row_assign.rows in
-  (* old cell c's subcells, bottom row up, are the slots
-     [sub_base.(c), sub_base.(c + 1)) of [old_var] *)
-  let nc_old = Array.length old_cells in
-  let sub_base = Array.make (nc_old + 1) 0 in
-  for c = 0 to nc_old - 1 do
-    sub_base.(c + 1) <- sub_base.(c) + old_cells.(c).Cell.height
-  done;
-  let old_var = Array.make n_old 0 in
-  for v = 0 to n_old - 1 do
-    let c = old_model.Model.var_cell.(v) in
-    old_var.(sub_base.(c) + old_model.Model.var_row.(v) - old_rows.(c)) <- v
-  done;
-  let old_group = Array.make n_old 0 in
-  Array.iteri
-    (fun g vars -> Array.iter (fun v -> old_group.(v) <- g) vars)
-    old_model.Model.row_vars;
-  let s0 = Warm_start.plain_start model' in
-  (* the old variable of every new one, -1 where nothing carries *)
-  let carried = Array.make n' (-1) in
-  for v' = 0 to n' - 1 do
-    let c = model'.Model.var_cell.(v') in
+  let old_first = old_model.Model.first_var in
+  let old_blocks = old_model.Model.blocks in
+  let old_var c r =
     let oc = old_of_new.(c) in
-    if oc >= 0 && not touched.(c) then begin
-      let k = model'.Model.var_row.(v') - old_rows.(oc) in
-      if k >= 0 && k < sub_base.(oc + 1) - sub_base.(oc) then begin
-        let ov = old_var.(sub_base.(oc) + k) in
-        carried.(v') <- ov;
-        s0.(v') <- old_s.(ov)
+    if oc < 0 || touched.(c) then -1
+    else begin
+      let k = r - old_rows.(oc) in
+      if k = 0 then old_first.(oc)
+      else if k < 0 then -1
+      else begin
+        (* a cell of one row is in no chain *)
+        let j = Blocks.chain_of_var old_blocks old_first.(oc) in
+        if j < 0 || k >= Blocks.chain_length old_blocks j then -1
+        else Blocks.chain_var old_blocks j k
       end
     end
-  done;
-  let ci = ref n' in
+  in
+  let starts = Model.group_starts old_model.Model.row_vars in
+  (* the old group of ou, remembered from the last call: consecutive
+     calls mostly stay in one group *)
+  let g = ref 0 in
+  let group_of ou =
+    if not (starts.(!g) <= ou && ou < starts.(!g + 1)) then begin
+      let lo = ref 0 and hi = ref (Array.length starts - 2) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if starts.(mid) <= ou then lo := mid else hi := mid - 1
+      done;
+      g := !lo
+    end;
+    !g
+  in
+  let var_cell = model'.Model.var_cell and var_row = model'.Model.var_row in
+  let ci = ref 0 in
   Array.iter
     (fun vars ->
-      for k = 0 to Array.length vars - 2 do
-        let ou = carried.(vars.(k)) in
-        if ou >= 0 && carried.(vars.(k + 1)) = ou + 1
-           && old_group.(ou + 1) = old_group.(ou)
-        then s0.(!ci) <- old_s.(n_old + ou - old_group.(ou));
-        incr ci
+      let prev = ref (-1) in
+      for k = 0 to Array.length vars - 1 do
+        let v' = vars.(k) in
+        let ov = old_var var_cell.(v') var_row.(v') in
+        if ov >= 0 then var v' ov;
+        if k > 0 then begin
+          let ou = !prev in
+          if ou >= 0 && ov = ou + 1 then begin
+            let go = group_of ou in
+            if ov < starts.(go + 1) then con !ci (ou - go)
+          end;
+          incr ci
+        end;
+        prev := ov
       done)
-    model'.Model.row_vars;
-  s0
+    model'.Model.row_vars
+
+(* The previous solution in the new model's numbering, by index: the
+   modulus vector [s0] to warm-start from, and the positions and
+   multipliers a clean component keeps. Everything unmapped keeps the
+   paper's plain start in [s0] and 0 in the others: touched and inserted
+   cells start at their *new* target (their old modulus reflects the old
+   position), unmapped constraints at 0. *)
+let warm_s0 (old_model : Model.t) ~x ~r ~s (model' : Model.t) ~old_of_new
+    ~touched =
+  let n_old = old_model.Model.nvars and n' = model'.Model.nvars in
+  let s0 = Warm_start.plain_start model' in
+  let x' = Vec.zeros n' and r' = Vec.zeros (Model.num_constraints model') in
+  carry old_model model' ~old_of_new ~touched
+    ~var:(fun v ov ->
+      s0.(v) <- s.(ov);
+      x'.(v) <- x.(ov))
+    ~con:(fun c oc ->
+      s0.(n' + c) <- s.(n_old + oc);
+      r'.(c) <- r.(oc));
+  (s0, x', r')
 
 (* ------------------------------------------------------------------ *)
 (* dirty-shard re-solve                                                *)
 
 type resolve_out = {
-  rx : Vec.t;
-  rr : Vec.t;
-  rs : Vec.t;
-  r_hits : int;
+  shards : Decompose.shard array;  (* the shards of [need], in order *)
+  found : entry option array;  (* each one's cache entry, if any *)
   r_misses : int;
   r_iter_sum : int;
   r_iter_max : int;
   r_converged : bool;
 }
 
-let resolve t (model' : Model.t) shards s0 =
-  let n' = model'.Model.nvars and m' = Model.num_constraints model' in
-  let keys = Array.map (shard_key model') shards in
-  let found = Array.map (Hashtbl.find_opt t.cache) keys in
+(* [need] lists the components to plan, key and look up, ascending; the
+   others are clean and carry their slices of [rx]/[rr]/[s0] and their
+   keys ([keys]) from the previous batch, so they count as hits. [s0]
+   becomes the modulus vector: clean components keep their carried
+   slices, and each re-solved shard reads its own slice of [s0] before
+   its solve writes that slice back. The cache is only read. *)
+let resolve t (model' : Model.t) ~comp_of_var ~keys ~need ~rx ~rr s0 =
+  let ncomp = Array.length keys in
+  let shards =
+    Decompose.plan model' ~comp_of_var ~num_components:ncomp need
+  in
+  Array.iteri
+    (fun j c -> keys.(c) <- Decompose.shard_key model' shards.(j))
+    need;
+  let found = Array.map (fun c -> Cache.find_opt t.cache keys.(c)) need in
   (* hits scatter from the cache; misses solve through the solver's own
      fan-out, which scatters them into the same global vectors *)
-  let rx = Vec.zeros n' and rr = Vec.zeros m' in
-  let rs = Vec.zeros (n' + m') in
   let misses = ref [] in
   Array.iteri
-    (fun i shard ->
-      match found.(i) with
+    (fun j shard ->
+      match found.(j) with
       | Some e ->
         Decompose.scatter_vars shard e.ex rx;
         Decompose.scatter_cons shard e.er rr;
-        Decompose.scatter model' shard e.es rs
+        Decompose.scatter model' shard e.es s0
       | None -> misses := shard :: !misses)
     shards;
   let misses = Array.of_list (List.rev !misses) in
@@ -315,29 +379,56 @@ let resolve t (model' : Model.t) shards s0 =
   in
   let fan =
     Solver.solve_shards ?on_trace ~s0 t.config model' misses ~x:rx ~r:rr
-      ~modulus:rs
+      ~modulus:s0
   in
-  (* refresh the cache with the live generation: a hit is already in the
-     table under its key, so only the misses go in, unless the table
-     outgrew its cap and is reset, when every live key goes back *)
-  let reset = Hashtbl.length t.cache > max_cache_entries in
-  if reset then Hashtbl.reset t.cache;
-  Array.iteri
-    (fun i key ->
-      match found.(i) with
-      | Some e -> if reset then Hashtbl.replace t.cache key e
-      | None ->
-        Hashtbl.replace t.cache key
-          (gather_entry model' ~x:rx ~r:rr ~s:rs shards.(i)))
-    keys;
-  { rx;
-    rr;
-    rs;
-    r_hits = Array.length shards - Array.length misses;
+  { shards;
+    found;
     r_misses = Array.length misses;
     r_iter_sum = fan.Solver.total_iterations;
     r_iter_max = fan.Solver.max_iterations;
     r_converged = fan.Solver.all_converged }
+
+(* Refreshes the cache with the live generation once the batch has
+   succeeded: a hit is already in the table under its key, so only the
+   misses go in, unless the table outgrew its cap and is reset, when
+   every live key goes back. A clean component's key was live, so no
+   miss shares it. Returns the stale flags of the new components. *)
+let refresh_cache t (model' : Model.t) ~comp_of_var ~keys ~need out ~x ~r ~s =
+  let ncomp = Array.length keys in
+  let reset = Cache.length t.cache > max_cache_entries in
+  if reset then begin
+    Cache.reset t.cache;
+    let is_need = Array.make ncomp false in
+    Array.iter (fun c -> is_need.(c) <- true) need;
+    let clean =
+      Array.of_list
+        (List.filter (fun c -> not is_need.(c)) (List.init ncomp Fun.id))
+    in
+    Array.iteri
+      (fun j shard ->
+        Cache.replace t.cache keys.(clean.(j)) (gather_entry model' ~x ~r ~s shard))
+      (Decompose.plan model' ~comp_of_var ~num_components:ncomp clean)
+  end;
+  let fresh =
+    Array.mapi
+      (fun j c ->
+        match out.found.(j) with
+        | Some e ->
+          if reset then Cache.replace t.cache keys.(c) e;
+          e
+        | None ->
+          let e = gather_entry model' ~x ~r ~s out.shards.(j) in
+          Cache.replace t.cache keys.(c) e;
+          e)
+      need
+  in
+  (* a miss whose entry a later miss of the same key replaced keeps its
+     own slice: the next batch must scatter the cache's entry into it *)
+  let stale = Array.make ncomp false in
+  Array.iteri
+    (fun j c -> stale.(c) <- Cache.find t.cache keys.(c) != fresh.(j))
+    need;
+  stale
 
 (* ------------------------------------------------------------------ *)
 (* session                                                             *)
@@ -350,38 +441,116 @@ let create ?(config = Config.default) ?obs design =
     invalid_arg
       "Incr.create: fenced designs are not supported; create one session \
        per territory";
-  let flow = Flow.run ~config ?obs design in
-  let model = flow.Flow.model in
-  let t =
-    { config;
-      obs;
-      cache = Hashtbl.create 256;
-      in_apply = Atomic.make false;
-      design;
-      assignment = model.Model.assignment;
-      model;
-      s = flow.Flow.solver.Solver.modulus;
-      legal = flow.Flow.legal;
-      batches = 0;
-      trace =
-        Obs.new_trace obs "incr/solve/delta_inf" ~capacity:Solver.trace_capacity }
+  (* the flow's own build, its layout kept for the first batch *)
+  let segments = Segments.compute design in
+  let layout = ref None in
+  let build design assignment =
+    let l =
+      Model.layout ~num_domains:config.Config.num_domains segments design
+        assignment
+    in
+    layout := Some l;
+    Model.assemble design assignment l
   in
+  let flow = Flow.run_with ~build ~config ?obs design in
+  let model = flow.Flow.model in
+  let assignment = model.Model.assignment in
+  let deco = Decompose.analyze model in
+  let shards = deco.Decompose.shards in
+  let x = flow.Flow.solver.Solver.x and r = flow.Flow.solver.Solver.r in
+  let s = flow.Flow.solver.Solver.modulus in
+  let cache = Cache.create 256 in
   (* seed the cache with every current shard's slice of the initial
      solution, so the first batch already hits on clean shards *)
-  let x = flow.Flow.solver.Solver.x and r = flow.Flow.solver.Solver.r in
-  Array.iter
-    (fun shard ->
-      Hashtbl.replace t.cache (shard_key model shard)
-        (gather_entry model ~x ~r ~s:t.s shard))
-    (Decompose.analyze model).Decompose.shards;
-  t
+  let keys = Array.map (Decompose.shard_key model) shards in
+  let entries =
+    Array.mapi
+      (fun i shard ->
+        let e = gather_entry model ~x ~r ~s shard in
+        Cache.replace cache keys.(i) e;
+        e)
+      shards
+  in
+  { config;
+    obs;
+    cache;
+    in_apply = Atomic.make false;
+    design;
+    assignment;
+    model;
+    segments;
+    layout = Option.get !layout;
+    comp_of_var = deco.Decompose.comp_of_var;
+    keys;
+    clean = Array.make (Array.length keys) false;
+    stale = Array.mapi (fun i k -> Cache.find cache k != entries.(i)) keys;
+    x;
+    r;
+    s;
+    legal = flow.Flow.legal;
+    batches = 0;
+    trace =
+      Obs.new_trace obs "incr/solve/delta_inf" ~capacity:Solver.trace_capacity }
 
 let design t = t.design
+let model t = t.model
+let clean_components t = Array.copy t.clean
 let legal t = Placement.copy t.legal
 let num_batches t = t.batches
-let cache_entries t = Hashtbl.length t.cache
+let cache_entries t = Cache.length t.cache
 
 let busy t = Atomic.get t.in_apply
+
+(* The model stage of a batch: the new model and its layout, its
+   components, each component's key where it carries over, and the
+   components to look up (ascending). A move/resize batch patches the
+   session's model; a component is clean when it holds no touched cell
+   and no group that lost a member. It is then a component of the old
+   model, unchanged, so its key is the old one. Every component is
+   numbered at its first variable, which names its old component
+   through that variable's cell. A stale component is looked up all the
+   same. Inserts and deletes renumber the cells: every row is laid out
+   again and every component looked up. *)
+let model_stage t ~patch design' assignment' ~touched touched_cells =
+  if not patch then begin
+    let layout' = Model.layout t.segments design' assignment' in
+    let model' = Model.assemble design' assignment' layout' in
+    let comp_of_var', ncomp' = Decompose.components model' in
+    ( layout',
+      model',
+      comp_of_var',
+      Array.make ncomp' (0L, 0L, 0, 0),
+      Array.init ncomp' Fun.id )
+  end
+  else begin
+    let model', layout', lost =
+      Model.patch t.model t.layout design' assignment' ~touched touched_cells
+    in
+    let comp_of_var', ncomp' = Decompose.components model' in
+    let need = Array.make ncomp' false in
+    let keys' = Array.make ncomp' (0L, 0L, 0, 0) in
+    let comp c = comp_of_var'.(model'.Model.first_var.(c)) in
+    Array.iter (fun c -> need.(comp c) <- true) touched_cells;
+    List.iter (fun c -> need.(comp c) <- true) lost;
+    let next = ref 0 in
+    for v = 0 to model'.Model.nvars - 1 do
+      let c = comp_of_var'.(v) in
+      if c = !next then begin
+        incr next;
+        if not need.(c) then begin
+          let oc =
+            t.comp_of_var.(t.model.Model.first_var.(model'.Model.var_cell.(v)))
+          in
+          if t.stale.(oc) then need.(c) <- true else keys'.(c) <- t.keys.(oc)
+        end
+      end
+    done;
+    let ids = ref [] in
+    for c = ncomp' - 1 downto 0 do
+      if need.(c) then ids := c :: !ids
+    done;
+    (layout', model', comp_of_var', keys', Array.of_list !ids)
+  end
 
 let apply_locked t edits =
   let start = Clock.now () in
@@ -409,60 +578,92 @@ let apply_locked t edits =
         (design', old_of_new, touched, assignment'))
   in
   Obs.record_span obs "incr/assign" assign_s;
-  let model', model_s = Clock.timed (fun () -> Model.build design' assignment') in
-  let deco', decomp_s = Clock.timed (fun () -> Decompose.analyze model') in
-  let shards' = deco'.Decompose.shards in
-  Obs.record_span obs "incr/model" (model_s +. decomp_s);
+  (* only inserts and deletes renumber the cells *)
+  let patch =
+    not
+      (List.exists
+         (function Edit.Insert _ | Edit.Delete _ -> true | _ -> false)
+         edits)
+  in
   let touched_cells =
-    Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 touched
-  in
-  let dirty_components =
-    let seen = Array.make deco'.Decompose.num_components false in
-    let count = ref 0 in
-    for v = 0 to model'.Model.nvars - 1 do
-      if touched.(model'.Model.var_cell.(v)) then begin
-        let c = deco'.Decompose.comp_of_var.(v) in
-        if not seen.(c) then begin
-          seen.(c) <- true;
-          incr count
-        end
-      end
+    let acc = ref [] in
+    for c = Array.length touched - 1 downto 0 do
+      if touched.(c) then acc := c :: !acc
     done;
-    !count
+    Array.of_list !acc
   in
-  let out, solve_s =
+  let (layout', model', comp_of_var', keys', need), model_s =
     Clock.timed (fun () ->
-        let s0 = warm_s0 t.model t.s model' ~old_of_new ~touched in
-        resolve t model' shards' s0)
+        model_stage t ~patch design' assignment' ~touched touched_cells)
+  in
+  Obs.record_span obs "incr/model" model_s;
+  let (x', r', s', out), solve_s =
+    Clock.timed (fun () ->
+        let s0, x', r' =
+          warm_s0 t.model ~x:t.x ~r:t.r ~s:t.s model' ~old_of_new ~touched
+        in
+        let out =
+          resolve t model' ~comp_of_var:comp_of_var' ~keys:keys' ~need ~rx:x'
+            ~rr:r' s0
+        in
+        (x', r', s0, out))
   in
   Obs.record_span obs "incr/solve" solve_s;
-  let mismatch = Model.subcell_mismatch model' out.rx in
+  let mismatch = Model.subcell_mismatch model' x' in
   let alloc, alloc_s =
     Clock.timed (fun () ->
-        Tetris_alloc.run ?obs design' (Model.placement_of model' out.rx))
+        Tetris_alloc.run ?obs design' (Model.placement_of model' x'))
   in
   Obs.record_span obs "incr/alloc" alloc_s;
+  (* the batch stands: only now is the cache written, so a batch that
+     raises leaves the whole session as it was *)
+  let stale, refresh_s =
+    Clock.timed (fun () ->
+        refresh_cache t model' ~comp_of_var:comp_of_var' ~keys:keys' ~need out
+          ~x:x' ~r:r' ~s:s')
+  in
+  Obs.record_span obs "incr/solve" refresh_s;
+  let dirty_components =
+    let seen = Array.make (Array.length keys') false in
+    Array.fold_left
+      (fun acc c ->
+        let k = comp_of_var'.(model'.Model.first_var.(c)) in
+        if seen.(k) then acc
+        else begin
+          seen.(k) <- true;
+          acc + 1
+        end)
+      0 touched_cells
+  in
   t.design <- design';
   t.assignment <- assignment';
   t.model <- model';
-  t.s <- out.rs;
+  t.layout <- layout';
+  t.comp_of_var <- comp_of_var';
+  t.keys <- keys';
+  t.clean <- Array.make (Array.length keys') true;
+  Array.iter (fun c -> t.clean.(c) <- false) need;
+  t.stale <- stale;
+  t.x <- x';
+  t.r <- r';
+  t.s <- s';
   t.legal <- alloc.Tetris_alloc.placement;
   t.batches <- t.batches + 1;
   let latency_s = Clock.now () -. start in
   Obs.record_span obs "incr/total" latency_s;
-  Obs.add obs "incr/touched_cells" touched_cells;
+  Obs.add obs "incr/touched_cells" (Array.length touched_cells);
   Obs.add obs "incr/dirty_components" dirty_components;
   Obs.add obs "incr/dirty_shards" out.r_misses;
-  Obs.add obs "incr/cache_hits" out.r_hits;
+  Obs.add obs "incr/cache_hits" (Array.length keys' - out.r_misses);
   Obs.add obs "incr/solve_iterations" out.r_iter_sum;
   Obs.gauge obs "incr/mismatch" mismatch;
   { edits = List.length edits;
-    touched_cells;
+    touched_cells = Array.length touched_cells;
     dirty_components;
-    components = deco'.Decompose.num_components;
+    components = Array.length keys';
     dirty_shards = out.r_misses;
-    shards = Array.length shards';
-    cache_hits = out.r_hits;
+    shards = Array.length keys';
+    cache_hits = Array.length keys' - out.r_misses;
     solve_iterations = out.r_iter_sum;
     max_iterations = out.r_iter_max;
     converged = out.r_converged;

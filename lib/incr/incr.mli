@@ -3,14 +3,24 @@
     A session holds a legalized design plus the solver state that produced
     it — the x-LCP model, its component decomposition and the final MMSIM
     modulus vector — and re-legalizes {!Edit} batches at a fraction of the
-    full-flow cost. Three mechanisms stack:
+    full-flow cost. Four mechanisms stack:
 
-    - {b dirty components}: the LCP splits into exact independent
+    - {b patched model}: a batch of moves and resizes keeps the cell
+      numbering, so the session redoes [Model.build]'s first two steps
+      only where the batch reaches ({!Mclh_core.Model.patch}): the
+      touched cells choose their segments again, and only the dirty rows
+      — the rows touched cells leave or enter — are sorted again. The
+      other rows are the old model's, copied. Inserts and deletes
+      renumber the cells and lay every row out again.
+    - {b clean components}: the LCP splits into exact independent
       components ({!Mclh_core.Decompose}), so an edit can only change the
-      solution of the components it touches. Touched cells map through
-      [comp_of_var] to a dirty set; components whose constraint structure
-      changed indirectly (a neighbour moved in or out of the segment) are
-      caught by the fingerprint test below.
+      components it reaches. A component is clean when it holds no
+      touched cell and no ordering group that lost a member (a touched
+      cell left its row segment); it is then a component of the old
+      model with the same content, so its key and its slices of the
+      solution carry over by index, and it is neither planned, keyed nor
+      looked up. It counts as a cache hit, as the lookup would have
+      been. Only the other components are planned and keyed.
     - {b solution cache}: each shard's sub-LCP is fingerprinted over its
       pure LCP content — dimensions, local group/chain structure, [p] and
       [b_rhs] — deliberately excluding cell ids, so insert/delete
@@ -120,8 +130,9 @@ val apply : t -> Edit.t list -> stats
     bounded memory.
 
     @raise Invalid_argument on an edit referencing an out-of-range or
-      already-deleted cell, a non-positive resize/insert dimension, or a
-      batch that deletes every cell.
+      already-deleted cell, a non-positive resize/insert dimension, a
+      move or insert to a NaN or infinite coordinate, or a batch that
+      deletes every cell; the session is then unchanged.
     @raise Failure if an edit leaves a cell no admissible row or the
       Tetris stage cannot place a cell (design over capacity).
     @raise Busy when another [apply] on this session is still in
@@ -148,17 +159,34 @@ val apply_edits : Design.t -> Edit.t list -> Design.t * int array * bool array
 
 val warm_s0 :
   Model.t ->
-  Mclh_linalg.Vec.t ->
+  x:Mclh_linalg.Vec.t ->
+  r:Mclh_linalg.Vec.t ->
+  s:Mclh_linalg.Vec.t ->
   Model.t ->
   old_of_new:int array ->
   touched:bool array ->
-  Mclh_linalg.Vec.t
-(** [warm_s0 old_model old_s model' ~old_of_new ~touched] carries the
-    modulus vector [old_s] of [old_model] to [model'], built on the
-    design {!apply_edits} returned with untouched cells on their old
-    rows. Variables carry from the old variable of the same (pre-batch
-    cell, row offset), looked up in an int array over the old model;
+  Mclh_linalg.Vec.t * Mclh_linalg.Vec.t * Mclh_linalg.Vec.t
+(** [warm_s0 old_model ~x ~r ~s model' ~old_of_new ~touched] carries the
+    solution [(x, r, s)] of [old_model] to [model'], built on the design
+    {!apply_edits} returned with untouched cells on their old rows, and
+    returns [(s0, x', r')]: the modulus vector every batch warm-starts
+    from, and the positions and multipliers clean components keep.
+    Variables carry from the old variable of the same (pre-batch cell,
+    row offset): the old hub, or the old chain's entry at that offset;
     the new constraint [(u, u + 1)] carries the old constraint
     [ou - group(ou)] when [u] and [u + 1] map to [ou] and [ou + 1] and
     [ou + 1] sits in [ou]'s old group. Touched and inserted cells and
-    unmapped constraints keep {!Warm_start.plain_start}. *)
+    unmapped constraints keep {!Warm_start.plain_start} in [s0] and 0 in
+    [x'] and [r']. *)
+
+val model : t -> Model.t
+(** The session's current model: after a move/resize batch, the old
+    model patched (its clean rows reused), equal to a cold
+    {!Model.build} of {!design} bit for bit. *)
+
+val clean_components : t -> bool array
+(** Per component of {!model}, numbered as {!Decompose.components}
+    numbers them: whether the last batch carried it over clean, its
+    slices and key from the batch before, without planning, keying or
+    looking it up. All false after {!create} and after a batch with
+    inserts or deletes. *)

@@ -61,6 +61,9 @@ let num_constraints t =
   Array.fold_left (fun acc c -> acc + Array.length c - 1) 0 t.chains
 
 let chain_vars t c = Array.copy t.chains.(c)
+let chain_length t c = Array.length t.chains.(c)
+let chain_var t c k = t.chains.(c).(k)
+let chain_of_var t v = t.chain_of.(v)
 
 (* the whole product, chain by chain: the reference the part kernels
    below must match *)

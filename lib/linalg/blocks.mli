@@ -31,7 +31,16 @@ val num_constraints : t -> int
 (** Total number of rows of [E]: sum over chains of (length - 1). *)
 
 val chain_vars : t -> int -> int array
-(** Variables of chain [c], hub first. *)
+(** Variables of chain [c], hub first (a copy). *)
+
+val chain_length : t -> int -> int
+
+val chain_var : t -> int -> int -> int
+(** [chain_var t c k] is the [k]-th variable of chain [c] (the hub for
+    [k = 0]), without copying the chain. *)
+
+val chain_of_var : t -> int -> int
+(** The chain holding variable [v], -1 for a variable in none. *)
 
 val apply_ete : t -> Vec.t -> Vec.t
 (** [apply_ete t x] is [E^T E x], chain by chain: the reference that

@@ -511,6 +511,49 @@ let test_zero_alloc_per_iteration () =
          (List.hd resets) last)
       0.0 (hi -. lo)
 
+(* ---------- shard key ---------- *)
+
+(* fft_2 at 0.04 with 15% blockage in 32 rectangles: 167 shards, from
+   single subcells to a few hundred variables with multi-row chains *)
+let key_model () =
+  snd
+    (model_of
+       ~options:{ blockage_options with blockage_count = 32 }
+       ~scale:0.04 "fft_2")
+
+let test_shard_key_matches_oracle () =
+  let model = key_model () in
+  let shards = (Decompose.analyze model).Decompose.shards in
+  Alcotest.(check bool) "many shards" true (Array.length shards > 100);
+  Array.iteri
+    (fun i shard ->
+      if Decompose.shard_key model shard <> Shard_key_ref.shard_key model shard
+      then Alcotest.failf "shard %d: key differs from the closure oracle" i)
+    shards
+
+(* the only words a key allocates are its result: the 4-tuple (5 words)
+   and its two boxed int64s (3 words each), whatever the shard's size *)
+let test_shard_key_no_alloc () =
+  let model = key_model () in
+  let shards = (Decompose.analyze model).Decompose.shards in
+  let words =
+    Array.fold_left (fun acc s -> acc + Decompose.shard_dim s) 0 shards
+  in
+  let rounds = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Array.iter
+      (fun shard ->
+        ignore (Sys.opaque_identity (Decompose.shard_key model shard)))
+      shards
+  done;
+  let allocated = Gc.minor_words () -. before in
+  let per_key = allocated /. float_of_int (rounds * Array.length shards) in
+  if per_key > 11.5 then
+    Alcotest.failf
+      "%.1f minor words per key over %d mixed words a round (want <= 11)"
+      per_key words
+
 let () =
   Alcotest.run "decompose"
     [ ( "structure",
@@ -530,4 +573,9 @@ let () =
           QCheck_alcotest.to_alcotest test_relabel_invariance ] );
       ( "allocation",
         [ Alcotest.test_case "zero alloc per iteration" `Quick
-            test_zero_alloc_per_iteration ] ) ]
+            test_zero_alloc_per_iteration ] );
+      ( "shard key",
+        [ Alcotest.test_case "key = closure oracle on fft_2 0.04 blockages"
+            `Quick test_shard_key_matches_oracle;
+          Alcotest.test_case "key allocates only its result" `Quick
+            test_shard_key_no_alloc ] ) ]

@@ -191,6 +191,40 @@ let test_bad_edits_raise () =
   raises "zero width" (fun () ->
       Incr.apply t [ Edit.Resize { cell = 0; width = 0 } ])
 
+(* a NaN or infinite coordinate in a move or an insert raises before the
+   session changes: the design (not a copy), the placement and the batch
+   count stay as they were *)
+let non_finite_cases =
+  let t = lazy (Incr.create ~config:tight (eco_design ~scale:0.01)) in
+  List.concat_map
+    (fun (vname, v) ->
+      List.concat_map
+        (fun axis ->
+          List.map
+            (fun kind ->
+              let name = Printf.sprintf "%s %s = %s" kind axis vname in
+              let x, y = if axis = "x" then (v, 2.0) else (10.0, v) in
+              let edit =
+                if kind = "move" then Edit.Move { cell = 3; x; y }
+                else Edit.Insert { width = 3; height = 1; x; y }
+              in
+              Alcotest.test_case name `Quick (fun () ->
+                  let t = Lazy.force t in
+                  let design = Incr.design t and legal = Incr.legal t in
+                  let batches = Incr.num_batches t in
+                  (match Incr.apply t [ edit ] with
+                  | exception Invalid_argument _ -> ()
+                  | _ -> Alcotest.failf "%s: expected Invalid_argument" name);
+                  Alcotest.(check bool) "design unchanged" true
+                    (Incr.design t == design);
+                  Alcotest.(check (float 0.0)) "placement unchanged" 0.0
+                    (max_position_diff legal (Incr.legal t));
+                  Alcotest.(check int) "no batch counted" batches
+                    (Incr.num_batches t)))
+            [ "move"; "insert" ])
+        [ "x"; "y" ])
+    [ ("nan", Float.nan); ("+inf", Float.infinity); ("-inf", Float.neg_infinity) ]
+
 let test_obs_counters () =
   let obs = Mclh_obs.Obs.create () in
   let t = Incr.create ~config:tight ~obs (eco_design ~scale:0.01) in
@@ -310,6 +344,45 @@ let test_pinned_replay () =
         (Digest.to_hex (Digest.file path)));
   Alcotest.(check int) "summed iterations" 1581 !iterations
 
+(* 1,600 seeded batches of four local moves on one session of fft_2 at
+   0.02 with 15% blockage in 32 rectangles: the solution cache outgrows
+   its cap once and is reset to the live generation. The placement's
+   MD5, the summed iterations and cache hits and the live entries at the
+   end were computed on the engine as it stood before clean components
+   carried their slices over without a lookup. *)
+let test_pinned_cache_reset () =
+  let module Rng = Mclh_benchgen.Rng in
+  let options = { eco_options with blockage_count = 32 } in
+  let d = (instance ~options ~scale:0.02 "fft_2").Mclh_benchgen.Generate.design in
+  let t = Incr.create d in
+  let rng = Rng.create 4242 in
+  let g = d.Design.global in
+  let iterations = ref 0 and hits = ref 0 and resets = ref 0 and entries = ref 0 in
+  for _ = 1 to 1600 do
+    let move _ =
+      let cell = Rng.int rng (Design.num_cells d) in
+      let x = Float.max 0.0 (g.Placement.xs.(cell) +. (5.0 *. Rng.gaussian rng)) in
+      let y = Float.max 0.0 (g.Placement.ys.(cell) +. (0.75 *. Rng.gaussian rng)) in
+      Edit.Move { cell; x; y }
+    in
+    let st = Incr.apply t (List.init 4 move) in
+    iterations := !iterations + st.Incr.solve_iterations;
+    hits := !hits + st.Incr.cache_hits;
+    if Incr.cache_entries t < !entries then incr resets;
+    entries := Incr.cache_entries t
+  done;
+  Alcotest.(check int) "one cache reset" 1 !resets;
+  Alcotest.(check int) "live entries" 813 !entries;
+  Alcotest.(check int) "summed iterations" 69722 !iterations;
+  Alcotest.(check int) "summed cache hits" 187490 !hits;
+  let path = Filename.temp_file "pinned_reset" ".pl.mclh" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.write_placement ~path (Incr.legal t);
+      Alcotest.(check string) "placement md5" "7f0e530f7fa77f66b0aca0cba8658f2c"
+        (Digest.to_hex (Digest.file path)))
+
 (* ---------- index carry = Hashtbl oracle ---------- *)
 
 let same_bits a b =
@@ -333,7 +406,7 @@ let same_design (a : Design.t) (b : Design.t) =
    cell. The old modulus vector is
    random, so every carried entry shows; the patched design, the map and
    the touched flags must equal the rebuilding oracle's, and the carried
-   [s0] the Hashtbl oracle's, bit for bit. *)
+   [s0], x and r the Hashtbl oracle's, bit for bit. *)
 let qc_carry_matches_oracle =
   QCheck.Test.make ~count:40 ~name:"warm_s0 by index = Hashtbl oracle"
     QCheck.(pair (int_range 1 10_000) (int_range 0 3))
@@ -392,14 +465,189 @@ let qc_carry_matches_oracle =
         let d', old_of_new, touched = Incr.apply_edits d0 batch in
         let rd', rold_of_new, rtouched = Incr_ref.apply_edits d0 batch in
         let model' = Model.build d' (Row_assign.assign d') in
-        let s0 = Incr.warm_s0 model old_s model' ~old_of_new ~touched in
+        (* x and r are the two halves of the old modulus vector, so an
+           entry of x' or r' is the oracle's s0 entry where the oracle
+           carried one (a random entry never equals the plain start) and
+           0 elsewhere *)
+        let n = model.Model.nvars and n' = model'.Model.nvars in
+        let s0, x', r' =
+          Incr.warm_s0 model
+            ~x:(Array.sub old_s 0 n)
+            ~r:(Array.sub old_s n (Model.num_constraints model))
+            ~s:old_s model' ~old_of_new ~touched
+        in
         let rs0 = Incr_ref.warm_s0 model old_s model' ~old_of_new ~touched in
+        let plain = Warm_start.plain_start model' in
+        let carried lo len =
+          Array.init len (fun i ->
+              if Int64.equal
+                   (Int64.bits_of_float rs0.(lo + i))
+                   (Int64.bits_of_float plain.(lo + i))
+              then 0.0
+              else rs0.(lo + i))
+        in
         ok :=
           !ok && same_design d' rd' && old_of_new = rold_of_new
-          && touched = rtouched && same_bits s0 rs0;
+          && touched = rtouched && same_bits s0 rs0
+          && same_bits x' (carried 0 n')
+          && same_bits r' (carried n' (Model.num_constraints model'));
         d := d'
       done;
       !ok)
+
+(* ---------- patched model and clean components = cold ---------- *)
+
+let same_model (a : Model.t) (b : Model.t) =
+  let chains (m : Model.t) =
+    Array.init
+      (Mclh_linalg.Blocks.num_chains m.Model.blocks)
+      (Mclh_linalg.Blocks.chain_vars m.Model.blocks)
+  in
+  a.Model.nvars = b.Model.nvars
+  && a.Model.row_vars = b.Model.row_vars
+  && chains a = chains b
+  && same_bits a.Model.b_rhs b.Model.b_rhs
+  && same_bits a.Model.p b.Model.p
+  && same_bits a.Model.shift b.Model.shift
+  && a.Model.var_cell = b.Model.var_cell
+  && a.Model.var_row = b.Model.var_row
+  && a.Model.first_var = b.Model.first_var
+
+(* Four chained batches on a blocked design with tall cells: moves far
+   and near, moves onto the cell's own spot, resizes, often two edits of
+   one cell, and in one draw in three an insert or a delete, so the
+   layout is also laid out again between patches. [check] sees the
+   session and the design before and after each batch. *)
+let eco_chain seed kinds check =
+  let module Rng = Mclh_benchgen.Rng in
+  let options =
+    { eco_options with seed; tall_cell_fraction = 0.3; blockage_count = 12 }
+  in
+  let t =
+    Incr.create
+      (instance ~options ~scale:0.006 "fft_2").Mclh_benchgen.Generate.design
+  in
+  let rng = Rng.create seed in
+  let ok = ref true in
+  for b = 1 to 4 do
+    let d0 = Incr.design t in
+    let n = Design.num_cells d0 in
+    let chip = d0.Design.chip in
+    let g = d0.Design.global in
+    let edit _ =
+      let cell = Rng.int rng (if Rng.int rng 3 = 0 then min n 3 else n) in
+      match Rng.int rng 4 with
+      | 0 ->
+        let x = Rng.float rng (float_of_int chip.Chip.num_sites) in
+        let y = Rng.float rng (float_of_int chip.Chip.num_rows) in
+        Edit.Move { cell; x; y }
+      | 1 ->
+        let x = g.Placement.xs.(cell) +. (4.0 *. Rng.gaussian rng) in
+        let y = g.Placement.ys.(cell) +. Rng.gaussian rng in
+        Edit.Move { cell; x = Float.max 0.0 x; y = Float.max 0.0 y }
+      | 2 ->
+        Edit.Move { cell; x = g.Placement.xs.(cell); y = g.Placement.ys.(cell) }
+      | _ -> Edit.Resize { cell; width = 1 + Rng.int rng 6 }
+    in
+    let extra =
+      if kinds = 0 && b = 2 then
+        [ Edit.Insert { width = 2; height = 2; x = 10.0; y = 3.0 };
+          Edit.Delete { cell = Rng.int rng n } ]
+      else []
+    in
+    let batch = List.init (1 + Rng.int rng 5) edit @ extra in
+    ignore (Incr.apply t batch);
+    ok := !ok && check ~renumbered:(extra <> []) d0 t
+  done;
+  !ok
+
+let qc_patched_model_is_cold =
+  QCheck.Test.make ~count:30 ~name:"patched model = cold Model.build"
+    QCheck.(pair (int_range 1 10_000) (int_range 0 2))
+    (fun (seed, kinds) ->
+      eco_chain seed kinds (fun ~renumbered:_ _ t ->
+          let d = Incr.design t in
+          same_model (Incr.model t) (Model.build d (Row_assign.assign d))))
+
+(* each component of a cold build, keyed, and the component of every
+   (cell, row) subcell *)
+let cold_keys (d : Design.t) =
+  let m = Model.build d (Row_assign.assign d) in
+  let deco = Decompose.analyze m in
+  let keys = Array.map (Decompose.shard_key m) deco.Decompose.shards in
+  let at = Hashtbl.create m.Model.nvars in
+  for v = 0 to m.Model.nvars - 1 do
+    Hashtbl.replace at (m.Model.var_cell.(v), m.Model.var_row.(v))
+      keys.(deco.Decompose.comp_of_var.(v))
+  done;
+  at
+
+let clean_seen = ref 0
+
+let qc_clean_keys_unchanged =
+  QCheck.Test.make ~count:30 ~name:"clean components keep cold shard key"
+    QCheck.(pair (int_range 1 10_000) (int_range 0 2))
+    (fun (seed, kinds) ->
+      eco_chain seed kinds (fun ~renumbered d0 t ->
+          let clean = Incr.clean_components t in
+          if renumbered then Array.for_all not clean
+          else begin
+            let before = cold_keys d0 and after = cold_keys (Incr.design t) in
+            let m = Incr.model t in
+            let comp_of_var, _ = Decompose.components m in
+            (* a clean component's key, before and after, read at every
+               one of its subcells *)
+            let ok = ref true in
+            for v = 0 to m.Model.nvars - 1 do
+              if clean.(comp_of_var.(v)) then begin
+                incr clean_seen;
+                let at = (m.Model.var_cell.(v), m.Model.var_row.(v)) in
+                match (Hashtbl.find_opt before at, Hashtbl.find_opt after at) with
+                | Some k0, Some k1 -> if k0 <> k1 then ok := false
+                | _ -> ok := false
+              end
+            done;
+            !ok
+          end))
+
+(* the property above is not vacuous: most subcells sit in clean
+   components *)
+let test_clean_seen () =
+  Alcotest.(check bool) "clean components were checked" true (!clean_seen > 1000)
+
+(* Two lone cells of one width at one x, in rows 0 and 1, pose the same
+   sub-LCP: they share a key, and the cache keeps one entry for both, the
+   one written last. The first cell's component is then stale, and the
+   next batch looks it up although nothing touched it; after that lookup
+   it is carried clean again. This holds after [create] and after a
+   batch in which both miss. *)
+let test_duplicate_keys_looked_up () =
+  let chip = Chip.make ~num_rows:4 ~num_sites:40 () in
+  let d =
+    Design.make ~name:"twins" ~chip
+      ~cells:(Array.init 3 (fun id -> Cell.make ~id ~width:3 ~height:1 ()))
+      ~global:(Placement.make ~xs:[| 10.0; 10.0; 25.0 |] ~ys:[| 0.0; 1.0; 3.0 |])
+      ~nets:(Netlist.empty ~num_cells:3) ()
+  in
+  let t = Incr.create d in
+  (* the components in variable order: cells 0, 1 and 2 *)
+  let clean_after what expected batch =
+    let st = Incr.apply t batch in
+    Alcotest.(check (array bool)) what expected (Incr.clean_components t);
+    st
+  in
+  let nudge x = [ Edit.Move { cell = 2; x; y = 3.0 } ] in
+  ignore (clean_after "after create: cell 0 looked up" [| false; true; false |] (nudge 26.0));
+  ignore (clean_after "then carried" [| true; true; false |] (nudge 27.0));
+  let both =
+    clean_after "both moved" [| false; false; true |]
+      [ Edit.Move { cell = 0; x = 15.0; y = 0.0 };
+        Edit.Move { cell = 1; x = 15.0; y = 1.0 } ]
+  in
+  Alcotest.(check int) "both missed" 2 both.Incr.dirty_shards;
+  let st = clean_after "after both missed: cell 0 looked up" [| false; true; false |] (nudge 28.0) in
+  Alcotest.(check int) "cell 0 hit, cell 2 missed" 1 st.Incr.dirty_shards;
+  Alcotest.(check int) "hits" 2 st.Incr.cache_hits
 
 (* ---------- Solver ?s0 restart ---------- *)
 
@@ -535,11 +783,21 @@ let () =
           Alcotest.test_case "obs counters" `Quick test_obs_counters;
           Alcotest.test_case "obs names bounded over 30 batches" `Quick
             test_obs_names_bounded ] );
+      ("non-finite", non_finite_cases);
       ( "pinned md5",
         [ Alcotest.test_case "fft_2 0.04 blockages 30-batch replay" `Quick
-            test_pinned_replay ] );
+            test_pinned_replay;
+          Alcotest.test_case "fft_2 0.02 1,600-batch cache reset"
+            `Slow test_pinned_cache_reset ] );
       ( "warm start",
         List.map QCheck_alcotest.to_alcotest [ qc_carry_matches_oracle ] );
+      ( "patching",
+        List.map QCheck_alcotest.to_alcotest
+          [ qc_patched_model_is_cold; qc_clean_keys_unchanged ]
+        @ [ Alcotest.test_case "clean components were checked" `Quick
+              test_clean_seen;
+            Alcotest.test_case "duplicate keys are looked up" `Quick
+              test_duplicate_keys_looked_up ] );
       ( "cli",
         [ Alcotest.test_case "eco --verify --metrics-out" `Quick
             test_cli_eco_session ] );
